@@ -160,34 +160,6 @@ def _component_tables(
     return phi_s, SymmetricKernel(N, atoms, pi_values)
 
 
-def project_component(
-    statistic: SymmetricKernel,
-    alpha: DiscreteBaseMeasure,
-    s: int,
-    table: CoefficientTable | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[SymmetricKernel, SymmetricKernel]:
-    """(phi_s, order-s projection) of a symmetric statistic of N draws.
-
-    The statistic is centred internally; phi_s is the degenerate kernel
-    sum_{k<=s} theta*_N(s,k) · sum over k-sub-multisets of the conditional
-    expectations of the centred statistic, and the projection is its
-    s-subset sum over all N coordinates.
-    """
-    if statistic.atoms != alpha.atoms:
-        raise DomainError("statistic and measure disagree on the atom count")
-    N = statistic.order
-    if not 1 <= s <= N:
-        raise DomainError(f"projection order must lie in 1..{N}")
-    if table is None:
-        table = theta_table(N, alpha.total_mass)
-    elif table.N != N:
-        raise DomainError(f"coefficient table is for N={table.N}, statistic has N={N}")
-    ce = _CondExpCache(statistic, alpha, cap)
-    mean = expectation_statistic(statistic, alpha, cap=cap)
-    return _component_tables(statistic, alpha, s, table, mean, ce)
-
-
 def hoeffding_decompose(
     statistic: SymmetricKernel,
     alpha: DiscreteBaseMeasure,

@@ -68,9 +68,6 @@ class SymmetricKernel:
         for counts in occupation_vectors(self.order, self.atoms):
             yield counts, self.value(counts)
 
-    def support(self):
-        return {c: v for c, v in self.values.items() if v != 0}
-
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(abs(v) <= tol for v in self.values.values())
 

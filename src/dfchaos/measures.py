@@ -113,7 +113,7 @@ def dirichlet_moment(alpha: DiscreteBaseMeasure, exponents: Sequence[int]) -> Sc
     return _dirichlet_moment_cached(alpha.weights, alpha.total_mass, tuple(cleaned))
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 16, typed=True)  # typed: see numeric._rising_cached
 def _dirichlet_moment_cached(
     weights: tuple[Scalar, ...], total_mass: Scalar, exponents: tuple[int, ...]
 ) -> Scalar:

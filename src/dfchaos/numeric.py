@@ -3,7 +3,7 @@
 Everything here is deliberately boring: rational quantities are computed with
 ``fractions.Fraction`` (so the rest of the package can promise bit-exact
 results for rational inputs), and the few genuinely transcendental pieces
-(log-Gamma, Beta, the confluent hypergeometric series) are thin, contract-
+(log-Gamma, the confluent hypergeometric series) are thin, contract-
 checked layers over well-tested routines.
 
 Conventions used throughout the package:
@@ -17,9 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -103,7 +101,9 @@ def rising_factorial(x: Scalar, k: int) -> Scalar:
     return _rising_cached(x, k)
 
 
-@lru_cache(maxsize=1 << 16)
+# typed: 1.25, Fraction(5, 4) and 5/4-valued ints hash alike, and an untyped
+# cache would hand a float (or int) back to an exact caller
+@lru_cache(maxsize=1 << 16, typed=True)
 def _rising_cached(x: Scalar, k: int) -> Scalar:
     # halving the range keeps cached sub-products shared between calls with
     # nearby arguments (x, k) and (x, k') instead of redoing long chains
@@ -116,48 +116,6 @@ def _rising_cached(x: Scalar, k: int) -> Scalar:
         return out
     half = k // 2
     return _rising_cached(x, half) * _rising_cached(x + half, k - half)
-
-
-@dataclass(frozen=True)
-class IndexSubset:
-    """An ordered subset of coordinate indices {1..n}.
-
-    Supports the three set operations the projection formulas need:
-    ``&`` (intersection), ``-`` (difference) and ``<=`` (containment).
-    """
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if list(self.indices) != sorted(set(self.indices)):
-            raise DomainError(f"indices must be strictly increasing, got {self.indices}")
-        if self.indices and self.indices[0] < 1:
-            raise DomainError("indices are 1-based")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __and__(self, other: "IndexSubset") -> "IndexSubset":
-        other_set = set(other.indices)
-        return IndexSubset(tuple(i for i in self.indices if i in other_set))
-
-    def __sub__(self, other: "IndexSubset") -> "IndexSubset":
-        other_set = set(other.indices)
-        return IndexSubset(tuple(i for i in self.indices if i not in other_set))
-
-    def __le__(self, other: "IndexSubset") -> bool:
-        return set(self.indices) <= set(other.indices)
-
-
-def k_subsets(n: int, k: int) -> Iterator[IndexSubset]:
-    """All C(n, k) subsets of {1..n} in lexicographic order."""
-    if n < 0 or k < 0:
-        raise DomainError(f"k_subsets requires n, k >= 0, got ({n}, {k})")
-    for combo in itertools.combinations(range(1, n + 1), k):
-        yield IndexSubset(combo)
 
 
 def occupation_vectors(order: int, atoms: int) -> Iterator[tuple[int, ...]]:
@@ -225,13 +183,6 @@ def log_gamma(x: float) -> float:
     if x <= 0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def beta_fn(s: float, t: float) -> float:
-    """Euler Beta B(s, t) for s, t > 0, computed in log space."""
-    if s <= 0 or t <= 0:
-        raise DomainError(f"beta_fn requires positive arguments, got ({s}, {t})")
-    return math.exp(math.lgamma(s) + math.lgamma(t) - math.lgamma(s + t))
 
 
 _HYP_MAX_TERMS = 10_000

@@ -1,14 +1,19 @@
-"""Cross-checking suites: coefficient-table errata and the named verify run.
+"""Cross-checking suites: the projection oracle, coefficient-table errata
+and the named verify run.
 
-Two independent routes produce the limit projection coefficients (the
-finite-size recursion pushed through an exact extrapolation, and the
-two-point projection oracle solved in closed rational form), and a third
-set of closed forms has been tabulated elsewhere.  ``theta_erratum_report``
-pits all three against each other and settles disagreements with an
-arbiter that neither route controls: rebuild a known functional from
-kernels extracted with each coefficient set and measure the pointwise
-reconstruction error.  A coefficient set that cannot reproduce the
-functional it claims to decompose is wrong, whatever its provenance.
+``oracle_limit_row`` is the independent route to the limit projection
+coefficients: it solves the defining projection conditions on a balanced
+two-point space exactly.  The library itself uses the closed form in
+``coeffs``; the oracle only checks it, here and in the tests.
+
+Two independent routes produce the limit coefficients (the finite tables
+pushed through an exact extrapolation, and the two-point projection oracle),
+and a third set of closed forms has been tabulated elsewhere.
+``theta_erratum_report`` pits all three against each other and settles
+disagreements with an arbiter that neither route controls: rebuild a known
+functional from kernels extracted with each coefficient set and measure the
+pointwise reconstruction error.  A coefficient set that cannot reproduce
+the functional it claims to decompose is wrong, whatever its provenance.
 
 ``run_verification`` drives the library's invariant checks as named,
 machine-readable results for the command-line ``verify`` subcommand.
@@ -27,19 +32,19 @@ from .bayes import ObservedSample, decompose_exponential, estimate_conditional_v
 from .chaos import (
     chaos_kernels,
     covariance_integrals,
+    poly_posterior_mean,
     reconstruct,
     variance_from_decomposition,
     variance_functional,
 )
 from .coeffs import (
-    limit_coefficient,
     limit_coefficients,
     system_residuals,
     tabulated_limit_values,
     theta_limit,
     theta_table,
 )
-from .errors import DFChaosError
+from .errors import DFChaosError, DomainError
 from .hoeffding import degenerate_basis, degenerate_check
 from .jacobi import (
     BetaParams,
@@ -49,9 +54,9 @@ from .jacobi import (
     jacobi_modified,
     solve_phi_system,
 )
-from .kernels import SimplexPolynomial
+from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, measure
-from .numeric import Scalar, occupation_vectors, scalar_to_json
+from .numeric import Scalar, occupation_vectors, scalar_to_json, solve_exact, sub_occupations
 from .polya import occupation_prob, polya_joint_prob
 from .ustat import approximation_report, ustat_mse_curve
 from .wright_fisher import (
@@ -64,6 +69,9 @@ from .wright_fisher import (
 )
 
 __all__ = [
+    "two_point_measure",
+    "degenerate_chain_kernel",
+    "oracle_limit_row",
     "ThetaComparison",
     "ThetaErratumEntry",
     "ThetaErratumReport",
@@ -72,6 +80,70 @@ __all__ = [
     "VerificationResult",
     "run_verification",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the two-point projection oracle for the limit coefficients
+
+
+def two_point_measure(total_mass: Scalar) -> DiscreteBaseMeasure:
+    """The balanced two-atom measure with the requested total mass."""
+    half = Fraction(total_mass) / 2
+    return DiscreteBaseMeasure((half, half))
+
+
+def degenerate_chain_kernel(total_mass: Scalar, n: int) -> SymmetricKernel:
+    """An exact degenerate kernel of order n on the balanced two-point space.
+
+    On atoms {1, 2} with weights (|alpha|/2, |alpha|/2), kernels whose
+    one-step predictive average vanishes at every history form a
+    one-dimensional space; the representative returned here is pinned by
+    value 1 at the all-atom-2 configuration and satisfies the recursion
+    v_{j+1} = -v_j·(theta_2 + n-1-j)/(theta_1 + j), where v_j is the value
+    at j atom-1 points.
+    """
+    if n < 1:
+        raise DomainError(f"order must be >= 1, got {n}")
+    theta1 = theta2 = Fraction(total_mass) / 2
+    v = [Fraction(1)]
+    for j in range(n):
+        v.append(-v[-1] * (theta2 + n - 1 - j) / (theta1 + j))
+    return SymmetricKernel(n, 2, {(i, n - i): v[i] for i in range(n + 1)})
+
+
+def oracle_limit_row(total_mass: Scalar, n: int) -> tuple[Fraction, ...]:
+    """Solve for (theta^(n,1), ..., theta^(n,n)) on the two-point space.
+
+    The defining conditions: the extraction formula
+        T[F](a) = sum_k theta^(n,k) sum_{|mu|=k, mu<=a} ways(mu)·E[F|mu]
+    must return the order-n kernel of F for every pure-order test functional
+    F_m = integral of the order-m degenerate chain kernel, m = 1..n: zero
+    for m < n and the kernel itself for m = n. The resulting overdetermined
+    linear system is solved exactly; any inconsistency or rank defect
+    raises SingularSystemError (which would mean the conditions do not pin
+    the coefficients — by construction they do).
+    """
+    alpha = two_point_measure(total_mass)
+    rows: list[list[Scalar]] = []
+    rhs: list[Scalar] = []
+    for m in range(1, n + 1):
+        chain = degenerate_chain_kernel(total_mass, m)
+        poly = chain.to_polynomial()
+        cond_mean = {
+            mu: poly_posterior_mean(poly, alpha, mu)
+            for size in range(1, n + 1)
+            for mu in occupation_vectors(size, 2)
+        }
+        for a_counts in occupation_vectors(n, 2):
+            row = []
+            for k in range(1, n + 1):
+                acc: Scalar = Fraction(0)
+                for mu, ways in sub_occupations(a_counts, k):
+                    acc = acc + ways * cond_mean[mu]
+                row.append(acc)
+            rows.append(row)
+            rhs.append(chain.value(a_counts) if m == n else Fraction(0))
+    return tuple(solve_exact(rows, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +249,11 @@ def theta_erratum_report(
     for raw_mass in total_masses:
         mass = Fraction(raw_mass)
         published = tabulated_limit_values(mass)
+        oracle_theta = {
+            (n, k): value
+            for n in (1, 2)
+            for k, value in enumerate(oracle_limit_row(mass, n), start=1)
+        }
         comparisons = []
         for order, slot in ((1, 1), (2, 1), (2, 2)):
             limit = theta_limit(order, slot, mass, tol=limit_tolerance)
@@ -185,15 +262,13 @@ def theta_erratum_report(
                     order=order,
                     slot=slot,
                     recursion_limit=float(limit.value),
-                    oracle=limit_coefficient(order, slot, mass),
+                    oracle=oracle_theta[(order, slot)],
                     published=published[(order, slot)],
                 )
             )
         # Arbiter: reconstruction with each row-2 set on a balanced two-atom
         # measure of the same total mass.
-        half = mass / 2
-        alpha = DiscreteBaseMeasure((half, half))
-        oracle_theta = limit_coefficients(mass, 2)
+        alpha = two_point_measure(mass)
         published_theta = dict(oracle_theta)
         published_theta[(2, 1)] = Fraction(published[(2, 1)])
         published_theta[(2, 2)] = Fraction(published[(2, 2)])
@@ -286,13 +361,22 @@ def _check_system_residuals(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bo
 
 def _check_limits_vs_oracle(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
     mass = Fraction(alpha.total_mass)
+    top = 4 if quick else 8
+    oracle = {n: oracle_limit_row(mass, n) for n in range(1, top + 1)}
+    closed = limit_coefficients(mass, top)
+    for n, row in oracle.items():
+        if row != tuple(closed[(n, k)] for k in range(1, n + 1)):
+            return False, f"closed-form theta({n},*) differs from the oracle"
     pairs = ((1, 1), (2, 1), (2, 2)) if quick else ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3))
     worst = 0.0
     for n, k in pairs:
         limit = theta_limit(n, k, mass, tol=1e-8)
-        worst = max(worst, abs(float(limit.value) - float(limit_coefficient(n, k, mass))))
+        worst = max(worst, abs(float(limit.value) - float(oracle[n][k - 1])))
     ok = worst <= 1e-6
-    return ok, f"max |recursion limit - oracle| = {worst:.3e} over {len(pairs)} coefficients"
+    return ok, (
+        f"max |recursion limit - oracle| = {worst:.3e} over {len(pairs)} coefficients; "
+        f"closed form = oracle exactly for n <= {top}"
+    )
 
 
 def _check_isometry(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:

@@ -59,6 +59,14 @@ def test_coeffs_erratum_json(capsys):
     assert entry["reconstruction_residual_published"] > 1.0
 
 
+def test_coeffs_limits_reject_order_below_one(capsys):
+    for order in ("0", "-1"):
+        code, out, err = run_cli(capsys, "coeffs", "--alpha", "2", "--limits", "--max-order", order)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+
 def test_coeffs_requires_a_mode(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["coeffs", "--alpha", "2"])

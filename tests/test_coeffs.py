@@ -141,3 +141,16 @@ def test_c_overlap_readings_and_oracle():
 def test_c_overlap_rejects_bad_reading():
     with pytest.raises(DomainError):
         c_overlap(2, 1, 2, bound="sideways")
+
+
+def test_limit_coefficient_rejects_nonpositive_mass():
+    for mass in (0, Fraction(-1, 2), -3):
+        with pytest.raises(DomainError):
+            limit_coefficient(1, 1, mass)
+    assert type(limit_coefficient(2, 1, 2)) is Fraction
+
+
+def test_limit_coefficients_need_a_positive_order():
+    for order in (0, -1):
+        with pytest.raises(DomainError):
+            limit_coefficients(2, order)

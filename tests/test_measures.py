@@ -58,6 +58,12 @@ def test_dirichlet_moment_closed_forms():
     assert dirichlet_moment(measure(1, 1, 1), (0, 0, 0)) == 1
 
 
+def test_dirichlet_moment_stays_exact_after_a_float_twin():
+    dirichlet_moment(measure(0.25, 0.75), (2, 1))
+    moment = dirichlet_moment(measure(Fraction(1, 4), Fraction(3, 4)), (2, 1))
+    assert type(moment) is Fraction
+
+
 def test_posterior_updates():
     alpha = measure(1, 1)
     assert with_observations(alpha, (1, 2, 1)).weights == (Fraction(3), Fraction(2))

@@ -12,7 +12,6 @@ from dfchaos.numeric import (
     binom,
     binom_star,
     hyp1f1,
-    k_subsets,
     log_gamma,
     multiplicity,
     nullspace,
@@ -61,6 +60,14 @@ def test_rising_factorial():
     assert rising_factorial(2, 3) == 24
 
 
+def test_rising_factorial_keeps_the_argument_type():
+    # equal float, int and Fraction arguments must not share cached results
+    assert rising_factorial(1.25, 3) == pytest.approx(1.25 * 2.25 * 3.25)
+    assert type(rising_factorial(Fraction(5, 4), 3)) is Fraction
+    assert type(rising_factorial(5, 2)) is int
+    assert type(rising_factorial(Fraction(5), 2)) is Fraction
+
+
 def test_occupation_vectors_enumeration():
     vectors = list(occupation_vectors(3, 2))
     assert sorted(vectors) == [(0, 3), (1, 2), (2, 1), (3, 0)]
@@ -84,10 +91,6 @@ def test_sub_occupations_with_ways():
     # choose 2 of the three draws (two of atom 1, one of atom 2)
     assert subs == {(2, 0): 1, (1, 1): 2}
     assert dict(sub_occupations((2, 1), 0)) == {(0, 0): 1}
-
-
-def test_k_subsets():
-    assert len(list(k_subsets(4, 2))) == 6
 
 
 def test_scalar_json_round_trip():
