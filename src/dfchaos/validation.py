@@ -479,11 +479,21 @@ def _check_wright_fisher(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool,
     for n in (1, 2):
         gap = kernel_Q(model, n, g, gp) - q_via_multiple_integrals(model, n, g, gp)
         worst = max(worst, abs(float(gap)))
+    # Griffiths' closed form against the Gram-Schmidt oracle, exactly
+    closed_ok = all(
+        kernel_Q(model, n, g, gp)
+        == sum(poly.evaluate(g) * poly.evaluate(gp) / norm_sq for poly, norm_sq in model.band(n))
+        for n in range(model.M + 1)
+    )
     # stationary limit
     td = transition_density(model, 60.0, g, gp)
     worst = max(worst, abs(td.value - td.stationary))
-    ok = worst <= 1e-8
-    return ok, f"worst transition-expansion residual {worst:.3e}"
+    ok = worst <= 1e-8 and closed_ok
+    verdict = "equals" if closed_ok else "differs from"
+    return ok, (
+        f"worst transition-expansion residual {worst:.3e}; closed-form Q_n "
+        f"{verdict} the Gram-Schmidt oracle for n <= {model.M}"
+    )
 
 
 def _check_bayes(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:

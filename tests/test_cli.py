@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -143,6 +144,21 @@ def test_wf_table_grid(capsys):
     lines = out.splitlines()
     assert lines[0] == "gamma,gamma_prime,density,tail_bound"
     assert len(lines) == 1 + 4
+
+
+def test_wf_four_atoms_high_truncation(capsys):
+    # K = 4, M = 8: the closed-form kernels make this a sub-second job
+    argv = ("wf", "--theta", "1/2,3/4,1,2", "--truncation", "8",
+            "--gamma", "1/5,1/10,3/10", "--gamma-prime", "1/7,1/7,1/7")
+    code, out, _ = run_cli(capsys, *argv, "--t", "0.5")
+    assert code == 0
+    payload = json.loads(out)
+    assert math.isfinite(payload["tail_bound"]) and payload["tail_bound"] > 0
+    assert len(payload["contributions"]) == 8
+    code, out, _ = run_cli(capsys, *argv, "--t", "60")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == pytest.approx(payload["stationary"], abs=1e-10)
 
 
 def test_bayes_var_uniform_value(capsys, indicator_file):

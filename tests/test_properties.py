@@ -1,7 +1,9 @@
-"""Property tests: the closed-form coefficients against their oracles.
+"""Property tests: the closed forms against their oracles.
 
-Masses are drawn as p/q with 1 <= p, q <= 12; the masses named in the
-coefficient docstrings are pinned as explicit examples.
+Masses and mutation weights are drawn as p/q with 1 <= p, q <= 12; the
+masses named in the coefficient docstrings are pinned as explicit examples.
+The kernel polynomials Q_n of Griffiths' closed form are compared with the
+Gram-Schmidt oracle (``TransitionModel.band``) at rational interior points.
 """
 
 from __future__ import annotations
@@ -21,7 +23,15 @@ from dfchaos.coeffs import (
     validate_limit_values,
 )
 from dfchaos.errors import CoefficientValidationError
+from dfchaos.kernels import SimplexPolynomial
 from dfchaos.validation import oracle_limit_row
+from dfchaos.wright_fisher import (
+    TransitionModel,
+    _orthogonal_basis,
+    kernel_Q,
+    q_polynomial,
+    transition_density,
+)
 
 MASSES = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
 
@@ -65,3 +75,72 @@ def test_tabulated_row_is_rejected(mass):
     theta[(2, 2)] = published[(2, 2)]
     with pytest.raises(CoefficientValidationError):
         validate_limit_values(theta, mass, 2)
+
+
+# highest truncation M drawn per atom count K: the oracle's Gram-Schmidt
+# build at K = 4, M + 1 = 4 takes about 2 s, so that case is pinned once
+# (``..._at_four_atoms``) instead of drawn
+MAX_M = {2: 8, 3: 4, 4: 2}
+
+
+@st.composite
+def points(draw, atoms):
+    """A rational interior point of the simplex, as K - 1 free coordinates."""
+    parts = draw(st.lists(st.integers(1, 9), min_size=atoms, max_size=atoms))
+    return tuple(Fraction(a, sum(parts)) for a in parts[:-1])
+
+
+@st.composite
+def models(draw):
+    atoms = draw(st.integers(2, 4))
+    weights = tuple(draw(MASSES) for _ in range(atoms))
+    return TransitionModel(weights, draw(st.integers(0, MAX_M[atoms])))
+
+
+def oracle_q(model, n, g, gp):
+    return sum(poly.evaluate(g) * poly.evaluate(gp) / norm_sq for poly, norm_sq in model.band(n))
+
+
+def assert_kernels_match_the_oracle(model, g, gp):
+    for n in range(model.M + 1):
+        assert kernel_Q(model, n, g, gp) == oracle_q(model, n, g, gp)
+    # the diagonal of the first neglected band, which feeds the tail bound
+    top = model.M + 1
+    for x in (g, gp):
+        assert model._tail_diagonal(x) == oracle_q(model, top, x, x)
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_closed_form_kernels_equal_the_oracle(data):
+    model = data.draw(models())
+    atoms = model.theta.atoms
+    assert_kernels_match_the_oracle(model, data.draw(points(atoms)), data.draw(points(atoms)))
+
+
+def test_closed_form_kernels_equal_the_oracle_at_four_atoms():
+    model = TransitionModel((Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2)), 3)
+    g = (Fraction(1, 5), Fraction(1, 10), Fraction(3, 10))
+    assert_kernels_match_the_oracle(model, g, (Fraction(1, 7),) * 3)
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_closed_form_q_polynomial_equals_the_oracle(data):
+    model = data.draw(models())
+    g = data.draw(points(model.theta.atoms))
+    n = data.draw(st.integers(0, model.M))
+    oracle = SimplexPolynomial.constant(model.dim, 0)
+    for poly, norm_sq in model.band(n):
+        oracle = oracle.add(poly.scale(poly.evaluate(g) / norm_sq))
+    assert q_polynomial(model, n, g) == oracle
+
+
+def test_exact_density_builds_no_gram_schmidt_basis():
+    before = _orthogonal_basis.cache_info()
+    model = TransitionModel((Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2)), 8)
+    g = (Fraction(1, 5), Fraction(1, 10), Fraction(3, 10))
+    result = transition_density(model, Fraction(1, 2), g, (Fraction(1, 7),) * 3)
+    assert result.tail_bound > 0
+    after = _orthogonal_basis.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
