@@ -10,6 +10,7 @@ multi-exponent -> coefficient maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -95,7 +96,15 @@ class SymmetricKernel:
 
     def to_polynomial(self) -> "SimplexPolynomial":
         """The induced polynomial of the mass vector: the integral of this
-        kernel against the n-fold product measure, sum_m h(m)·mult(m)·d^m."""
+        kernel against the n-fold product measure, sum_m h(m)·mult(m)·d^m.
+
+        Built once per kernel and shared by every later call (kernels are
+        immutable), so evaluating a decomposition at many points does not
+        rebuild it."""
+        return self._polynomial
+
+    @cached_property
+    def _polynomial(self) -> "SimplexPolynomial":
         terms = {}
         for counts, value in self.values.items():
             if value != 0:
@@ -160,12 +169,18 @@ class SimplexPolynomial:
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.nvars:
             raise DomainError(f"expected {self.nvars} coordinates, got {len(point)}")
+        # each distinct power x_j**e is computed once per call and shared
+        # by every term that uses it (same values as computing it per term)
+        powers: dict[tuple[int, int], Scalar] = {}
         total: Scalar = Fraction(0)
         for exps, coeff in self.terms.items():
             term = coeff
-            for x, e in zip(point, exps):
+            for j, e in enumerate(exps):
                 if e:
-                    term = term * x**e
+                    power = powers.get((j, e))
+                    if power is None:
+                        power = powers[(j, e)] = point[j] ** e
+                    term = term * power
             total = total + term
         return total
 

@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -186,34 +187,64 @@ def log_gamma(x: float) -> float:
 
 
 _HYP_MAX_TERMS = 10_000
+# Largest accepted ratio of the biggest series term to the sum: beyond it
+# the float sum has lost more than six of its sixteen digits to cancellation.
+_HYP_CANCELLATION = 1e6
 
 
 def hyp1f1(a: float, b: float, z: float) -> float:
     """Confluent hypergeometric function 1F1(a; b; z) by its power series.
 
+    For z < 0 the series alternates and cancels catastrophically (at
+    z = -40 its terms reach 4e14 against a sum of 0.025), so it is summed
+    after Kummer's transformation M(a, b, z) = e^z M(b - a, b, -z)
+    (DLMF 13.2.39), whose terms share one sign when b >= a.
+
     The series is summed until the absolute term stays below 1e-17 times
     the partial sum for three consecutive terms; b must not be a
-    non-positive integer (poles of the series).
+    non-positive integer (poles of the series).  Raises ``NumericError``
+    carrying the partial sum when the series does not settle within
+    ``_HYP_MAX_TERMS`` terms, or when its largest term exceeds
+    ``_HYP_CANCELLATION`` times the sum (too few digits left), or when the
+    series overflows or e^z underflows (z below about -708).
     """
     b = float(b)
     if b <= 0 and float(b).is_integer():
         raise DomainError(f"hyp1f1 undefined for non-positive integer b={b}")
+    scale, s_a, s_z = (math.exp(z), b - a, -z) if z < 0 else (1.0, a, z)
     total = 1.0
     term = 1.0
+    largest = 1.0
     quiet = 0
     for k in range(_HYP_MAX_TERMS):
-        term *= (a + k) / (b + k) * z / (k + 1)
+        term *= (s_a + k) / (b + k) * s_z / (k + 1)
         total += term
-        if abs(term) < 1e-17 * abs(total):
+        size = abs(term)
+        if size > largest:
+            largest = size
+        if size < 1e-17 * abs(total):
             quiet += 1
             if quiet >= 3:
-                return total
+                break
         else:
             quiet = 0
-    raise NumericError(
-        f"hyp1f1({a}, {b}, {z}) did not settle within {_HYP_MAX_TERMS} terms",
-        partial=total,
-    )
+    else:
+        raise NumericError(
+            f"hyp1f1({a}, {b}, {z}) did not settle within {_HYP_MAX_TERMS} terms",
+            partial=scale * total,
+        )
+    if not math.isfinite(total) or scale < sys.float_info.min:
+        raise NumericError(
+            f"hyp1f1({a}, {b}, {z}): the series or e^z leaves the float range",
+            partial=scale * total,
+        )
+    if largest > _HYP_CANCELLATION * abs(total):
+        raise NumericError(
+            f"hyp1f1({a}, {b}, {z}): series terms up to {largest:.3g} cancel "
+            f"to {total:.3g}, leaving too few correct digits",
+            partial=scale * total,
+        )
+    return scale * total
 
 
 # ---------------------------------------------------------------------------

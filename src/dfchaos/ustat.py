@@ -51,7 +51,6 @@ from .numeric import (
     Scalar,
     binom,
     binom_star,
-    multiplicity,
     occupation_vectors,
     scalar_to_json,
     sub_occupations,
@@ -181,6 +180,12 @@ def direct_loss(
     return var_f - 2 * cross + square
 
 
+# Replications per Monte Carlo block: large enough that numpy's per-call
+# overhead vanishes, small enough that a block's (MC_BLOCK, K) draws stay a
+# few hundred KiB whatever ``reps`` is.
+MC_BLOCK = 4096
+
+
 def mc_loss(
     kernels: Mapping[int, SymmetricKernel],
     F: SimplexPolynomial,
@@ -191,24 +196,68 @@ def mc_loss(
 ) -> MCEstimate:
     """Monte Carlo confirmation of ``direct_loss``.
 
-    Each replication draws the random measure, then a conditionally i.i.d.
-    window from it, and evaluates (F - E F - S)^2; the estimate carries its
-    standard error.
+    Each replication draws the random measure d ~ Dirichlet(alpha), then a
+    conditionally i.i.d. window from it, and scores (F(d) - E F - S)^2 with
+    S the subset-sum statistic of the window; the estimate is the mean of
+    the ``reps`` scores with its standard error (sample deviation with
+    ddof=1 over sqrt(reps)), so ``reps`` must be at least 2.
+
+    Replications run in blocks of ``MC_BLOCK``.  Each block makes one
+    ``rng.dirichlet(weights, size=n)`` call and one
+    ``rng.multinomial(window, d)`` call for its n rows, so the stream
+    depends on the seed, ``reps`` and the block size.  F is evaluated in
+    floats at all n points at once, and S is looked up in the exact
+    statistic of ``statistic_from_kernels``, converted to floats once, by
+    the rank of each row's occupation counts among the window's occupation
+    vectors: memory stays O(MC_BLOCK * K) beside that statistic, never a
+    table over (window + 1)^K count vectors.
     """
+    if reps < 2:
+        raise DomainError(f"mc_loss needs at least 2 replications, got {reps}")
     statistic = statistic_from_kernels(kernels, window, alpha.atoms)
+    s_table = np.array([float(value) for _, value in statistic.items()])
     mean = float(functional_mean(F, alpha))
     weights = alpha.as_floats()
     draws = np.empty(reps)
-    for i in range(reps):
-        d = rng.dirichlet(weights)
-        labels = rng.choice(alpha.atoms, size=window, p=d) + 1
-        counts = tuple_counts(tuple(int(x) for x in labels), alpha.atoms)
-        f_val = float(F.evaluate(tuple(d)))
-        s_val = float(statistic.value(counts))
-        draws[i] = (f_val - mean - s_val) ** 2
+    for start in range(0, reps, MC_BLOCK):
+        n = min(MC_BLOCK, reps - start)
+        d = rng.dirichlet(weights, size=n)
+        counts = rng.multinomial(window, d)
+        s_vals = s_table[_occupation_rank(counts, window)]
+        draws[start : start + n] = (_evaluate_floats(F, d) - mean - s_vals) ** 2
     value = float(np.mean(draws))
-    stderr = float(np.std(draws, ddof=1) / math.sqrt(reps)) if reps > 1 else float("inf")
+    stderr = float(np.std(draws, ddof=1) / math.sqrt(reps))
     return MCEstimate(value=value, stderr=stderr, draws=reps)
+
+
+def _occupation_rank(counts: np.ndarray, window: int) -> np.ndarray:
+    """Position of each row of a (reps, K) count matrix in
+    ``occupation_vectors(window, K)``.
+
+    That order puts larger first coordinates first, recursively, so the
+    vectors ahead of c are, for each j < K - 1, those agreeing with c before
+    j and larger at j: C(t_j + K - 2 - j, K - 1 - j) of them, where
+    t_j = c_{j+1} + ... + c_{K-1}.
+    """
+    atoms = counts.shape[1]
+    ahead = np.zeros((atoms - 1, window + 1), dtype=np.int64)
+    for j in range(atoms - 1):
+        for t in range(window + 1):
+            ahead[j, t] = math.comb(t + atoms - 2 - j, atoms - 1 - j)
+    tails = window - np.cumsum(counts, axis=1)[:, :-1]
+    return ahead[np.arange(atoms - 1), tails].sum(axis=1)
+
+
+def _evaluate_floats(poly: SimplexPolynomial, points: np.ndarray) -> np.ndarray:
+    """Float values of a polynomial at each row of a (reps, K) point matrix."""
+    total = np.zeros(points.shape[0])
+    for exps, coeff in poly.terms.items():
+        term = np.full(points.shape[0], float(coeff))
+        for j, e in enumerate(exps):
+            if e:
+                term *= points[:, j] ** e
+        total += term
+    return total
 
 
 def _ways_column(counts: np.ndarray, m: int) -> np.ndarray:
@@ -236,20 +285,6 @@ def _ustat_vectorized(
     return total / binom(window, n)
 
 
-def _integral_vectorized(kernel: SymmetricKernel, d: np.ndarray) -> np.ndarray:
-    """Multiple-integral values for a (reps, K) matrix of simplex points."""
-    total = np.zeros(d.shape[0])
-    for mu, value in kernel.items():
-        if value == 0:
-            continue
-        term = np.full(d.shape[0], float(value) * multiplicity(mu))
-        for j, m in enumerate(mu):
-            if m:
-                term *= d[:, j] ** m
-        total += term
-    return total
-
-
 def ustat_mse_curve(
     kernel: SymmetricKernel,
     alpha: DiscreteBaseMeasure,
@@ -270,7 +305,7 @@ def ustat_mse_curve(
         raise DomainError(f"windows {windows} must all be >= kernel order {kernel.order}")
     weights = alpha.as_floats()
     d = rng.dirichlet(weights, size=reps)
-    limit = _integral_vectorized(kernel, d)
+    limit = _evaluate_floats(kernel.to_polynomial(), d)
     out = []
     counts = np.zeros((reps, alpha.atoms), dtype=np.int64)
     filled = 0
@@ -380,7 +415,7 @@ def scaled_kernel_candidate(
     window: int,
 ) -> ScaledKernelCandidate:
     """The candidate family h_i / C(N, i) built from the kernels of F."""
-    max_order = F.degree
+    max_order = max(F.degree, 1)
     decomposition = chaos_kernels(F, alpha, max_order)
     kernels: dict[int, SymmetricKernel] = {}
     moments: dict[int, Scalar] = {}

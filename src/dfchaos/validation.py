@@ -548,12 +548,20 @@ def _check_polya(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
 def _check_ustat(alpha: DiscreteBaseMeasure, quick: bool, seed: int) -> tuple[bool, str]:
     K = alpha.atoms
     F = SimplexPolynomial.monomial(K, (2,) + (0,) * (K - 1))
-    report = approximation_report(F, alpha, 2, rng=None)
+    report = approximation_report(F, alpha, 2, rng=np.random.default_rng(seed))
     ok = report.oracle_loss_enumerated <= report.candidate_loss_enumerated
     detail = (
         f"oracle loss {float(report.oracle_loss_enumerated):.6g} <= "
         f"candidate loss {float(report.candidate_loss_enumerated):.6g}"
     )
+    # each Monte Carlo loss within 5 standard errors of its enumerated loss
+    for label, exact, estimate in (
+        ("oracle", report.oracle_loss_enumerated, report.oracle_loss_mc),
+        ("candidate", report.candidate_loss_enumerated, report.candidate_loss_mc),
+    ):
+        z = abs(estimate.value - float(exact)) / estimate.stderr
+        ok = ok and z <= 5.0
+        detail += f"; {label} MC {estimate.value:.6g} ({z:.2f} s.e.)"
     if not quick:
         h = degenerate_basis(alpha, 2)[0]
         rng = np.random.default_rng(seed)

@@ -199,6 +199,30 @@ def test_bayes_exp_payload(capsys):
     assert abs(payload["parseval_residual"]) < 1e-6
 
 
+def test_bayes_exp_negative_lambda_matches_mpmath(capsys):
+    # E[exp(-40 D)] and its variance for D ~ Beta(1, 1); the series for
+    # negative arguments used to report a variance of -8.6e15 here
+    code, out, _ = run_cli(
+        capsys, "bayes", "exp", "--alpha", "1,1", "--set", "1", "--lambda", "-40",
+        "--order", "6",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mean"] == pytest.approx(0.025, rel=1e-10)
+    assert payload["variance"] == pytest.approx(0.011875, rel=1e-10)
+
+
+@pytest.mark.parametrize("reps", ["0", "1", "-5"])
+def test_approx_rejects_too_few_reps(capsys, eta2_file, reps):
+    code, out, err = run_cli(
+        capsys, "approx", "--alpha", "1,1", "--F", eta2_file, "--N", "2",
+        "--seed", "11", "--reps", reps,
+    )
+    assert code == 1
+    assert json.loads(err)["error"] == "DomainError"
+    assert out == ""
+
+
 def test_approx_requires_seed(capsys, eta2_file):
     with pytest.raises(SystemExit) as excinfo:
         main(["approx", "--alpha", "1,1", "--F", eta2_file, "--N", "2"])

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dfchaos.errors import DomainError, SingularSystemError
+from dfchaos.errors import DomainError, NumericError, SingularSystemError
 from dfchaos.numeric import (
     binom,
     binom_star,
@@ -132,6 +132,33 @@ def test_hyp1f1_matches_reference():
 def test_hyp1f1_rejects_nonpositive_integer_denominator():
     with pytest.raises(DomainError):
         hyp1f1(1.0, 0.0, 1.0)
+
+
+def test_hyp1f1_negative_argument_matches_mpmath():
+    # the plain alternating series returned 0.01793 and 24410 here
+    assert hyp1f1(1, 2, -40.0) == pytest.approx(0.025, rel=1e-10)
+    assert hyp1f1(0.5, 3, -60.0) == pytest.approx(0.19181822876120985, rel=1e-10)
+
+
+def test_hyp1f1_negative_grid_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for a in (0.5, 1, 2.5, 4):
+        for b in (1.5, 2, 5):
+            for z in (-0.5, -3.0, -12.5, -40.0, -90.0):
+                with mpmath.workdps(30):
+                    expected = float(mpmath.hyp1f1(a, b, z))
+                assert hyp1f1(a, b, z) == pytest.approx(expected, rel=1e-10), (a, b, z)
+
+
+def test_hyp1f1_fails_loudly_when_digits_are_lost():
+    # Kummer turns this into M(-29, 3/2, 40), whose terms reach 9e19
+    # while the sum is 7e6: the float sum keeps no correct digit
+    with pytest.raises(NumericError) as excinfo:
+        hyp1f1(30.5, 1.5, -40.0)
+    assert excinfo.value.partial is not None
+    # e^z underflows and the transformed series overflows
+    with pytest.raises(NumericError):
+        hyp1f1(1, 2, -745.0)
 
 
 def test_log_gamma_matches_reference():

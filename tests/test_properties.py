@@ -4,12 +4,14 @@ Masses and mutation weights are drawn as p/q with 1 <= p, q <= 12; the
 masses named in the coefficient docstrings are pinned as explicit examples.
 The kernel polynomials Q_n of Griffiths' closed form are compared with the
 Gram-Schmidt oracle (``TransitionModel.band``) at rational interior points.
+The batched Monte Carlo loss is held to the enumerated loss it confirms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,9 @@ from dfchaos.coeffs import (
 )
 from dfchaos.errors import CoefficientValidationError
 from dfchaos.kernels import SimplexPolynomial
+from dfchaos.measures import DiscreteBaseMeasure
+from dfchaos.numeric import occupation_vectors
+from dfchaos.ustat import direct_loss, mc_loss, scaled_kernel_candidate
 from dfchaos.validation import oracle_limit_row
 from dfchaos.wright_fisher import (
     TransitionModel,
@@ -144,3 +149,29 @@ def test_exact_density_builds_no_gram_schmidt_basis():
     assert result.tail_bound > 0
     after = _orthogonal_basis.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@st.composite
+def polynomials(draw, atoms):
+    """Up to three terms of total degree <= 3 with small rational coefficients."""
+    exponents = st.integers(0, 3).flatmap(
+        lambda degree: st.sampled_from(list(occupation_vectors(degree, atoms)))
+    )
+    coefficients = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    terms = draw(st.lists(st.tuples(exponents, coefficients), min_size=1, max_size=3))
+    return SimplexPolynomial(atoms, dict(terms))
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_mc_loss_confirms_the_enumerated_loss(data):
+    weights = data.draw(st.lists(MASSES, min_size=2, max_size=4))
+    alpha = DiscreteBaseMeasure(tuple(weights))
+    window = data.draw(st.integers(1, 4))
+    F = data.draw(polynomials(len(weights)))
+    kernels = scaled_kernel_candidate(F, alpha, window).kernels
+    exact = float(direct_loss(kernels, F, alpha, window))
+    estimate = mc_loss(kernels, F, alpha, window, 4000, np.random.default_rng(20240))
+    # 1e-12 absorbs float rounding where F is constant on the simplex
+    # (say d_1 + d_2 on two atoms): the exact loss is 0, the draws are not
+    assert abs(estimate.value - exact) <= 5 * estimate.stderr + 1e-12

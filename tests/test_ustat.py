@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dfchaos.chaos import chaos_kernels, multiple_integral
+from dfchaos.chaos import chaos_kernels, functional_mean, multiple_integral
 from dfchaos.errors import DomainError
 from dfchaos.hoeffding import degenerate_basis
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel
 from dfchaos.measures import measure
+from dfchaos.numeric import occupation_vectors
 from dfchaos.ustat import (
+    MC_BLOCK,
     UStatistic,
+    _occupation_rank,
     approximation_report,
     best_symmetric_approx_oracle,
     candidate_error_formula,
@@ -92,6 +99,103 @@ def test_mc_loss_confirms_enumeration():
     oracle = best_symmetric_approx_oracle(SQUARED_MASS, UNIFORM, 2)
     estimate = mc_loss(oracle.kernels(), SQUARED_MASS, UNIFORM, 2, 20_000, rng)
     assert estimate.value == pytest.approx(float(oracle.loss), abs=4 * estimate.stderr)
+
+
+def test_mc_loss_matches_the_per_draw_reference():
+    # the per-replication loop the batched layer replaced, fed the same
+    # block-wise stream; reps spills one partial block past MC_BLOCK
+    alpha = measure("1/2", 1, "3/2")
+    F = SimplexPolynomial(
+        3, {(2, 0, 0): Fraction(1), (1, 1, 1): Fraction(-3, 2), (0, 0, 1): Fraction(1, 3)}
+    )
+    window = 3
+    kernels = scaled_kernel_candidate(F, alpha, window).kernels
+    reps = MC_BLOCK + 3
+    estimate = mc_loss(kernels, F, alpha, window, reps, np.random.default_rng(5))
+
+    rng = np.random.default_rng(5)
+    statistic = statistic_from_kernels(kernels, window, alpha.atoms)
+    mean = float(functional_mean(F, alpha))
+    draws = []
+    for start in range(0, reps, MC_BLOCK):
+        d = rng.dirichlet(alpha.as_floats(), size=min(MC_BLOCK, reps - start))
+        for point, counts in zip(d, rng.multinomial(window, d)):
+            f_val = float(F.evaluate(tuple(point)))
+            s_val = float(statistic.value(tuple(int(c) for c in counts)))
+            draws.append((f_val - mean - s_val) ** 2)
+    assert len(draws) == estimate.draws == reps
+    assert estimate.value == pytest.approx(np.mean(draws), rel=1e-12)
+    assert estimate.stderr == pytest.approx(np.std(draws, ddof=1) / np.sqrt(reps), rel=1e-12)
+
+
+@pytest.mark.parametrize("reps", [2, MC_BLOCK + 1])
+def test_mc_loss_keeps_every_draw_of_a_partial_block(reps):
+    oracle = best_symmetric_approx_oracle(SQUARED_MASS, UNIFORM, 2)
+    estimate = mc_loss(oracle.kernels(), SQUARED_MASS, UNIFORM, 2, reps, np.random.default_rng(3))
+    assert estimate.draws == reps
+    assert np.isfinite(estimate.value) and np.isfinite(estimate.stderr)
+
+
+@pytest.mark.parametrize("reps", [1, 0, -5])
+def test_mc_loss_rejects_fewer_than_two_reps(reps):
+    oracle = best_symmetric_approx_oracle(SQUARED_MASS, UNIFORM, 2)
+    with pytest.raises(DomainError):
+        mc_loss(oracle.kernels(), SQUARED_MASS, UNIFORM, 2, reps, np.random.default_rng(3))
+
+
+def test_occupation_rank_follows_the_enumeration_order():
+    shapes = [(atoms, window) for atoms in range(1, 6) for window in range(6)] + [(8, 8)]
+    for atoms, window in shapes:
+        vectors = np.array(list(occupation_vectors(window, atoms))).reshape(-1, atoms)
+        assert _occupation_rank(vectors, window).tolist() == list(range(len(vectors)))
+
+
+def test_mc_loss_eight_atoms_window_eight_stays_small():
+    # 6435 occupation vectors, within direct_loss's cap; a dense table over
+    # (window + 1)^K count vectors would hold 9^8 = 43M floats (344 MB)
+    atoms = 8
+    alpha = measure(*([1] * atoms))
+    F = SimplexPolynomial.monomial(atoms, (1, 1) + (0,) * (atoms - 2))
+    kernels = {1: SymmetricKernel.from_function(1, atoms, lambda c: Fraction(c[0]) - Fraction(1, 8))}
+    started = time.perf_counter()
+    estimate = mc_loss(kernels, F, alpha, 8, 64, np.random.default_rng(11))
+    assert time.perf_counter() - started < 1.0
+    assert estimate.draws == 64
+    # memory does not depend on the kernel values, and tracing the exact
+    # statistic's Fraction arithmetic would take seconds: measure with none
+    tracemalloc.start()
+    try:
+        mc_loss({}, F, alpha, 8, 64, np.random.default_rng(11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_report_exact_fields_match_recorded_digests():
+    # SHA-256 of the report JSON without its Monte Carlo fields (canonical
+    # form: sorted keys, no spaces) on the criterion-10 inputs, recorded from
+    # the per-replication implementation: the batched layer changes only the
+    # Monte Carlo fields
+    recorded = {
+        1: "fdbde1476bd86f84146dc9f6becfdcbd7be864b8b168c008fd3c0a7a6e2dfdd2",
+        2: "62dfb787670a5b01d9bc20754bdf93d2979ef2d703cbbf912486dad4c07341ce",
+    }
+    for window, digest in recorded.items():
+        rng = np.random.default_rng(1000 + window)
+        payload = approximation_report(SQUARED_MASS, UNIFORM, window, rng=rng).to_json()
+        for side in ("oracle", "candidate"):
+            assert payload[side].pop("loss_mc")["draws"] == 20_000
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_report_for_a_constant_functional():
+    constant = SimplexPolynomial.constant(2, Fraction(3, 7))
+    report = approximation_report(constant, UNIFORM, 2, reps=100, rng=np.random.default_rng(1))
+    assert report.candidate.kernels == {}
+    assert report.oracle_loss_enumerated == report.candidate_loss_enumerated == 0
+    assert report.candidate_loss_mc.value == 0.0
 
 
 def test_report_optimality_and_discrepancy_records():
