@@ -8,9 +8,9 @@ arithmetic wherever the inputs are rational.  Highlights:
 - ``measures`` / ``polya``: base measures, Dirichlet moments, and the
   exchangeable urn view of sampling (joint laws, predictive rules,
   conditional expectations by exact enumeration).
-- ``coeffs``: the finite-sample projection coefficient tables, their
-  limits (recursion + extrapolation, cross-checked against an exact
-  projection oracle), and the isometry/overlap constants.
+- ``coeffs``: the finite-sample projection coefficient tables and their
+  limits (closed forms, cross-checked against oracles in ``validation``),
+  and the isometry/overlap constants.
 - ``chaos``: kernel extraction, multiple integrals, reconstruction,
   covariance identities, Parseval accounting.
 - ``hoeffding``: the finite-sample orthogonal split of a symmetric
@@ -25,221 +25,152 @@ arithmetic wherever the inputs are rational.  Highlights:
   the scaled-kernel candidate, and their loss comparison.
 - ``validation``: the coefficient erratum report and a named invariant
   suite; ``cli``: the ``dfchaos`` command.
+
+The package namespace is lazy (PEP 562): ``import dfchaos`` loads no
+submodule, and each public name in ``__all__`` imports its defining module
+on first access and is then cached here.  A command-line process therefore
+loads only what its subcommand runs; numpy is imported only by the Monte
+Carlo paths (``ustat``, ``validation``, black-box functionals).
 """
 
-from .errors import (
-    CoefficientValidationError,
-    ConvergenceError,
-    DFChaosError,
-    DomainError,
-    NumericError,
-    ResourceCapError,
-    SingularSystemError,
-)
-from .measures import (
-    DiscreteBaseMeasure,
-    dirichlet_moment,
-    measure,
-    sample_dirichlet,
-    with_counts,
-    with_observations,
-)
-from .kernels import PredictableComponent, SimplexPolynomial, SymmetricKernel
-from .polya import (
-    DEFAULT_ENUMERATION_CAP,
-    PolyaSample,
-    cond_exp_statistic,
-    cond_exp_statistic_counts,
-    empirical_measure,
-    expectation_statistic,
-    occupation_prob,
-    polya_joint_prob,
-    predictive,
-    sample_polya,
-)
-from .coeffs import (
-    CoefficientTable,
-    ThetaLimit,
-    c_iso,
-    c_overlap,
-    limit_coefficient,
-    limit_coefficients,
-    system_residuals,
-    theta_limit,
-    theta_table,
-)
-from .hoeffding import (
-    HoeffdingDecomposition,
-    degenerate_basis,
-    degenerate_check,
-    hoeffding_decompose,
-)
-from .chaos import (
-    BlackBoxFunctional,
-    ChaosDecomposition,
-    CovarianceResult,
-    MCEstimate,
-    chaos_kernels,
-    cond_exp_functional,
-    covariance_integrals,
-    functional_mean,
-    martingale_decomposition,
-    multiple_integral,
-    reconstruct,
-    variance_from_decomposition,
-    variance_functional,
-)
-from .jacobi import (
-    MAX_JACOBI_ORDER,
-    BetaParams,
-    PolynomialCoeffs,
-    jacobi_inner,
-    jacobi_modified,
-    jacobi_norm_identity,
-    kernel_to_univariate,
-    solve_phi_system,
-)
-from .wright_fisher import (
-    TransitionDensity,
-    TransitionModel,
-    dirichlet_density,
-    gram_schmidt_P,
-    kernel_Q,
-    q_polynomial,
-    rho,
-    transition_density,
-)
-from .bayes import (
-    ExponentialDecomposition,
-    ObservedSample,
-    decompose_exponential,
-    estimate_conditional_variance,
-)
-from .ustat import (
-    ApproximationReport,
-    OracleApproximation,
-    ScaledKernelCandidate,
-    UStatistic,
-    approximation_report,
-    best_symmetric_approx_oracle,
-    direct_loss,
-    eval_ustat,
-    mc_loss,
-    scaled_kernel_candidate,
-    statistic_from_kernels,
-    ustat_mse_curve,
-)
-from .validation import (
-    CheckResult,
-    ThetaErratumReport,
-    VerificationResult,
-    run_verification,
-    theta_erratum_report,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "DFChaosError",
-    "DomainError",
-    "NumericError",
-    "ConvergenceError",
-    "ResourceCapError",
-    "SingularSystemError",
-    "CoefficientValidationError",
-    # measures
-    "DiscreteBaseMeasure",
-    "measure",
-    "with_observations",
-    "with_counts",
-    "dirichlet_moment",
-    "sample_dirichlet",
-    # kernels
-    "SymmetricKernel",
-    "SimplexPolynomial",
-    "PredictableComponent",
-    # polya
-    "DEFAULT_ENUMERATION_CAP",
-    "PolyaSample",
-    "polya_joint_prob",
-    "occupation_prob",
-    "predictive",
-    "sample_polya",
-    "empirical_measure",
-    "cond_exp_statistic",
-    "cond_exp_statistic_counts",
-    "expectation_statistic",
-    # coeffs
-    "CoefficientTable",
-    "theta_table",
-    "system_residuals",
-    "ThetaLimit",
-    "theta_limit",
-    "limit_coefficient",
-    "limit_coefficients",
-    "c_iso",
-    "c_overlap",
-    # hoeffding
-    "HoeffdingDecomposition",
-    "hoeffding_decompose",
-    "degenerate_check",
-    "degenerate_basis",
-    # chaos
-    "BlackBoxFunctional",
-    "MCEstimate",
-    "ChaosDecomposition",
-    "chaos_kernels",
-    "multiple_integral",
-    "reconstruct",
-    "variance_from_decomposition",
-    "variance_functional",
-    "functional_mean",
-    "cond_exp_functional",
-    "CovarianceResult",
-    "covariance_integrals",
-    "martingale_decomposition",
-    # jacobi
-    "MAX_JACOBI_ORDER",
-    "BetaParams",
-    "PolynomialCoeffs",
-    "jacobi_modified",
-    "jacobi_inner",
-    "jacobi_norm_identity",
-    "solve_phi_system",
-    "kernel_to_univariate",
-    # wright-fisher
-    "TransitionModel",
-    "TransitionDensity",
-    "dirichlet_density",
-    "gram_schmidt_P",
-    "rho",
-    "kernel_Q",
-    "q_polynomial",
-    "transition_density",
-    # bayes
-    "ObservedSample",
-    "estimate_conditional_variance",
-    "ExponentialDecomposition",
-    "decompose_exponential",
-    # ustat
-    "UStatistic",
-    "eval_ustat",
-    "statistic_from_kernels",
-    "direct_loss",
-    "mc_loss",
-    "ustat_mse_curve",
-    "OracleApproximation",
-    "best_symmetric_approx_oracle",
-    "ScaledKernelCandidate",
-    "scaled_kernel_candidate",
-    "ApproximationReport",
-    "approximation_report",
-    # validation
-    "ThetaErratumReport",
-    "theta_erratum_report",
-    "CheckResult",
-    "VerificationResult",
-    "run_verification",
-]
+# Public name table, grouped by defining module, in ``__all__`` order.
+_EXPORTS = {
+    "errors": (
+        "DFChaosError",
+        "DomainError",
+        "NumericError",
+        "ConvergenceError",
+        "ResourceCapError",
+        "SingularSystemError",
+        "CoefficientValidationError",
+    ),
+    "measures": (
+        "DiscreteBaseMeasure",
+        "measure",
+        "with_observations",
+        "with_counts",
+        "dirichlet_moment",
+        "sample_dirichlet",
+    ),
+    "kernels": (
+        "SymmetricKernel",
+        "SimplexPolynomial",
+        "PredictableComponent",
+    ),
+    "polya": (
+        "DEFAULT_ENUMERATION_CAP",
+        "PolyaSample",
+        "polya_joint_prob",
+        "occupation_prob",
+        "predictive",
+        "sample_polya",
+        "empirical_measure",
+        "cond_exp_statistic",
+        "cond_exp_statistic_counts",
+        "expectation_statistic",
+    ),
+    "coeffs": (
+        "CoefficientTable",
+        "theta_table",
+        "system_residuals",
+        "ThetaLimit",
+        "theta_limit",
+        "limit_coefficient",
+        "limit_coefficients",
+        "c_iso",
+        "c_overlap",
+    ),
+    "hoeffding": (
+        "HoeffdingDecomposition",
+        "hoeffding_decompose",
+        "degenerate_check",
+        "degenerate_basis",
+    ),
+    "chaos": (
+        "BlackBoxFunctional",
+        "MCEstimate",
+        "ChaosDecomposition",
+        "chaos_kernels",
+        "multiple_integral",
+        "reconstruct",
+        "variance_from_decomposition",
+        "variance_functional",
+        "functional_mean",
+        "cond_exp_functional",
+        "CovarianceResult",
+        "covariance_integrals",
+        "martingale_decomposition",
+    ),
+    "jacobi": (
+        "MAX_JACOBI_ORDER",
+        "BetaParams",
+        "PolynomialCoeffs",
+        "jacobi_modified",
+        "jacobi_inner",
+        "jacobi_norm_identity",
+        "solve_phi_system",
+        "kernel_to_univariate",
+    ),
+    "wright_fisher": (
+        "TransitionModel",
+        "TransitionDensity",
+        "dirichlet_density",
+        "gram_schmidt_P",
+        "rho",
+        "kernel_Q",
+        "q_polynomial",
+        "transition_density",
+    ),
+    "bayes": (
+        "ObservedSample",
+        "estimate_conditional_variance",
+        "ExponentialDecomposition",
+        "decompose_exponential",
+    ),
+    "ustat": (
+        "UStatistic",
+        "eval_ustat",
+        "statistic_from_kernels",
+        "direct_loss",
+        "mc_loss",
+        "ustat_mse_curve",
+        "OracleApproximation",
+        "best_symmetric_approx_oracle",
+        "ScaledKernelCandidate",
+        "scaled_kernel_candidate",
+        "ApproximationReport",
+        "approximation_report",
+    ),
+    "validation": (
+        "ThetaErratumReport",
+        "theta_erratum_report",
+        "CheckResult",
+        "VerificationResult",
+        "run_verification",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+# Submodules reachable as attributes without an explicit import, as before.
+_SUBMODULES = frozenset(_EXPORTS) | {"numeric"}
+
+__all__ = ["__version__", *_ORIGIN]
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is not None:
+        value = getattr(importlib.import_module(f".{module}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -239,6 +239,8 @@ def decompose_exponential(
     in_C = tuple(1 if atom in C else 0 for atom in range(1, alpha.atoms + 1))
 
     theta = limit_coefficients(total, max_order)
+    # The series depends only on (hits, k): evaluate each pair once per call.
+    centred_at: dict[tuple[int, int], float] = {}
     kernels = []
     for n in range(1, max_order + 1):
         values: dict[tuple[int, ...], Scalar] = {}
@@ -248,7 +250,10 @@ def decompose_exponential(
                 theta_nk = float(theta[(n, k)])
                 for mu, ways in sub_occupations(a, k):
                     hits = sum(c * flag for c, flag in zip(mu, in_C))
-                    centred = hyp1f1(a_C_f + hits, total_f + k, lam_f) - mean
+                    centred = centred_at.get((hits, k))
+                    if centred is None:
+                        centred = hyp1f1(a_C_f + hits, total_f + k, lam_f) - mean
+                        centred_at[(hits, k)] = centred
                     acc += theta_nk * ways * centred
             values[a] = acc
         kernels.append(SymmetricKernel(n, alpha.atoms, values))

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .coeffs import c_iso, limit_coefficient, validate_limit_values
 from .errors import DomainError
@@ -44,6 +42,9 @@ from .polya import (
     cond_exp_statistic_counts,
     occupation_prob,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # functionals
@@ -108,6 +109,8 @@ def cond_exp_functional(
         return poly_posterior_mean(F, alpha, counts)
     if rng is None:
         raise DomainError("black-box conditional expectations need a generator")
+    import numpy as np
+
     posterior = with_counts(alpha, counts)
     values = np.empty(F.mc_budget)
     for i in range(F.mc_budget):

@@ -25,32 +25,14 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .bayes import ObservedSample, decompose_exponential, estimate_conditional_variance
-from .chaos import (
-    chaos_kernels,
-    poly_posterior_mean,
-    statistic_product_mean,
-    variance_functional,
-)
-from .coeffs import c_iso, limit_coefficients, theta_table
 from .errors import DFChaosError, NumericError, ResourceCapError
-from .hoeffding import degenerate_check, hoeffding_decompose
-from .jacobi import (
-    BetaParams,
-    jacobi_inner,
-    jacobi_modified,
-    jacobi_norm_identity,
-    solve_phi_system,
-)
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure
 from .numeric import Scalar, as_scalar, scalar_to_json
 from .polya import DEFAULT_ENUMERATION_CAP
-from .ustat import approximation_report
-from .validation import run_verification, theta_erratum_report
-from .wright_fisher import TransitionModel, transition_density
+
+# Each subcommand imports the library modules it runs, so a cold process
+# loads only those; numpy is imported only by the Monte Carlo paths.
 
 __all__ = ["main", "build_parser"]
 
@@ -133,6 +115,8 @@ def _load_value_table(parser: argparse.ArgumentParser, flag: str, path: str):
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return scalar_to_json(obj)
+    import numpy as np
+
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
@@ -163,12 +147,16 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[Scalar | str]]) -> 
 
 
 def _cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from .coeffs import c_iso, limit_coefficients, theta_table
+
     text = args.alpha
     if "," in text:
         mass: Scalar = _parse_weights(parser, "--alpha", text).total_mass
     else:
         mass = _parse_scalar(parser, "--alpha", text)
     if args.erratum:
+        from .validation import theta_erratum_report
+
         masses = (
             _parse_point(parser, "--masses", args.masses)
             if args.masses
@@ -206,6 +194,15 @@ def _cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from .chaos import (
+        chaos_kernels,
+        poly_posterior_mean,
+        statistic_product_mean,
+        variance_functional,
+    )
+    from .coeffs import c_iso
+    from .hoeffding import hoeffding_decompose
+
     if args.F is None:
         parser.error("decompose needs --F (functional JSON file)")
     alpha = _parse_weights(parser, "--alpha", args.alpha)
@@ -256,6 +253,15 @@ def _cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def _cmd_jacobi(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from .hoeffding import degenerate_check
+    from .jacobi import (
+        BetaParams,
+        jacobi_inner,
+        jacobi_modified,
+        jacobi_norm_identity,
+        solve_phi_system,
+    )
+
     a1 = _parse_scalar(parser, "--a1", args.a1)
     a0 = _parse_scalar(parser, "--a0", args.a0)
     params = BetaParams(a1, a0)
@@ -287,6 +293,8 @@ def _cmd_jacobi(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _cmd_wf(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from .wright_fisher import TransitionModel, transition_density
+
     theta = _parse_weights(parser, "--theta", args.theta)
     model = TransitionModel(theta, args.truncation)
     if args.table:
@@ -327,6 +335,8 @@ def _cmd_wf(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _cmd_bayes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from .bayes import ObservedSample, decompose_exponential, estimate_conditional_variance
+
     alpha = _parse_weights(parser, "--alpha", args.alpha)
     if args.mode == "var":
         if args.h is None:
@@ -365,6 +375,10 @@ def _cmd_bayes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def _cmd_approx(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .ustat import approximation_report
+
     if args.F is None:
         parser.error("approx needs --F (functional JSON file)")
     if args.seed is None:
@@ -378,6 +392,8 @@ def _cmd_approx(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    from .validation import run_verification
+
     alpha = _parse_weights(parser, "--alpha", args.alpha) if args.alpha else None
     result = run_verification(alpha, quick=args.quick, seed=args.seed)
     _emit_json(result.to_json())

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
 from .numeric import Scalar, as_scalar, rising_factorial, scalar_to_json
+
+if TYPE_CHECKING:  # numpy loads only on the float and Monte Carlo paths
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ class DiscreteBaseMeasure:
         return sum(self.weights[a - 1] for a in sorted(labels))
 
     def as_floats(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([float(w) for w in self.weights])
 
     def to_json(self) -> dict:

@@ -162,9 +162,10 @@ def sub_occupations(counts: Sequence[int], k: int) -> Iterator[tuple[tuple[int, 
     counts = tuple(counts)
 
     def rec(j: int, remaining: int):
+        if remaining == 0:  # the size is used up: only the zero tail is left
+            yield (0,) * (len(counts) - j), 1
+            return
         if j == len(counts):
-            if remaining == 0:
-                yield (), 1
             return
         hi = min(counts[j], remaining)
         for take in range(hi, -1, -1):

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, ResourceCapError
 from .kernels import SymmetricKernel
 from .measures import DiscreteBaseMeasure, dirichlet_moment, with_counts
 from .numeric import Scalar, multiplicity, occupation_vectors, tuple_counts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
 

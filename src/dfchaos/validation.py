@@ -582,9 +582,12 @@ def run_verification(
     ``alpha`` defaults to a mildly asymmetric two-atom measure; suites that
     need a specific shape (the Beta specialization, the exponential worked
     example) pin their own measures internally.  All stochastic content is
-    seeded.
+    seeded.  A one-atom measure is refused (DomainError): it has no
+    degenerate kernels, so the isometry and decomposition checks are empty.
     """
     base = alpha if alpha is not None else DiscreteBaseMeasure((Fraction(3, 2), Fraction(1, 2)))
+    if base.atoms < 2:
+        raise DomainError(f"verification needs at least 2 atoms, got {base.atoms}")
     checks: list[CheckResult] = []
     suite: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
         ("coefficient-recursion-exactness", lambda: _check_recursion_exactness(base, quick)),

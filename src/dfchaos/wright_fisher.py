@@ -54,7 +54,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .chaos import chaos_kernels, multiple_integral
 from .errors import DomainError
 from .kernels import SimplexPolynomial
 from .measures import DiscreteBaseMeasure, dirichlet_moment
@@ -556,6 +555,8 @@ def q_via_multiple_integrals(
     gp = _full_point(_validated_point(gamma_prime, model.dim))
     if n == 0:
         return 1
+    from .chaos import chaos_kernels, multiple_integral  # the oracle's route only
+
     total: Scalar = 0
     for poly, norm_sq in model.band(n):
         functional = poly.pad_to(model.theta.atoms)

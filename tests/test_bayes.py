@@ -7,16 +7,18 @@ from fractions import Fraction
 
 import pytest
 
+from dfchaos import bayes
 from dfchaos.bayes import (
     ObservedSample,
     decompose_exponential,
     estimate_conditional_variance,
 )
 from dfchaos.chaos import poly_posterior_mean
+from dfchaos.coeffs import limit_coefficients
 from dfchaos.errors import DomainError
 from dfchaos.kernels import SymmetricKernel
 from dfchaos.measures import measure
-from dfchaos.numeric import hyp1f1
+from dfchaos.numeric import hyp1f1, occupation_vectors, sub_occupations
 from dfchaos.polya import expectation_statistic
 
 
@@ -109,3 +111,47 @@ def test_exponential_subset_validation():
         decompose_exponential(measure(1, 1), (1, 2), 1, 4)
     with pytest.raises(DomainError):
         decompose_exponential(measure(1, 1), (5,), 1, 4)
+
+
+def _unshared_kernels(alpha, subset, lam, max_order):
+    """The kernel sums of ``decompose_exponential`` with one series per term."""
+    lam_f, total = float(lam), alpha.total_mass
+    a_C = float(sum(alpha.weight(x) for x in subset))
+    mean = hyp1f1(a_C, float(total), lam_f)
+    theta = limit_coefficients(total, max_order)
+    kernels = []
+    for n in range(1, max_order + 1):
+        values = {}
+        for a in occupation_vectors(n, alpha.atoms):
+            acc = 0.0
+            for k in range(1, n + 1):
+                for mu, ways in sub_occupations(a, k):
+                    hits = sum(mu[x - 1] for x in subset)
+                    centred = hyp1f1(a_C + hits, float(total) + k, lam_f) - mean
+                    acc += float(theta[(n, k)]) * ways * centred
+            values[a] = acc
+        kernels.append(values)
+    return mean, kernels
+
+
+@pytest.mark.parametrize(
+    "alpha, subset, lam, order",
+    [
+        (measure("1/2", 1, "1/2"), (1, 2), 2, 8),
+        (measure("1/4", "1/2", "3/4", "1/2"), (2, 4), -3, 5),
+        (measure(1, 1), (1,), 1, 12),
+    ],
+)
+def test_exponential_evaluates_each_series_once(monkeypatch, alpha, subset, lam, order):
+    calls = []
+
+    def counting(a, b, z):
+        calls.append((a, b, z))
+        return hyp1f1(a, b, z)
+
+    monkeypatch.setattr(bayes, "hyp1f1", counting)
+    result = decompose_exponential(alpha, subset, lam, order)
+    assert len(calls) == len(set(calls))
+    mean, kernels = _unshared_kernels(alpha, subset, lam, order)
+    assert result.mean == mean
+    assert [dict(h.items()) for h in result.decomposition.kernels] == kernels

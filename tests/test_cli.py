@@ -250,6 +250,13 @@ def test_verify_quick(capsys):
     assert payload["all_passed"] is True
 
 
+def test_verify_refuses_a_one_atom_measure(capsys):
+    code, out, err = run_cli(capsys, "verify", "--alpha", "2", "--quick")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_console_script_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "dfchaos.cli", "coeffs", "--alpha", "2", "--N", "2"],

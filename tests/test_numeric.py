@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfchaos.errors import DomainError, NumericError, SingularSystemError
 from dfchaos.numeric import (
@@ -91,6 +94,19 @@ def test_sub_occupations_with_ways():
     # choose 2 of the three draws (two of atom 1, one of atom 2)
     assert subs == {(2, 0): 1, (1, 1): 2}
     assert dict(sub_occupations((2, 1), 0)) == {(0, 0): 1}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(counts=st.lists(st.integers(0, 4), min_size=1, max_size=5), data=st.data())
+def test_sub_occupations_match_product_enumeration(counts, data):
+    k = data.draw(st.integers(0, sum(counts) + 1))
+    # first coordinate descending, then recursively the same on the rest
+    expected = [
+        (mu, math.prod(math.comb(c, m) for c, m in zip(counts, mu)))
+        for mu in itertools.product(*(range(c, -1, -1) for c in counts))
+        if sum(mu) == k
+    ]
+    assert list(sub_occupations(counts, k)) == expected
 
 
 def test_scalar_json_round_trip():
