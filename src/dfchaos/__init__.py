@@ -112,6 +112,7 @@ _EXPORTS = {
         "jacobi_modified",
         "jacobi_inner",
         "jacobi_norm_identity",
+        "beta_bernstein",
         "solve_phi_system",
         "kernel_to_univariate",
     ),

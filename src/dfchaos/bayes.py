@@ -14,36 +14,34 @@ measure and c is the isometry constant — the decomposition is what turns
 E[M(D)^2 | observations] into a finite sum of kernel second moments.
 
 The second half of the module decomposes the exponential functional
-G = exp(lambda * D(C)) for an atom subset C.  All of its conditional means
-are confluent hypergeometric values (D(C) given k observations, j of them
-in C, is Beta(a_C + j, a - a_C + k - j), and E exp(lambda Beta(a, b)) =
-1F1(a, a + b, lambda)), so the decomposition kernels are images of the
-coefficient limits applied to 1F1 differences, and Parseval gives a
-computable truncation residual against the exact variance
-Var G = 1F1(a_C, a, 2 lambda) - mean^2.
+G = exp(lambda * D(C)).  G depends only on the mass Y = D(C) ~ Beta(a, b),
+a = alpha(C), b = |alpha| - a, and the proportions inside and outside C
+are independent of Y, so its order-n component is c_n P_n(Y) with P_n the
+monic Beta(a, b) orthogonal polynomial.  Integrating Rodrigues' formula
+(DLMF 18.5.5) n times by parts against e^(lambda y) gives
+E[e^(lambda Y) P_n(Y)] = lambda^n / n! ||P_n||^2 1F1(a + n; |alpha| + 2n;
+lambda), hence c_n = lambda^n / n! * 1F1(a + n; |alpha| + 2n; lambda); read
+as a kernel, P_n is its Bernstein form (``jacobi.beta_bernstein``).
+This is the Bernstein/Jacobi structure of Griffiths (Adv. Appl. Probab.
+11, 1979) that ``wright_fisher`` uses for the transition density.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .chaos import ChaosDecomposition, chaos_kernels
-from .coeffs import c_iso, limit_coefficients
+from .coeffs import c_iso
 from .errors import DomainError, ResourceCapError
+from .jacobi import beta_bernstein
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, dirichlet_moment, with_observations
-from .numeric import (
-    Scalar,
-    as_scalar,
-    hyp1f1,
-    occupation_vectors,
-    sub_occupations,
-    tuple_counts,
-)
+from .numeric import Scalar, as_scalar, hyp1f1, occupation_vectors, tuple_counts
 from .polya import DEFAULT_ENUMERATION_CAP, expectation_statistic
 
 __all__ = [
@@ -182,9 +180,13 @@ def estimate_conditional_variance(
 class ExponentialDecomposition:
     """Decomposition of exp(lambda * D(C)) truncated at ``order``.
 
-    ``contributions[n-1]`` is the order-n variance share c(n) E[h_n^2];
-    ``residual`` is the exact variance minus the captured sum (nonnegative
-    up to float noise, decreasing in the truncation order).
+    ``contributions[n-1]`` is the order-n variance share c_n^2 ||P_n||^2.
+    ``residual`` is the variance minus their sum: exactly, the truncation
+    tail (nonnegative, decreasing in the order); computed, it also carries
+    the rounding of Var G = 1F1(a, |alpha|, 2 lambda) - mean^2, which
+    cancels for small |lambda|.  ``residual_bound`` is the size of that
+    rounding, (8 + 2|lambda|) ulps of 1F1(a, |alpha|, 2 lambda) + mean^2:
+    |residual| <= residual_bound means the sum has converged to rounding.
     """
 
     decomposition: ChaosDecomposition
@@ -194,6 +196,7 @@ class ExponentialDecomposition:
     variance: float
     contributions: tuple[float, ...]
     residual: float
+    residual_bound: float
 
     @property
     def order(self) -> int:
@@ -208,14 +211,17 @@ def decompose_exponential(
 ) -> ExponentialDecomposition:
     """Decomposition kernels of G = exp(lambda * D(C)) up to ``max_order``.
 
-    mean = 1F1(a_C, |alpha|, lambda) and for each occupation vector a of
-    order n
+    With a = alpha(C), b = |alpha| - a and j(o) the draws in C of an
+    occupation vector o of order n,
 
-        h_n(a) = sum_k theta(n, k) * sum over sub-occupations mu of size k
-                 of ways(mu) * [ 1F1(a_C + inC(mu), |alpha| + k, lambda)
-                                 - mean ]
+        mean = 1F1(a; |alpha|; lambda),   h_n(o) = c_n psi_{j(o)},
+        c_n = lambda^n / n! * 1F1(a + n; |alpha| + 2n; lambda),
 
-    where inC(mu) counts the observations landing in C.  The subset must
+    and the order-n share is c_n^2 ||P_n||^2, with psi and ||P_n||^2 the
+    exact Bernstein coefficients and squared norm of the monic Beta(a, b)
+    polynomial (``jacobi.beta_bernstein``).  One 1F1 per order times exact
+    rationals, so the kernels carry float rounding only, at any order.
+    Float weights enter as their exact rational image.  The subset must
     have 0 < alpha(C) < |alpha| so that D(C) is a nondegenerate Beta mass.
     """
     C = tuple(sorted(set(int(x) for x in subset)))
@@ -230,44 +236,28 @@ def decompose_exponential(
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order}")
     lam_f = float(lam)
-    total = alpha.total_mass
-    total_f = float(total)
-    a_C = sum(alpha.weight(x) for x in C)
-    a_C_f = float(a_C)
+    a = sum(Fraction(alpha.weight(x)) for x in C)
+    b = sum(Fraction(alpha.weight(x)) for x in range(1, alpha.atoms + 1) if x not in C)
+    total_f = float(a + b)
 
-    mean = hyp1f1(a_C_f, total_f, lam_f)
-    in_C = tuple(1 if atom in C else 0 for atom in range(1, alpha.atoms + 1))
+    mean = hyp1f1(float(a), total_f, lam_f)
+    second = hyp1f1(float(a), total_f, 2.0 * lam_f)
+    variance = second - mean * mean
 
-    theta = limit_coefficients(total, max_order)
-    # The series depends only on (hits, k): evaluate each pair once per call.
-    centred_at: dict[tuple[int, int], float] = {}
     kernels = []
-    for n in range(1, max_order + 1):
-        values: dict[tuple[int, ...], Scalar] = {}
-        for a in occupation_vectors(n, alpha.atoms):
-            acc = 0.0
-            for k in range(1, n + 1):
-                theta_nk = float(theta[(n, k)])
-                for mu, ways in sub_occupations(a, k):
-                    hits = sum(c * flag for c, flag in zip(mu, in_C))
-                    centred = centred_at.get((hits, k))
-                    if centred is None:
-                        centred = hyp1f1(a_C_f + hits, total_f + k, lam_f) - mean
-                        centred_at[(hits, k)] = centred
-                    acc += theta_nk * ways * centred
-            values[a] = acc
-        kernels.append(SymmetricKernel(n, alpha.atoms, values))
-    decomposition = ChaosDecomposition(alpha=alpha, mean=mean, kernels=tuple(kernels))
-
-    variance = hyp1f1(a_C_f, total_f, 2.0 * lam_f) - mean * mean
     contributions = []
-    for n, kernel in enumerate(kernels, start=1):
-        squared = SymmetricKernel(
-            kernel.order, kernel.atoms, {c: v * v for c, v in kernel.items()}
-        )
-        share = float(c_iso(n, total)) * float(expectation_statistic(squared, alpha))
-        contributions.append(share)
-    residual = variance - math.fsum(contributions)
+    power = 1.0  # lambda^n / n!
+    for n in range(1, max_order + 1):
+        power *= lam_f / n
+        c_n = power * hyp1f1(float(a + n), float(a + b + 2 * n), lam_f)
+        psi, norm = beta_bernstein(n, a, b)
+        scaled = [c_n * float(p) for p in psi]
+        values = {
+            o: scaled[sum(o[x - 1] for x in C)] for o in occupation_vectors(n, alpha.atoms)
+        }
+        kernels.append(SymmetricKernel(n, alpha.atoms, values))
+        contributions.append(c_n * c_n * float(norm))
+    decomposition = ChaosDecomposition(alpha=alpha, mean=mean, kernels=tuple(kernels))
 
     return ExponentialDecomposition(
         decomposition=decomposition,
@@ -276,5 +266,6 @@ def decompose_exponential(
         mean=mean,
         variance=variance,
         contributions=tuple(contributions),
-        residual=residual,
+        residual=variance - math.fsum(contributions),
+        residual_bound=(8 + 2 * abs(lam_f)) * sys.float_info.epsilon * (second + mean * mean),
     )

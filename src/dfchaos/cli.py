@@ -368,6 +368,7 @@ def _cmd_bayes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             "variance": result.variance,
             "variance_contributions": list(result.contributions),
             "parseval_residual": result.residual,
+            "residual_bound": result.residual_bound,
             "kernels": [k.to_json() for k in result.decomposition.kernels],
         }
     )

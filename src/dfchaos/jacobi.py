@@ -6,8 +6,9 @@ square-integrable functional of eta is spanned by a single orthonormal
 polynomial J_n.  This module evaluates those polynomials from their
 closed-form gamma-ratio coefficients, integrates polynomials against the
 Beta weight exactly, and converts each J_n into the equivalent symmetric
-two-atom kernel phi_n (the solution of a triangular linear system) whose
-order-n integral against the random measure reproduces J_n(eta).
+two-atom kernel phi_n whose order-n integral against the random measure
+reproduces J_n(eta): J_n in the Bernstein basis, whose coefficients have
+the closed form of ``beta_bernstein`` (no linear solve).
 
 Although the printed coefficients are gamma ratios, every ratio collapses
 to a product of rising factorials, so for rational parameters the entire
@@ -38,6 +39,7 @@ __all__ = [
     "jacobi_modified",
     "beta_weight_integral",
     "jacobi_inner",
+    "beta_bernstein",
     "solve_phi_system",
     "jacobi_norm_identity",
     "kernel_to_univariate",
@@ -306,53 +308,49 @@ def jacobi_inner(n: int, m: int, params: BetaParams) -> Scalar:
     return beta_weight_integral(jacobi_modified(n, params).mul(jacobi_modified(m, params)), params)
 
 
-def _solve_triangular(n: int, rhs: Sequence[Scalar]) -> list[Scalar]:
-    """Forward substitution for the kernel system with right-hand side rhs.
+def beta_bernstein(n: int, a: Scalar, b: Scalar) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Bernstein coefficients psi and squared norm of the monic Beta(a, b) polynomial.
 
-    Row a reads  sum_{m <= a} C(n, m) C(n-m, n-a) (-1)^(a-m) phi_m = rhs_a,
-    with pivot C(n, a).
+    P_n(y) = sum_j C(n, j) psi_j y^j (1-y)^(n-j) is the Jacobi polynomial
+    P_n^(b-1, a-1)(2y - 1) of Rodrigues' formula (DLMF 18.5.5) over its
+    leading coefficient:
+
+        psi_j     = (-1)^(n-j) rising(a+j, n-j) rising(n+b-j, j) / rising(n+a+b-1, n)
+        ||P_n||^2 = n! rising(a, n) rising(b, n) / (rising(a+b, 2n) rising(n+a+b-1, n))
+
+    (the norm is 1/k_n of ``exact_parts``).  Float parameters enter as
+    their exact image ``Fraction(x)``; all values are exact, at any degree.
     """
-    phi: list[Scalar] = []
-    for a in range(n + 1):
-        acc = rhs[a]
-        for m in range(a):
-            sign = -1 if (a - m) % 2 else 1
-            acc = acc - sign * binom(n, m) * binom(n - m, n - a) * phi[m]
-        phi.append(acc / binom(n, a))
-    return phi
+    if n < 0:
+        raise DomainError(f"polynomial degree must be >= 0, got {n}")
+    a, b = Fraction(a), Fraction(b)
+    if not (a > 0 and b > 0):
+        raise DomainError(f"Beta parameters must be positive, got ({a}, {b})")
+    lead = rising_factorial(n + a + b - 1, n)
+    psi = tuple(
+        (-1) ** (n - j) * rising_factorial(a + j, n - j) * rising_factorial(n + b - j, j) / lead
+        for j in range(n + 1)
+    )
+    norm = math.factorial(n) * rising_factorial(a, n) * rising_factorial(b, n)
+    return psi, norm / (rising_factorial(a + b, 2 * n) * lead)
 
 
 def solve_phi_system(n: int, params: BetaParams) -> SymmetricKernel:
     """The symmetric two-atom kernel whose order-n integral equals J_n(eta).
 
-    Writing phi_m for the kernel value on any argument tuple with m entries
-    at atom 1 and n - m at atom 2, expanding the order-n integral of phi in
-    powers of eta and matching against the coefficients c_{n,a} of J_n gives
-    the triangular system
-
-        sum_{m <= a} C(n, m) C(n-m, n-a) (-1)^(a-m) phi_m = c_{n,a},
-        a = 0, ..., n,
-
-    solved by forward substitution (the pivot of row a is C(n, a)).  On the
-    exact path the system is solved with the rational g-coefficients as the
-    right-hand side and the common factor sqrt(k_n) applied afterwards.
-    The resulting kernel is degenerate: its order-n integral lies in the
-    order-n orthogonal component by construction.
+    With phi_m the kernel value on tuples with m entries at atom 1, the
+    order-n integral is the Bernstein sum  sum_m C(n, m) phi_m eta^m
+    (1 - eta)^(n-m), so phi_m = psi_m (``beta_bernstein``, exact) times the
+    leading coefficient of J_n (one float), for every parameter type.  The
+    kernel is degenerate: its integral lies in the order-n component.
     """
     if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")
     if n == 0:
         return SymmetricKernel(0, 2, {(0, 0): 1.0})
-    if params.is_exact:
-        k, g = exact_parts(n, params)
-        psi = _solve_triangular(n, g)
-        root = math.sqrt(k.numerator / k.denominator) if k.denominator < 2**52 else math.sqrt(float(k))
-        phi = [float(p) * root for p in psi]
-    else:
-        c = jacobi_modified(n, params)
-        phi = _solve_triangular(n, [c.coefficient(a) for a in range(n + 1)])
-    values = {(m, n - m): phi[m] for m in range(n + 1)}
-    return SymmetricKernel(n, 2, values)
+    lead = jacobi_modified(n, params).coefficient(n)
+    psi, _ = beta_bernstein(n, params.a1, params.a0)
+    return SymmetricKernel(n, 2, {(m, n - m): float(p) * lead for m, p in enumerate(psi)})
 
 
 def kernel_to_univariate(kernel: SymmetricKernel) -> PolynomialCoeffs:
@@ -410,12 +408,11 @@ def jacobi_norm_identity(n: int, params: BetaParams) -> tuple[Scalar, Scalar]:
 
     alpha = params.as_measure()
     if params.is_exact:
-        k, g = exact_parts(n, params)
-        psi = _solve_triangular(n, g)
+        psi, norm = beta_bernstein(n, params.a1, params.a0)
         acc = Fraction(0)
         for m, value in enumerate(psi):
             acc += binom(n, m) * value * value * dirichlet_moment(alpha, (m, n - m))
-        return lhs, k * acc * c_iso(n, params.total)
+        return lhs, acc * c_iso(n, params.total) / norm
 
     phi = solve_phi_system(n, params)
     acc_f: list[float] = []

@@ -230,10 +230,12 @@ def hyp1f1(a: float, b: float, z: float) -> float:
         else:
             quiet = 0
     else:
-        raise NumericError(
-            f"hyp1f1({a}, {b}, {z}) did not settle within {_HYP_MAX_TERMS} terms",
-            partial=scale * total,
-        )
+        # an overflowed sum never settles: report it as overflow below
+        if math.isfinite(total):
+            raise NumericError(
+                f"hyp1f1({a}, {b}, {z}) did not settle within {_HYP_MAX_TERMS} terms",
+                partial=scale * total,
+            )
     if not math.isfinite(total) or scale < sys.float_info.min:
         raise NumericError(
             f"hyp1f1({a}, {b}, {z}): the series or e^z leaves the float range",

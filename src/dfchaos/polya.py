@@ -128,28 +128,14 @@ def cond_exp_statistic(
 
     `statistic` is a symmetric function of N = statistic.order points given
     by its occupation-vector table; `fixed` pins the first a coordinates
-    (by exchangeability only its occupation vector matters). The remaining
-    N-a coordinates are integrated out under the posterior urn law.
+    (by exchangeability only its occupation vector matters, so the labels
+    are counted once and handed to ``cond_exp_statistic_counts``). The
+    remaining N-a coordinates are integrated out under the posterior urn
+    law.
     """
-    if statistic.atoms != alpha.atoms:
-        raise DomainError("statistic and measure disagree on the atom count")
-    n_free = statistic.order - len(fixed)
-    if n_free < 0:
-        raise DomainError(
-            f"cannot fix {len(fixed)} of {statistic.order} coordinates"
-        )
-    if alpha.atoms**n_free > cap:
-        raise ResourceCapError(
-            f"enumeration of {alpha.atoms}^{n_free} completions exceeds cap {cap}"
-        )
-    fixed_counts = tuple_counts(fixed, alpha.atoms)
-    posterior = with_counts(alpha, fixed_counts)
-    total: Scalar = Fraction(0)
-    for completion in occupation_vectors(n_free, alpha.atoms):
-        weight = occupation_prob(posterior, completion)
-        merged = tuple(f + c for f, c in zip(fixed_counts, completion))
-        total = total + weight * statistic.value(merged)
-    return total
+    return cond_exp_statistic_counts(
+        statistic, alpha, tuple_counts(fixed, alpha.atoms), cap=cap
+    )
 
 
 def cond_exp_statistic_counts(
@@ -159,10 +145,24 @@ def cond_exp_statistic_counts(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Scalar:
     """Same as cond_exp_statistic but with the fixed block given as counts."""
-    labels: list[int] = []
-    for atom, c in enumerate(fixed_counts, start=1):
-        labels.extend([atom] * c)
-    return cond_exp_statistic(statistic, alpha, labels, cap=cap)
+    if statistic.atoms != alpha.atoms:
+        raise DomainError("statistic and measure disagree on the atom count")
+    posterior = with_counts(alpha, fixed_counts)
+    n_free = statistic.order - sum(fixed_counts)
+    if n_free < 0:
+        raise DomainError(
+            f"cannot fix {sum(fixed_counts)} of {statistic.order} coordinates"
+        )
+    if alpha.atoms**n_free > cap:
+        raise ResourceCapError(
+            f"enumeration of {alpha.atoms}^{n_free} completions exceeds cap {cap}"
+        )
+    total: Scalar = Fraction(0)
+    for completion in occupation_vectors(n_free, alpha.atoms):
+        weight = occupation_prob(posterior, completion)
+        merged = tuple(f + c for f, c in zip(fixed_counts, completion))
+        total = total + weight * statistic.value(merged)
+    return total
 
 
 def expectation_statistic(

@@ -15,6 +15,11 @@ functional from kernels extracted with each coefficient set and measure the
 pointwise reconstruction error.  A coefficient set that cannot reproduce
 the functional it claims to decompose is wrong, whatever its provenance.
 
+``mass_kernel_identities`` checks the closed-form kernels of a functional
+of one Beta-distributed mass D(C) (the exponential functional's kernels)
+against three exact identities: degeneracy, their integral against the
+independent power-basis polynomial, and their norm through the isometry.
+
 ``run_verification`` drives the library's invariant checks as named,
 machine-readable results for the command-line ``verify`` subcommand.
 """
@@ -32,12 +37,14 @@ from .bayes import ObservedSample, decompose_exponential, estimate_conditional_v
 from .chaos import (
     chaos_kernels,
     covariance_integrals,
+    multiple_integral,
     poly_posterior_mean,
     reconstruct,
     variance_from_decomposition,
     variance_functional,
 )
 from .coeffs import (
+    c_iso,
     limit_coefficients,
     system_residuals,
     tabulated_limit_values,
@@ -48,6 +55,8 @@ from .errors import DFChaosError, DomainError
 from .hoeffding import degenerate_basis, degenerate_check
 from .jacobi import (
     BetaParams,
+    beta_bernstein,
+    exact_parts,
     jacobi_inner,
     jacobi_norm_identity,
     kernel_to_univariate,
@@ -57,7 +66,7 @@ from .jacobi import (
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, measure
 from .numeric import Scalar, occupation_vectors, scalar_to_json, solve_exact, sub_occupations
-from .polya import occupation_prob, polya_joint_prob
+from .polya import expectation_statistic, occupation_prob, polya_joint_prob
 from .ustat import approximation_report, ustat_mse_curve
 from .wright_fisher import (
     TransitionModel,
@@ -510,6 +519,35 @@ def _check_bayes(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
     return ok, f"m=1 closed-form gap {gap:.3e}; uniform indicator estimate {uniform}"
 
 
+def mass_kernel_identities(
+    alpha: DiscreteBaseMeasure, subset: Sequence[int], n: int, point: Sequence[Scalar]
+) -> tuple[Scalar, Scalar, Scalar]:
+    """Gaps of the three identities behind the exponential functional's kernels.
+
+    The order-n kernel h(o) = psi_{j(o)} (``beta_bernstein`` for the mass
+    D(C) ~ Beta(a, b), j(o) the draws of o in C) must be degenerate, its
+    multiple integral at ``point`` must equal the monic Beta(a, b)
+    polynomial at the mass of C (taken from the independent power-basis
+    coefficients of ``exact_parts``), and c_iso(n, |alpha|) E[h^2] must
+    equal ||P_n||^2.  Returns (degeneracy residual, integral gap, norm gap),
+    all exact zeros for rational inputs.
+    """
+    C = tuple(subset)
+    a = sum(Fraction(alpha.weight(x)) for x in C)
+    b = sum(Fraction(w) for w in alpha.weights) - a
+    psi, norm = beta_bernstein(n, a, b)
+    values = {o: psi[sum(o[x - 1] for x in C)] for o in occupation_vectors(n, alpha.atoms)}
+    h = SymmetricKernel(n, alpha.atoms, values)
+    squared = SymmetricKernel(n, alpha.atoms, {o: v * v for o, v in values.items()})
+    y = sum(point[x - 1] for x in C)
+    _, monic = exact_parts(n, BetaParams(a, b))
+    return (
+        degenerate_check(h, alpha),
+        multiple_integral(h, point) - sum(g * y**i for i, g in enumerate(monic)),
+        c_iso(n, alpha.total_mass) * expectation_statistic(squared, alpha) - norm,
+    )
+
+
 def _check_exponential(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
     order = 6 if quick else 12
     result = decompose_exponential(measure(1, 1), (1,), 1.0, order)
@@ -517,7 +555,17 @@ def _check_exponential(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, s
     gap = abs(result.decomposition.kernel(1).value((1, 0)) - expected)
     rel = abs(result.residual) / result.variance
     ok = gap <= 1e-10 and rel <= 1e-4
-    return ok, f"first-kernel gap {gap:.3e}; relative Parseval residual {rel:.3e}"
+    top = 4 if quick else 8
+    K = alpha.atoms
+    point = tuple(Fraction(i, K * (K + 1) // 2) for i in range(1, K + 1))
+    for k in range(1, K):
+        for n in range(1, top + 1):
+            if any(mass_kernel_identities(alpha, range(1, k + 1), n, point)):
+                return False, f"Bernstein kernel identity fails at n={n}, C=1..{k}"
+    return ok, (
+        f"first-kernel gap {gap:.3e}; relative Parseval residual {rel:.3e}; "
+        f"Bernstein kernels exact for n <= {top}, C = 1..k, k < {K}"
+    )
 
 
 def _check_polya(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:

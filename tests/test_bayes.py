@@ -142,7 +142,7 @@ def _unshared_kernels(alpha, subset, lam, max_order):
         (measure(1, 1), (1,), 1, 12),
     ],
 )
-def test_exponential_evaluates_each_series_once(monkeypatch, alpha, subset, lam, order):
+def test_exponential_calls_hyp1f1_once_per_order(monkeypatch, alpha, subset, lam, order):
     calls = []
 
     def counting(a, b, z):
@@ -151,7 +151,121 @@ def test_exponential_evaluates_each_series_once(monkeypatch, alpha, subset, lam,
 
     monkeypatch.setattr(bayes, "hyp1f1", counting)
     result = decompose_exponential(alpha, subset, lam, order)
-    assert len(calls) == len(set(calls))
-    mean, kernels = _unshared_kernels(alpha, subset, lam, order)
+    # the mean, the second moment and one series per order
+    assert len(calls) == order + 2
+    # the theta route of the paper agrees where its 1F1 differences still
+    # keep enough digits (it loses them at higher orders)
+    mean, kernels = _unshared_kernels(alpha, subset, lam, min(order, 6))
     assert result.mean == mean
-    assert [dict(h.items()) for h in result.decomposition.kernels] == kernels
+    for h, reference in zip(result.decomposition.kernels, kernels):
+        scale = max(abs(v) for v in reference.values())
+        assert all(abs(h.value(o) - v) <= 1e-6 * scale for o, v in reference.items())
+
+
+def _mpmath_kernels(alpha, subset, lam, orders):
+    """The theta route evaluated in 100-digit arithmetic: the reference for
+    the float kernels (its 1F1 differences cancel, but 100 digits leave
+    more than 40 after the worst cancellation here).  The sub-occupations
+    of a vector with j draws in C that have h of their k draws in C number
+    C(j, h) C(n - j, k - h), so each value is a sum over (k, h)."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def _mp(value):
+        value = Fraction(value)
+        return mpmath.mpf(value.numerator) / value.denominator
+
+    with mpmath.workdps(100):
+        total = alpha.total_mass
+        a_C = sum(alpha.weight(x) for x in subset)
+        theta = limit_coefficients(total, max(orders))
+        series = {}
+
+        def hyp(a, b):
+            if (a, b) not in series:
+                series[(a, b)] = mpmath.hyp1f1(_mp(a), _mp(b), _mp(lam))
+            return series[(a, b)]
+
+        mean = hyp(a_C, total)
+        kernels = {}
+        for n in orders:
+            by_hits = []
+            for j in range(n + 1):
+                acc = mpmath.mpf(0)
+                for k in range(1, n + 1):
+                    inner = mpmath.mpf(0)
+                    for h in range(max(0, k - n + j), min(j, k) + 1):
+                        ways = math.comb(j, h) * math.comb(n - j, k - h)
+                        inner += ways * (hyp(a_C + h, total + k) - mean)
+                    acc += _mp(theta[(n, k)]) * inner
+                by_hits.append(float(acc))
+            kernels[n] = {
+                o: by_hits[sum(o[x - 1] for x in subset)]
+                for o in occupation_vectors(n, alpha.atoms)
+            }
+        return float(mean), kernels
+
+
+def _assert_kernels_match(result, mean, kernels, rel=1e-10):
+    assert result.mean == pytest.approx(mean, rel=rel)
+    for n, reference in kernels.items():
+        h = result.decomposition.kernel(n)
+        scale = max(abs(v) for v in reference.values())
+        worst = max(abs(h.value(o) - v) for o, v in reference.items()) / scale
+        assert worst <= rel, (n, worst)
+
+
+MPMATH_MEASURES = [
+    (measure(1, 1), (1,)),
+    (measure("1/2", "3/2"), (1,)),
+    (measure("1/2", 1, "1/2"), (1, 3)),
+]
+
+
+@pytest.mark.parametrize("alpha, subset", MPMATH_MEASURES)
+def test_exponential_high_order_kernels_match_mpmath(alpha, subset):
+    # the theta route in floats missed these by factors up to 4e28
+    lam = 1 if alpha.atoms == 3 else 2
+    result = decompose_exponential(alpha, subset, lam, 20)
+    mean, kernels = _mpmath_kernels(alpha, subset, lam, range(12, 21))
+    _assert_kernels_match(result, mean, kernels)
+
+
+@pytest.mark.parametrize("alpha, subset", MPMATH_MEASURES)
+@pytest.mark.parametrize("lam", ["-1/2", -3, -10])
+def test_exponential_negative_lambda_matches_mpmath(alpha, subset, lam):
+    result = decompose_exponential(alpha, subset, Fraction(lam), 10)
+    mean, kernels = _mpmath_kernels(alpha, subset, Fraction(lam), range(1, 11))
+    _assert_kernels_match(result, mean, kernels)
+
+
+def test_exponential_float_weights_equal_their_rational_image():
+    floats = measure(0.3, 0.45, 1.1)
+    image = measure(Fraction(0.3), Fraction(0.45), Fraction(1.1))
+    for lam in (-2.5, 0.7):
+        got = decompose_exponential(floats, (2, 3), lam, 8)
+        want = decompose_exponential(image, (2, 3), lam, 8)
+        assert (got.mean, got.variance, got.contributions) == (
+            want.mean, want.variance, want.contributions
+        )
+        assert [dict(h.items()) for h in got.decomposition.kernels] == [
+            dict(h.items()) for h in want.decomposition.kernels
+        ]
+
+
+def test_exponential_residual_bound_covers_cancelled_variance():
+    # Var G = 1F1(1, 2, 2e-9) - mean^2 cancels to 0.0 in floats, so the
+    # residual is -c_1^2 ||P_1||^2 = -8.3e-20: pure rounding, inside the bound
+    result = decompose_exponential(measure(1, 1), (1,), 1e-9, 6)
+    assert result.variance == 0.0
+    assert result.residual < 0
+    assert abs(result.residual) <= result.residual_bound
+    assert result.residual_bound == pytest.approx(8 * 2.0**-52 * 2.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (10, "1/10"), ("1/10", 10)])
+@pytest.mark.parametrize("lam", [-40, -10, -1, "1/1000", 5, 20])
+def test_exponential_converged_residual_is_inside_its_bound(weights, lam):
+    # at order 100 the truncation tail is far below one ulp, so what is
+    # left is the rounding the bound describes
+    result = decompose_exponential(measure(*weights), (1,), Fraction(lam), 100)
+    assert abs(result.residual) <= result.residual_bound

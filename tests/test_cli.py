@@ -212,6 +212,30 @@ def test_bayes_exp_negative_lambda_matches_mpmath(capsys):
     assert payload["variance"] == pytest.approx(0.011875, rel=1e-10)
 
 
+def test_bayes_exp_high_order_and_residual_bound(capsys):
+    # order 40 used to exceed the K^n enumeration cap (exit 3)
+    code, out, _ = run_cli(
+        capsys, "bayes", "exp", "--alpha", "1,1", "--set", "1", "--lambda", "1",
+        "--order", "40",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 40
+    assert 0 < payload["residual_bound"] < 1e-13
+    assert abs(payload["parseval_residual"]) <= payload["residual_bound"]
+
+
+def test_bayes_exp_overflow_reports_overflow(capsys):
+    code, out, err = run_cli(
+        capsys, "bayes", "exp", "--alpha", "1,1", "--set", "1", "--lambda", "800",
+    )
+    assert code == 1
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "NumericError"
+    assert "leaves the float range" in diagnostic["message"]
+
+
 @pytest.mark.parametrize("reps", ["0", "1", "-5"])
 def test_approx_rejects_too_few_reps(capsys, eta2_file, reps):
     code, out, err = run_cli(

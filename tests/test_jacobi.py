@@ -12,6 +12,7 @@ from dfchaos.jacobi import (
     MAX_JACOBI_ORDER,
     BetaParams,
     as_functional,
+    beta_bernstein,
     beta_weight_integral,
     exact_parts,
     jacobi_inner,
@@ -21,6 +22,7 @@ from dfchaos.jacobi import (
     solve_phi_system,
 )
 from dfchaos.hoeffding import degenerate_check
+from dfchaos.kernels import SymmetricKernel
 
 PARAM_SETS = (
     BetaParams(1, 1),
@@ -110,3 +112,44 @@ def test_order_cap_and_domain_errors():
         jacobi_modified(-1, BetaParams(1, 1))
     with pytest.raises(DomainError):
         BetaParams(0, 1)
+
+
+def _bernstein_kernel(psi):
+    n = len(psi) - 1
+    return SymmetricKernel(n, 2, {(j, n - j): p for j, p in enumerate(psi)})
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1, 1), (Fraction(1, 2), Fraction(1, 2)), (3, 2), (Fraction(1, 3), Fraction(7, 2)),
+     (Fraction(5, 4), Fraction(1, 10))],
+)
+def test_beta_bernstein_is_the_monic_polynomial(a, b):
+    # kernel_to_univariate is the independent route back to the power basis
+    for n in range(0, 21):
+        psi, norm = beta_bernstein(n, a, b)
+        k, g = exact_parts(n, BetaParams(a, b))
+        assert kernel_to_univariate(_bernstein_kernel(psi)).coefficients == g
+        assert norm == 1 / k
+
+
+def test_beta_bernstein_has_no_degree_cap_and_reads_floats_exactly():
+    psi, norm = beta_bernstein(60, Fraction(1, 2), 3)
+    assert kernel_to_univariate(_bernstein_kernel(psi)).coefficient(60) == 1
+    assert 0 < norm < Fraction(1, 4) ** 60
+    for n in range(0, 6):
+        assert beta_bernstein(n, 1.25, 0.3) == beta_bernstein(n, Fraction(1.25), Fraction(0.3))
+    with pytest.raises(DomainError):
+        beta_bernstein(-1, 1, 1)
+    with pytest.raises(DomainError):
+        beta_bernstein(2, 0, 1)
+
+
+def test_float_parameter_kernels_match_polynomials():
+    for params in (BetaParams(1.25, 0.75), BetaParams(0.3, 2.7)):
+        for n in range(1, 9):
+            induced = kernel_to_univariate(solve_phi_system(n, params))
+            target = jacobi_modified(n, params)
+            scale = max(abs(c) for c in target.coefficients)
+            for a in range(n + 1):
+                assert abs(induced.coefficient(a) - target.coefficient(a)) <= 1e-12 * scale

@@ -177,6 +177,14 @@ def test_hyp1f1_fails_loudly_when_digits_are_lost():
         hyp1f1(1, 2, -745.0)
 
 
+def test_hyp1f1_overflow_is_reported_as_overflow():
+    # the terms of 1F1(1; 2; 1600) pass the float range long before the
+    # term limit; that is an overflow, not a series that failed to settle
+    with pytest.raises(NumericError, match="leaves the float range") as excinfo:
+        hyp1f1(1, 2, 1600.0)
+    assert excinfo.value.partial == math.inf
+
+
 def test_log_gamma_matches_reference():
     for x, expected in LOG_GAMMA_REFERENCE.items():
         assert log_gamma(x) == pytest.approx(expected, abs=1e-12)

@@ -5,6 +5,8 @@ masses named in the coefficient docstrings are pinned as explicit examples.
 The kernel polynomials Q_n of Griffiths' closed form are compared with the
 Gram-Schmidt oracle (``TransitionModel.band``) at rational interior points.
 The batched Monte Carlo loss is held to the enumerated loss it confirms.
+The Bernstein kernels of the exponential functional are held to their
+three exact identities.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dfchaos.kernels import SimplexPolynomial
 from dfchaos.measures import DiscreteBaseMeasure
 from dfchaos.numeric import occupation_vectors
 from dfchaos.ustat import direct_loss, mc_loss, scaled_kernel_candidate
-from dfchaos.validation import oracle_limit_row
+from dfchaos.validation import mass_kernel_identities, oracle_limit_row
 from dfchaos.wright_fisher import (
     TransitionModel,
     _orthogonal_basis,
@@ -175,3 +177,22 @@ def test_mc_loss_confirms_the_enumerated_loss(data):
     # 1e-12 absorbs float rounding where F is constant on the simplex
     # (say d_1 + d_2 on two atoms): the exact loss is 0, the draws are not
     assert abs(estimate.value - exact) <= 5 * estimate.stderr + 1e-12
+
+
+@BOUNDED
+@given(data=st.data())
+@example(data=None)
+def test_mass_kernels_are_exact(data):
+    # degenerate, integrate to the monic Beta(a, b) polynomial at the mass
+    # of C, and carry its squared norm through the isometry
+    if data is None:
+        alpha, subset, n = DiscreteBaseMeasure((Fraction(1, 4), 2, Fraction(3, 7), 5)), (1, 3), 6
+        point = (Fraction(1, 10), Fraction(2, 5), Fraction(3, 10), Fraction(1, 5))
+    else:
+        K = data.draw(st.integers(2, 4))
+        alpha = DiscreteBaseMeasure(tuple(data.draw(st.lists(MASSES, min_size=K, max_size=K))))
+        subset = sorted(data.draw(st.sets(st.integers(1, K), min_size=1, max_size=K - 1)))
+        n = data.draw(st.integers(1, 6))
+        raw = data.draw(st.lists(st.integers(1, 12), min_size=K, max_size=K))
+        point = tuple(Fraction(r, sum(raw)) for r in raw)
+    assert mass_kernel_identities(alpha, subset, n, point) == (0, 0, 0)
