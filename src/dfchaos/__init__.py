@@ -131,6 +131,7 @@ _EXPORTS = {
         "estimate_conditional_variance",
         "ExponentialDecomposition",
         "decompose_exponential",
+        "mass_kernel",
     ),
     "ustat": (
         "UStatistic",

@@ -16,9 +16,10 @@ pointwise reconstruction error.  A coefficient set that cannot reproduce
 the functional it claims to decompose is wrong, whatever its provenance.
 
 ``mass_kernel_identities`` checks the closed-form kernels of a functional
-of one Beta-distributed mass D(C) (the exponential functional's kernels)
-against three exact identities: degeneracy, their integral against the
-independent power-basis polynomial, and their norm through the isometry.
+of one Beta-distributed mass D(C), built by the same ``bayes.mass_kernel``
+that the exponential functional uses, against three exact identities:
+degeneracy, their integral against the independent power-basis
+polynomial, and their norm through the isometry.
 
 ``run_verification`` drives the library's invariant checks as named,
 machine-readable results for the command-line ``verify`` subcommand.
@@ -33,13 +34,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bayes import ObservedSample, decompose_exponential, estimate_conditional_variance
+from .bayes import (
+    ObservedSample,
+    decompose_exponential,
+    estimate_conditional_variance,
+    mass_kernel,
+)
 from .chaos import (
     chaos_kernels,
     covariance_integrals,
     multiple_integral,
     poly_posterior_mean,
     reconstruct,
+    statistic_product_mean,
     variance_from_decomposition,
     variance_functional,
 )
@@ -66,7 +73,7 @@ from .jacobi import (
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, measure
 from .numeric import Scalar, occupation_vectors, scalar_to_json, solve_exact, sub_occupations
-from .polya import expectation_statistic, occupation_prob, polya_joint_prob
+from .polya import occupation_prob, polya_joint_prob
 from .ustat import approximation_report, ustat_mse_curve
 from .wright_fisher import (
     TransitionModel,
@@ -524,27 +531,28 @@ def mass_kernel_identities(
 ) -> tuple[Scalar, Scalar, Scalar]:
     """Gaps of the three identities behind the exponential functional's kernels.
 
-    The order-n kernel h(o) = psi_{j(o)} (``beta_bernstein`` for the mass
-    D(C) ~ Beta(a, b), j(o) the draws of o in C) must be degenerate, its
-    multiple integral at ``point`` must equal the monic Beta(a, b)
-    polynomial at the mass of C (taken from the independent power-basis
-    coefficients of ``exact_parts``), and c_iso(n, |alpha|) E[h^2] must
-    equal ||P_n||^2.  Returns (degeneracy residual, integral gap, norm gap),
-    all exact zeros for rational inputs.
+    The order-n kernel ``bayes.mass_kernel`` of psi (``beta_bernstein`` for
+    the mass D(C) ~ Beta(a, b)) must be degenerate, its multiple integral
+    at ``point`` must equal the monic Beta(a, b) polynomial at the mass of
+    C (taken from the independent power-basis coefficients of
+    ``exact_parts``), and c_iso(n, |alpha|) E[h^2] must equal ||P_n||^2.
+    Float weights are read as their exact rational image, and E[h^2] sums
+    over occupation vectors, so no K^n enumeration cap applies.  Returns
+    (degeneracy residual, integral gap, norm gap), all exact zeros.
     """
+    exact = DiscreteBaseMeasure(tuple(Fraction(w) for w in alpha.weights))
     C = tuple(subset)
-    a = sum(Fraction(alpha.weight(x)) for x in C)
-    b = sum(Fraction(w) for w in alpha.weights) - a
+    a = exact.mass_of(C)
+    b = exact.total_mass - a
     psi, norm = beta_bernstein(n, a, b)
-    values = {o: psi[sum(o[x - 1] for x in C)] for o in occupation_vectors(n, alpha.atoms)}
-    h = SymmetricKernel(n, alpha.atoms, values)
-    squared = SymmetricKernel(n, alpha.atoms, {o: v * v for o, v in values.items()})
-    y = sum(point[x - 1] for x in C)
+    h = mass_kernel(exact.atoms, C, psi)
+    y = sum(Fraction(point[x - 1]) for x in C)
     _, monic = exact_parts(n, BetaParams(a, b))
     return (
-        degenerate_check(h, alpha),
-        multiple_integral(h, point) - sum(g * y**i for i, g in enumerate(monic)),
-        c_iso(n, alpha.total_mass) * expectation_statistic(squared, alpha) - norm,
+        degenerate_check(h, exact),
+        multiple_integral(h, [Fraction(p) for p in point])
+        - sum(g * y**i for i, g in enumerate(monic)),
+        c_iso(n, exact.total_mass) * statistic_product_mean(h, h, exact) - norm,
     )
 
 
@@ -555,8 +563,13 @@ def _check_exponential(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, s
     gap = abs(result.decomposition.kernel(1).value((1, 0)) - expected)
     rel = abs(result.residual) / result.variance
     ok = gap <= 1e-10 and rel <= 1e-4
-    top = 4 if quick else 8
     K = alpha.atoms
+    # orders up to 4 (quick) or 8, kept to at most 2000 occupation vectors
+    # each: the identities are exact sums over the C(n + K - 1, K - 1)
+    # vectors, and that count grows fast with the atom count
+    top = 4 if quick else 8
+    while top > 1 and math.comb(top + K - 1, K - 1) > 2000:
+        top -= 1
     point = tuple(Fraction(i, K * (K + 1) // 2) for i in range(1, K + 1))
     for k in range(1, K):
         for n in range(1, top + 1):

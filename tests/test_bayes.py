@@ -15,7 +15,7 @@ from dfchaos.bayes import (
 )
 from dfchaos.chaos import poly_posterior_mean
 from dfchaos.coeffs import limit_coefficients
-from dfchaos.errors import DomainError
+from dfchaos.errors import DomainError, ResourceCapError
 from dfchaos.kernels import SymmetricKernel
 from dfchaos.measures import measure
 from dfchaos.numeric import hyp1f1, occupation_vectors, sub_occupations
@@ -111,6 +111,16 @@ def test_exponential_subset_validation():
         decompose_exponential(measure(1, 1), (1, 2), 1, 4)
     with pytest.raises(DomainError):
         decompose_exponential(measure(1, 1), (5,), 1, 4)
+
+
+def test_exponential_caps_the_kernel_size():
+    # sum over n <= 30 of C(n + 9, 9) = C(40, 10) - 1 ~ 8.5e8 values on ten
+    # atoms: refused before any kernel is built; two atoms hold 31 * 32 / 2
+    ten = measure(*([1] * 10))
+    with pytest.raises(ResourceCapError):
+        decompose_exponential(ten, (1,), 1, 30)
+    assert decompose_exponential(ten, (1,), 1, 3).order == 3
+    assert decompose_exponential(measure(1, 1), (1,), 1, 30).order == 30
 
 
 def _unshared_kernels(alpha, subset, lam, max_order):

@@ -225,6 +225,16 @@ def test_bayes_exp_high_order_and_residual_bound(capsys):
     assert abs(payload["parseval_residual"]) <= payload["residual_bound"]
 
 
+def test_bayes_exp_caps_the_kernel_size(capsys):
+    code, out, err = run_cli(
+        capsys, "bayes", "exp", "--alpha", ",".join(["1"] * 10), "--set", "1",
+        "--lambda", "1", "--order", "30",
+    )
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "ResourceCapError"
+
+
 def test_bayes_exp_overflow_reports_overflow(capsys):
     code, out, err = run_cli(
         capsys, "bayes", "exp", "--alpha", "1,1", "--set", "1", "--lambda", "800",

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from dfchaos.validation import run_verification, theta_erratum_report
+from dfchaos.measures import DiscreteBaseMeasure
+from dfchaos.validation import (
+    _check_exponential,
+    mass_kernel_identities,
+    run_verification,
+    theta_erratum_report,
+)
 
 
 def test_erratum_report_is_definitive():
@@ -35,3 +41,18 @@ def test_quick_verification_all_green():
     names = {c.name for c in result.checks}
     assert "integral-isometry" in names
     assert "urn-law-suite" in names
+
+
+def test_exponential_check_on_eight_float_atoms():
+    # the full check once enumerated K^n label tuples (8^8 > the cap) and
+    # demanded exact zeros of float weights; it now sums over occupation
+    # vectors of the exact rational image, with at most 2000 per order
+    alpha = DiscreteBaseMeasure(tuple(0.3 + 0.1 * i for i in range(8)))
+    passed, detail = _check_exponential(alpha, quick=False)
+    assert passed, detail
+    assert "n <= 6" in detail
+
+
+def test_mass_kernel_identities_are_exact_on_float_weights():
+    alpha = DiscreteBaseMeasure((0.25, 1.5, 0.7))
+    assert mass_kernel_identities(alpha, (1, 3), 5, (0.5, 0.25, 0.25)) == (0, 0, 0)
