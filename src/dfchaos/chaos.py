@@ -30,13 +30,17 @@ from .coeffs import c_iso, limit_coefficient, validate_limit_values
 from .errors import DomainError
 from .hoeffding import degenerate_check, hoeffding_decompose
 from .kernels import PredictableComponent, SimplexPolynomial, SymmetricKernel
-from .measures import (
-    DiscreteBaseMeasure,
-    dirichlet_moment,
-    sample_dirichlet,
-    with_counts,
+from .measures import DiscreteBaseMeasure, sample_dirichlet, with_counts
+from .numeric import (
+    Scalar,
+    binom,
+    common_denominator,
+    exact_ratio,
+    is_exact,
+    occupation_vectors,
+    sub_occupations,
+    tuple_counts,
 )
-from .numeric import Scalar, binom, occupation_vectors, sub_occupations, tuple_counts
 from .polya import (
     DEFAULT_ENUMERATION_CAP,
     cond_exp_statistic_counts,
@@ -82,12 +86,15 @@ def _functional_atoms(F: Functional) -> int:
 def poly_posterior_mean(
     F: SimplexPolynomial, alpha: DiscreteBaseMeasure, counts: Sequence[int]
 ) -> Scalar:
-    """E[F(D) | observed occupation counts], exact via conjugate moments."""
-    posterior = with_counts(alpha, counts)
-    total: Scalar = Fraction(0)
-    for exps, coeff in F.terms.items():
-        total = total + coeff * dirichlet_moment(posterior, exps)
-    return total
+    """E[F(D) | observed occupation counts], exact via conjugate moments.
+
+    The coefficients go over one common denominator and the moments are
+    shifts on the prior's moment ladder, so the sum runs on ints and one
+    Fraction is formed at the end (floats throughout on a float path).
+    """
+    coeffs, scale = common_denominator(list(F.terms.values()))
+    num, den = alpha.moment_ladder.posterior_sum(zip(F.terms, coeffs), counts)
+    return exact_ratio(num, den * scale)
 
 
 def cond_exp_functional(
@@ -247,32 +254,43 @@ def chaos_kernels(
             validate_limit_values(theta, mass, max_order)
         theta_vals = dict(theta)
 
-    is_poly = isinstance(F, SimplexPolynomial)
-    cond_cache: dict[tuple[int, ...], Scalar] = {}
-
     def cond(counts: tuple[int, ...]) -> Scalar:
-        if counts not in cond_cache:
-            if is_poly:
-                cond_cache[counts] = poly_posterior_mean(F, alpha, counts)
-            else:
-                labels: list[int] = []
-                for atom, c in enumerate(counts, start=1):
-                    labels.extend([atom] * c)
-                cond_cache[counts] = cond_exp_functional(F, alpha, labels, rng).value
-        return cond_cache[counts]
+        if isinstance(F, SimplexPolynomial):
+            return poly_posterior_mean(F, alpha, counts)
+        labels: list[int] = []
+        for atom, c in enumerate(counts, start=1):
+            labels.extend([atom] * c)
+        return cond_exp_functional(F, alpha, labels, rng).value
 
-    mean = cond((0,) * atoms)
+    # every occupation vector of size <= max_order is some sub-occupation,
+    # so all conditional means are taken up front, by size (the order in
+    # which a black box draws from ``rng``), and centred over one common
+    # denominator; each theta row gets its own, and the kernel sums run on
+    # ints.  If any input is a float, all of them run as floats over the
+    # denominator 1: an integer numerator has no bound and need not fit one
+    vectors = [mu for n in range(max_order + 1) for mu in occupation_vectors(n, atoms)]
+    conds = [cond(mu) for mu in vectors]
+    mean = conds[0]
+    centred_values = [c - mean for c in conds]
+    theta_rows = [[theta_vals[(n, k)] for k in range(1, n + 1)] for n in range(1, max_order + 1)]
+    if not (is_exact(centred_values) and all(is_exact(r) for r in theta_rows)):
+        centred_values = [float(c) for c in centred_values]
+        theta_rows = [[float(t) for t in r] for r in theta_rows]
+    nums, cond_den = common_denominator(centred_values)
+    centred = dict(zip(vectors, nums))
     kernels = []
-    for n in range(1, max_order + 1):
+    for n, theta_row in enumerate(theta_rows, start=1):
+        row, theta_den = common_denominator(theta_row)
+        den = theta_den * cond_den
         values = {}
         for a_counts in occupation_vectors(n, atoms):
-            acc: Scalar = Fraction(0)
-            for k in range(1, n + 1):
-                inner: Scalar = Fraction(0)
+            acc = 0
+            for k, theta_nk in enumerate(row, start=1):
+                inner = 0
                 for mu, ways in sub_occupations(a_counts, k):
-                    inner = inner + ways * (cond(mu) - mean)
-                acc = acc + theta_vals[(n, k)] * inner
-            values[a_counts] = acc
+                    inner += ways * centred[mu]
+                acc += theta_nk * inner
+            values[a_counts] = exact_ratio(acc, den)
         kernels.append(SymmetricKernel(n, atoms, values))
     return ChaosDecomposition(alpha, mean, tuple(kernels))
 

@@ -17,7 +17,7 @@ from typing import Sequence
 from .coeffs import CoefficientTable, theta_table
 from .errors import DomainError
 from .kernels import SymmetricKernel
-from .measures import DiscreteBaseMeasure, with_counts
+from .measures import DiscreteBaseMeasure
 from .numeric import Scalar, nullspace, occupation_vectors, sub_occupations
 from .polya import (
     DEFAULT_ENUMERATION_CAP,

@@ -18,6 +18,8 @@ from .errors import DomainError
 from .numeric import (
     Scalar,
     as_scalar,
+    common_denominator,
+    is_exact,
     multiplicity,
     occupation_vectors,
     scalar_to_json,
@@ -169,6 +171,8 @@ class SimplexPolynomial:
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.nvars:
             raise DomainError(f"expected {self.nvars} coordinates, got {len(point)}")
+        if self._integer_terms is not None and is_exact(point):
+            return self._evaluate_exact(point)
         # each distinct power x_j**e is computed once per call and shared
         # by every term that uses it (same values as computing it per term)
         powers: dict[tuple[int, int], Scalar] = {}
@@ -183,6 +187,41 @@ class SimplexPolynomial:
                     term = term * power
             total = total + term
         return total
+
+    @cached_property
+    def _integer_terms(self) -> tuple[list, int, int] | None:
+        """(terms, L, degree), the coefficients as c_e / L over their common
+        denominator and each term as (c_e, |e|, its (j, e_j) with e_j > 0);
+        None when a coefficient is a float."""
+        if not is_exact(self.terms.values()):
+            return None
+        coeffs, lead = common_denominator(list(self.terms.values()))
+        terms = [
+            (c, sum(exps), tuple((j, e) for j, e in enumerate(exps) if e))
+            for exps, c in zip(self.terms, coeffs)
+        ]
+        return terms, lead, self.degree
+
+    def _evaluate_exact(self, point: Sequence[Scalar]) -> Fraction:
+        """The same sum in ints: with the coordinates a_j / b over their
+        common denominator, each term is homogenised by b^(degree - |e|) to
+        the one denominator L b^degree."""
+        terms, lead, top = self._integer_terms
+        coords, b = common_denominator(point)
+        b_powers = [1]
+        for _ in range(top):
+            b_powers.append(b_powers[-1] * b)
+        powers: dict[tuple[int, int], int] = {}
+        total = 0
+        for coeff, size, factors in terms:
+            term = coeff * b_powers[top - size]
+            for key in factors:
+                power = powers.get(key)
+                if power is None:
+                    power = powers[key] = coords[key[0]] ** key[1]
+                term *= power
+            total += term
+        return Fraction(total, lead * b_powers[top])
 
     def scale(self, factor: Scalar) -> "SimplexPolynomial":
         return SimplexPolynomial(self.nvars, {e: factor * c for e, c in self.terms.items()})

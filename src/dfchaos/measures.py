@@ -5,17 +5,41 @@ The associated random probability is Dirichlet with those weights as
 concentration parameters; observing points simply adds unit mass at the
 observed atoms (conjugacy), and mixed moments of the Dirichlet masses are
 ratios of rising factorials.
+
+Moment ladder.  Every moment is read from one table per measure, built on
+first use and grown on demand (``DiscreteBaseMeasure.moment_ladder``).
+Write the weights over their least common denominator q as p_j / q, with
+P = sum_j p_j.  The ladder holds the integer rows
+
+    R_j(m) = prod_{i<m} (p_j + i q),    S(n) = prod_{i<n} (P + i q),
+
+and since rising(p_j / q, m) = R_j(m) / q^m, the powers of q cancel:
+
+    E[prod_j D_j^{e_j}] = prod_j R_j(e_j) / S(|e|).
+
+Conjugacy makes a posterior moment a shift on the prior's ladder,
+E[D^e | counts c] = M(e + c) / M(c) with M(e) the moment above, so
+posterior means are sums of integer products over one denominator, and
+a single reduced Fraction is formed at the end; no posterior measure is
+built.  Float weights run the same rows in floats with q = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError
-from .numeric import Scalar, as_scalar, rising_factorial, scalar_to_json
+from .numeric import (
+    Scalar,
+    as_scalar,
+    common_denominator,
+    exact_ratio,
+    is_exact,
+    scalar_to_json,
+)
 
 if TYPE_CHECKING:  # numpy loads only on the float and Monte Carlo paths
     import numpy as np
@@ -42,7 +66,15 @@ class DiscreteBaseMeasure:
 
     @property
     def total_mass(self) -> Scalar:
-        return sum(self.weights)
+        return self.moment_ladder.total_mass
+
+    @cached_property
+    def moment_ladder(self) -> "MomentLadder":
+        """The rising-factorial rows every moment of this measure reads.
+
+        Built on first use and kept in the instance, outside the dataclass
+        fields, so equality, hashing and JSON see the weights only."""
+        return MomentLadder(self.weights)
 
     def weight(self, atom: int) -> Scalar:
         """Weight of a 1-based atom label."""
@@ -91,20 +123,102 @@ def with_observations(alpha: DiscreteBaseMeasure, observations: Sequence[int]) -
     return DiscreteBaseMeasure(tuple(w + c for w, c in zip(alpha.weights, counts)))
 
 
-def with_counts(alpha: DiscreteBaseMeasure, counts: Sequence[int]) -> DiscreteBaseMeasure:
-    """Posterior after observing `counts[j]` points on atom j+1."""
-    if len(counts) != alpha.atoms:
+def check_counts(atoms: int, counts: Sequence[int]) -> None:
+    """Refuse an occupation-count vector of the wrong length or with a negative entry."""
+    if len(counts) != atoms:
         raise DomainError("counts length must equal the number of atoms")
     if any(c < 0 for c in counts):
         raise DomainError("counts must be non-negative")
+
+
+def with_counts(alpha: DiscreteBaseMeasure, counts: Sequence[int]) -> DiscreteBaseMeasure:
+    """Posterior after observing `counts[j]` points on atom j+1."""
+    check_counts(alpha.atoms, counts)
     return DiscreteBaseMeasure(tuple(w + c for w, c in zip(alpha.weights, counts)))
+
+
+class MomentLadder:
+    """Rising-factorial rows of one measure over a common denominator.
+
+    ``row(j, c)[e]`` = prod_{i<e} (b_j + (c + i) q) with b_j = p_j for an
+    atom j < K and b_K = P: the rows of the module docstring are
+    R_j = row(j, 0) and S = row(K, 0), and a row started at c > 0 is the
+    shifted product R_j(c + e) / R_j(c) that a posterior moment needs.
+    Integers for rational weights; floats (q = 1) when a weight is a float.
+    Rows are built on first use and only ever extended.
+    """
+
+    __slots__ = ("q", "bases", "total_mass", "_rows")
+
+    def __init__(self, weights: Sequence[Scalar]):
+        p, self.q = common_denominator(weights)
+        self.bases = (*p, sum(p))
+        self.total_mass = sum(weights)
+        self._rows: dict[tuple[int, int], list] = {}
+
+    def row(self, j: int, start: int, top: int) -> list:
+        """row(j, start), holding at least the indices 0..top.
+
+        A row is extended by storing a longer copy, so a list once handed
+        out never changes."""
+        row = self._rows.get((j, start), [1])
+        if len(row) <= top:
+            base, q = self.bases[j], self.q
+            row = list(row)
+            value = row[-1]
+            for i in range(start + len(row) - 1, start + top):
+                value = value * (base + i * q)
+                row.append(value)
+            self._rows[(j, start)] = row
+        return row
+
+    def moment(self, exponents: Sequence[int]) -> Scalar:
+        """E[prod_j D_j^{e_j}] = prod_j R_j(e_j) / S(|e|)."""
+        num, den = self.posterior_sum([(exponents, 1)], (0,) * (len(self.bases) - 1))
+        return exact_ratio(num, den)
+
+    def posterior_sum(
+        self, terms: Iterable[tuple[Sequence[int], Scalar]], counts: Sequence[int]
+    ) -> tuple:
+        """(N, Q) with N / Q = sum of a * E[D^e | counts c] over the (e, a) terms.
+
+        By conjugacy E[D^e | c] = prod_j row(j, c_j)[e_j] / row(K, |c|)[|e|].
+        Over Q = row(K, |c|)[d], d the largest |e|, the term of e
+        contributes a prod_j row(j, c_j)[e_j] times the integer tail
+        Q / row(K, |c|)[|e|] = prod_{|e| <= i < d} (P + (|c| + i) q).  With
+        integer weights a on an exact ladder, N and Q are ints.  A float
+        weight on an exact ladder multiplies its moment rounded once, as the
+        ratio of two ints (at most 1), and (N, Q) = (float sum, 1): the
+        integer numerators grow without bound and need not fit a float.
+        """
+        atoms = len(self.bases) - 1
+        check_counts(atoms, counts)
+        terms = list(terms)
+        top = max((sum(e) for e, _ in terms), default=0)
+        rows = [self.row(j, c, top) for j, c in enumerate(counts)]
+        base = sum(counts)
+        mass, q = self.bases[atoms], self.q
+        den = self.row(atoms, base, top)[top]
+        rounded = type(den) is int and not is_exact(weight for _, weight in terms)
+        tails = [1] * (top + 1)  # tails[k] = Q / row(K, |c|)[k]
+        for k in range(top - 1, -1, -1):
+            tails[k] = tails[k + 1] * (mass + (base + k) * q)
+        total = 0
+        for exponents, weight in terms:
+            value = tails[sum(exponents)] if rounded else weight * tails[sum(exponents)]
+            for row, e in zip(rows, exponents):
+                if e:
+                    value *= row[e]
+            total += weight * (value / den) if rounded else value
+        return (total, 1) if rounded else (total, den)
 
 
 def dirichlet_moment(alpha: DiscreteBaseMeasure, exponents: Sequence[int]) -> Scalar:
     """E[prod_j D_j^{m_j}] for D ~ Dirichlet(alpha).
 
-    Equals prod_j rising(theta_j, m_j) / rising(|alpha|, sum m_j); exact for
-    rational weights. Exponents must be non-negative integers.
+    Equals prod_j rising(theta_j, m_j) / rising(|alpha|, sum m_j), read from
+    the measure's moment ladder; exact for rational weights. Exponents must
+    be non-negative integers.
     """
     if len(exponents) != alpha.atoms:
         raise DomainError("exponent vector length must equal the number of atoms")
@@ -113,17 +227,7 @@ def dirichlet_moment(alpha: DiscreteBaseMeasure, exponents: Sequence[int]) -> Sc
         if m < 0 or int(m) != m:
             raise DomainError(f"exponents must be non-negative integers, got {m}")
         cleaned.append(int(m))
-    return _dirichlet_moment_cached(alpha.weights, alpha.total_mass, tuple(cleaned))
-
-
-@lru_cache(maxsize=1 << 16, typed=True)  # typed: see numeric._rising_cached
-def _dirichlet_moment_cached(
-    weights: tuple[Scalar, ...], total_mass: Scalar, exponents: tuple[int, ...]
-) -> Scalar:
-    numerator: Scalar = Fraction(1)
-    for w, m in zip(weights, exponents):
-        numerator = numerator * rising_factorial(w, m)
-    return numerator / rising_factorial(total_mass, sum(exponents))
+    return alpha.moment_ladder.moment(cleaned)
 
 
 def sample_dirichlet(alpha: DiscreteBaseMeasure, rng: np.random.Generator) -> tuple[float, ...]:

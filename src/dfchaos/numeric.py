@@ -119,6 +119,31 @@ def _rising_cached(x: Scalar, k: int) -> Scalar:
     return _rising_cached(x, half) * _rising_cached(x + half, k - half)
 
 
+def is_exact(values) -> bool:
+    """True when every value is an int or a Fraction (no float among them)."""
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def common_denominator(values: Sequence[Scalar]) -> tuple[list, int]:
+    """(numerators, d) with values[i] = numerators[i] / d.
+
+    Exact values come back as integer numerators over their least common
+    denominator, so sums and products of them run on ints; if any value is
+    a float, every value comes back as a float over d = 1.
+    """
+    if not is_exact(values):
+        return [float(v) for v in values], 1
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def exact_ratio(num, den) -> Scalar:
+    """num / den: a reduced Fraction when both are ints, a float otherwise."""
+    if type(num) is int and type(den) is int:
+        return Fraction(num, den)
+    return num / den
+
+
 def occupation_vectors(order: int, atoms: int) -> Iterator[tuple[int, ...]]:
     """All occupation vectors for `order` points on `atoms` atoms.
 

@@ -20,8 +20,15 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, ResourceCapError
 from .kernels import SymmetricKernel
-from .measures import DiscreteBaseMeasure, dirichlet_moment, with_counts
-from .numeric import Scalar, multiplicity, occupation_vectors, tuple_counts
+from .measures import DiscreteBaseMeasure, check_counts, dirichlet_moment, with_counts
+from .numeric import (
+    Scalar,
+    common_denominator,
+    exact_ratio,
+    multiplicity,
+    occupation_vectors,
+    tuple_counts,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -144,10 +151,16 @@ def cond_exp_statistic_counts(
     fixed_counts: Sequence[int],
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Scalar:
-    """Same as cond_exp_statistic but with the fixed block given as counts."""
+    """Same as cond_exp_statistic but with the fixed block given as counts.
+
+    A completion's weight is its multiplicity times the posterior moment
+    E[D^completion | fixed], a shift on the prior's moment ladder; the
+    statistic's values go over one common denominator, so the weighted sum
+    runs on ints and one Fraction is formed at the end.
+    """
     if statistic.atoms != alpha.atoms:
         raise DomainError("statistic and measure disagree on the atom count")
-    posterior = with_counts(alpha, fixed_counts)
+    check_counts(alpha.atoms, fixed_counts)
     n_free = statistic.order - sum(fixed_counts)
     if n_free < 0:
         raise DomainError(
@@ -157,12 +170,18 @@ def cond_exp_statistic_counts(
         raise ResourceCapError(
             f"enumeration of {alpha.atoms}^{n_free} completions exceeds cap {cap}"
         )
-    total: Scalar = Fraction(0)
-    for completion in occupation_vectors(n_free, alpha.atoms):
-        weight = occupation_prob(posterior, completion)
-        merged = tuple(f + c for f, c in zip(fixed_counts, completion))
-        total = total + weight * statistic.value(merged)
-    return total
+    completions = list(occupation_vectors(n_free, alpha.atoms))
+    values, scale = common_denominator(
+        [statistic.value(tuple(f + c for f, c in zip(fixed_counts, completion)))
+         for completion in completions]
+    )
+    terms = [
+        (completion, multiplicity(completion) * value)
+        for completion, value in zip(completions, values)
+        if value
+    ]
+    num, den = alpha.moment_ladder.posterior_sum(terms, fixed_counts)
+    return exact_ratio(num, den * scale)
 
 
 def expectation_statistic(

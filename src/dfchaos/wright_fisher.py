@@ -52,12 +52,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 from .errors import DomainError
 from .kernels import SimplexPolynomial
 from .measures import DiscreteBaseMeasure, dirichlet_moment
-from .numeric import Scalar, as_scalar, binom, rising_factorial
+from .numeric import Scalar, as_scalar, binom, common_denominator, is_exact, rising_factorial
 
 __all__ = [
     "multi_indices",
@@ -169,10 +170,6 @@ def dirichlet_density(theta: DiscreteBaseMeasure | Sequence[Scalar], gamma: Sequ
     return math.exp(log_density)
 
 
-def _is_exact(values: Sequence[Scalar]) -> bool:
-    return not any(isinstance(v, float) for v in values)
-
-
 def _exact_weights_key(theta: DiscreteBaseMeasure) -> tuple[Fraction, ...]:
     return tuple(Fraction(w) for w in theta.weights)
 
@@ -186,23 +183,44 @@ def _orthogonal_basis(
     Returns (indices, orthogonal polynomials e_n, squared norms).  Each e_n
     is monic in its leading monomial, has exact rational coefficients, and
     is orthogonal to every earlier basis element under the stationary law.
+
+    The earlier elements are mutually orthogonal, so in exact arithmetic the
+    projection of the new monomial x^n on e_j is E[x^n e_j] and the squared
+    norm of the result e is E[x^n e]: each is a linear sum of moments of the
+    measure, and no polynomial product is formed.
     """
-    theta = DiscreteBaseMeasure(weights)
+    ladder = DiscreteBaseMeasure(weights).moment_ladder
     dim = len(weights) - 1
     indices = tuple(multi_indices(dim, max_degree))
     basis: list[SimplexPolynomial] = []
     norms: list[Fraction] = []
+    forms: list[tuple[list, int]] = []  # each e_j as integer terms over one denominator
+    prior_counts = (0,) * len(weights)
     for index in indices:
-        candidate = SimplexPolynomial.monomial(dim, index)
-        for prior, norm_sq in zip(basis, norms):
-            cross = simplex_expectation(theta, candidate.mul(prior))
+
+        def against(form: tuple[list, int]) -> Fraction:
+            # E[x^index sum_t c_t x^t] = sum_t c_t E[x^(index + t)]
+            pairs, lead = form
+            shifted = [(tuple(map(add, t, index)) + (0,), c) for t, c in pairs]
+            num, den = ladder.posterior_sum(shifted, prior_counts)
+            return Fraction(num, den * lead)
+
+        terms: dict[tuple[int, ...], Fraction] = {index: Fraction(1)}
+        for prior, norm_sq, form in zip(basis, norms, forms):
+            cross = against(form)
             if cross != 0:
-                candidate = candidate.sub(prior.scale(Fraction(cross) / norm_sq))
-        norm_sq = Fraction(simplex_expectation(theta, candidate.mul(candidate)))
+                factor = cross / norm_sq
+                for exps, coeff in prior.terms.items():
+                    terms[exps] = terms.get(exps, 0) - factor * coeff
+        candidate = SimplexPolynomial(dim, terms)
+        numerators, lead = common_denominator(list(candidate.terms.values()))
+        form = (list(zip(candidate.terms, numerators)), lead)
+        norm_sq = against(form)
         if norm_sq <= 0:
             raise DomainError("orthogonalization produced a null polynomial")
         basis.append(candidate)
         norms.append(norm_sq)
+        forms.append(form)
     return indices, tuple(basis), tuple(norms)
 
 
@@ -235,7 +253,7 @@ def _float_basis(
 
 
 def _basis_for(theta: DiscreteBaseMeasure, max_degree: int):
-    if _is_exact(theta.weights):
+    if is_exact(theta.weights):
         return _orthogonal_basis(_exact_weights_key(theta), max_degree)
     return _float_basis(theta, max_degree)
 
@@ -346,7 +364,7 @@ class TransitionModel:
         object.__setattr__(
             self, "_bands", {n: range(binom(n + atoms - 2, atoms - 2)) for n in range(top + 1)}
         )
-        exact = _is_exact(measure.weights)
+        exact = is_exact(measure.weights)
         object.__setattr__(self, "_series", _atom_series(measure.weights, top) if exact else None)
         object.__setattr__(
             self, "_coeffs", _kernel_coefficients(measure.total_mass, top) if exact else None
@@ -375,7 +393,7 @@ class TransitionModel:
         return self._oracle
 
     def _closed_form(self, *points: tuple[Scalar, ...]) -> bool:
-        return self._series is not None and all(_is_exact(p) for p in points)
+        return self._series is not None and all(is_exact(p) for p in points)
 
     def _kernels(self, orders: range, g: tuple[Scalar, ...], gp: tuple[Scalar, ...]) -> list[Scalar]:
         """Q_n for n in ``orders`` at two validated points: the closed form

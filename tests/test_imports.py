@@ -39,6 +39,14 @@ def test_cli_import_loads_no_heavy_module():
     assert _loaded_after("import dfchaos.cli") == set()
 
 
+def test_measures_and_their_moment_ladder_load_no_heavy_module():
+    code = (
+        "from dfchaos.measures import measure, dirichlet_moment\n"
+        "assert dirichlet_moment(measure(1, '1/2'), (2, 1)) == measure(1, '1/2').moment_ladder.moment((2, 1))"
+    )
+    assert _loaded_after(code) == set()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

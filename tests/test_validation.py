@@ -43,6 +43,16 @@ def test_quick_verification_all_green():
     assert "urn-law-suite" in names
 
 
+def test_quick_verification_on_six_atoms_is_green():
+    # the transition-density check builds the exact Gram-Schmidt oracle to
+    # degree 3 in five free coordinates
+    result = run_verification(DiscreteBaseMeasure((1,) * 6), quick=True)
+    assert result.all_passed, [c.name for c in result.checks if not c.passed]
+    names = {c.name for c in result.checks}
+    assert "integral-isometry" in names
+    assert "urn-law-suite" in names
+
+
 def test_exponential_check_on_eight_float_atoms():
     # the full check once enumerated K^n label tuples (8^8 > the cap) and
     # demanded exact zeros of float weights; it now sums over occupation
