@@ -29,16 +29,19 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 from .coeffs import c_iso, limit_coefficient, validate_limit_values
 from .errors import DomainError
 from .hoeffding import degenerate_check, hoeffding_decompose
-from .kernels import PredictableComponent, SimplexPolynomial, SymmetricKernel
+from .kernels import (
+    PredictableComponent,
+    SimplexPolynomial,
+    SymmetricKernel,
+    subset_sum_kernels,
+)
 from .measures import DiscreteBaseMeasure, sample_dirichlet, with_counts
 from .numeric import (
     Scalar,
     binom,
     common_denominator,
     exact_ratio,
-    is_exact,
     occupation_vectors,
-    sub_occupations,
     tuple_counts,
 )
 from .polya import (
@@ -264,35 +267,14 @@ def chaos_kernels(
 
     # every occupation vector of size <= max_order is some sub-occupation,
     # so all conditional means are taken up front, by size (the order in
-    # which a black box draws from ``rng``), and centred over one common
-    # denominator; each theta row gets its own, and the kernel sums run on
-    # ints.  If any input is a float, all of them run as floats over the
-    # denominator 1: an integer numerator has no bound and need not fit one
+    # which a black box draws from ``rng``); the theta rows weight their
+    # centred values in the one integer assembly, ``subset_sum_kernels``
     vectors = [mu for n in range(max_order + 1) for mu in occupation_vectors(n, atoms)]
     conds = [cond(mu) for mu in vectors]
     mean = conds[0]
-    centred_values = [c - mean for c in conds]
-    theta_rows = [[theta_vals[(n, k)] for k in range(1, n + 1)] for n in range(1, max_order + 1)]
-    if not (is_exact(centred_values) and all(is_exact(r) for r in theta_rows)):
-        centred_values = [float(c) for c in centred_values]
-        theta_rows = [[float(t) for t in r] for r in theta_rows]
-    nums, cond_den = common_denominator(centred_values)
-    centred = dict(zip(vectors, nums))
-    kernels = []
-    for n, theta_row in enumerate(theta_rows, start=1):
-        row, theta_den = common_denominator(theta_row)
-        den = theta_den * cond_den
-        values = {}
-        for a_counts in occupation_vectors(n, atoms):
-            acc = 0
-            for k, theta_nk in enumerate(row, start=1):
-                inner = 0
-                for mu, ways in sub_occupations(a_counts, k):
-                    inner += ways * centred[mu]
-                acc += theta_nk * inner
-            values[a_counts] = exact_ratio(acc, den)
-        kernels.append(SymmetricKernel(n, atoms, values))
-    return ChaosDecomposition(alpha, mean, tuple(kernels))
+    rows = {n: {k: theta_vals[(n, k)] for k in range(1, n + 1)} for n in range(1, max_order + 1)}
+    kernels = subset_sum_kernels({mu: c - mean for mu, c in zip(vectors, conds)}, rows, atoms)
+    return ChaosDecomposition(alpha, mean, tuple(kernels.values()))
 
 
 def reconstruct(decomposition: ChaosDecomposition, point: Sequence[Scalar]) -> Scalar:
@@ -380,21 +362,20 @@ def martingale_decomposition(
     """
     if H.atoms != alpha.atoms:
         raise DomainError("statistic and measure disagree on the atom count")
-    ce_cache: dict[tuple[int, ...], Scalar] = {}
-
-    def ce(counts: tuple[int, ...]) -> Scalar:
-        if counts not in ce_cache:
-            ce_cache[counts] = cond_exp_statistic_counts(H, alpha, counts, cap=cap)
-        return ce_cache[counts]
-
+    # by size, so the largest enumeration (the empty history) comes first
+    ce = {
+        counts: cond_exp_statistic_counts(H, alpha, counts, cap=cap)
+        for n in range(H.order + 1)
+        for counts in occupation_vectors(n, H.atoms)
+    }
     components = []
     for n in range(1, H.order + 1):
         table: dict[tuple[tuple[int, ...], int], Scalar] = {}
         for hist in occupation_vectors(n - 1, H.atoms):
-            base = ce(hist)
+            base = ce[hist]
             for atom in range(1, H.atoms + 1):
                 bumped = list(hist)
                 bumped[atom - 1] += 1
-                table[(hist, atom)] = ce(tuple(bumped)) - base
+                table[(hist, atom)] = ce[tuple(bumped)] - base
         components.append(PredictableComponent(n, H.atoms, table))
     return components

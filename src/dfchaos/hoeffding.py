@@ -4,26 +4,47 @@ Any symmetric statistic of N exchangeable urn draws splits uniquely into its
 mean plus N mutually orthogonal projections; the order-s projection is a sum
 over s-subsets of a *degenerate* symmetric function of s arguments, obtained
 by weighting partial conditional expectations with the starred coefficient
-table. Degeneracy here means: averaging the function over its last argument
-under the one-step predictive law gives zero at every history.
+table. It is the chaos kernels' subset-sum formula with theta*_N(s, k) in
+place of theta(n, k), run by the same ``kernels.subset_sum_kernels``, which
+also lifts each component to its order-N projection. Degeneracy here means:
+averaging the function over its last argument under the one-step predictive
+law gives zero at every history.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .coeffs import CoefficientTable, theta_table
+from .coeffs import theta_table
 from .errors import DomainError
-from .kernels import SymmetricKernel
+from .kernels import SymmetricKernel, subset_sum_kernels
 from .measures import DiscreteBaseMeasure
-from .numeric import Scalar, nullspace, occupation_vectors, sub_occupations
-from .polya import (
-    DEFAULT_ENUMERATION_CAP,
-    cond_exp_statistic_counts,
-    expectation_statistic,
+from .numeric import (
+    Scalar,
+    common_denominator,
+    exact_ratio,
+    is_exact,
+    nullspace,
+    occupation_vectors,
 )
+from .polya import DEFAULT_ENUMERATION_CAP, cond_exp_statistic_counts
+
+
+def _predictive_rows(weights: Sequence[Scalar], order: int) -> tuple[list, Scalar]:
+    """(rows, d): per history x of size order-1, the pairs (x + e_a, w_a)
+    with P(next draw = a | x) = w_a / d.  With the weights p_a / q over their
+    common denominator, w_a = p_a + x_a q and d = sum_a p_a + (order-1) q."""
+    p, q = common_denominator(weights)
+    rows = []
+    for history in occupation_vectors(order - 1, len(weights)):
+        row = []
+        for atom in range(len(weights)):
+            bumped = list(history)
+            bumped[atom] += 1
+            row.append((tuple(bumped), p[atom] + history[atom] * q))
+        rows.append(row)
+    return rows, sum(p) + (order - 1) * q
 
 
 def degenerate_check(h: SymmetricKernel, alpha: DiscreteBaseMeasure) -> Scalar:
@@ -32,49 +53,43 @@ def degenerate_check(h: SymmetricKernel, alpha: DiscreteBaseMeasure) -> Scalar:
     Returns max over histories x of length order-1 of
     | sum_a h(x, a) · P(next draw = a | x) |; exactly zero iff h is
     degenerate for this base measure. Order-1 kernels are checked against
-    the empty history (the base predictive).
+    the empty history (the base predictive). With h's values over their
+    common denominator the sums run on ints and one ratio is formed at the
+    end (floats throughout when a value or weight is a float).
     """
     if h.atoms != alpha.atoms:
         raise DomainError("kernel and measure disagree on the atom count")
     if h.order < 1:
         raise DomainError("degeneracy is defined for orders >= 1")
-    total = alpha.total_mass
-    worst: Scalar = Fraction(0)
-    for history in occupation_vectors(h.order - 1, alpha.atoms):
-        denom = total + (h.order - 1)
-        acc: Scalar = Fraction(0)
-        for atom in range(1, alpha.atoms + 1):
-            weight = (alpha.weights[atom - 1] + history[atom - 1]) / denom
-            bumped = list(history)
-            bumped[atom - 1] += 1
-            acc = acc + weight * h.value(tuple(bumped))
-        worst = max(worst, abs(acc))
-    return worst
+    values, weights = list(h.values.values()), alpha.weights
+    if not (is_exact(values) and is_exact(weights)):
+        values, weights = [float(v) for v in values], [float(w) for w in weights]
+    nums, value_den = common_denominator(values)
+    table = dict(zip(h.values, nums))
+    rows, den = _predictive_rows(weights, h.order)
+    worst = max(abs(sum(w * table.get(bumped, 0) for bumped, w in row)) for row in rows)
+    return exact_ratio(worst, value_den * den)
 
 
 def degenerate_basis(alpha: DiscreteBaseMeasure, order: int) -> list[SymmetricKernel]:
     """Exact rational basis of the order-n degenerate kernels for alpha.
 
-    Solves the predictive-average conditions as a homogeneous linear system
-    over the rationals; the dimension equals the number of occupation
-    vectors of size n minus the number of size n-1.
+    Solves the predictive-average conditions (each row times the common
+    denominator d, which leaves the basis unchanged) as a homogeneous
+    linear system over the rationals; the dimension equals the number of
+    occupation vectors of size n minus the number of size n-1.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
     domain = list(occupation_vectors(order, alpha.atoms))
     index = {counts: i for i, counts in enumerate(domain)}
-    total = alpha.total_mass
-    rows = []
-    for history in occupation_vectors(order - 1, alpha.atoms):
-        row = [Fraction(0)] * len(domain)
-        denom = total + (order - 1)
-        for atom in range(1, alpha.atoms + 1):
-            weight = (alpha.weights[atom - 1] + history[atom - 1]) / denom
-            bumped = list(history)
-            bumped[atom - 1] += 1
-            row[index[tuple(bumped)]] += weight
-        rows.append(row)
-    basis = nullspace(rows)
+    matrix = []
+    for row in _predictive_rows(alpha.weights, order)[0]:
+        dense = [0] * len(domain)
+        for bumped, w in row:
+            dense[index[bumped]] = w
+        matrix.append(dense)
+    basis = nullspace(matrix)
     return [
         SymmetricKernel(order, alpha.atoms, dict(zip(domain, vec))) for vec in basis
     ]
@@ -113,53 +128,6 @@ class HoeffdingDecomposition:
         return total
 
 
-class _CondExpCache:
-    """Shared cache of E[T | occupation counts] across projection orders."""
-
-    def __init__(self, statistic: SymmetricKernel, alpha: DiscreteBaseMeasure, cap: int):
-        self.statistic = statistic
-        self.alpha = alpha
-        self.cap = cap
-        self._store: dict[tuple[int, ...], Scalar] = {}
-
-    def __call__(self, counts: tuple[int, ...]) -> Scalar:
-        if counts not in self._store:
-            self._store[counts] = cond_exp_statistic_counts(
-                self.statistic, self.alpha, counts, cap=self.cap
-            )
-        return self._store[counts]
-
-
-def _component_tables(
-    statistic: SymmetricKernel,
-    alpha: DiscreteBaseMeasure,
-    s: int,
-    table: CoefficientTable,
-    mean: Scalar,
-    ce: _CondExpCache,
-) -> tuple[SymmetricKernel, SymmetricKernel]:
-    N, atoms = statistic.order, statistic.atoms
-    phi_values = {}
-    for a_counts in occupation_vectors(s, atoms):
-        acc: Scalar = Fraction(0)
-        for k in range(1, s + 1):
-            weight = table.theta_star(s, k)
-            inner: Scalar = Fraction(0)
-            for mu, ways in sub_occupations(a_counts, k):
-                inner = inner + ways * (ce(mu) - mean)
-            acc = acc + weight * inner
-        phi_values[a_counts] = acc
-    phi_s = SymmetricKernel(s, atoms, phi_values)
-
-    pi_values = {}
-    for m_counts in occupation_vectors(N, atoms):
-        acc = Fraction(0)
-        for a_counts, ways in sub_occupations(m_counts, s):
-            acc = acc + ways * phi_s.value(a_counts)
-        pi_values[m_counts] = acc
-    return phi_s, SymmetricKernel(N, atoms, pi_values)
-
-
 def hoeffding_decompose(
     statistic: SymmetricKernel,
     alpha: DiscreteBaseMeasure,
@@ -172,12 +140,19 @@ def hoeffding_decompose(
     if N < 1:
         raise DomainError("the statistic must depend on at least one draw")
     table = theta_table(N, alpha.total_mass)
-    ce = _CondExpCache(statistic, alpha, cap)
-    mean = expectation_statistic(statistic, alpha, cap=cap)
-    components = []
-    projections = []
-    for s in range(1, N + 1):
-        phi_s, pi_s = _component_tables(statistic, alpha, s, table, mean, ce)
-        components.append(phi_s)
-        projections.append(pi_s)
-    return HoeffdingDecomposition(alpha, N, mean, tuple(components), tuple(projections))
+    # by size, so the largest enumeration (the mean) comes first and the cap
+    # is hit before any component is built
+    vectors = [mu for n in range(N + 1) for mu in occupation_vectors(n, alpha.atoms)]
+    conds = [cond_exp_statistic_counts(statistic, alpha, mu, cap=cap) for mu in vectors]
+    mean = conds[0]
+    rows = {s: {k: table.theta_star(s, k) for k in range(1, s + 1)} for s in range(1, N + 1)}
+    components = subset_sum_kernels(
+        {mu: c - mean for mu, c in zip(vectors, conds)}, rows, alpha.atoms
+    )
+    projections = [
+        subset_sum_kernels(phi.values, {N: {s: 1}}, alpha.atoms)[N]
+        for s, phi in components.items()
+    ]
+    return HoeffdingDecomposition(
+        alpha, N, mean, tuple(components.values()), tuple(projections)
+    )

@@ -19,10 +19,12 @@ from .numeric import (
     Scalar,
     as_scalar,
     common_denominator,
+    exact_ratio,
     is_exact,
     multiplicity,
     occupation_vectors,
     scalar_to_json,
+    sub_occupations,
     tuple_counts,
 )
 
@@ -144,6 +146,47 @@ class SymmetricKernel:
         for entry in entries:
             values[tuple(int(c) for c in entry["counts"])] = as_scalar(entry["value"])
         return cls(order, atoms, values)
+
+
+def subset_sum_kernels(
+    values: Mapping[tuple[int, ...], Scalar],
+    rows: Mapping[int, Mapping[int, Scalar]],
+    atoms: int,
+) -> dict[int, SymmetricKernel]:
+    """For each order n of ``rows``, the order-n kernel
+
+        a -> sum_k w[n][k] · sum_{mu <= a, |mu| = k} ways(mu) · v(mu),
+
+    v = ``values`` (a missing vector means 0) and ways(mu) = prod_j
+    C(a_j, mu_j), the number of k-subsets of the n points realising mu.
+    The limit coefficients theta(n, k) as weights give the chaos kernels,
+    the starred table theta*_N(s, k) the finite-sample components, and a
+    unit row {N: {s: 1}} the order-N subset sum of an order-s kernel.
+
+    The values go over one common denominator and each row over its own,
+    so the sums run on ints and each entry is one Fraction.  If any value
+    or weight is a float, all run as floats over the denominator 1: an
+    integer numerator has no bound and need not fit a float.
+    """
+    exact = is_exact(values.values()) and all(is_exact(r.values()) for r in rows.values())
+    cast = list if exact else (lambda xs: [float(x) for x in xs])
+    nums, value_den = common_denominator(cast(values.values()))
+    table = dict(zip(values, nums))
+    kernels = {}
+    for n, row in rows.items():
+        weights, row_den = common_denominator(cast(row.values()))
+        den = row_den * value_den
+        out = {}
+        for a_counts in occupation_vectors(n, atoms):
+            acc = 0
+            for k, w in zip(row, weights):
+                inner = 0
+                for mu, ways in sub_occupations(a_counts, k):
+                    inner += ways * table.get(mu, 0)
+                acc += w * inner
+            out[a_counts] = exact_ratio(acc, den)
+        kernels[n] = SymmetricKernel(n, atoms, out)
+    return kernels
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from .chaos import (
 from .coeffs import c_iso, c_overlap
 from .errors import DomainError, NumericError, ResourceCapError
 from .hoeffding import HoeffdingDecomposition, hoeffding_decompose
-from .kernels import SimplexPolynomial, SymmetricKernel
+from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
 from .measures import DiscreteBaseMeasure, sample_dirichlet
 from .numeric import (
     Scalar,
@@ -134,19 +134,13 @@ def statistic_from_kernels(
     functional: each order contributes its full subset sum, not its average.
     """
     values: dict[tuple[int, ...], Scalar] = {}
-    for counts in occupation_vectors(window, atoms):
-        acc: Scalar = 0
-        for order, g in kernels.items():
-            if g.order != order:
-                raise DomainError(f"kernel at slot {order} has order {g.order}")
-            if g.atoms != atoms:
-                raise DomainError("kernel atom counts disagree")
-            for mu, ways in sub_occupations(counts, order):
-                value = g.value(mu)
-                if value != 0:
-                    acc = acc + ways * value
-        values[counts] = acc
-    return SymmetricKernel(window, atoms, values)
+    for order, g in kernels.items():
+        if g.order != order:
+            raise DomainError(f"kernel at slot {order} has order {g.order}")
+        if g.atoms != atoms:
+            raise DomainError("kernel atom counts disagree")
+        values.update(g.values)
+    return subset_sum_kernels(values, {window: dict.fromkeys(kernels, 1)}, atoms)[window]
 
 
 def direct_loss(

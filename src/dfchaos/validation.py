@@ -397,10 +397,10 @@ def _check_limits_vs_oracle(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bo
 
 def _check_isometry(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
     orders = (1, 2) if quick else (1, 2, 3)
+    bases = {n: degenerate_basis(alpha, n) for n in orders}
     worst = 0.0
     count = 0
-    for n in orders:
-        basis = degenerate_basis(alpha, n)
+    for basis in bases.values():
         for h in basis:
             for f in basis:
                 result = covariance_integrals(h, f, alpha)
@@ -411,9 +411,7 @@ def _check_isometry(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]
         for m in orders:
             if m <= n:
                 continue
-            hn = degenerate_basis(alpha, n)[0]
-            fm = degenerate_basis(alpha, m)[0]
-            result = covariance_integrals(hn, fm, alpha)
+            result = covariance_integrals(bases[n][0], bases[m][0], alpha)
             worst = max(worst, abs(float(result.exact)))
             count += 1
     ok = worst <= 1e-10

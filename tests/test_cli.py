@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dfchaos
 from dfchaos.cli import main
 
 ETA_SQ_JSON = {"nvars": 2, "terms": [{"exponents": [2, 0], "coeff": 1}]}
@@ -292,11 +295,15 @@ def test_verify_refuses_a_one_atom_measure(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the package this process imported, however pytest found it
+    src = str(Path(dfchaos.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
         [sys.executable, "-m", "dfchaos.cli", "coeffs", "--alpha", "2", "--N", "2"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert result.returncode == 0
     assert "1,1,3/4,3/4" in result.stdout.splitlines()

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 
-from dfchaos.errors import DomainError
+from dfchaos.chaos import martingale_decomposition
+from dfchaos.errors import DomainError, ResourceCapError
 from dfchaos.hoeffding import (
     degenerate_basis,
     degenerate_check,
@@ -100,3 +102,29 @@ def test_split_requires_matching_atoms():
         hoeffding_decompose(
             SymmetricKernel(1, 3, {(1, 0, 0): Fraction(1)}), measure(1, 1)
         )
+
+
+@pytest.mark.parametrize("decompose", [hoeffding_decompose, martingale_decomposition])
+def test_cap_stops_the_first_and_largest_enumeration(decompose, monkeypatch):
+    # every conditional mean is taken once, up front and by size, so the
+    # mean's K^N completions hit the cap before anything else is computed
+    alpha = measure(1, "1/2", 2)
+    H = SymmetricKernel.from_function(
+        3, 3, lambda counts: Fraction(counts[0] - counts[2], 1 + counts[1])
+    )
+    module = sys.modules[decompose.__module__]
+    original = module.cond_exp_statistic_counts
+    calls = []
+
+    def spy(statistic, alpha, counts, cap):
+        calls.append(tuple(counts))
+        return original(statistic, alpha, counts, cap=cap)
+
+    monkeypatch.setattr(module, "cond_exp_statistic_counts", spy)
+    with pytest.raises(ResourceCapError):
+        decompose(H, alpha, cap=3**3 - 1)
+    assert calls == [(0, 0, 0)]
+    calls.clear()
+    decompose(H, alpha, cap=3**3)
+    every = [mu for n in range(4) for mu in occupation_vectors(n, 3)]
+    assert calls == every

@@ -54,9 +54,18 @@ def test_measures_and_their_moment_ladder_load_no_heavy_module():
         ["coeffs", "--alpha", "2", "--limits", "--max-order", "3"],
         ["wf", "--theta", "1,1/2", "--t", "0.5", "--truncation", "4",
          "--gamma", "1/3", "--gamma-prime", "1/2"],
+        # the subset-sum assembly lives in kernels, not in numpy-bound ustat
+        ["decompose", "--alpha", "1/3,4/3", "--F", "{F}"],
+        ["decompose", "--alpha", "1/3,4/3", "--F", "{F}", "--finite", "4"],
     ],
 )
-def test_exact_subcommands_run_without_heavy_modules(argv):
+def test_exact_subcommands_run_without_heavy_modules(argv, tmp_path):
+    functional = tmp_path / "F.json"
+    functional.write_text(json.dumps(
+        {"nvars": 2, "terms": [{"coeff": "-1", "exponents": [2, 0]},
+                               {"coeff": "1", "exponents": [2, 1]}]}
+    ))
+    argv = [str(functional) if a == "{F}" else a for a in argv]
     code = (
         "import contextlib, io, dfchaos.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -10,6 +10,10 @@ three exact identities.  The moment ladder (Dirichlet moments, posterior
 means, kernel assembly and the exact Gram-Schmidt basis on integers) is
 held to Fraction references built the way the code used to build them,
 and its float route to the exact value at the float's rational image.
+The finite split (components, projections, degeneracy, reconstruction),
+the degeneracy residual and window subset sums are held to per-term
+Fraction references and brute force, and the chaos kernels to exact
+reconstruction and Parseval.
 """
 
 from __future__ import annotations
@@ -22,7 +26,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dfchaos.chaos import chaos_kernels, poly_posterior_mean
+from dfchaos.chaos import (
+    chaos_kernels,
+    poly_posterior_mean,
+    reconstruct,
+    variance_from_decomposition,
+    variance_functional,
+)
 from dfchaos.coeffs import (
     limit_coefficient,
     limit_coefficients,
@@ -32,11 +42,12 @@ from dfchaos.coeffs import (
     validate_limit_values,
 )
 from dfchaos.errors import CoefficientValidationError, DomainError
+from dfchaos.hoeffding import degenerate_check, hoeffding_decompose
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel
 from dfchaos.measures import DiscreteBaseMeasure, dirichlet_moment, with_counts
-from dfchaos.numeric import occupation_vectors, rising_factorial, sub_occupations
+from dfchaos.numeric import occupation_vectors, rising_factorial, sub_occupations, tuple_counts
 from dfchaos.polya import cond_exp_statistic_counts, polya_joint_prob
-from dfchaos.ustat import direct_loss, mc_loss, scaled_kernel_candidate
+from dfchaos.ustat import direct_loss, mc_loss, scaled_kernel_candidate, statistic_from_kernels
 from dfchaos.validation import mass_kernel_identities, oracle_limit_row
 from dfchaos.wright_fisher import (
     TransitionModel,
@@ -405,3 +416,107 @@ def test_a_grown_ladder_leaves_equality_hash_and_json_alone():
     assert hash(first) == hash(second)
     assert first.to_json() == second.to_json()
     assert {first: 1}[second] == 1
+
+
+# ---------------------------------------------------------------------------
+# the finite split and window statistics: one subset-sum assembly
+
+FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+SPLIT_EXAMPLES = settings(max_examples=25, deadline=None, database=None)
+
+
+@st.composite
+def statistics(draw, atoms, min_order=1, max_order=4):
+    order = draw(st.integers(min_order, max_order))
+    domain = list(occupation_vectors(order, atoms))
+    values = draw(st.lists(FRACTIONS, min_size=len(domain), max_size=len(domain)))
+    return SymmetricKernel(order, atoms, dict(zip(domain, values)))
+
+
+def reference_split(statistic, alpha):
+    """The finite split in per-term Fractions, as it was first assembled:
+    one conditional mean per sub-occupation, and each component lifted to
+    its projection by a loop of its own."""
+    N, atoms = statistic.order, statistic.atoms
+    table = theta_table(N, sum(alpha.weights))
+    mean = cond_exp_statistic_counts(statistic, alpha, (0,) * atoms)
+    components, projections = [], []
+    for s in range(1, N + 1):
+        phi = {}
+        for a_counts in occupation_vectors(s, atoms):
+            acc = Fraction(0)
+            for k in range(1, s + 1):
+                inner = Fraction(0)
+                for mu, ways in sub_occupations(a_counts, k):
+                    inner += ways * (cond_exp_statistic_counts(statistic, alpha, mu) - mean)
+                acc += table.theta_star(s, k) * inner
+            phi[a_counts] = acc
+        pi = {
+            m_counts: sum((ways * phi[a] for a, ways in sub_occupations(m_counts, s)), Fraction(0))
+            for m_counts in occupation_vectors(N, atoms)
+        }
+        components.append(SymmetricKernel(s, atoms, phi))
+        projections.append(SymmetricKernel(N, atoms, pi))
+    return mean, tuple(components), tuple(projections)
+
+
+def reference_degenerate_check(h, alpha):
+    """max over histories of |sum_a h(x, a) P(a | x)|, term by term."""
+    denom = sum(alpha.weights) + h.order - 1
+    worst = Fraction(0)
+    for history in occupation_vectors(h.order - 1, alpha.atoms):
+        acc = Fraction(0)
+        for atom in range(alpha.atoms):
+            bumped = tuple(c + (j == atom) for j, c in enumerate(history))
+            acc += (alpha.weights[atom] + history[atom]) / denom * h.value(bumped)
+        worst = max(worst, abs(acc))
+    return worst
+
+
+@SPLIT_EXAMPLES
+@given(alpha=rational_measures(max_atoms=3), data=st.data())
+def test_finite_split_equals_the_fraction_assembly(alpha, data):
+    statistic = data.draw(statistics(alpha.atoms))
+    split = hoeffding_decompose(statistic, alpha)
+    assert (split.mean, split.components, split.projections) == reference_split(statistic, alpha)
+    assert all(degenerate_check(phi, alpha) == 0 for phi in split.components)
+    assert split.reconstruct() == statistic
+
+
+@SPLIT_EXAMPLES
+@given(alpha=rational_measures(max_atoms=3), data=st.data())
+def test_degenerate_check_equals_the_per_term_residual(alpha, data):
+    h = data.draw(statistics(alpha.atoms))
+    residual = degenerate_check(h, alpha)
+    assert type(residual) is Fraction
+    assert residual == reference_degenerate_check(h, alpha)
+
+
+@SPLIT_EXAMPLES
+@given(atoms=st.integers(2, 3), data=st.data())
+def test_statistic_from_kernels_is_the_brute_force_subset_sum(atoms, data):
+    orders = data.draw(st.sets(st.integers(1, 3), min_size=1))
+    kernels = {n: data.draw(statistics(atoms, n, n)) for n in orders}
+    window = data.draw(st.integers(max(orders), 5))
+    expected = {
+        counts: sum(
+            (g.value(tuple_counts(subset, atoms))
+             for n, g in kernels.items()
+             for subset in itertools.combinations(labels_of(counts), n)),
+            Fraction(0),
+        )
+        for counts in occupation_vectors(window, atoms)
+    }
+    assert statistic_from_kernels(kernels, window, atoms) == SymmetricKernel(window, atoms, expected)
+
+
+@SPLIT_EXAMPLES
+@given(alpha=rational_measures(max_atoms=3), data=st.data())
+def test_chaos_kernels_reconstruct_and_obey_parseval(alpha, data):
+    F = data.draw(polynomials(alpha.atoms))
+    decomposition = chaos_kernels(F, alpha, max(F.degree, 1))
+    parts = data.draw(st.lists(st.integers(1, 9), min_size=alpha.atoms, max_size=alpha.atoms))
+    point = tuple(Fraction(p, sum(parts)) for p in parts)
+    assert reconstruct(decomposition, point) == F.evaluate(point)
+    assert variance_from_decomposition(decomposition) == variance_functional(F, alpha)
+    assert all(degenerate_check(h, alpha) == 0 for h in decomposition.kernels)
