@@ -28,21 +28,20 @@ This is the Bernstein/Jacobi structure of Griffiths (Adv. Appl. Probab.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .chaos import ChaosDecomposition, chaos_kernels
+from .chaos import ChaosDecomposition, chaos_kernels, statistic_product_mean
 from .coeffs import c_iso
 from .errors import DomainError, ResourceCapError
 from .jacobi import beta_bernstein
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, dirichlet_moment, with_observations
-from .numeric import Scalar, as_scalar, hyp1f1, occupation_vectors, tuple_counts
-from .polya import DEFAULT_ENUMERATION_CAP, expectation_statistic
+from .numeric import Scalar, as_scalar, hyp1f1, multiplicity, occupation_vectors, tuple_counts
+from .polya import DEFAULT_ENUMERATION_CAP
 
 __all__ = [
     "ObservedSample",
@@ -80,50 +79,37 @@ class ObservedSample:
         return with_observations(self.alpha, self.labels)
 
 
-def _as_value_table(
+def _occupation_sums(
     h: SymmetricKernel | Mapping[tuple[int, ...], Scalar], atoms: int
-) -> tuple[int, dict[tuple[int, ...], Scalar]]:
-    """Normalize a statistic of a label block to (arity, ordered-tuple table).
+) -> tuple[int, dict[tuple[int, ...], tuple[Scalar, Scalar]]]:
+    """(arity m, occupation vector c -> (sum of h(t), sum of h(t)^2)).
 
-    Accepts either a symmetric kernel (expanded over all orderings) or a
-    plain mapping from 1-based label tuples to values; the mapping need not
-    be symmetric.  Missing tuples count as zero.
+    The sums run over the label tuples t with occupation vector c.  A
+    symmetric kernel contributes mult(c)·h(c) and mult(c)·h(c)^2 on each
+    vector where it is nonzero; a plain mapping from 1-based label tuples
+    to values need not be symmetric, and missing tuples count as zero.
     """
     if isinstance(h, SymmetricKernel):
         if h.atoms != atoms:
             raise DomainError(f"kernel is over {h.atoms} atoms, expected {atoms}")
-        table: dict[tuple[int, ...], Scalar] = {}
-        for labels in itertools.product(range(1, atoms + 1), repeat=h.order):
-            value = h.value(tuple_counts(labels, atoms))
-            if value != 0:
-                table[labels] = value
-        return h.order, table
+        return h.order, {
+            c: (multiplicity(c) * v, multiplicity(c) * v * v) for c, v in h.values.items() if v != 0
+        }
     arities = {len(k) for k in h.keys()}
     if len(arities) != 1:
         raise DomainError(f"value table mixes arities {sorted(arities) if arities else '(empty)'}")
     (m,) = arities
-    table = {}
+    sums: dict[tuple[int, ...], tuple[Scalar, Scalar]] = {}
     for raw, value in h.items():
         labels = tuple(int(x) for x in raw)
         for x in labels:
             if not 1 <= x <= atoms:
                 raise DomainError(f"label {x} outside support 1..{atoms}")
-        table[labels] = as_scalar(value)
-    return m, table
-
-
-def _mean_functional(
-    table: Mapping[tuple[int, ...], Scalar], atoms: int
-) -> SimplexPolynomial:
-    """The polynomial  E[h(X_1..X_m) | D] = sum_tuples h(t) prod_j d_{t_j}."""
-    terms: dict[tuple[int, ...], Scalar] = {}
-    for labels, value in table.items():
+        value = as_scalar(value)
         counts = tuple_counts(labels, atoms)
-        terms[counts] = terms.get(counts, 0) + value
-    terms = {k: v for k, v in terms.items() if v != 0}
-    if not terms:
-        return SimplexPolynomial.constant(atoms, 0)
-    return SimplexPolynomial(atoms, terms)
+        first, second = sums.get(counts, (0, 0))
+        sums[counts] = (first + value, second + value * value)
+    return m, sums
 
 
 def estimate_conditional_variance(
@@ -139,14 +125,14 @@ def estimate_conditional_variance(
 
     with m_k the order-k kernels of the conditional-mean functional under
     the posterior.  The sum is finite because a statistic of m coordinates
-    has no components beyond order m.  Enumeration is K^m over the future
-    block; the cap guards that loop.  Because everything is phrased through
-    the posterior, conditioning on data and folding the data into the base
-    measure give identical results by construction.
+    has no components beyond order m.  A future block of more than ``cap``
+    label tuples (K^m) raises ResourceCapError.  Because everything is
+    phrased through the posterior, conditioning on data and folding the
+    data into the base measure give identical results by construction.
     """
     atoms = sample.alpha.atoms
-    m, table = _as_value_table(h, atoms)
-    if m == 0 or not table:
+    m, sums = _occupation_sums(h, atoms)
+    if m == 0 or not sums:
         return 0
     if atoms**m > cap:
         raise ResourceCapError(
@@ -156,13 +142,14 @@ def estimate_conditional_variance(
 
     first: Scalar = 0
     second: Scalar = 0
-    for labels, value in table.items():
-        prob = dirichlet_moment(posterior, tuple_counts(labels, atoms))
+    for counts, (value, square) in sums.items():
+        prob = dirichlet_moment(posterior, counts)
         first = first + value * prob
-        second = second + value * value * prob
+        second = second + square * prob
     variance = second - first * first
 
-    mean_poly = _mean_functional(table, atoms)
+    # the conditional mean E[h | D] = sum_c (sum of h over c) d^c
+    mean_poly = SimplexPolynomial(atoms, {c: value for c, (value, _) in sums.items()})
     decomposition = chaos_kernels(mean_poly, posterior, m)
     total = posterior.total_mass
     correction: Scalar = 0
@@ -170,10 +157,8 @@ def estimate_conditional_variance(
         kernel = decomposition.kernel(k)
         if kernel.is_zero():
             continue
-        squared = SymmetricKernel(
-            kernel.order, kernel.atoms, {c: v * v for c, v in kernel.items()}
-        )
-        correction = correction + c_iso(k, total) * expectation_statistic(squared, posterior, cap=cap)
+        second_moment = statistic_product_mean(kernel, kernel, posterior)
+        correction = correction + c_iso(k, total) * second_moment
     return variance - correction
 
 

@@ -14,11 +14,12 @@ Three layers live here:
   ``system_residuals`` re-substitutes a table into that defining system;
 * the infinite-sample limits theta^(n,k) = lim_N C(N,n)·theta*_N(n,k),
 
-      theta(n,k) = (-1)^(n-k) · rising(m+n, n)/n! · rho(n,k),
+      theta(n,k) = (m+2n-1) · (-1)^(n-k) · rising(m+k, n-1) / n!,
 
-  with ``theta_limit`` as an independent route (exact extrapolation in 1/N
-  of the finite tables); the two-point projection oracle that solves for
-  the same row lives in ``validation``;
+  also the coefficients of Griffiths' kernel polynomials (``wright_fisher``
+  reads them, k = 0 included), with ``theta_limit`` as an independent route
+  (exact extrapolation in 1/N of the finite tables); the two-point
+  projection oracle that solves for the same row lives in ``validation``;
 * the isometry constants c(n, |alpha|) and the overlapping-window covariance
   factors c(r, n, |alpha|), the latter in both circulating closed-form
   readings plus an exact enumeration oracle that arbitrates between them.
@@ -124,8 +125,8 @@ class CoefficientTable:
 
 
 def _rho(k: int, a: int, total_mass: Scalar) -> Scalar:
-    """rising(m+a, k-a) / rising(m+k+a-1, k-a): the within-row ratio shared by
-    the finite tables and their limits (it does not depend on N)."""
+    """rising(m+a, k-a) / rising(m+k+a-1, k-a): the within-row ratio of the
+    finite tables (it does not depend on N; their diagonal does)."""
     num = rising_factorial(total_mass + a, k - a)
     return num / rising_factorial(total_mass + k + a - 1, k - a)
 
@@ -140,9 +141,10 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
 
     and theta_N(k,a) = C(N-a, k-a)·theta*_N(k,a).  The ratios within a row
     do not depend on N; only the diagonal 1/psi_N(k,k,k) does (psi > 0 for
-    m > 0, so no row is singular).  The closing row is theta^(N,N) = 1,
-    theta^(N,a) = -sum_{s=a..N-1} theta^(s,a); it is produced only when
-    max_k >= N (it needs every lower row).
+    m > 0, so no row is singular); C(N,k)·theta*_N(k,a) tends to the
+    rho-free product of ``limit_coefficient``.  The closing row is
+    theta^(N,N) = 1, theta^(N,a) = -sum_{s=a..N-1} theta^(s,a); it is
+    produced only when max_k >= N (it needs every lower row).
 
     The rows are the unique solution of the defining triangular system
     theta^(k,k)·psi(k,k,k) = 1 and, for q < k,
@@ -308,23 +310,25 @@ def _exact_mass(total_mass: Scalar) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _limit_row(total_mass: Fraction, n: int) -> tuple[Fraction, ...]:
-    """(theta^(n,1), ..., theta^(n,n)) from the closed form."""
-    scale = rising_factorial(total_mass + n, n) / math.factorial(n)
+    """(theta^(n,0), ..., theta^(n,n)) from the closed form, for n >= 1."""
+    lead = (total_mass + 2 * n - 1) / math.factorial(n)
     return tuple(
-        (-1) ** (n - k) * scale * _rho(n, k, total_mass) for k in range(1, n + 1)
+        (-1) ** (n - k) * lead * rising_factorial(total_mass + k, n - 1) for k in range(n + 1)
     )
 
 
 def limit_coefficient(n: int, k: int, total_mass: Scalar) -> Fraction:
     """theta^(n,k): the limit projection coefficient, in closed form.
 
-        theta(n,k) = (-1)^(n-k) · rising(m+n, n)/n! · rho(n,k),
-        rho(n,k)   = rising(m+k, n-k) / rising(m+n+k-1, n-k),
+        theta(n,k) = (m+2n-1) · (-1)^(n-k) · rising(m+k, n-1) / n!,
 
-    the same within-row ratio as the finite tables, so theta(n,n) =
-    1/c_iso(n).  The coefficients are pinned by the extraction conditions:
-    the formula sum_k theta(n,k) sum_{|S|=k} E[F | X_S] must return the
-    order-n kernel of F for every F = I_j(h), h degenerate of order j <= n.
+    so theta(n,n) = 1/c_iso(n); C(n,k)·theta(n,k) is Griffiths' coefficient
+    of the kernel polynomial Q_n (Adv. Appl. Probab. 11, 1979).  Its k = 0
+    entry, which ``wright_fisher`` reads, never reaches a chaos kernel (the
+    centred mean of the empty vector is 0), so here k >= 1.  The
+    coefficients are pinned by the extraction conditions: the formula
+    sum_k theta(n,k) sum_{|S|=k} E[F | X_S] must return the order-n kernel
+    of F for every F = I_j(h), h degenerate of order j <= n.
     Sketch: E[I_j(h) | X_1..X_k] = j!/rising(m+k, j) · sum_{|T|=j, T<=[k]}
     h(X_T) (zero for k < j), so the conditions become the triangular system
 
@@ -337,7 +341,7 @@ def limit_coefficient(n: int, k: int, total_mass: Scalar) -> Fraction:
     """
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got (n={n}, k={k})")
-    return _limit_row(_exact_mass(total_mass), n)[k - 1]
+    return _limit_row(_exact_mass(total_mass), n)[k]
 
 
 def limit_coefficients(total_mass: Scalar, max_order: int) -> dict[tuple[int, int], Fraction]:
@@ -375,7 +379,7 @@ def validate_limit_values(
                     f"missing limit coefficient ({n},{k}) in supplied set"
                 )
             row_values.append(values[(n, k)])
-        exact = _limit_row(mass, n)
+        exact = _limit_row(mass, n)[1:]
         scale = max(abs(float(t)) for t in exact)
         worst = max(abs(float(v - t)) for v, t in zip(row_values, exact)) / scale
         if worst > tol:

@@ -11,12 +11,13 @@ reproduces J_n(eta): J_n in the Bernstein basis, whose coefficients have
 the closed form of ``beta_bernstein`` (no linear solve).
 
 Although the printed coefficients are gamma ratios, every ratio collapses
-to a product of rising factorials, so for rational parameters the entire
-polynomial is  sqrt(k_n) * (exact rational vector)  with k_n itself an
-exact rational.  All inner products are therefore evaluated on the
-rational side and only the final sqrt introduces a rounding; orthogonality
-residuals are exact zeros.  Irrational (float) parameters fall back to a
-log-gamma evaluation, which caps the supported degree at n <= 30.
+to a product of rising factorials, so the entire polynomial is
+sqrt(k_n) * (exact rational vector)  with k_n itself an exact rational.
+Float parameters enter as their exact rational image ``Fraction(x)``, so
+there is one route for every parameter type.  All inner products are
+evaluated on the rational side and only the final sqrt introduces a
+rounding; orthogonality residuals are exact zeros.  The degree is capped
+at ``MAX_JACOBI_ORDER`` for the cost of the CLI's exact Gram check.
 """
 
 from __future__ import annotations
@@ -46,9 +47,10 @@ __all__ = [
     "as_functional",
 ]
 
-#: Largest degree supported on the log-gamma fallback path; the exact
-#: rational path has no such limit but keeps the same cap for a uniform
-#: contract.
+#: Largest supported degree.  The closed form itself has no limit; the cap
+#: bounds the CLI's exact Gram check over all pairs i, j <= n, which costs
+#: O(n^4) rational operations (``jacobi --n 30`` takes about 5 s on one
+#: Xeon core under Python 3.11).
 MAX_JACOBI_ORDER = 30
 
 
@@ -57,25 +59,23 @@ class BetaParams:
     """Parameters (a1, a0) of the Beta weight  x^(a1-1) (1-x)^(a0-1) / B(a1, a0).
 
     ``a1`` weights the atom whose mass is ``x`` and ``a0`` the complementary
-    atom, matching the two-atom base measure ``measure(a1, a0)``.
+    atom, matching the two-atom base measure ``measure(a1, a0)``.  A float
+    parameter is stored as its exact rational image ``Fraction(x)``.
     """
 
-    a1: Scalar
-    a0: Scalar
+    a1: Fraction
+    a0: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a1", as_scalar(self.a1))
-        object.__setattr__(self, "a0", as_scalar(self.a0))
-        if not (self.a1 > 0 and self.a0 > 0):
-            raise DomainError(f"Beta parameters must be positive, got ({self.a1}, {self.a0})")
+        a1, a0 = as_scalar(self.a1), as_scalar(self.a0)
+        if not (0 < a1 < math.inf and 0 < a0 < math.inf):
+            raise DomainError(f"Beta parameters must be positive and finite, got ({a1}, {a0})")
+        object.__setattr__(self, "a1", Fraction(a1))
+        object.__setattr__(self, "a0", Fraction(a0))
 
     @property
-    def total(self) -> Scalar:
+    def total(self) -> Fraction:
         return self.a1 + self.a0
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.a1, (int, Fraction)) and isinstance(self.a0, (int, Fraction))
 
     def as_measure(self) -> DiscreteBaseMeasure:
         """The two-atom base measure with weights (a1, a0)."""
@@ -150,7 +150,7 @@ def _validated_order(n: int) -> None:
 
 
 def exact_parts(n: int, params: BetaParams) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact factorization J_n = sqrt(k_n) * sum_a g_a x^a for rational params.
+    """Exact factorization J_n = sqrt(k_n) * sum_a g_a x^a.
 
     The printed gamma ratios reduce to rising factorials:
 
@@ -165,12 +165,9 @@ def exact_parts(n: int, params: BetaParams) -> tuple[Fraction, tuple[Fraction, .
     collapses to 1 algebraically).
     """
     _validated_order(n)
-    if not params.is_exact:
-        raise DomainError("exact coefficient parts need rational Beta parameters")
     if n == 0:
         return Fraction(1), (Fraction(1),)
-    a1 = Fraction(params.a1)
-    a0 = Fraction(params.a0)
+    a1, a0 = params.a1, params.a0
     p = a1 + a0 - 1
     q = a1
     g = tuple(
@@ -188,48 +185,6 @@ def exact_parts(n: int, params: BetaParams) -> tuple[Fraction, tuple[Fraction, .
     return k, g
 
 
-def _log_gamma_positive(x: float) -> float:
-    """lgamma restricted to strictly positive arguments.
-
-    Every gamma argument appearing in the order-n coefficients (n >= 1) is
-    strictly positive whenever the Beta parameters are, so a negative or zero
-    argument signals a caller bug rather than a numerical regime.
-    """
-    if x <= 0:
-        raise NumericError(f"gamma argument {x} is not positive")
-    return math.lgamma(x)
-
-
-def _float_coefficients(n: int, params: BetaParams) -> tuple[float, ...]:
-    """Log-gamma fallback for irrational parameters."""
-    a1 = float(params.a1)
-    a0 = float(params.a0)
-    p = a1 + a0 - 1.0
-    q = a1
-    log_beta = _log_gamma_positive(a1) + _log_gamma_positive(a0) - _log_gamma_positive(a1 + a0)
-    log_kn = (
-        math.log(2 * n + p)
-        + 2.0 * _log_gamma_positive(2 * n + p)
-        + log_beta
-        - _log_gamma_positive(n + 1.0)
-        - _log_gamma_positive(n + a1)
-        - _log_gamma_positive(n + a0)
-        - _log_gamma_positive(n + p)
-    )
-    coeffs = []
-    for a in range(n + 1):
-        log_g = (
-            math.log(binom(n, a))
-            + _log_gamma_positive(q + n)
-            + _log_gamma_positive(p + a + n)
-            - _log_gamma_positive(p + 2 * n)
-            - _log_gamma_positive(a + q)
-        )
-        sign = -1.0 if (n - a) % 2 else 1.0
-        coeffs.append(sign * math.exp(0.5 * log_kn + log_g))
-    return tuple(coeffs)
-
-
 def jacobi_modified(n: int, params: BetaParams) -> PolynomialCoeffs:
     """Coefficients of the degree-n orthonormal polynomial for the Beta weight.
 
@@ -245,25 +200,22 @@ def jacobi_modified(n: int, params: BetaParams) -> PolynomialCoeffs:
 
     The result has unit norm against the Beta(a1, a0) weight and a positive
     leading coefficient (g_{n,n} = 1, so the sign is carried entirely by
-    sqrt(k_n) > 0).  Rational parameters take the exact rising-factorial
-    route of ``exact_parts``; each returned float then carries a single
-    rounding from the final sqrt/multiply.
+    sqrt(k_n) > 0).  The coefficients are the exact rising-factorial parts
+    of ``exact_parts``; each returned float carries the rounding of the
+    final sqrt/multiply only.
     """
     _validated_order(n)
     if n == 0:
         return PolynomialCoeffs((1.0,))
-    if params.is_exact:
-        k, g = exact_parts(n, params)
-        root = math.sqrt(k.numerator / k.denominator) if k.denominator < 2**52 else math.sqrt(float(k))
-        coeffs = tuple(float(ga) * root for ga in g)
-    else:
-        coeffs = _float_coefficients(n, params)
+    k, g = exact_parts(n, params)
+    root = math.sqrt(k.numerator / k.denominator) if k.denominator < 2**52 else math.sqrt(float(k))
+    coeffs = tuple(float(ga) * root for ga in g)
     if coeffs[-1] < 0:  # unreachable with g_{n,n} = 1, kept as an explicit guarantee
         coeffs = tuple(-c for c in coeffs)
     return PolynomialCoeffs(coeffs)
 
 
-def _beta_moment(params: BetaParams, a: int) -> Scalar:
+def _beta_moment(params: BetaParams, a: int) -> Fraction:
     """E[x^a] under the Beta weight: rising(a1, a) / rising(a1 + a0, a)."""
     return rising_factorial(params.a1, a) / rising_factorial(params.total, a)
 
@@ -271,9 +223,9 @@ def _beta_moment(params: BetaParams, a: int) -> Scalar:
 def beta_weight_integral(poly: PolynomialCoeffs, params: BetaParams) -> Scalar:
     """Integral of a polynomial against the Beta(a1, a0) weight on [0, 1].
 
-    Uses the monomial moments  E[x^a] = rising(a1, a) / rising(a1 + a0, a),
-    which are exact for rational parameters and product-stable for floats
-    (no gamma evaluations).  Float summation goes through math.fsum.
+    Uses the exact monomial moments  E[x^a] = rising(a1, a) / rising(a1 + a0, a),
+    so exact coefficients give an exact integral; float coefficients are
+    summed through math.fsum.
     """
     terms = [
         c * _beta_moment(params, a)
@@ -287,25 +239,22 @@ def beta_weight_integral(poly: PolynomialCoeffs, params: BetaParams) -> Scalar:
 def jacobi_inner(n: int, m: int, params: BetaParams) -> Scalar:
     """Inner product of J_n and J_m against the Beta weight.
 
-    On the exact path the rational bilinear sum  sum_{a,b} g_a g_b E[x^(a+b)]
-    is computed first and the irrational factor sqrt(k_n k_m) applied last,
-    so the orthogonality zeros are exact rational zeros and the diagonal
-    values carry a single float rounding.  Irrational parameters integrate
-    the float coefficient product instead.
+    The rational bilinear sum  sum_{a,b} g_a g_b E[x^(a+b)]  is computed
+    first and the irrational factor sqrt(k_n k_m) applied last, so the
+    orthogonality zeros are exact rational zeros and the diagonal values
+    are exact rationals (k_n times the bilinear sum).
     """
-    if params.is_exact:
-        kn, gn = exact_parts(n, params)
-        km, gm = exact_parts(m, params)
-        bilinear = Fraction(0)
-        for a, ga in enumerate(gn):
-            for b, gb in enumerate(gm):
-                bilinear += ga * gb * _beta_moment(params, a + b)
-        if bilinear == 0:
-            return Fraction(0)
-        if n == m:
-            return kn * bilinear
-        return math.sqrt(float(kn * km)) * float(bilinear)
-    return beta_weight_integral(jacobi_modified(n, params).mul(jacobi_modified(m, params)), params)
+    kn, gn = exact_parts(n, params)
+    km, gm = exact_parts(m, params)
+    bilinear = Fraction(0)
+    for a, ga in enumerate(gn):
+        for b, gb in enumerate(gm):
+            bilinear += ga * gb * _beta_moment(params, a + b)
+    if bilinear == 0:
+        return Fraction(0)
+    if n == m:
+        return kn * bilinear
+    return math.sqrt(float(kn * km)) * float(bilinear)
 
 
 def beta_bernstein(n: int, a: Scalar, b: Scalar) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -398,26 +347,17 @@ def jacobi_norm_identity(n: int, params: BetaParams) -> tuple[Scalar, Scalar]:
               E[x^m (1 - x)^(n-m)]  under the Beta weight,
 
     i.e. the squared norm of the order-n integral of phi_n computed through
-    the isometry constant.  On the exact path both sides are rational and
-    identical; they are returned unreconciled so callers can compare them at
-    their own tolerance.
+    the isometry constant.  Both sides are exact rationals and identical;
+    they are returned unreconciled so callers can compare them at their own
+    tolerance.
     """
     if n < 1:
         raise DomainError(f"norm identity needs n >= 1, got {n}")
     lhs = jacobi_inner(n, n, params)
 
     alpha = params.as_measure()
-    if params.is_exact:
-        psi, norm = beta_bernstein(n, params.a1, params.a0)
-        acc = Fraction(0)
-        for m, value in enumerate(psi):
-            acc += binom(n, m) * value * value * dirichlet_moment(alpha, (m, n - m))
-        return lhs, acc * c_iso(n, params.total) / norm
-
-    phi = solve_phi_system(n, params)
-    acc_f: list[float] = []
-    for counts, value in phi.items():
-        m = counts[0]
-        weight = binom(n, m) * dirichlet_moment(alpha, (m, n - m))
-        acc_f.append(float(value) * float(value) * float(weight))
-    return lhs, float(c_iso(n, params.total)) * math.fsum(acc_f)
+    psi, norm = beta_bernstein(n, params.a1, params.a0)
+    acc = Fraction(0)
+    for m, value in enumerate(psi):
+        acc += binom(n, m) * value * value * dirichlet_moment(alpha, (m, n - m))
+    return lhs, acc * c_iso(n, params.total) / norm

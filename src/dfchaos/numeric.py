@@ -2,9 +2,8 @@
 
 Everything here is deliberately boring: rational quantities are computed with
 ``fractions.Fraction`` (so the rest of the package can promise bit-exact
-results for rational inputs), and the few genuinely transcendental pieces
-(log-Gamma, the confluent hypergeometric series) are thin, contract-
-checked layers over well-tested routines.
+results for rational inputs), and the one genuinely transcendental piece
+(the confluent hypergeometric series) is a thin, contract-checked layer.
 
 Conventions used throughout the package:
 
@@ -203,13 +202,6 @@ def sub_occupations(counts: Sequence[int], k: int) -> Iterator[tuple[tuple[int, 
 
 # ---------------------------------------------------------------------------
 # special functions
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 (delegates to the platform's C implementation)."""
-    if x <= 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 _HYP_MAX_TERMS = 10_000

@@ -499,14 +499,27 @@ def _check_wright_fisher(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool,
         == sum(poly.evaluate(g) * poly.evaluate(gp) / norm_sq for poly, norm_sq in model.band(n))
         for n in range(model.M + 1)
     )
+    # spectral identity, exactly: the order-n chaos component of F at g is
+    # E[F(Y) Q_n(g, Y)] under the stationary law
+    F = R.pad_to(theta.atoms)
+    decomposition = chaos_kernels(F, theta, model.M)
+    components = [decomposition.mean]
+    components += [multiple_integral(h, g + (1 - sum(g),)) for h in decomposition.kernels]
+    prior = (0,) * theta.atoms
+    spectral_ok = components == [
+        poly_posterior_mean(F.mul(q_polynomial(model, n, g).pad_to(theta.atoms)), theta, prior)
+        for n in range(model.M + 1)
+    ]
     # stationary limit
     td = transition_density(model, 60.0, g, gp)
     worst = max(worst, abs(td.value - td.stationary))
-    ok = worst <= 1e-8 and closed_ok
+    ok = worst <= 1e-8 and closed_ok and spectral_ok
     verdict = "equals" if closed_ok else "differs from"
+    spectral = "equal" if spectral_ok else "differ from"
     return ok, (
         f"worst transition-expansion residual {worst:.3e}; closed-form Q_n "
-        f"{verdict} the Gram-Schmidt oracle for n <= {model.M}"
+        f"{verdict} the Gram-Schmidt oracle, and the chaos components of "
+        f"F = gamma_1^2 {spectral} E[F Q_n] for n <= {model.M}"
     )
 
 

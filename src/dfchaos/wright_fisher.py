@@ -22,7 +22,10 @@ Adv. Appl. Probab. 11, 1979) reads, for full simplex points x, y and n >= 1,
     xi_m(x, y) = rising(|theta|, m) sum_{|l|=m} mult(l)
                  prod_i (x_i y_i)^l_i / rising(theta_i, l_i),
 
-with Q_0 = 1.  ``TransitionModel`` stores the per-atom series
+with Q_0 = 1.  Griffiths' coefficient is C(n, m) theta(n,m), with theta the
+limit projection coefficient of ``coeffs`` at total mass |theta| (its m = 0
+entry included), so it is read from there.  ``TransitionModel`` stores the
+per-atom series
 1/(k! rising(theta_i, k)) and the folded coefficients of xi_m up to order
 M + 1; the inner sums of all orders at once are the coefficients of one
 truncated product of K power series in z_i = x_i y_i (O(K n^2) rational
@@ -55,6 +58,7 @@ from functools import lru_cache
 from operator import add
 from typing import Sequence
 
+from .coeffs import _limit_row
 from .errors import DomainError
 from .kernels import SimplexPolynomial
 from .measures import DiscreteBaseMeasure, dirichlet_moment
@@ -299,18 +303,17 @@ def _atom_series(weights: Sequence[Fraction], top: int) -> tuple[tuple[Fraction,
 def _kernel_coefficients(total: Fraction, top: int) -> tuple[tuple[Fraction, ...], ...]:
     """Row n holds c[n][m], m = 0..n, with Q_n = sum_m c[n][m] e_m.
 
-    c[n][m] = (|theta|+2n-1) (-1)^(n-m) rising(|theta|+m, n-1) rising(|theta|, m)
-    / (n-m)!, which is Griffiths' coefficient times the factor rising(|theta|, m) m!
-    that turns e_m into xi_m; row 0 is Q_0 = 1.
+    c[n][m] = theta(n,m) n! rising(|theta|, m) / (n-m)!: Griffiths' coefficient
+    C(n, m) theta(n,m) times the factor rising(|theta|, m) m! that turns e_m
+    into xi_m; row 0 is Q_0 = 1.
     """
     rows = [(Fraction(1),)]
     for n in range(1, top + 1):
-        lead = total + 2 * n - 1
+        theta = _limit_row(total, n)
         rows.append(
             tuple(
-                (-1) ** (n - m) * lead * rising_factorial(total + m, n - 1)
-                * rising_factorial(total, m) / math.factorial(n - m)
-                for m in range(n + 1)
+                t * math.factorial(n) * rising_factorial(total, m) / math.factorial(n - m)
+                for m, t in enumerate(theta)
             )
         )
     return tuple(rows)

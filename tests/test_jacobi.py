@@ -96,13 +96,15 @@ def test_as_functional_matches_polynomial():
     assert F.evaluate((x, 1 - x)) == pytest.approx(float(poly(float(x))), rel=1e-13)
 
 
-def test_float_parameters_take_the_logarithmic_route():
-    params = BetaParams(1.25, 0.75)
-    assert not params.is_exact
-    for n in range(0, 5):
-        for m in range(0, 5):
-            value = float(jacobi_inner(n, m, params))
-            assert value == pytest.approx(1.0 if n == m else 0.0, abs=1e-8)
+@pytest.mark.parametrize("a1, a0", [(1.25, 0.75), (0.3, 2.7)])
+def test_float_parameters_are_read_exactly(a1, a0):
+    params = BetaParams(a1, a0)
+    assert (params.a1, params.a0) == (Fraction(a1), Fraction(a0))
+    for n in range(0, 17):
+        for m in range(0, 17):
+            assert jacobi_inner(n, m, params) == (1 if n == m else 0)
+    lhs, rhs = jacobi_norm_identity(12, params)
+    assert lhs == rhs == 1
 
 
 def test_order_cap_and_domain_errors():
@@ -112,6 +114,9 @@ def test_order_cap_and_domain_errors():
         jacobi_modified(-1, BetaParams(1, 1))
     with pytest.raises(DomainError):
         BetaParams(0, 1)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            BetaParams(1, bad)
 
 
 def _bernstein_kernel(psi):

@@ -15,7 +15,6 @@ from dfchaos.numeric import (
     binom,
     binom_star,
     hyp1f1,
-    log_gamma,
     multiplicity,
     nullspace,
     occupation_vectors,
@@ -35,12 +34,6 @@ HYP1F1_REFERENCE = {
     (1.5, 4.0, 2.5): 2.9780330427030837,
     (1, 2, 2.0): 3.194528049465325,
     (3, 7, -2.0): 0.4504387282378557,
-}
-LOG_GAMMA_REFERENCE = {
-    0.5: 0.5723649429247001,
-    1.0: 0.0,
-    3.7: 1.428072326665388,
-    12.25: 18.115669505710894,
 }
 
 
@@ -184,7 +177,3 @@ def test_hyp1f1_overflow_is_reported_as_overflow():
         hyp1f1(1, 2, 1600.0)
     assert excinfo.value.partial == math.inf
 
-
-def test_log_gamma_matches_reference():
-    for x, expected in LOG_GAMMA_REFERENCE.items():
-        assert log_gamma(x) == pytest.approx(expected, abs=1e-12)

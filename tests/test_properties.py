@@ -3,7 +3,9 @@
 Masses and mutation weights are drawn as p/q with 1 <= p, q <= 12; the
 masses named in the coefficient docstrings are pinned as explicit examples.
 The kernel polynomials Q_n of Griffiths' closed form are compared with the
-Gram-Schmidt oracle (``TransitionModel.band``) at rational interior points.
+Gram-Schmidt oracle (``TransitionModel.band``) at rational interior points,
+and with the chaos kernels through the spectral identity
+I_n(h_n)(x) = E[F(Y) Q_n(x, Y)].
 The batched Monte Carlo loss is held to the enumerated loss it confirms.
 The Bernstein kernels of the exponential functional are held to their
 three exact identities.  The moment ladder (Dirichlet moments, posterior
@@ -28,6 +30,7 @@ from hypothesis import strategies as st
 
 from dfchaos.chaos import (
     chaos_kernels,
+    multiple_integral,
     poly_posterior_mean,
     reconstruct,
     variance_from_decomposition,
@@ -171,9 +174,9 @@ def test_exact_density_builds_no_gram_schmidt_basis():
 
 
 @st.composite
-def polynomials(draw, atoms):
-    """Up to three terms of total degree <= 3 with small rational coefficients."""
-    exponents = st.integers(0, 3).flatmap(
+def polynomials(draw, atoms, max_degree=3):
+    """Up to three terms of total degree <= max_degree with small rational coefficients."""
+    exponents = st.integers(0, max_degree).flatmap(
         lambda degree: st.sampled_from(list(occupation_vectors(degree, atoms)))
     )
     coefficients = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
@@ -511,12 +514,29 @@ def test_statistic_from_kernels_is_the_brute_force_subset_sum(atoms, data):
 
 
 @SPLIT_EXAMPLES
-@given(alpha=rational_measures(max_atoms=3), data=st.data())
+@given(alpha=rational_measures(), data=st.data())
 def test_chaos_kernels_reconstruct_and_obey_parseval(alpha, data):
-    F = data.draw(polynomials(alpha.atoms))
+    F = data.draw(polynomials(alpha.atoms, max_degree=4))
     decomposition = chaos_kernels(F, alpha, max(F.degree, 1))
     parts = data.draw(st.lists(st.integers(1, 9), min_size=alpha.atoms, max_size=alpha.atoms))
     point = tuple(Fraction(p, sum(parts)) for p in parts)
     assert reconstruct(decomposition, point) == F.evaluate(point)
     assert variance_from_decomposition(decomposition) == variance_functional(F, alpha)
     assert all(degenerate_check(h, alpha) == 0 for h in decomposition.kernels)
+
+
+@BOUNDED
+@given(alpha=rational_measures(), data=st.data())
+def test_chaos_components_are_kernel_polynomial_projections(alpha, data):
+    # I_n(h_n)(x) = E[F(Y) Q_n(x, Y)] under Dir(alpha), at every order: the
+    # limit coefficients of ``coeffs`` and Griffiths' Q_n agree
+    F = data.draw(polynomials(alpha.atoms))
+    decomposition = chaos_kernels(F, alpha, max(F.degree, 1))
+    model = TransitionModel(alpha, decomposition.max_order)
+    x = data.draw(points(alpha.atoms))
+    full = x + (1 - sum(x),)
+    prior = (0,) * alpha.atoms
+    for n in range(model.M + 1):
+        component = decomposition.mean if n == 0 else multiple_integral(decomposition.kernel(n), full)
+        projection = F.mul(q_polynomial(model, n, x).pad_to(alpha.atoms))
+        assert component == poly_posterior_mean(projection, alpha, prior)
