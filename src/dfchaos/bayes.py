@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .chaos import ChaosDecomposition, chaos_kernels, statistic_product_mean
@@ -214,9 +213,8 @@ def decompose_exponential(
     and the order-n share is c_n^2 ||P_n||^2, with psi and ||P_n||^2 the
     exact Bernstein coefficients and squared norm of the monic Beta(a, b)
     polynomial (``jacobi.beta_bernstein``).  One 1F1 per order times exact
-    rationals, so the kernels carry float rounding only, at any order.
-    Float weights enter as their exact rational image.  The subset must
-    have 0 < alpha(C) < |alpha| so that D(C) is a nondegenerate Beta mass.
+    rationals, so the kernels carry float rounding only, at any order.  The
+    subset must have 0 < alpha(C) < |alpha|: D(C) is a nondegenerate Beta mass.
     More than ``DEFAULT_ENUMERATION_CAP`` kernel values in all,
     C(max_order + K, K) - 1 on K atoms, raise ResourceCapError.
     """
@@ -236,8 +234,8 @@ def decompose_exponential(
             f"order-{max_order} kernels on {alpha.atoms} atoms exceed cap {DEFAULT_ENUMERATION_CAP}"
         )
     lam_f = float(lam)
-    a = sum(Fraction(alpha.weight(x)) for x in C)
-    b = sum(Fraction(w) for w in alpha.weights) - a
+    a = alpha.mass_of(C)
+    b = alpha.total_mass - a
     total_f = float(a + b)
 
     mean = hyp1f1(float(a), total_f, lam_f)

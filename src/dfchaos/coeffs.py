@@ -24,7 +24,8 @@ Three layers live here:
   factors c(r, n, |alpha|), the latter in both circulating closed-form
   readings plus an exact enumeration oracle that arbitrates between them.
 
-All of it is exact over ``fractions.Fraction`` for rational total mass.
+All of it is exact over ``fractions.Fraction`` for rational total mass; the
+tables and the limits read a float mass as its exact image ``Fraction(x)``.
 """
 
 from __future__ import annotations
@@ -98,16 +99,17 @@ class CoefficientTable:
 
     ``entries[(k, a)]`` holds theta_N^(k,a) for 1 <= a <= k <= max_k;
     ``starred[(k, a)]`` holds theta_N^(k,a) / C(N-a, k-a). When
-    ``max_k == N`` the table includes the closing row k = N.
+    ``max_k == N`` the table includes the closing row k = N.  The total
+    mass and every entry are exact Fractions.
     """
 
     N: int
-    total_mass: Scalar
+    total_mass: Fraction
     max_k: int
-    entries: Mapping[tuple[int, int], Scalar]
-    starred: Mapping[tuple[int, int], Scalar]
+    entries: Mapping[tuple[int, int], Fraction]
+    starred: Mapping[tuple[int, int], Fraction]
 
-    def theta(self, k: int, a: int) -> Scalar:
+    def theta(self, k: int, a: int) -> Fraction:
         try:
             return self.entries[(k, a)]
         except KeyError:
@@ -115,7 +117,7 @@ class CoefficientTable:
                 f"theta({k},{a}) not in table (N={self.N}, max_k={self.max_k})"
             ) from None
 
-    def theta_star(self, k: int, a: int) -> Scalar:
+    def theta_star(self, k: int, a: int) -> Fraction:
         try:
             return self.starred[(k, a)]
         except KeyError:
@@ -153,19 +155,17 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
     to the exact recursive solution of that system for N = 1..16 on eight
     masses from 1/10 to 7, and at N = 24 and 32 for two of them; the tests
     keep every residual exactly zero for N <= 16 on random rational masses.
+    A float mass is read as its exact image ``Fraction(x)``, as in the limits.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    if not total_mass > 0:
-        raise DomainError(f"total mass must be > 0, got {total_mass}")
+    mass = _exact_mass(total_mass)
     if max_k is None:
         max_k = N
     if not 1 <= max_k <= N:
         raise DomainError(f"max_k must lie in 1..N, got {max_k}")
 
-    # with an int mass, rho would be an int/int (float) quotient
-    mass = Fraction(total_mass) if isinstance(total_mass, int) else total_mass
-    entries: dict[tuple[int, int], Scalar] = {}
+    entries: dict[tuple[int, int], Fraction] = {}
     for k in range(1, min(max_k, N - 1) + 1):
         diag = psi(N, k, k, k, mass)
         for a in range(k, 0, -1):
@@ -178,7 +178,7 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
             entries[(N, a)] = -sum(entries[(s, a)] for s in range(a, N))
 
     starred = {(k, a): value / binom(N - a, k - a) for (k, a), value in entries.items()}
-    return CoefficientTable(N, total_mass, max_k, entries, starred)
+    return CoefficientTable(N, mass, max_k, entries, starred)
 
 
 def system_residuals(table: CoefficientTable) -> dict[tuple[int, int], Scalar]:
@@ -303,8 +303,8 @@ def tabulated_limit_values(total_mass: Scalar) -> dict[tuple[int, int], Scalar]:
 
 
 def _exact_mass(total_mass: Scalar) -> Fraction:
-    if not total_mass > 0:
-        raise DomainError(f"total mass must be > 0, got {total_mass}")
+    if not 0 < total_mass < math.inf:
+        raise DomainError(f"total mass must be positive and finite, got {total_mass}")
     return Fraction(total_mass)
 
 

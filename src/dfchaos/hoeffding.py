@@ -55,15 +55,16 @@ def degenerate_check(h: SymmetricKernel, alpha: DiscreteBaseMeasure) -> Scalar:
     degenerate for this base measure. Order-1 kernels are checked against
     the empty history (the base predictive). With h's values over their
     common denominator the sums run on ints and one ratio is formed at the
-    end (floats throughout when a value or weight is a float).
+    end.  A float value meets the weights rounded once, and the sums run in
+    floats: the integer numerators need not fit a float.
     """
     if h.atoms != alpha.atoms:
         raise DomainError("kernel and measure disagree on the atom count")
     if h.order < 1:
         raise DomainError("degeneracy is defined for orders >= 1")
     values, weights = list(h.values.values()), alpha.weights
-    if not (is_exact(values) and is_exact(weights)):
-        values, weights = [float(v) for v in values], [float(w) for w in weights]
+    if not is_exact(values):
+        weights = [float(w) for w in weights]
     nums, value_den = common_denominator(values)
     table = dict(zip(h.values, nums))
     rows, den = _predictive_rows(weights, h.order)

@@ -21,11 +21,13 @@ Conjugacy makes a posterior moment a shift on the prior's ladder,
 E[D^e | counts c] = M(e + c) / M(c) with M(e) the moment above, so
 posterior means are sums of integer products over one denominator, and
 a single reduced Fraction is formed at the end; no posterior measure is
-built.  Float weights run the same rows in floats with q = 1.
+built.  A float weight is read once as its exact image ``Fraction(x)``, so
+every weight is a Fraction and the ladder is always integer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,7 +38,6 @@ from .numeric import (
     Scalar,
     as_scalar,
     common_denominator,
-    exact_ratio,
     is_exact,
     scalar_to_json,
 )
@@ -47,25 +48,27 @@ if TYPE_CHECKING:  # numpy loads only on the float and Monte Carlo paths
 
 @dataclass(frozen=True)
 class DiscreteBaseMeasure:
-    """A measure alpha = sum_j weights[j] * delta_{j+1} with all weights > 0."""
+    """A measure alpha = sum_j weights[j] * delta_{j+1}: finite weights > 0,
+    each stored as a Fraction (a float as its exact image ``Fraction(x)``)."""
 
-    weights: tuple[Scalar, ...]
+    weights: tuple[Fraction, ...]
 
     def __post_init__(self):
         if not self.weights:
             raise DomainError("a base measure needs at least one atom")
         coerced = tuple(as_scalar(w) for w in self.weights)
         for w in coerced:
-            if not w > 0:
-                raise DomainError(f"atom weights must be > 0, got {w}")
-        object.__setattr__(self, "weights", coerced)
+            if not w > 0 or (isinstance(w, float) and w == math.inf):
+                raise DomainError(f"atom weights must be positive and finite, got {w}")
+        exact = tuple(Fraction(w) if isinstance(w, float) else w for w in coerced)
+        object.__setattr__(self, "weights", exact)
 
     @property
     def atoms(self) -> int:
         return len(self.weights)
 
     @property
-    def total_mass(self) -> Scalar:
+    def total_mass(self) -> Fraction:
         return self.moment_ladder.total_mass
 
     @cached_property
@@ -76,13 +79,13 @@ class DiscreteBaseMeasure:
         fields, so equality, hashing and JSON see the weights only."""
         return MomentLadder(self.weights)
 
-    def weight(self, atom: int) -> Scalar:
+    def weight(self, atom: int) -> Fraction:
         """Weight of a 1-based atom label."""
         if not 1 <= atom <= self.atoms:
             raise DomainError(f"atom {atom} outside 1..{self.atoms}")
         return self.weights[atom - 1]
 
-    def mass_of(self, subset: Sequence[int]) -> Scalar:
+    def mass_of(self, subset: Sequence[int]) -> Fraction:
         """Total weight of a set of atom labels."""
         labels = set(subset)
         for a in labels:
@@ -144,13 +147,13 @@ class MomentLadder:
     atom j < K and b_K = P: the rows of the module docstring are
     R_j = row(j, 0) and S = row(K, 0), and a row started at c > 0 is the
     shifted product R_j(c + e) / R_j(c) that a posterior moment needs.
-    Integers for rational weights; floats (q = 1) when a weight is a float.
-    Rows are built on first use and only ever extended.
+    Every entry is an integer.  Rows are built on first use and only ever
+    extended.
     """
 
     __slots__ = ("q", "bases", "total_mass", "_rows")
 
-    def __init__(self, weights: Sequence[Scalar]):
+    def __init__(self, weights: Sequence[Fraction]):
         p, self.q = common_denominator(weights)
         self.bases = (*p, sum(p))
         self.total_mass = sum(weights)
@@ -172,10 +175,9 @@ class MomentLadder:
             self._rows[(j, start)] = row
         return row
 
-    def moment(self, exponents: Sequence[int]) -> Scalar:
+    def moment(self, exponents: Sequence[int]) -> Fraction:
         """E[prod_j D_j^{e_j}] = prod_j R_j(e_j) / S(|e|)."""
-        num, den = self.posterior_sum([(exponents, 1)], (0,) * (len(self.bases) - 1))
-        return exact_ratio(num, den)
+        return Fraction(*self.posterior_sum([(exponents, 1)], (0,) * (len(self.bases) - 1)))
 
     def posterior_sum(
         self, terms: Iterable[tuple[Sequence[int], Scalar]], counts: Sequence[int]
@@ -186,10 +188,10 @@ class MomentLadder:
         Over Q = row(K, |c|)[d], d the largest |e|, the term of e
         contributes a prod_j row(j, c_j)[e_j] times the integer tail
         Q / row(K, |c|)[|e|] = prod_{|e| <= i < d} (P + (|c| + i) q).  With
-        integer weights a on an exact ladder, N and Q are ints.  A float
-        weight on an exact ladder multiplies its moment rounded once, as the
-        ratio of two ints (at most 1), and (N, Q) = (float sum, 1): the
-        integer numerators grow without bound and need not fit a float.
+        integer weights a, N and Q are ints.  A float weight multiplies its
+        moment rounded once, as the ratio of two ints (at most 1), and
+        (N, Q) = (float sum, 1): the integer numerators grow without bound
+        and need not fit a float.
         """
         atoms = len(self.bases) - 1
         check_counts(atoms, counts)
@@ -199,7 +201,7 @@ class MomentLadder:
         base = sum(counts)
         mass, q = self.bases[atoms], self.q
         den = self.row(atoms, base, top)[top]
-        rounded = type(den) is int and not is_exact(weight for _, weight in terms)
+        rounded = not is_exact(weight for _, weight in terms)
         tails = [1] * (top + 1)  # tails[k] = Q / row(K, |c|)[k]
         for k in range(top - 1, -1, -1):
             tails[k] = tails[k + 1] * (mass + (base + k) * q)
@@ -213,12 +215,12 @@ class MomentLadder:
         return (total, 1) if rounded else (total, den)
 
 
-def dirichlet_moment(alpha: DiscreteBaseMeasure, exponents: Sequence[int]) -> Scalar:
+def dirichlet_moment(alpha: DiscreteBaseMeasure, exponents: Sequence[int]) -> Fraction:
     """E[prod_j D_j^{m_j}] for D ~ Dirichlet(alpha).
 
     Equals prod_j rising(theta_j, m_j) / rising(|alpha|, sum m_j), read from
-    the measure's moment ladder; exact for rational weights. Exponents must
-    be non-negative integers.
+    the measure's moment ladder, as an exact Fraction. Exponents must be
+    non-negative integers.
     """
     if len(exponents) != alpha.atoms:
         raise DomainError("exponent vector length must equal the number of atoms")

@@ -547,23 +547,21 @@ def mass_kernel_identities(
     at ``point`` must equal the monic Beta(a, b) polynomial at the mass of
     C (taken from the independent power-basis coefficients of
     ``exact_parts``), and c_iso(n, |alpha|) E[h^2] must equal ||P_n||^2.
-    Float weights are read as their exact rational image, and E[h^2] sums
-    over occupation vectors, so no K^n enumeration cap applies.  Returns
-    (degeneracy residual, integral gap, norm gap), all exact zeros.
+    E[h^2] sums over occupation vectors, so no K^n enumeration cap applies.
+    Returns (degeneracy residual, integral gap, norm gap), all exact zeros.
     """
-    exact = DiscreteBaseMeasure(tuple(Fraction(w) for w in alpha.weights))
     C = tuple(subset)
-    a = exact.mass_of(C)
-    b = exact.total_mass - a
+    a = alpha.mass_of(C)
+    b = alpha.total_mass - a
     psi, norm = beta_bernstein(n, a, b)
-    h = mass_kernel(exact.atoms, C, psi)
+    h = mass_kernel(alpha.atoms, C, psi)
     y = sum(Fraction(point[x - 1]) for x in C)
     _, monic = exact_parts(n, BetaParams(a, b))
     return (
-        degenerate_check(h, exact),
+        degenerate_check(h, alpha),
         multiple_integral(h, [Fraction(p) for p in point])
         - sum(g * y**i for i, g in enumerate(monic)),
-        c_iso(n, exact.total_mass) * statistic_product_mean(h, h, exact) - norm,
+        c_iso(n, alpha.total_mass) * statistic_product_mean(h, h, alpha) - norm,
     )
 
 

@@ -31,15 +31,16 @@ M + 1; the inner sums of all orders at once are the coefficients of one
 truncated product of K power series in z_i = x_i y_i (O(K n^2) rational
 operations, no sum over compositions).
 
-Routes.  Rational weights and rational points take the closed form and give
-exact Fractions, for ``kernel_Q``, ``q_polynomial`` (the last coordinate
-written as 1 - sum of the free ones), the density and its tail bound.  A
-float weight or a float coordinate takes the Gram-Schmidt route instead:
-the exact orthogonal system (or, for float weights, a float one) is built
-on first use, and each band sum e(x) e(y) / norm^2 is evaluated in floats.
+Routes.  The weights are always exact: a float weight is read as its
+exact image ``Fraction(x)`` by ``DiscreteBaseMeasure``.  Rational points
+take the closed form and give exact Fractions, for ``kernel_Q``,
+``q_polynomial`` (the last coordinate written as 1 - sum of the free ones),
+the density and its tail bound.  A float coordinate takes the Gram-Schmidt
+route instead: the exact orthogonal system is built on first use, and each
+band sum e(x) e(y) / norm^2 is evaluated in floats.
 
 Oracles.  Exact Gram-Schmidt on Dirichlet moments (``_orthogonal_basis``,
-monomials in graded lexicographic order) stays behind the float route,
+monomials in graded lexicographic order) stays behind the float-point route,
 ``gram_schmidt_P`` and ``TransitionModel.band``.  ``q_via_multiple_integrals``
 re-derives Q_n through the decomposition engine — each basis polynomial of
 exact degree n equals a single order-n integral of a degenerate kernel, and
@@ -51,7 +52,6 @@ their K-1 free coordinates; the last coordinate is implied.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -174,10 +174,6 @@ def dirichlet_density(theta: DiscreteBaseMeasure | Sequence[Scalar], gamma: Sequ
     return math.exp(log_density)
 
 
-def _exact_weights_key(theta: DiscreteBaseMeasure) -> tuple[Fraction, ...]:
-    return tuple(Fraction(w) for w in theta.weights)
-
-
 @lru_cache(maxsize=None)
 def _orthogonal_basis(
     weights: tuple[Fraction, ...], max_degree: int
@@ -228,40 +224,6 @@ def _orthogonal_basis(
     return indices, tuple(basis), tuple(norms)
 
 
-def _float_basis(
-    theta: DiscreteBaseMeasure, max_degree: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[SimplexPolynomial, ...], tuple[float, ...]]:
-    """Float-weight fallback: modified Gram-Schmidt with a conditioning check."""
-    dim = theta.atoms - 1
-    indices = tuple(multi_indices(dim, max_degree))
-    basis: list[SimplexPolynomial] = []
-    norms: list[float] = []
-    for index in indices:
-        candidate = SimplexPolynomial.monomial(dim, index)
-        for prior, norm_sq in zip(basis, norms):
-            cross = float(simplex_expectation(theta, candidate.mul(prior)))
-            if cross != 0.0:
-                candidate = candidate.sub(prior.scale(cross / norm_sq))
-        norm_sq = float(simplex_expectation(theta, candidate.mul(candidate)))
-        lead = abs(float(candidate.terms.get(index, 0.0)))
-        if norm_sq <= 0 or lead < 1e-8:
-            warnings.warn(
-                f"Gram matrix nearly singular at index {index}; "
-                "orthonormality of the returned basis is degraded",
-                stacklevel=3,
-            )
-            norm_sq = max(norm_sq, 1e-300)
-        basis.append(candidate)
-        norms.append(norm_sq)
-    return indices, tuple(basis), tuple(norms)
-
-
-def _basis_for(theta: DiscreteBaseMeasure, max_degree: int):
-    if is_exact(theta.weights):
-        return _orthogonal_basis(_exact_weights_key(theta), max_degree)
-    return _float_basis(theta, max_degree)
-
-
 def gram_schmidt_P(
     theta: DiscreteBaseMeasure | Sequence[Scalar], max_degree: int
 ) -> list[SimplexPolynomial]:
@@ -274,7 +236,7 @@ def gram_schmidt_P(
     closed-form kernels are checked against.
     """
     measure = _validated_theta(theta)
-    _, basis, norms = _basis_for(measure, max_degree)
+    _, basis, norms = _orthogonal_basis(measure.weights, max_degree)
     out = []
     for poly, norm_sq in zip(basis, norms):
         root = math.sqrt(float(norm_sq))
@@ -346,11 +308,12 @@ def _product_coefficients(
 class TransitionModel:
     """Mutation weights plus the tables of the kernel polynomials up to order M + 1.
 
-    The extra order feeds the truncation tail bound.  For rational weights
-    the build precomputes two small rational tables (Griffiths' closed form);
-    the Gram-Schmidt system is built only on first use by the float route or
-    an oracle (``band``).  The instance is immutable afterwards; evaluations
-    are pure apart from the memo of diagonal tail kernels Q_{M+1}(x, x).
+    The extra order feeds the truncation tail bound.  The build precomputes
+    two small rational tables (Griffiths' closed form) from the exact
+    weights; the Gram-Schmidt system is built only on first use by the
+    float-point route or an oracle (``band``).  The instance is immutable
+    afterwards; evaluations are pure apart from the memo of diagonal tail
+    kernels Q_{M+1}(x, x).
     """
 
     theta: DiscreteBaseMeasure
@@ -367,11 +330,8 @@ class TransitionModel:
         object.__setattr__(
             self, "_bands", {n: range(binom(n + atoms - 2, atoms - 2)) for n in range(top + 1)}
         )
-        exact = is_exact(measure.weights)
-        object.__setattr__(self, "_series", _atom_series(measure.weights, top) if exact else None)
-        object.__setattr__(
-            self, "_coeffs", _kernel_coefficients(measure.total_mass, top) if exact else None
-        )
+        object.__setattr__(self, "_series", _atom_series(measure.weights, top))
+        object.__setattr__(self, "_coeffs", _kernel_coefficients(measure.total_mass, top))
         object.__setattr__(self, "_oracle", None)
         object.__setattr__(self, "_diagonal", {})
 
@@ -388,7 +348,7 @@ class TransitionModel:
 
     def _oracle_bands(self) -> dict[int, list[tuple[SimplexPolynomial, Scalar]]]:
         if self._oracle is None:
-            indices, basis, norms = _basis_for(self.theta, self.M + 1)
+            indices, basis, norms = _orthogonal_basis(self.theta.weights, self.M + 1)
             by_degree: dict[int, list[tuple[SimplexPolynomial, Scalar]]] = {}
             for index, poly, norm_sq in zip(indices, basis, norms):
                 by_degree.setdefault(sum(index), []).append((poly, norm_sq))
@@ -396,12 +356,12 @@ class TransitionModel:
         return self._oracle
 
     def _closed_form(self, *points: tuple[Scalar, ...]) -> bool:
-        return self._series is not None and all(is_exact(p) for p in points)
+        return all(is_exact(p) for p in points)
 
     def _kernels(self, orders: range, g: tuple[Scalar, ...], gp: tuple[Scalar, ...]) -> list[Scalar]:
         """Q_n for n in ``orders`` at two validated points: the closed form
-        (one product for all orders) where the inputs are exact, the
-        Gram-Schmidt band sums otherwise."""
+        (one product for all orders) at exact points, the Gram-Schmidt band
+        sums at a float point."""
         if not self._closed_form(g, gp):
             return [self._band_sum(n, g, gp) for n in orders]
         z = [a * b for a, b in zip(_full_point(g), _full_point(gp))]
@@ -458,10 +418,10 @@ def kernel_Q(
 ) -> Scalar:
     """Degree-n kernel polynomial sum_{|n| = n} P_n(gamma) P_n(gamma').
 
-    Rational weights and points take Griffiths' closed form (module
-    docstring) and give the exact rational value; float inputs sum
-    e(gamma) e(gamma') / norm^2 over the Gram-Schmidt band.  Symmetric in
-    its two arguments; Q_0 = 1.
+    Rational points take Griffiths' closed form (module docstring) and give
+    the exact rational value, float weights included (they are exact); a
+    float point sums e(gamma) e(gamma') / norm^2 over the Gram-Schmidt band.
+    Symmetric in its two arguments; Q_0 = 1.
     """
     if n < 0 or n > model.M:
         raise DomainError(f"kernel order {n} outside model truncation 0..{model.M}")
@@ -475,9 +435,10 @@ def q_polynomial(model: TransitionModel, n: int, gamma: Sequence[Scalar]) -> Sim
 
     Integrating it against the stationary law gives exactly 0 for n >= 1
     (orthogonality of each basis element to constants), which is what makes
-    the truncated transition density integrate to 1.  At an exact point of
-    an exact model it is the closed form with the last coordinate written as
-    1 - (sum of the free ones); otherwise the Gram-Schmidt band sum.
+    the truncated transition density integrate to 1.  At an exact point it
+    is the closed form with the last coordinate written as 1 - (sum of the
+    free ones), whatever the weights' input type; at a float point, the
+    Gram-Schmidt band sum.
     """
     if n < 0 or n > model.M:
         raise DomainError(f"kernel order {n} outside model truncation 0..{model.M}")
@@ -512,8 +473,9 @@ def transition_density(
     Q_{M+1}(gamma', gamma')) — the first neglected term bounded by
     Cauchy-Schwarz on the reproducing kernel, with rho decreasing in n.
 
-    Accuracy.  At rational weights and points every Q_n is exact and only
-    the final products and sums round.  A float coordinate takes the
+    Accuracy.  The weights are exact (a float weight is its image
+    ``Fraction(x)``), so at rational points every Q_n is exact and only the
+    final products and sums round.  A float coordinate takes the
     Gram-Schmidt route, whose float evaluation of the monomial expansion
     loses digits as M grows: against the exact Q_n at the float's rational
     image, its error relative to max_n |Q_n| stays within 5e-8 for

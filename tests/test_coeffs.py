@@ -57,6 +57,19 @@ def test_system_residuals_vanish():
             assert all(value == 0 for value in residuals.values())
 
 
+def test_float_mass_table_equals_its_exact_image():
+    # in floats the closing row's alternating sum cancelled: theta_table(32,
+    # 0.3) was off by a relative 21, and its residuals were 1e-15 floats
+    table = theta_table(32, 0.3)
+    assert table.total_mass == Fraction(0.3)
+    assert table.entries == theta_table(32, Fraction(0.3)).entries
+    residuals = system_residuals(table).values()
+    assert all(type(r) is Fraction and r == 0 for r in residuals)
+    for mass in (0.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            theta_table(4, mass)
+
+
 def test_theta_limit_matches_oracle():
     for mass in (Fraction(1, 2), Fraction(2)):
         for n, k in ((1, 1), (2, 1), (2, 2)):

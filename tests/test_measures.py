@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dfchaos.errors import DomainError
+from dfchaos.jacobi import BetaParams
 from dfchaos.measures import (
     DiscreteBaseMeasure,
     as_simplex_point,
@@ -35,6 +36,28 @@ def test_measure_rejects_bad_weights():
         measure(-1, 2)
     with pytest.raises(DomainError):
         DiscreteBaseMeasure(())
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(DomainError):
+            measure(1.0, bad)
+
+
+def test_every_weight_is_a_fraction():
+    # a float weight is read once as its exact image Fraction(x)
+    floats = measure(0.3, 1, "1/2", Fraction(2, 3))
+    assert floats.weights == (Fraction(0.3), Fraction(1), Fraction(1, 2), Fraction(2, 3))
+    measures = [
+        floats,
+        DiscreteBaseMeasure.from_json({"weights": [0.3, 1.5, "1/2", 2]}),
+        with_observations(floats, (1, 3, 1)),
+        with_counts(floats, (2, 0, 1, 0)),
+        BetaParams(0.3, 1.5).as_measure(),
+    ]
+    for alpha in measures:
+        assert all(type(w) is Fraction for w in alpha.weights)
+        assert type(alpha.total_mass) is Fraction
+    # a float weight serialises as its exact "p/q" image and round trips
+    assert floats.to_json()["weights"][0] == "5404319552844595/18014398509481984"
+    assert DiscreteBaseMeasure.from_json(floats.to_json()) == floats
 
 
 def test_weight_label_range():

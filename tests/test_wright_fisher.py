@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +121,23 @@ def test_transition_density_normalizes_and_relaxes():
     late = transition_density(model, 50.0, (Fraction(1, 3),), start)
     assert late.value == pytest.approx(late.stationary, abs=1e-10)
     assert late.stationary == pytest.approx(dirichlet_density(theta, (Fraction(1, 3),)))
+
+
+def test_float_weights_give_the_exact_model():
+    # the float-weight Gram-Schmidt basis gave an infinite tail bound at
+    # M = 12 and a NaN density at M = 16, behind a once-shown warning
+    g, gp = (Fraction(1, 3),), (Fraction(1, 5),)
+    for M in (12, 16):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floats = TransitionModel((1.0, 0.5), M)
+            got = transition_density(floats, 0.5, g, gp)
+        exact = TransitionModel((Fraction(1), Fraction(1, 2)), M)
+        assert got == transition_density(exact, 0.5, g, gp)
+        assert math.isfinite(got.value) and math.isfinite(got.tail_bound)
+        assert [kernel_Q(floats, n, g, gp) for n in range(M + 1)] == [
+            kernel_Q(exact, n, g, gp) for n in range(M + 1)
+        ]
 
 
 def test_transition_density_domain_checks():
