@@ -39,16 +39,14 @@ from .measures import DiscreteBaseMeasure, sample_dirichlet, with_counts
 from .numeric import (
     Scalar,
     binom,
-    common_denominator,
+    exact_numerators,
     exact_ratio,
+    occupation_lattice,
     occupation_vectors,
+    ratio,
     tuple_counts,
 )
-from .polya import (
-    DEFAULT_ENUMERATION_CAP,
-    cond_exp_statistic_counts,
-    occupation_prob,
-)
+from .polya import DEFAULT_ENUMERATION_CAP, cond_exp_statistic_counts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,12 +89,13 @@ def poly_posterior_mean(
 ) -> Scalar:
     """E[F(D) | observed occupation counts], exact via conjugate moments.
 
-    The coefficients go over one common denominator and the moments are
+    The coefficients over their common denominator are built once per
+    polynomial (``SimplexPolynomial.scaled_terms``) and the moments are
     shifts on the prior's moment ladder, so the sum runs on ints and one
     Fraction is formed at the end (floats throughout on a float path).
     """
-    coeffs, scale = common_denominator(list(F.terms.values()))
-    num, den = alpha.moment_ladder.posterior_sum(zip(F.terms, coeffs), counts)
+    terms, scale = F.scaled_terms
+    num, den = alpha.moment_ladder.posterior_sum(terms, counts)
     return exact_ratio(num, den * scale)
 
 
@@ -154,15 +153,33 @@ def multiple_integral(h: SymmetricKernel, point: Sequence[Scalar]) -> Scalar:
     return h.to_polynomial().evaluate(tuple(point))
 
 
+def _urn_mean(alpha: DiscreteBaseMeasure, *kernels: SymmetricKernel) -> Scalar:
+    """E[prod of the kernels at (X_1..X_n)] under the urn law, for kernels
+    of one order n.
+
+    P(a) = mult(a) E[D^a] for a vector a of the order-n lattice layer, so
+    with each kernel's values over their common denominator this is one
+    posterior sum at the prior, with the integer weights mult(a) times the
+    numerators.  A float value is read as its exact image and the result
+    is rounded once.
+    """
+    lattice = occupation_lattice(kernels[0].order, alpha.atoms)
+    weights = list(lattice.multiplicities)
+    scale, rounded = 1, False
+    for h in kernels:
+        nums, den, h_rounded = exact_numerators([h.value(a) for a in lattice.vectors])
+        weights = [w * v for w, v in zip(weights, nums)]
+        scale, rounded = scale * den, rounded or h_rounded
+    terms = [(a, w) for a, w in zip(lattice.vectors, weights) if w]
+    num, den = alpha.moment_ladder.posterior_sum(terms, (0,) * alpha.atoms)
+    return ratio(num, den * scale, rounded)
+
+
 def expectation_of_integral(h: SymmetricKernel, alpha: DiscreteBaseMeasure) -> Scalar:
     """E[integral of h dD^n] = E[h(X_1..X_n)] under the urn law."""
     if h.atoms != alpha.atoms:
         raise DomainError("kernel and measure disagree on the atom count")
-    total: Scalar = Fraction(0)
-    for counts, value in h.items():
-        if value != 0:
-            total = total + occupation_prob(alpha, counts) * value
-    return total
+    return _urn_mean(alpha, h)
 
 
 def statistic_product_mean(
@@ -171,12 +188,9 @@ def statistic_product_mean(
     """E[h(X_1..X_n)·f(X_1..X_n)] for same-order kernels, exactly."""
     if (h.order, h.atoms) != (f.order, f.atoms):
         raise DomainError("kernels must share order and atom count")
-    total: Scalar = Fraction(0)
-    for counts in occupation_vectors(h.order, h.atoms):
-        hv, fv = h.value(counts), f.value(counts)
-        if hv != 0 and fv != 0:
-            total = total + occupation_prob(alpha, counts) * hv * fv
-    return total
+    if h.atoms != alpha.atoms:
+        raise DomainError("kernels and measure disagree on the atom count")
+    return _urn_mean(alpha, h, f)
 
 
 # ---------------------------------------------------------------------------

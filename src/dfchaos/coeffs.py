@@ -52,20 +52,25 @@ from .polya import DEFAULT_ENUMERATION_CAP, polya_joint_prob
 # the rational building blocks
 
 
+def _check_mass(total_mass: Scalar) -> None:
+    """Refuse a total mass that is not positive and finite (NaN included)."""
+    if not 0 < total_mass < math.inf:
+        raise DomainError(f"total mass must be positive and finite, got {total_mass}")
+
+
 def phi(n: int, m: int, r: int, p: int, total_mass: Scalar) -> Scalar:
     """The elementary overlap factor.
 
     phi(n,m,r,p) = (m-r)!/(m-r-p)! · prod_{s=1..m-r-p} (|alpha|+r+p+s-1)
                    / prod_{s=1..m-r} (|alpha|+n+s-1)
 
-    Preconditions: 0 <= r <= m <= n, 0 <= p <= m-r, total mass > 0.
+    Preconditions: 0 <= r <= m <= n, 0 <= p <= m-r, 0 < total mass < inf.
     """
     if not (0 <= r <= m <= n):
         raise DomainError(f"phi requires 0 <= r <= m <= n, got (n={n}, m={m}, r={r})")
     if not (0 <= p <= m - r):
         raise DomainError(f"phi requires 0 <= p <= m-r, got p={p}, m-r={m - r}")
-    if not total_mass > 0:
-        raise DomainError(f"total mass must be > 0, got {total_mass}")
+    _check_mass(total_mass)
     value: Scalar = Fraction(falling_ratio(m - r, m - r - p))
     for s in range(1, m - r - p + 1):
         value = value * (total_mass + r + p + s - 1)
@@ -77,10 +82,11 @@ def phi(n: int, m: int, r: int, p: int, total_mass: Scalar) -> Scalar:
 def psi(N: int, q: int, n: int, m: int, total_mass: Scalar) -> Scalar:
     """The window-counting sum sum_r C(q,r)·C(N-n, m-r)_*·phi(n,m,r,q-r).
 
-    Preconditions: 1 <= q <= m <= n <= N.
+    Preconditions: 1 <= q <= m <= n <= N, 0 < total mass < inf.
     """
     if not (1 <= q <= m <= n <= N):
         raise DomainError(f"psi requires 1 <= q <= m <= n <= N, got ({q}, {n}, {m}, N={N})")
+    _check_mass(total_mass)
     total: Scalar = Fraction(0)
     for r in range(q + 1):
         weight = binom(q, r) * binom_star(N - n, m - r)
@@ -303,8 +309,7 @@ def tabulated_limit_values(total_mass: Scalar) -> dict[tuple[int, int], Scalar]:
 
 
 def _exact_mass(total_mass: Scalar) -> Fraction:
-    if not 0 < total_mass < math.inf:
-        raise DomainError(f"total mass must be positive and finite, got {total_mass}")
+    _check_mass(total_mass)
     return Fraction(total_mass)
 
 
@@ -402,8 +407,7 @@ def c_iso(n: int, total_mass: Scalar) -> Scalar:
     """
     if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")
-    if not total_mass > 0:
-        raise DomainError(f"total mass must be > 0, got {total_mass}")
+    _check_mass(total_mass)
     value: Scalar = Fraction(1)
     for l in range(1, n + 1):
         value = value * (n - l + 1) / (total_mass + n + l - 1)
@@ -429,6 +433,7 @@ def c_overlap(n: int, r: int, total_mass: Scalar, bound: str = "reduced") -> Sca
         raise DomainError(f"need 0 <= r <= n, got (r={r}, n={n})")
     if bound not in ("reduced", "full"):
         raise DomainError(f"bound must be 'reduced' or 'full', got {bound!r}")
+    _check_mass(total_mass)
     upper = (n - r) if bound == "reduced" else n
     value: Scalar = Fraction(1)
     for l in range(1, upper + 1):

@@ -14,7 +14,7 @@ law gives zero at every history.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .coeffs import theta_table
 from .errors import DomainError
@@ -26,24 +26,24 @@ from .numeric import (
     exact_ratio,
     is_exact,
     nullspace,
+    occupation_lattice,
     occupation_vectors,
 )
 from .polya import DEFAULT_ENUMERATION_CAP, cond_exp_statistic_counts
 
 
-def _predictive_rows(weights: Sequence[Scalar], order: int) -> tuple[list, Scalar]:
-    """(rows, d): per history x of size order-1, the pairs (x + e_a, w_a)
-    with P(next draw = a | x) = w_a / d.  With the weights p_a / q over their
-    common denominator, w_a = p_a + x_a q and d = sum_a p_a + (order-1) q."""
+def _predictive_rows(weights: Sequence[Scalar], order: int) -> tuple[Iterator, Scalar]:
+    """(rows, d): per history x of size order-1, in lattice order, the pairs
+    (rank of x + e_a in the order-n lattice layer, w_a) with
+    P(next draw = a | x) = w_a / d.  With the weights p_a / q over their
+    common denominator, w_a = p_a + x_a q and d = sum_a p_a + (order-1) q.
+    The histories and their successors are read from the cached lattice."""
     p, q = common_denominator(weights)
-    rows = []
-    for history in occupation_vectors(order - 1, len(weights)):
-        row = []
-        for atom in range(len(weights)):
-            bumped = list(history)
-            bumped[atom] += 1
-            row.append((tuple(bumped), p[atom] + history[atom] * q))
-        rows.append(row)
+    lower = occupation_lattice(order - 1, len(weights))
+    rows = (
+        zip(ranks, [pa + xa * q for pa, xa in zip(p, history)])
+        for history, ranks in zip(lower.vectors, lower.up)
+    )
     return rows, sum(p) + (order - 1) * q
 
 
@@ -67,8 +67,9 @@ def degenerate_check(h: SymmetricKernel, alpha: DiscreteBaseMeasure) -> Scalar:
         weights = [float(w) for w in weights]
     nums, value_den = common_denominator(values)
     table = dict(zip(h.values, nums))
+    column = [table.get(a, 0) for a in occupation_vectors(h.order, h.atoms)]
     rows, den = _predictive_rows(weights, h.order)
-    worst = max(abs(sum(w * table.get(bumped, 0) for bumped, w in row)) for row in rows)
+    worst = max(abs(sum(w * column[rank] for rank, w in row)) for row in rows)
     return exact_ratio(worst, value_den * den)
 
 
@@ -82,13 +83,12 @@ def degenerate_basis(alpha: DiscreteBaseMeasure, order: int) -> list[SymmetricKe
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    domain = list(occupation_vectors(order, alpha.atoms))
-    index = {counts: i for i, counts in enumerate(domain)}
+    domain = occupation_vectors(order, alpha.atoms)
     matrix = []
     for row in _predictive_rows(alpha.weights, order)[0]:
         dense = [0] * len(domain)
-        for bumped, w in row:
-            dense[index[bumped]] = w
+        for rank, w in row:
+            dense[rank] = w
         matrix.append(dense)
     basis = nullspace(matrix)
     return [

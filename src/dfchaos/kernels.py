@@ -9,6 +9,7 @@ multi-exponent -> coefficient maps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -19,12 +20,13 @@ from .numeric import (
     Scalar,
     as_scalar,
     common_denominator,
-    exact_ratio,
+    exact_numerators,
     is_exact,
     multiplicity,
+    occupation_lattice,
     occupation_vectors,
+    ratio,
     scalar_to_json,
-    sub_occupations,
     tuple_counts,
 )
 
@@ -162,29 +164,59 @@ def subset_sum_kernels(
     The limit coefficients theta(n, k) as weights give the chaos kernels,
     the starred table theta*_N(s, k) the finite-sample components, and a
     unit row {N: {s: 1}} the order-N subset sum of an order-s kernel.
+    Weights at k < 0 or k > n add nothing.
 
-    The values go over one common denominator and each row over its own,
-    so the sums run on ints and each entry is one Fraction.  If any value
-    or weight is a float, all run as floats over the denominator 1: an
-    integer numerator has no bound and need not fit a float.
+    The sub-occupations are never walked.  With U the up operator of the
+    occupation lattice, (Uf)(a) = sum_{i: a_i > 0} f(a - e_i), and
+    mult(a) ways(mu) = C(n, k) mult(mu) mult(a - mu),
+
+        mult(a) · h_n(a) = sum_k w[n][k] C(n, k) (U^(n-k) [mult · v_k])(a),
+
+    v_k the values on layer k; the sum runs by Horner's rule, one up-step
+    per layer.  The values go over one common denominator and each row
+    over its own, so every step adds ints and each entry is one Fraction.
+    A float value or weight is read as its exact image and every entry is
+    rounded once, to a float.
     """
-    exact = is_exact(values.values()) and all(is_exact(r.values()) for r in rows.values())
-    cast = list if exact else (lambda xs: [float(x) for x in xs])
-    nums, value_den = common_denominator(cast(values.values()))
+    nums, value_den, rounded = exact_numerators(values.values())
     table = dict(zip(values, nums))
-    kernels = {}
+    scaled_rows = {}
     for n, row in rows.items():
-        weights, row_den = common_denominator(cast(row.values()))
-        den = row_den * value_den
-        out = {}
-        for a_counts in occupation_vectors(n, atoms):
-            acc = 0
-            for k, w in zip(row, weights):
-                inner = 0
-                for mu, ways in sub_occupations(a_counts, k):
-                    inner += ways * table.get(mu, 0)
-                acc += w * inner
-            out[a_counts] = exact_ratio(acc, den)
+        weights, row_den, row_rounded = exact_numerators(row.values())
+        rounded = rounded or row_rounded
+        terms = {k: w * math.comb(n, k) for k, w in zip(row, weights) if 0 <= k <= n and w}
+        scaled_rows[n] = terms, row_den
+
+    layers: dict[int, list[int]] = {}  # layer k: mult(mu) · numerator of v(mu), by rank
+
+    def weighted(k: int) -> list[int]:
+        layer = layers.get(k)
+        if layer is None:
+            lattice = occupation_lattice(k, atoms)
+            layer = layers[k] = [
+                m * table.get(mu, 0) for mu, m in zip(lattice.vectors, lattice.multiplicities)
+            ]
+        return layer
+
+    kernels = {}
+    for n, (terms, row_den) in scaled_rows.items():
+        lattice = occupation_lattice(n, atoms)
+        if terms:
+            low = min(terms)
+            acc = [terms[low] * x for x in weighted(low)]
+            for m in range(low + 1, n + 1):
+                pick = acc.__getitem__
+                acc = [sum(map(pick, below)) for below in occupation_lattice(m, atoms).down]
+                w = terms.get(m)
+                if w:
+                    acc = [x + w * y for x, y in zip(acc, weighted(m))]
+        else:
+            acc = [0] * len(lattice.vectors)
+        den = value_den * row_den
+        out = {
+            a: ratio(x, den * m, rounded)
+            for a, x, m in zip(lattice.vectors, acc, lattice.multiplicities)
+        }
         kernels[n] = SymmetricKernel(n, atoms, out)
     return kernels
 
@@ -207,7 +239,7 @@ class SimplexPolynomial:
                 cleaned[exps] = cleaned.get(exps, Fraction(0)) + coeff
         object.__setattr__(self, "terms", cleaned)
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -216,6 +248,8 @@ class SimplexPolynomial:
             raise DomainError(f"expected {self.nvars} coordinates, got {len(point)}")
         if self._integer_terms is not None and is_exact(point):
             return self._evaluate_exact(point)
+        if self.degree and all(type(x) is float for x in point):
+            return self._evaluate_floats(point)
         # each distinct power x_j**e is computed once per call and shared
         # by every term that uses it (same values as computing it per term)
         powers: dict[tuple[int, int], Scalar] = {}
@@ -232,18 +266,49 @@ class SimplexPolynomial:
         return total
 
     @cached_property
+    def _factors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per term, its (j, e_j) with e_j > 0."""
+        return tuple(tuple((j, e) for j, e in enumerate(exps) if e) for exps in self.terms)
+
+    @cached_property
+    def scaled_terms(self) -> tuple[tuple[tuple[tuple[int, ...], Scalar], ...], int]:
+        """(pairs, L): the terms as (e, c_e) with the coefficients c_e / L
+        over their common denominator (floats over L = 1 when a coefficient
+        is a float).  Built once; every posterior mean of this polynomial
+        reads it."""
+        coeffs, lead = common_denominator(list(self.terms.values()))
+        return tuple(zip(self.terms, coeffs)), lead
+
+    @cached_property
+    def float_coefficients(self) -> tuple[float, ...]:
+        """Each coefficient rounded once to a float, in term order."""
+        return tuple(float(c) for c in self.terms.values())
+
+    @cached_property
     def _integer_terms(self) -> tuple[list, int, int] | None:
         """(terms, L, degree), the coefficients as c_e / L over their common
         denominator and each term as (c_e, |e|, its (j, e_j) with e_j > 0);
         None when a coefficient is a float."""
         if not is_exact(self.terms.values()):
             return None
-        coeffs, lead = common_denominator(list(self.terms.values()))
-        terms = [
-            (c, sum(exps), tuple((j, e) for j, e in enumerate(exps) if e))
-            for exps, c in zip(self.terms, coeffs)
-        ]
+        pairs, lead = self.scaled_terms
+        terms = [(c, sum(exps), factors) for (exps, c), factors in zip(pairs, self._factors)]
         return terms, lead, self.degree
+
+    def _evaluate_floats(self, point: Sequence[float]) -> float:
+        """The per-term loop at an all-float point, each coefficient rounded
+        once in advance: bit for bit what the loop gives, as Fraction times
+        float rounds the Fraction to a float before multiplying."""
+        powers: dict[tuple[int, int], float] = {}
+        total = 0.0
+        for term, factors in zip(self.float_coefficients, self._factors):
+            for key in factors:
+                power = powers.get(key)
+                if power is None:
+                    power = powers[key] = point[key[0]] ** key[1]
+                term = term * power
+            total = total + term
+        return total
 
     def _evaluate_exact(self, point: Sequence[Scalar]) -> Fraction:
         """The same sum in ints: with the coordinates a_j / b over their

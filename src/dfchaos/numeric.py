@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, NumericError, SingularSystemError
 
@@ -136,6 +136,29 @@ def common_denominator(values: Sequence[Scalar]) -> tuple[list, int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def exact_numerators(values: Iterable[Scalar]) -> tuple[list[int], int, bool]:
+    """(numerators, d, rounded) with values[i] = numerators[i] / d exactly.
+
+    A float is read as its exact image ``Fraction(x)``, so the numerators
+    are always ints; ``rounded`` says whether any value was a float, and a
+    caller that saw one rounds its result once, at the end (``ratio``).
+    """
+    values = list(values)
+    rounded = not is_exact(values)
+    if rounded:
+        for v in values:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise NumericError(f"non-finite value {v} in an exact sum")
+        values = [Fraction(v) for v in values]
+    nums, den = common_denominator(values)
+    return nums, den, rounded
+
+
+def ratio(num: int, den: int, rounded: bool) -> Scalar:
+    """num / den for ints: a reduced Fraction, or the float it rounds to."""
+    return num / den if rounded else Fraction(num, den)
+
+
 def exact_ratio(num, den) -> Scalar:
     """num / den: a reduced Fraction when both are ints, a float otherwise."""
     if type(num) is int and type(den) is int:
@@ -143,22 +166,80 @@ def exact_ratio(num, den) -> Scalar:
     return num / den
 
 
-def occupation_vectors(order: int, atoms: int) -> Iterator[tuple[int, ...]]:
+def occupation_vectors(order: int, atoms: int) -> tuple[tuple[int, ...], ...]:
     """All occupation vectors for `order` points on `atoms` atoms.
 
     Deterministic order: first coordinate descending, then recursively the
     same on the remainder, so (n,0,...,0) comes first and (0,...,0,n) last.
+    Read from the cached ``occupation_lattice``.
     """
-    if atoms < 1:
-        raise DomainError(f"need at least one atom, got {atoms}")
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order}")
+    return occupation_lattice(order, atoms).vectors
+
+
+def _enumerate_vectors(order: int, atoms: int) -> Iterator[tuple[int, ...]]:
     if atoms == 1:
         yield (order,)
         return
     for first in range(order, -1, -1):
-        for rest in occupation_vectors(order - first, atoms - 1):
+        for rest in _enumerate_vectors(order - first, atoms - 1):
             yield (first,) + rest
+
+
+class OccupationLattice:
+    """One layer of the occupation lattice: the vectors of `order` points on
+    `atoms` atoms, in ``occupation_vectors`` order, with
+
+    * ``rank``: vector -> its position;
+    * ``multiplicities``: the number of ordered tuples with each vector;
+    * ``down``: per vector a, the ranks in the layer below of a - e_i for
+      each atom i with a_i > 0, in atom order;
+    * ``up``: per vector x, the ranks in the layer above of x + e_i for
+      every atom i, in atom order.
+
+    ``down`` is what the up operator (Uf)(a) = sum_{i: a_i > 0} f(a - e_i)
+    reads; ``up`` lists a history's successors under one more draw.
+    Layers are immutable and shared through ``occupation_lattice``.
+    """
+
+    def __init__(self, order: int, atoms: int):
+        self.order = order
+        self.atoms = atoms
+        self.vectors = tuple(_enumerate_vectors(order, atoms))
+        self.rank = {v: i for i, v in enumerate(self.vectors)}
+
+    @cached_property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(multiplicity(v) for v in self.vectors)
+
+    @cached_property
+    def down(self) -> tuple[tuple[int, ...], ...]:
+        if self.order == 0:
+            return ((),)
+        below = occupation_lattice(self.order - 1, self.atoms).rank
+        return tuple(
+            tuple(below[v[:i] + (c - 1,) + v[i + 1 :]] for i, c in enumerate(v) if c)
+            for v in self.vectors
+        )
+
+    @cached_property
+    def up(self) -> tuple[tuple[int, ...], ...]:
+        above = occupation_lattice(self.order + 1, self.atoms).rank
+        return tuple(
+            tuple(above[v[:i] + (c + 1,) + v[i + 1 :]] for i, c in enumerate(v))
+            for v in self.vectors
+        )
+
+
+# Bounded: a long-running process meets few (order, atoms) pairs, and a layer is
+# rebuilt in time linear in its size if it was evicted.
+@lru_cache(maxsize=128)
+def occupation_lattice(order: int, atoms: int) -> OccupationLattice:
+    """The cached lattice layer of `order` points on `atoms` atoms."""
+    if atoms < 1:
+        raise DomainError(f"need at least one atom, got {atoms}")
+    if order < 0:
+        raise DomainError(f"order must be >= 0, got {order}")
+    return OccupationLattice(order, atoms)
 
 
 def multiplicity(counts: Sequence[int]) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,17 +47,19 @@ from .coeffs import c_iso, c_overlap
 from .errors import DomainError, NumericError, ResourceCapError
 from .hoeffding import HoeffdingDecomposition, hoeffding_decompose
 from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
-from .measures import DiscreteBaseMeasure, sample_dirichlet
+from .measures import DiscreteBaseMeasure
 from .numeric import (
     Scalar,
     binom,
     binom_star,
+    exact_numerators,
+    occupation_lattice,
     occupation_vectors,
     scalar_to_json,
     sub_occupations,
     tuple_counts,
 )
-from .polya import DEFAULT_ENUMERATION_CAP, PolyaSample, occupation_prob
+from .polya import DEFAULT_ENUMERATION_CAP, PolyaSample
 
 __all__ = [
     "UStatistic",
@@ -154,24 +157,35 @@ def direct_loss(
 
     Expanded as  Var F - 2 sum_mu P(mu) S(mu) (E[F | mu] - E F)
     + sum_mu P(mu) S(mu)^2  over window occupation vectors mu, all terms
-    exact under the urn law.
+    exact under the urn law.  Since P(mu) = mult(mu) E[D^mu] and
+    P(mu) E[F | mu] = mult(mu) sum_e c_e E[D^(mu + e)], the enumerated part
+    is one posterior sum at the prior, with integer weights over the common
+    denominator of S, F's coefficients and E F.  A float value or
+    coefficient is read as its exact image and the loss rounded once.
     """
     if alpha.atoms ** window > cap and binom(window + alpha.atoms - 1, alpha.atoms - 1) > cap:
         raise ResourceCapError(f"window enumeration exceeds cap {cap}")
     statistic = statistic_from_kernels(kernels, window, alpha.atoms)
+    lattice = occupation_lattice(window, alpha.atoms)
+    s_nums, s_den, rounded = exact_numerators(statistic.value(mu) for mu in lattice.vectors)
+    coeffs, c_den, f_rounded = exact_numerators(F.terms.values())
+    if f_rounded:
+        F = SimplexPolynomial(F.nvars, {e: Fraction(c, c_den) for e, c in zip(F.terms, coeffs)})
     mean = functional_mean(F, alpha)
     var_f = variance_functional(F, alpha)
-    cross: Scalar = 0
-    square: Scalar = 0
-    for counts in occupation_vectors(window, alpha.atoms):
-        prob = occupation_prob(alpha, counts)
-        s_val = statistic.value(counts)
-        if s_val == 0:
+    m, m_den = mean.numerator, mean.denominator
+    terms: dict[tuple[int, ...], int] = {}
+    for mu, mult, s_mu in zip(lattice.vectors, lattice.multiplicities, s_nums):
+        if not s_mu:
             continue
-        cond = poly_posterior_mean(F, alpha, counts)
-        cross = cross + prob * s_val * (cond - mean)
-        square = square + prob * s_val * s_val
-    return var_f - 2 * cross + square
+        weight = mult * s_mu
+        terms[mu] = terms.get(mu, 0) + weight * c_den * (s_mu * m_den + 2 * m * s_den)
+        for exps, c in zip(F.terms, coeffs):
+            key = tuple(map(add, mu, exps))
+            terms[key] = terms.get(key, 0) - 2 * weight * c * s_den * m_den
+    num, den = alpha.moment_ladder.posterior_sum(terms.items(), (0,) * alpha.atoms)
+    loss = var_f + Fraction(num, den * s_den * s_den * c_den * m_den)
+    return float(loss) if rounded or f_rounded else loss
 
 
 # Replications per Monte Carlo block: large enough that numpy's per-call
@@ -245,8 +259,8 @@ def _occupation_rank(counts: np.ndarray, window: int) -> np.ndarray:
 def _evaluate_floats(poly: SimplexPolynomial, points: np.ndarray) -> np.ndarray:
     """Float values of a polynomial at each row of a (reps, K) point matrix."""
     total = np.zeros(points.shape[0])
-    for exps, coeff in poly.terms.items():
-        term = np.full(points.shape[0], float(coeff))
+    for exps, coeff in zip(poly.terms, poly.float_coefficients):
+        term = np.full(points.shape[0], coeff)
         for j, e in enumerate(exps):
             if e:
                 term *= points[:, j] ** e

@@ -27,9 +27,10 @@ limit projection coefficient of ``coeffs`` at total mass |theta| (its m = 0
 entry included), so it is read from there.  ``TransitionModel`` stores the
 per-atom series
 1/(k! rising(theta_i, k)) and the folded coefficients of xi_m up to order
-M + 1; the inner sums of all orders at once are the coefficients of one
-truncated product of K power series in z_i = x_i y_i (O(K n^2) rational
-operations, no sum over compositions).
+M + 1, each row as integers over its denominator; the inner sums of all
+orders at once are the coefficients of one truncated product of K power
+series in z_i = x_i y_i (O(K n^2) integer operations, no sum over
+compositions), and each Q_n is one integer dot product and one Fraction.
 
 Routes.  The weights are always exact: a float weight is read as its
 exact image ``Fraction(x)`` by ``DiscreteBaseMeasure``.  Rational points
@@ -129,6 +130,12 @@ def _validated_point(gamma: Sequence[Scalar], dim: int) -> tuple[Scalar, ...]:
 
 def _full_point(gamma: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
     return gamma + (1 - sum(gamma),)
+
+
+def _integer_full_point(gamma: tuple[Scalar, ...]) -> tuple[list[int], int]:
+    """(x, b): the full point of exact free coordinates as x_i / b."""
+    x, b = common_denominator(gamma)
+    return x + [b - sum(x)], b
 
 
 def monomial_expectation(theta: DiscreteBaseMeasure, exponents: Sequence[int]) -> Scalar:
@@ -254,48 +261,60 @@ def rho(n: int, t: Scalar, total: Scalar) -> float:
     return math.exp(-0.5 * n * (n - 1) * t_f - 0.5 * float(total) * n * t_f)
 
 
-def _atom_series(weights: Sequence[Fraction], top: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Per atom i, the coefficients 1/(k! rising(theta_i, k)) for k = 0..top."""
-    return tuple(
-        tuple(1 / (math.factorial(k) * rising_factorial(w, k)) for k in range(top + 1))
-        for w in weights
-    )
+def _atom_series(
+    weights: Sequence[Fraction], top: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(rows, dens): per atom i the coefficients 1/(k! rising(theta_i, k)),
+    k = 0..top, as an integer row over its own denominator dens[i]."""
+    rows, dens = [], []
+    for w in weights:
+        nums, den = common_denominator(
+            [1 / (math.factorial(k) * rising_factorial(w, k)) for k in range(top + 1)]
+        )
+        rows.append(tuple(nums))
+        dens.append(den)
+    return tuple(rows), tuple(dens)
 
 
-def _kernel_coefficients(total: Fraction, top: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Row n holds c[n][m], m = 0..n, with Q_n = sum_m c[n][m] e_m.
+def _kernel_coefficients(total: Fraction, top: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Row n holds c[n][m], m = 0..n, with Q_n = sum_m c[n][m] e_m, as
+    integer numerators over the row's denominator.
 
     c[n][m] = theta(n,m) n! rising(|theta|, m) / (n-m)!: Griffiths' coefficient
     C(n, m) theta(n,m) times the factor rising(|theta|, m) m! that turns e_m
     into xi_m; row 0 is Q_0 = 1.
     """
-    rows = [(Fraction(1),)]
+    rows = [((1,), 1)]
     for n in range(1, top + 1):
         theta = _limit_row(total, n)
-        rows.append(
-            tuple(
+        nums, den = common_denominator(
+            [
                 t * math.factorial(n) * rising_factorial(total, m) / math.factorial(n - m)
                 for m, t in enumerate(theta)
-            )
+            ]
         )
+        rows.append((tuple(nums), den))
     return tuple(rows)
 
 
 def _product_coefficients(
-    series: tuple[tuple[Fraction, ...], ...], z: Sequence[Fraction], top: int
-) -> list[Fraction]:
-    """e_0..e_top: the coefficients of u^m in prod_i sum_k series[i][k] (z_i u)^k.
+    series: tuple[tuple[int, ...], ...], z: Sequence[int], top: int
+) -> list[int]:
+    """E_0..E_top: the coefficients of u^m in prod_i sum_k series[i][k] (z_i u)^k.
 
-    e_m = sum over |l| = m of prod_i z_i^l_i / (l_i! rising(theta_i, l_i)),
-    obtained by K - 1 truncated convolutions instead of a sum over
-    compositions: O(K top^2) rational operations.
+    With atom i's series over its denominator D_i, D = prod_i D_i and
+    z_i = z[i] / b, the coefficient
+    e_m = sum over |l| = m of prod_i z_i^l_i / (l_i! rising(theta_i, l_i))
+    is E_m / (D b^m): every composition of m carries b^m.  K - 1 truncated
+    convolutions of ints replace the sum over compositions: O(K top^2)
+    integer operations.
     """
-    out: list[Fraction] = []
+    out: list[int] = []
     for coeffs, zi in zip(series, z):
         terms = [coeffs[0]]
-        power: Fraction = Fraction(1)
+        power = 1
         for k in range(1, top + 1):
-            power = power * zi
+            power *= zi
             terms.append(coeffs[k] * power)
         if not out:
             out = terms
@@ -309,9 +328,9 @@ class TransitionModel:
     """Mutation weights plus the tables of the kernel polynomials up to order M + 1.
 
     The extra order feeds the truncation tail bound.  The build precomputes
-    two small rational tables (Griffiths' closed form) from the exact
-    weights; the Gram-Schmidt system is built only on first use by the
-    float-point route or an oracle (``band``).  The instance is immutable
+    two small tables of Griffiths' closed form from the exact weights, as
+    integer rows over their denominators; the Gram-Schmidt system is built
+    only on first use by the float-point route or an oracle (``band``).  The instance is immutable
     afterwards; evaluations are pure apart from the memo of diagonal tail
     kernels Q_{M+1}(x, x).
     """
@@ -364,9 +383,22 @@ class TransitionModel:
         sums at a float point."""
         if not self._closed_form(g, gp):
             return [self._band_sum(n, g, gp) for n in orders]
-        z = [a * b for a, b in zip(_full_point(g), _full_point(gp))]
-        e = _product_coefficients(self._series, z, orders.stop - 1)
-        return [sum(c * v for c, v in zip(self._coeffs[n], e)) for n in orders]
+        # Q_n = sum_m c[n][m] E_m / (D b^m) over one denominator, b the
+        # product of the two points' denominators: one integer dot product
+        # by Horner's rule in b and one Fraction per order
+        (x, bx), (y, by) = _integer_full_point(g), _integer_full_point(gp)
+        b = bx * by
+        z = [u * v for u, v in zip(x, y)]
+        series, dens = self._series
+        e = _product_coefficients(series, z, orders.stop - 1)
+        out = []
+        for n in orders:
+            row, row_den = self._coeffs[n]
+            acc, scale = 0, row_den * math.prod(dens)
+            for c, e_m in zip(row, e):
+                acc = acc * b + c * e_m
+            out.append(Fraction(acc, scale * b**n))
+        return out
 
     def _band_sum(self, n: int, g: tuple[Scalar, ...], gp: tuple[Scalar, ...]) -> Scalar:
         total: Scalar = 0
@@ -395,17 +427,19 @@ class TransitionModel:
         # with a_i[k] = series[i][k]; terms are grouped by the exponent k of
         # the implied coordinate y_K = 1 - y_1 - ... - y_{K-1}
         full = _full_point(g)
-        row = self._coeffs[n]
+        nums, den = self._coeffs[n]
+        row = [Fraction(c, den) for c in nums]
+        series = [[Fraction(c, d) for c in r] for r, d in zip(*self._series)]
         units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
         one_minus = SimplexPolynomial(dim, {(0,) * dim: 1, **dict.fromkeys(units, -1)})
         out = SimplexPolynomial.constant(dim, 0)
         power = SimplexPolynomial.constant(dim, 1)
         for k in range(n + 1):
-            last = self._series[-1][k] * full[-1] ** k
+            last = series[-1][k] * full[-1] ** k
             terms = {}
             for index in multi_indices(dim, n - k):
                 coeff = row[sum(index) + k] * last
-                for a, x, e in zip(self._series, full, index):
+                for a, x, e in zip(series, full, index):
                     coeff = coeff * a[e] * x**e
                 terms[index] = coeff
             out = out.add(SimplexPolynomial(dim, terms).mul(power))

@@ -12,6 +12,8 @@ from dfchaos.coeffs import (
     c_overlap_oracle,
     limit_coefficient,
     limit_coefficients,
+    phi,
+    psi,
     system_residuals,
     tabulated_limit_values,
     theta_limit,
@@ -161,6 +163,24 @@ def test_limit_coefficient_rejects_nonpositive_mass():
         with pytest.raises(DomainError):
             limit_coefficient(1, 1, mass)
     assert type(limit_coefficient(2, 1, 2)) is Fraction
+
+
+@pytest.mark.parametrize(
+    "constant",
+    [
+        lambda mass: c_iso(2, mass),
+        lambda mass: c_overlap(3, 1, mass),
+        lambda mass: c_overlap(2, 2, mass),
+        lambda mass: psi(6, 2, 3, 3, mass),
+        lambda mass: phi(4, 3, 1, 1, mass),
+    ],
+    ids=["c_iso", "c_overlap", "c_overlap-full-overlap", "psi", "phi"],
+)
+@pytest.mark.parametrize("mass", [float("inf"), float("nan"), 0, -1.5, Fraction(-1, 2)])
+def test_constants_refuse_a_mass_that_is_not_positive_and_finite(constant, mass):
+    # an infinite mass gave 0.0 (c_iso, c_overlap) or nan (psi, phi)
+    with pytest.raises(DomainError):
+        constant(mass)
 
 
 def test_limit_coefficients_need_a_positive_order():

@@ -17,6 +17,7 @@ from dfchaos.numeric import (
     hyp1f1,
     multiplicity,
     nullspace,
+    occupation_lattice,
     occupation_vectors,
     rising_factorial,
     scalar_from_json,
@@ -69,6 +70,27 @@ def test_occupation_vectors_enumeration():
     assert sorted(vectors) == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert len(list(occupation_vectors(4, 3))) == binom(4 + 2, 2)
     assert all(sum(v) == 4 for v in occupation_vectors(4, 3))
+
+
+def test_occupation_lattice_ranks_and_links():
+    def step(v, j, by):
+        return v[:j] + (v[j] + by,) + v[j + 1 :]
+
+    for order, atoms in ((0, 3), (3, 1), (4, 3)):
+        lattice = occupation_lattice(order, atoms)
+        assert lattice is occupation_lattice(order, atoms)
+        above = occupation_vectors(order + 1, atoms)
+        below = occupation_vectors(order - 1, atoms) if order else ()
+        for i, v in enumerate(lattice.vectors):
+            assert lattice.rank[v] == i
+            assert lattice.multiplicities[i] == multiplicity(v)
+            assert [below[r] for r in lattice.down[i]] == [
+                step(v, j, -1) for j in range(atoms) if v[j]
+            ]
+            assert [above[r] for r in lattice.up[i]] == [step(v, j, 1) for j in range(atoms)]
+    for order, atoms in ((-1, 2), (2, 0)):
+        with pytest.raises(DomainError):
+            occupation_lattice(order, atoms)
 
 
 def test_multiplicity_counts_orderings():

@@ -30,9 +30,11 @@ from hypothesis import strategies as st
 
 from dfchaos.chaos import (
     chaos_kernels,
+    expectation_of_integral,
     multiple_integral,
     poly_posterior_mean,
     reconstruct,
+    statistic_product_mean,
     variance_from_decomposition,
     variance_functional,
 )
@@ -46,10 +48,10 @@ from dfchaos.coeffs import (
 )
 from dfchaos.errors import CoefficientValidationError, DomainError
 from dfchaos.hoeffding import degenerate_check, hoeffding_decompose
-from dfchaos.kernels import SimplexPolynomial, SymmetricKernel
+from dfchaos.kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
 from dfchaos.measures import DiscreteBaseMeasure, dirichlet_moment, with_counts
 from dfchaos.numeric import occupation_vectors, rising_factorial, sub_occupations, tuple_counts
-from dfchaos.polya import cond_exp_statistic_counts, polya_joint_prob
+from dfchaos.polya import cond_exp_statistic_counts, occupation_prob, polya_joint_prob
 from dfchaos.ustat import direct_loss, mc_loss, scaled_kernel_candidate, statistic_from_kernels
 from dfchaos.validation import mass_kernel_identities, oracle_limit_row
 from dfchaos.wright_fisher import (
@@ -509,6 +511,135 @@ def test_statistic_from_kernels_is_the_brute_force_subset_sum(atoms, data):
         for counts in occupation_vectors(window, atoms)
     }
     assert statistic_from_kernels(kernels, window, atoms) == SymmetricKernel(window, atoms, expected)
+
+
+# ---------------------------------------------------------------------------
+# the occupation lattice: up-operator subset sums and urn expectations
+
+SCALARS = FRACTIONS | st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+
+
+def brute_subset_sums(values, rows, atoms):
+    """Every row's subset sums by walking each sub-occupation, in Fractions
+    (a float read as its exact image)."""
+    out = {}
+    for n, row in rows.items():
+        out[n] = {
+            a: sum(
+                (
+                    Fraction(w) * ways * Fraction(values.get(mu, 0))
+                    for k, w in row.items()
+                    for mu, ways in sub_occupations(a, k)
+                ),
+                Fraction(0),
+            )
+            for a in occupation_vectors(n, atoms)
+        }
+    return out
+
+
+@SPLIT_EXAMPLES
+@given(atoms=st.integers(1, 3), top=st.integers(0, 4), data=st.data())
+def test_lattice_subset_sums_equal_the_sub_occupation_walk(atoms, top, data):
+    # rows may weight k = 0, k > n or no k at all, and the values may be
+    # empty or floats: a float entry is the exact sum rounded once
+    domain = [mu for size in range(top + 1) for mu in occupation_vectors(size, atoms)]
+    kept = data.draw(st.lists(st.booleans(), min_size=len(domain), max_size=len(domain)))
+    values = {mu: data.draw(SCALARS) for mu, keep in zip(domain, kept) if keep}
+    orders = data.draw(st.sets(st.integers(0, top), min_size=1))
+    rows = {
+        n: data.draw(st.dictionaries(st.integers(0, top + 2), SCALARS, max_size=4))
+        for n in orders
+    }
+    kernels = subset_sum_kernels(values, rows, atoms)
+    expected = brute_subset_sums(values, rows, atoms)
+    rounded = any(type(v) is float for v in values.values()) or any(
+        type(w) is float for row in rows.values() for w in row.values()
+    )
+    for n in orders:
+        for a, want in expected[n].items():
+            got = kernels[n].value(a)
+            assert type(got) is (float if rounded else Fraction)
+            assert got == (float(want) if rounded else want)
+
+
+def test_lattice_subset_sums_of_edge_rows():
+    values = {(0, 0): Fraction(3), (1, 0): Fraction(-1), (0, 1): Fraction(1, 2)}
+    zero = dict.fromkeys(occupation_vectors(2, 2), 0)
+    # k = 0 weighs the empty sub-occupation once per entry
+    assert subset_sum_kernels(values, {2: {0: 5}}, 2)[2].values == dict.fromkeys(zero, 15)
+    assert subset_sum_kernels({}, {2: {0: 5, 1: 1}}, 2)[2].values == zero
+    assert subset_sum_kernels(values, {2: {3: 1}, 0: {}}, 2)[2].values == zero
+    # an order above the window adds nothing to the window's statistic
+    g = SymmetricKernel(3, 2, {(3, 0): Fraction(1), (1, 2): Fraction(-2)})
+    statistic = statistic_from_kernels({3: g}, 2, 2)
+    assert statistic == SymmetricKernel(2, 2, zero)
+
+
+@SPLIT_EXAMPLES
+@given(alpha=rational_measures(), data=st.data())
+def test_urn_means_equal_the_occupation_probability_sums(alpha, data):
+    h = data.draw(statistics(alpha.atoms))
+    f = data.draw(statistics(alpha.atoms, h.order, h.order))
+    domain = occupation_vectors(h.order, alpha.atoms)
+    mean = sum((occupation_prob(alpha, c) * h.value(c) for c in domain), Fraction(0))
+    product = sum((occupation_prob(alpha, c) * h.value(c) * f.value(c) for c in domain), Fraction(0))
+    assert expectation_of_integral(h, alpha) == mean
+    assert statistic_product_mean(h, f, alpha) == product
+    assert type(statistic_product_mean(h, f, alpha)) is Fraction
+    # a float kernel: the exact mean of its values' images, rounded once
+    h_float = SymmetricKernel(h.order, h.atoms, {c: float(v) / 3 for c, v in h.values.items()})
+    exact = sum(
+        (occupation_prob(alpha, c) * Fraction(h_float.value(c)) * f.value(c) for c in domain),
+        Fraction(0),
+    )
+    assert statistic_product_mean(h_float, f, alpha) == float(exact)
+
+
+@SPLIT_EXAMPLES
+@given(alpha=rational_measures(max_atoms=3), data=st.data())
+def test_direct_loss_equals_the_per_vector_expansion(alpha, data):
+    F = data.draw(polynomials(alpha.atoms))
+    window = data.draw(st.integers(1, 3))
+    kernels = {n: data.draw(statistics(alpha.atoms, n, n)) for n in range(1, window + 1)}
+    statistic = statistic_from_kernels(kernels, window, alpha.atoms)
+    mean = poly_posterior_mean(F, alpha, (0,) * alpha.atoms)
+    expected = variance_functional(F, alpha)
+    for counts in occupation_vectors(window, alpha.atoms):
+        prob, s = occupation_prob(alpha, counts), statistic.value(counts)
+        expected += prob * s * (s - 2 * (poly_posterior_mean(F, alpha, counts) - mean))
+    assert direct_loss(kernels, F, alpha, window) == expected
+
+
+def reference_evaluate(F, point):
+    """The per-term loop that evaluated a polynomial at every point before
+    the float coefficients were cached."""
+    powers = {}
+    total = Fraction(0)
+    for exps, coeff in F.terms.items():
+        term = coeff
+        for j, e in enumerate(exps):
+            if e:
+                power = powers.get((j, e))
+                if power is None:
+                    power = powers[(j, e)] = point[j] ** e
+                term = term * power
+        total = total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(atoms=st.integers(1, 4), data=st.data())
+def test_float_point_evaluation_is_the_per_term_loop_bit_for_bit(atoms, data):
+    F = data.draw(polynomials(atoms, max_degree=6))
+    if data.draw(st.booleans()):
+        F = SimplexPolynomial(atoms, {e: float(c) / 7 for e, c in F.terms.items()})
+    coords = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+    point = tuple(data.draw(st.lists(coords, min_size=atoms, max_size=atoms)))
+    for p in (point, tuple(np.float64(x) for x in point)):
+        got, want = F.evaluate(p), reference_evaluate(F, p)
+        assert type(got) is type(want)
+        assert float(got).hex() == float(want).hex()
 
 
 @SPLIT_EXAMPLES
