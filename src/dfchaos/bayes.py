@@ -39,7 +39,17 @@ from .errors import DomainError, ResourceCapError
 from .jacobi import beta_bernstein
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, dirichlet_moment, with_observations
-from .numeric import Scalar, as_scalar, hyp1f1, multiplicity, occupation_vectors, tuple_counts
+from .numeric import (
+    Scalar,
+    as_scalar,
+    exact_numerators,
+    hyp1f1,
+    is_exact,
+    multiplicity,
+    occupation_vectors,
+    tuple_counts,
+    variance_ratio,
+)
 from .polya import DEFAULT_ENUMERATION_CAP
 
 __all__ = [
@@ -111,6 +121,33 @@ def _occupation_sums(
     return m, sums
 
 
+def _posterior_variance(
+    sums: Mapping[tuple[int, ...], tuple[Scalar, Scalar]], posterior: DiscreteBaseMeasure
+) -> Scalar:
+    """Var[h | obs] = E[h^2 | obs] - E[h | obs]^2 from the occupation sums.
+
+    Each moment is sum_c (sum over c) E[D^c] under the posterior.  With
+    exact sums they are two integer ladder sums and the variance is one
+    Fraction (``variance_ratio``); a float sum keeps the per-vector float
+    accumulation.
+    """
+    if not is_exact(v for pair in sums.values() for v in pair):
+        first: Scalar = 0
+        second: Scalar = 0
+        for counts, (value, square) in sums.items():
+            prob = dirichlet_moment(posterior, counts)
+            first = first + value * prob
+            second = second + square * prob
+        return second - first * first
+    zeros = (0,) * posterior.atoms
+    moments = []
+    for column in zip(*sums.values()):
+        nums, den, _ = exact_numerators(column)
+        num, q = posterior.moment_ladder.posterior_sum(zip(sums, nums), zeros)
+        moments.append((num, q * den))
+    return variance_ratio(*moments)
+
+
 def estimate_conditional_variance(
     h: SymmetricKernel | Mapping[tuple[int, ...], Scalar],
     sample: ObservedSample,
@@ -138,14 +175,7 @@ def estimate_conditional_variance(
             f"future block enumeration K^m = {atoms}**{m} exceeds cap {cap}"
         )
     posterior = sample.posterior()
-
-    first: Scalar = 0
-    second: Scalar = 0
-    for counts, (value, square) in sums.items():
-        prob = dirichlet_moment(posterior, counts)
-        first = first + value * prob
-        second = second + square * prob
-    variance = second - first * first
+    variance = _posterior_variance(sums, posterior)
 
     # the conditional mean E[h | D] = sum_c (sum of h over c) d^c
     mean_poly = SimplexPolynomial(atoms, {c: value for c, (value, _) in sums.items()})

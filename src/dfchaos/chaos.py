@@ -24,27 +24,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .coeffs import c_iso, limit_coefficient, validate_limit_values
+from .coeffs import _limit_row, c_iso, validate_limit_values
 from .errors import DomainError
 from .hoeffding import degenerate_check, hoeffding_decompose
 from .kernels import (
     PredictableComponent,
     SimplexPolynomial,
     SymmetricKernel,
+    subset_sum_assembly,
     subset_sum_kernels,
 )
 from .measures import DiscreteBaseMeasure, sample_dirichlet, with_counts
 from .numeric import (
     Scalar,
     binom,
-    exact_numerators,
     exact_ratio,
+    is_exact,
     occupation_lattice,
     occupation_vectors,
     ratio,
     tuple_counts,
+    variance_ratio,
 )
 from .polya import DEFAULT_ENUMERATION_CAP, cond_exp_statistic_counts
 
@@ -132,13 +135,44 @@ def functional_mean(F: Functional, alpha: DiscreteBaseMeasure, rng=None):
     return cond_exp_functional(F, alpha, (), rng)
 
 
+def _product_sum(
+    F: SimplexPolynomial, G: SimplexPolynomial, alpha: DiscreteBaseMeasure
+) -> tuple[int, int] | None:
+    """(N, Q) with E[F(D) G(D)] = N / Q, or None when a coefficient is a float.
+
+    The coefficients over their denominators (``scaled_terms``) multiply
+    on ints, and one ladder sum at the prior takes the moments of the
+    product's terms; no product polynomial is built.
+    """
+    (f_terms, f_lead), (g_terms, g_lead) = F.scaled_terms, G.scaled_terms
+    if not is_exact(c for _, c in f_terms + g_terms):
+        return None
+    product: dict[tuple[int, ...], int] = {}
+    for e1, c1 in f_terms:
+        for e2, c2 in g_terms:
+            key = tuple(map(add, e1, e2))
+            product[key] = product.get(key, 0) + c1 * c2
+    num, den = alpha.moment_ladder.posterior_sum(product.items(), (0,) * alpha.atoms)
+    return num, den * f_lead * g_lead
+
+
 def variance_functional(F: SimplexPolynomial, alpha: DiscreteBaseMeasure) -> Scalar:
-    """Var F(D), exactly, via first and second moments of the masses."""
+    """Var F(D), exactly, via first and second moments of the masses.
+
+    With exact coefficients both moments are integer ladder sums and the
+    variance is one Fraction (``variance_ratio``).  A float coefficient
+    keeps the float moments of F and of the product polynomial F·F.
+    """
     if not isinstance(F, SimplexPolynomial):
         raise DomainError("exact variance needs a polynomial functional")
-    mean = poly_posterior_mean(F, alpha, (0,) * alpha.atoms)
-    second = poly_posterior_mean(F.mul(F), alpha, (0,) * alpha.atoms)
-    return second - mean * mean
+    zeros = (0,) * alpha.atoms
+    second = _product_sum(F, F, alpha)
+    if second is None:
+        mean = poly_posterior_mean(F, alpha, zeros)
+        return poly_posterior_mean(F.mul(F), alpha, zeros) - mean * mean
+    terms, lead = F.scaled_terms
+    num, den = alpha.moment_ladder.posterior_sum(terms, zeros)
+    return variance_ratio((num, den * lead), second)
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +192,16 @@ def _urn_mean(alpha: DiscreteBaseMeasure, *kernels: SymmetricKernel) -> Scalar:
     of one order n.
 
     P(a) = mult(a) E[D^a] for a vector a of the order-n lattice layer, so
-    with each kernel's values over their common denominator this is one
-    posterior sum at the prior, with the integer weights mult(a) times the
-    numerators.  A float value is read as its exact image and the result
-    is rounded once.
+    with each kernel's values over their common denominator (its cached
+    ``numerators``) this is one posterior sum at the prior, with the
+    integer weights mult(a) times the numerators.  A float value is read
+    as its exact image and the result is rounded once.
     """
     lattice = occupation_lattice(kernels[0].order, alpha.atoms)
     weights = list(lattice.multiplicities)
     scale, rounded = 1, False
     for h in kernels:
-        nums, den, h_rounded = exact_numerators([h.value(a) for a in lattice.vectors])
+        nums, den, h_rounded = h.numerators
         weights = [w * v for w, v in zip(weights, nums)]
         scale, rounded = scale * den, rounded or h_rounded
     terms = [(a, w) for a, w in zip(lattice.vectors, weights) if w]
@@ -253,6 +287,17 @@ def chaos_kernels(
 
     For polynomial F of degree d, max_order >= d makes the decomposition
     exact: kernels beyond d come out identically zero.
+
+    Every occupation vector mu with |mu| <= max_order is a sub-occupation,
+    so every conditional mean E[F | mu] is needed.  For F with exact
+    coefficients c_e / L they come from one integer table,
+    ``MomentLadder.posterior_table``: E[F | mu] = N(mu) / (D L) over one
+    denominator for all mu, and the centred numerators N(mu) - N(0) feed
+    the integer assembly ``subset_sum_assembly`` with no Fraction formed
+    in between.  A black box, or F with a float coefficient, takes one
+    conditional mean per vector, by size (the order in which a black box
+    draws from ``rng``), and the centred values run through
+    ``subset_sum_kernels``.
     """
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order}")
@@ -260,34 +305,35 @@ def chaos_kernels(
     if atoms != alpha.atoms:
         raise DomainError("functional and measure disagree on the atom count")
     mass = alpha.total_mass
+    orders = range(1, max_order + 1)
     if theta is None:
-        theta_vals = {
-            (n, k): limit_coefficient(n, k, mass)
-            for n in range(1, max_order + 1)
-            for k in range(1, n + 1)
-        }
+        rows = {n: {k: t for k, t in enumerate(_limit_row(mass, n)) if k} for n in orders}
     else:
         if validate:
             validate_limit_values(theta, mass, max_order)
-        theta_vals = dict(theta)
+        rows = {n: {k: theta[(n, k)] for k in range(1, n + 1)} for n in orders}
 
-    def cond(counts: tuple[int, ...]) -> Scalar:
-        if isinstance(F, SimplexPolynomial):
-            return poly_posterior_mean(F, alpha, counts)
-        labels: list[int] = []
-        for atom, c in enumerate(counts, start=1):
-            labels.extend([atom] * c)
-        return cond_exp_functional(F, alpha, labels, rng).value
+    if isinstance(F, SimplexPolynomial) and is_exact(F.terms.values()):
+        terms, lead = F.scaled_terms
+        table, den = alpha.moment_ladder.posterior_table(terms, max_order)
+        centre = table[0][0]
+        layers = [[x - centre for x in layer] for layer in table]
+        kernels = subset_sum_assembly(layers.__getitem__, den * lead, False, rows, atoms)
+        mean: Scalar = Fraction(centre, den * lead)
+    else:
 
-    # every occupation vector of size <= max_order is some sub-occupation,
-    # so all conditional means are taken up front, by size (the order in
-    # which a black box draws from ``rng``); the theta rows weight their
-    # centred values in the one integer assembly, ``subset_sum_kernels``
-    vectors = [mu for n in range(max_order + 1) for mu in occupation_vectors(n, atoms)]
-    conds = [cond(mu) for mu in vectors]
-    mean = conds[0]
-    rows = {n: {k: theta_vals[(n, k)] for k in range(1, n + 1)} for n in range(1, max_order + 1)}
-    kernels = subset_sum_kernels({mu: c - mean for mu, c in zip(vectors, conds)}, rows, atoms)
+        def cond(counts: tuple[int, ...]) -> Scalar:
+            if isinstance(F, SimplexPolynomial):
+                return poly_posterior_mean(F, alpha, counts)
+            labels: list[int] = []
+            for atom, c in enumerate(counts, start=1):
+                labels.extend([atom] * c)
+            return cond_exp_functional(F, alpha, labels, rng).value
+
+        vectors = [mu for n in range(max_order + 1) for mu in occupation_vectors(n, atoms)]
+        conds = [cond(mu) for mu in vectors]
+        mean = conds[0]
+        kernels = subset_sum_kernels({mu: c - mean for mu, c in zip(vectors, conds)}, rows, atoms)
     return ChaosDecomposition(alpha, mean, tuple(kernels.values()))
 
 
@@ -332,9 +378,12 @@ def covariance_integrals(
     """
     if h.atoms != alpha.atoms or f.atoms != alpha.atoms:
         raise DomainError("kernels and measure disagree on the atom count")
-    exact_val = poly_posterior_mean(
-        h.to_polynomial().mul(f.to_polynomial()), alpha, (0,) * alpha.atoms
-    )
+    F, G = h.to_polynomial(), f.to_polynomial()
+    product = _product_sum(F, G, alpha)
+    if product is None:
+        exact_val = poly_posterior_mean(F.mul(G), alpha, (0,) * alpha.atoms)
+    else:
+        exact_val = Fraction(*product)
     mass = alpha.total_mass
     h_degen = degenerate_check(h, alpha) <= degeneracy_tol
     f_degen = degenerate_check(f, alpha) <= degeneracy_tol

@@ -256,7 +256,7 @@ def _cmd_jacobi(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     from .hoeffding import degenerate_check
     from .jacobi import (
         BetaParams,
-        jacobi_inner,
+        jacobi_gram,
         jacobi_modified,
         jacobi_norm_identity,
         solve_phi_system,
@@ -274,10 +274,9 @@ def _cmd_jacobi(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         "coefficients": [float(poly.coefficient(a)) for a in range(n + 1)],
     }
     worst = 0.0
-    for i in range(n + 1):
-        for j in range(n + 1):
-            val = float(jacobi_inner(i, j, params))
-            worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
+    for i, row in enumerate(jacobi_gram(n, params)):
+        for j, value in enumerate(row):
+            worst = max(worst, abs(float(value) - (1.0 if i == j else 0.0)))
     payload["orthonormality_worst"] = worst
     if n >= 1:
         phi = solve_phi_system(n, params)

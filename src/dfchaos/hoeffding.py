@@ -24,7 +24,6 @@ from .numeric import (
     Scalar,
     common_denominator,
     exact_ratio,
-    is_exact,
     nullspace,
     occupation_lattice,
     occupation_vectors,
@@ -54,20 +53,22 @@ def degenerate_check(h: SymmetricKernel, alpha: DiscreteBaseMeasure) -> Scalar:
     | sum_a h(x, a) · P(next draw = a | x) |; exactly zero iff h is
     degenerate for this base measure. Order-1 kernels are checked against
     the empty history (the base predictive). With h's values over their
-    common denominator the sums run on ints and one ratio is formed at the
-    end.  A float value meets the weights rounded once, and the sums run in
-    floats: the integer numerators need not fit a float.
+    common denominator (the kernel's cached ``numerators``) the sums run on
+    ints and one ratio is formed at the end.  A float value meets the
+    weights rounded once, and the sums run in floats: the integer
+    numerators need not fit a float.
     """
     if h.atoms != alpha.atoms:
         raise DomainError("kernel and measure disagree on the atom count")
     if h.order < 1:
         raise DomainError("degeneracy is defined for orders >= 1")
-    values, weights = list(h.values.values()), alpha.weights
-    if not is_exact(values):
+    column, value_den, rounded = h.numerators
+    weights = alpha.weights
+    if rounded:
         weights = [float(w) for w in weights]
-    nums, value_den = common_denominator(values)
-    table = dict(zip(h.values, nums))
-    column = [table.get(a, 0) for a in occupation_vectors(h.order, h.atoms)]
+        nums, value_den = common_denominator(list(h.values.values()))
+        table = dict(zip(h.values, nums))
+        column = [table.get(a, 0) for a in occupation_vectors(h.order, h.atoms)]
     rows, den = _predictive_rows(weights, h.order)
     worst = max(abs(sum(w * column[rank] for rank, w in row)) for row in rows)
     return exact_ratio(worst, value_den * den)

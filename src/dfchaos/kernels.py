@@ -95,10 +95,22 @@ class SymmetricKernel:
         out = dict(self.values)
         for c, v in other.values.items():
             out[c] = out.get(c, Fraction(0)) + v
-        return SymmetricKernel(self.order, self.atoms, out)
+        return SymmetricKernel._trusted(self.order, self.atoms, out)
 
     def sub(self, other: "SymmetricKernel") -> "SymmetricKernel":
         return self.add(other.scale(Fraction(-1)))
+
+    @cached_property
+    def numerators(self) -> tuple[tuple[int, ...], int, bool]:
+        """(nums, d, rounded): the values on the order's lattice layer, by
+        rank in ``occupation_lattice``, as nums[i] / d over their least
+        common denominator (``exact_numerators``: a float is read as its
+        exact image and ``rounded`` says one was seen).  Built once per
+        kernel and shared by every urn expectation and degeneracy check
+        that reads it."""
+        vectors = occupation_lattice(self.order, self.atoms).vectors
+        nums, den, rounded = exact_numerators([self.value(a) for a in vectors])
+        return tuple(nums), den, rounded
 
     def to_polynomial(self) -> "SimplexPolynomial":
         """The induced polynomial of the mass vector: the integral of this
@@ -118,6 +130,19 @@ class SymmetricKernel:
         return SimplexPolynomial(self.atoms, terms)
 
     # -- construction ------------------------------------------------------
+
+    @classmethod
+    def _trusted(
+        cls, order: int, atoms: int, values: dict[tuple[int, ...], Scalar]
+    ) -> "SymmetricKernel":
+        """A kernel the package built itself, without the re-coercion of
+        ``__post_init__``: the keys are canonical int tuples of the order's
+        layer and the values Fractions or floats."""
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "order", order)
+        object.__setattr__(kernel, "atoms", atoms)
+        object.__setattr__(kernel, "values", values)
+        return kernel
 
     @classmethod
     def from_function(
@@ -166,6 +191,31 @@ def subset_sum_kernels(
     unit row {N: {s: 1}} the order-N subset sum of an order-s kernel.
     Weights at k < 0 or k > n add nothing.
 
+    The values go over one common denominator and the integer layers run
+    through ``subset_sum_assembly``.  A float value or weight is read as
+    its exact image and every entry is rounded once, to a float.
+    """
+    nums, den, rounded = exact_numerators(values.values())
+    table = dict(zip(values, nums))
+
+    def layer(k: int) -> list[int]:
+        return [table.get(mu, 0) for mu in occupation_lattice(k, atoms).vectors]
+
+    return subset_sum_assembly(layer, den, rounded, rows, atoms)
+
+
+def subset_sum_assembly(
+    layer: Callable[[int], Sequence[int]],
+    den: int,
+    rounded: bool,
+    rows: Mapping[int, Mapping[int, Scalar]],
+    atoms: int,
+) -> dict[int, SymmetricKernel]:
+    """``subset_sum_kernels`` on integer layers: ``layer(k)`` lists by rank
+    in ``occupation_lattice(k, atoms)`` the numerators of v on layer k, all
+    over ``den``; ``rounded`` rounds every entry once, to a float.  Each
+    layer is read at most once, and only if a row weights it.
+
     The sub-occupations are never walked.  With U the up operator of the
     occupation lattice, (Uf)(a) = sum_{i: a_i > 0} f(a - e_i), and
     mult(a) ways(mu) = C(n, k) mult(mu) mult(a - mu),
@@ -173,13 +223,9 @@ def subset_sum_kernels(
         mult(a) · h_n(a) = sum_k w[n][k] C(n, k) (U^(n-k) [mult · v_k])(a),
 
     v_k the values on layer k; the sum runs by Horner's rule, one up-step
-    per layer.  The values go over one common denominator and each row
-    over its own, so every step adds ints and each entry is one Fraction.
-    A float value or weight is read as its exact image and every entry is
-    rounded once, to a float.
+    per layer.  Each row goes over its own denominator, so every step adds
+    ints and each entry is one Fraction.
     """
-    nums, value_den, rounded = exact_numerators(values.values())
-    table = dict(zip(values, nums))
     scaled_rows = {}
     for n, row in rows.items():
         weights, row_den, row_rounded = exact_numerators(row.values())
@@ -190,13 +236,11 @@ def subset_sum_kernels(
     layers: dict[int, list[int]] = {}  # layer k: mult(mu) · numerator of v(mu), by rank
 
     def weighted(k: int) -> list[int]:
-        layer = layers.get(k)
-        if layer is None:
-            lattice = occupation_lattice(k, atoms)
-            layer = layers[k] = [
-                m * table.get(mu, 0) for mu, m in zip(lattice.vectors, lattice.multiplicities)
-            ]
-        return layer
+        out = layers.get(k)
+        if out is None:
+            mults = occupation_lattice(k, atoms).multiplicities
+            out = layers[k] = [m * x for m, x in zip(mults, layer(k))]
+        return out
 
     kernels = {}
     for n, (terms, row_den) in scaled_rows.items():
@@ -212,12 +256,12 @@ def subset_sum_kernels(
                     acc = [x + w * y for x, y in zip(acc, weighted(m))]
         else:
             acc = [0] * len(lattice.vectors)
-        den = value_den * row_den
+        entry_den = den * row_den
         out = {
-            a: ratio(x, den * m, rounded)
+            a: ratio(x, entry_den * m, rounded)
             for a, x, m in zip(lattice.vectors, acc, lattice.multiplicities)
         }
-        kernels[n] = SymmetricKernel(n, atoms, out)
+        kernels[n] = SymmetricKernel._trusted(n, atoms, out)
     return kernels
 
 

@@ -21,8 +21,12 @@ Conjugacy makes a posterior moment a shift on the prior's ladder,
 E[D^e | counts c] = M(e + c) / M(c) with M(e) the moment above, so
 posterior means are sums of integer products over one denominator, and
 a single reduced Fraction is formed at the end; no posterior measure is
-built.  A float weight is read once as its exact image ``Fraction(x)``, so
-every weight is a Fraction and the ladder is always integer.
+built.  A chaos decomposition needs the posterior mean of one polynomial
+at every count vector up to an order; ``MomentLadder.posterior_table``
+puts all of them over the one denominator S(top + order) in a single
+integer pass.  A float weight is read once as its exact image
+``Fraction(x)``, so every weight is a Fraction and the ladder is always
+integer.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .numeric import (
     as_scalar,
     common_denominator,
     is_exact,
+    occupation_lattice,
     scalar_to_json,
 )
 
@@ -149,6 +154,15 @@ class MomentLadder:
     shifted product R_j(c + e) / R_j(c) that a posterior moment needs.
     Every entry is an integer.  Rows are built on first use and only ever
     extended.
+
+    ``posterior_sum`` is one posterior mean: sum_e a_e E[D^e | c] for
+    integer weights, as (N, Q).  ``posterior_table`` is every posterior
+    mean of one polynomial at once, for all count vectors mu with
+    |mu| <= d: on layer k = |mu| the term e contributes
+    a_e tail_k[|e|] prod_j row(j, mu_j)[e_j], with
+    tail_k[s] = prod_{s <= i < top}(P + (k + i) q) and top the degree, and
+    lifting layer k by the integer S(k) S(top + d) / S(top + k) puts every
+    layer over D = S(top + d).
     """
 
     __slots__ = ("q", "bases", "total_mass", "_rows")
@@ -213,6 +227,46 @@ class MomentLadder:
                     value *= row[e]
             total += weight * (value / den) if rounded else value
         return (total, 1) if rounded else (total, den)
+
+    def posterior_table(
+        self, terms: Sequence[tuple[Sequence[int], int]], order: int
+    ) -> tuple[list[list[int]], int]:
+        """(layers, D): every posterior sum of one integer polynomial at once.
+
+        ``layers[k]`` lists, by rank in ``occupation_lattice(k, K)``, the
+        integers N(mu) with N(mu) / D = sum of a * E[D^e | counts mu] over the
+        (e, a) terms, for every layer k <= order, all over the one
+        denominator D = S(top + order), top the largest |e|.  Entry mu is
+        ``posterior_sum`` at counts mu, over its denominator
+        row(K, k)[top] = S(top + k) / S(k), times the lift of the class
+        docstring.  The tails, the lift and the rows are shared by a whole
+        layer, and no Fraction is formed.  The weights a must be ints.
+        """
+        atoms = len(self.bases) - 1
+        top = max((sum(e) for e, _ in terms), default=0)
+        mass, q = self.bases[atoms], self.q
+        totals = self.row(atoms, 0, top + order)  # S(0), ..., S(top + order)
+        den = totals[top + order]
+        rows = [[self.row(j, c, top) for c in range(order + 1)] for j in range(atoms)]
+        factors = [tuple((j, ej) for j, ej in enumerate(e) if ej) for e, _ in terms]
+        layers = []
+        for k in range(order + 1):
+            lift = totals[k] * (den // totals[top + k])
+            tails = [lift] * (top + 1)  # lifted: tails[s] = lift * tail_k[s]
+            for s in range(top - 1, -1, -1):
+                tails[s] = tails[s + 1] * (mass + (k + s) * q)
+            scaled = [(a * tails[sum(e)], f) for (e, a), f in zip(terms, factors)]
+            layer = []
+            for mu in occupation_lattice(k, atoms).vectors:
+                picked = [rows[j][c] for j, c in enumerate(mu)]
+                total = 0
+                for value, f in scaled:
+                    for j, ej in f:
+                        value *= picked[j][ej]
+                    total += value
+                layer.append(total)
+            layers.append(layer)
+        return layers, den
 
 
 def dirichlet_moment(alpha: DiscreteBaseMeasure, exponents: Sequence[int]) -> Fraction:

@@ -159,6 +159,13 @@ def ratio(num: int, den: int, rounded: bool) -> Scalar:
     return num / den if rounded else Fraction(num, den)
 
 
+def variance_ratio(first: tuple[int, int], second: tuple[int, int]) -> Fraction:
+    """E[X^2] - E[X]^2 from E[X] = N1 / Q1 and E[X^2] = N2 / Q2 as integer
+    pairs: the one Fraction (N2 Q1^2 - N1^2 Q2) / (Q2 Q1^2)."""
+    (n1, q1), (n2, q2) = first, second
+    return Fraction(n2 * q1 * q1 - n1 * n1 * q2, q2 * q1 * q1)
+
+
 def exact_ratio(num, den) -> Scalar:
     """num / den: a reduced Fraction when both are ints, a float otherwise."""
     if type(num) is int and type(den) is int:

@@ -167,7 +167,7 @@ def direct_loss(
         raise ResourceCapError(f"window enumeration exceeds cap {cap}")
     statistic = statistic_from_kernels(kernels, window, alpha.atoms)
     lattice = occupation_lattice(window, alpha.atoms)
-    s_nums, s_den, rounded = exact_numerators(statistic.value(mu) for mu in lattice.vectors)
+    s_nums, s_den, rounded = statistic.numerators
     coeffs, c_den, f_rounded = exact_numerators(F.terms.values())
     if f_rounded:
         F = SimplexPolynomial(F.nvars, {e: Fraction(c, c_den) for e, c in zip(F.terms, coeffs)})

@@ -64,7 +64,7 @@ from .jacobi import (
     BetaParams,
     beta_bernstein,
     exact_parts,
-    jacobi_inner,
+    jacobi_gram,
     jacobi_norm_identity,
     kernel_to_univariate,
     jacobi_modified,
@@ -451,10 +451,9 @@ def _check_jacobi(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
     params = BetaParams(1, 1) if alpha.atoms != 2 else BetaParams(alpha.weight(1), alpha.weight(2))
     top = 4 if quick else 8
     worst = 0.0
-    for n in range(top + 1):
-        for m in range(top + 1):
-            val = float(jacobi_inner(n, m, params))
-            worst = max(worst, abs(val - (1.0 if n == m else 0.0)))
+    for n, row in enumerate(jacobi_gram(top, params)):
+        for m, value in enumerate(row):
+            worst = max(worst, abs(float(value) - (1.0 if n == m else 0.0)))
     base = params.as_measure()
     for n in range(1, (3 if quick else 6) + 1):
         phi = solve_phi_system(n, params)

@@ -1,0 +1,361 @@
+"""The integer pass of a chaos query against the per-vector routes.
+
+Every conditional mean E[F | mu] of an exact polynomial comes from one
+ladder table (``MomentLadder.posterior_table``) and feeds the integer
+assembly directly; second moments, the isometry constant, the
+conditional-variance moments and the Jacobi inner products run on ints.
+Each is held here to a test-local copy of the per-vector or per-term
+``Fraction`` route it replaced, exactly, over random p/q measures with
+K <= 4 and polynomials of degree <= 4.  Float coefficients, float theta
+rows and black-box functionals keep the per-vector route: their results,
+and the random stream of a black box, are pinned bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import dfchaos.chaos as chaos_module
+from dfchaos.bayes import ObservedSample, _occupation_sums, estimate_conditional_variance
+from dfchaos.chaos import (
+    BlackBoxFunctional,
+    chaos_kernels,
+    cond_exp_functional,
+    covariance_integrals,
+    poly_posterior_mean,
+    statistic_product_mean,
+    variance_functional,
+)
+from dfchaos.coeffs import c_iso, limit_coefficients
+from dfchaos.hoeffding import (
+    _predictive_rows,
+    degenerate_basis,
+    degenerate_check,
+    hoeffding_decompose,
+)
+from dfchaos.jacobi import BetaParams, exact_parts, jacobi_gram, jacobi_inner, solve_phi_system
+from dfchaos.kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
+from dfchaos.measures import DiscreteBaseMeasure, dirichlet_moment
+from dfchaos.numeric import (
+    common_denominator,
+    exact_numerators,
+    occupation_vectors,
+    rising_factorial,
+)
+
+MASSES = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+COEFFICIENTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+EXAMPLES = settings(max_examples=20, deadline=None, database=None)
+
+
+@st.composite
+def measures(draw, max_atoms=4):
+    atoms = draw(st.integers(1, max_atoms))
+    return DiscreteBaseMeasure(tuple(draw(st.lists(MASSES, min_size=atoms, max_size=atoms))))
+
+
+@st.composite
+def polynomials(draw, atoms, max_degree=4, coefficients=COEFFICIENTS):
+    """Up to five terms of total degree <= max_degree (none: the zero polynomial)."""
+    exponents = st.integers(0, max_degree).flatmap(
+        lambda degree: st.sampled_from(list(occupation_vectors(degree, atoms)))
+    )
+    terms = draw(st.lists(st.tuples(exponents, coefficients), min_size=0, max_size=5))
+    return SimplexPolynomial(atoms, dict(terms))
+
+
+def per_vector_kernels(F, alpha, max_order, theta=None, rng=None):
+    """The chaos kernels one conditional mean per occupation vector, by size,
+    through the mapping form of the subset-sum assembly."""
+    if theta is None:
+        theta = limit_coefficients(alpha.total_mass, max_order)
+    vectors = [mu for n in range(max_order + 1) for mu in occupation_vectors(n, alpha.atoms)]
+    if isinstance(F, SimplexPolynomial):
+        conds = [poly_posterior_mean(F, alpha, mu) for mu in vectors]
+    else:
+        labels = [[a for a, c in enumerate(mu, start=1) for _ in range(c)] for mu in vectors]
+        conds = [cond_exp_functional(F, alpha, ls, rng).value for ls in labels]
+    mean = conds[0]
+    rows = {n: {k: theta[(n, k)] for k in range(1, n + 1)} for n in range(1, max_order + 1)}
+    kernels = subset_sum_kernels({mu: c - mean for mu, c in zip(vectors, conds)}, rows, alpha.atoms)
+    return mean, tuple(kernels.values())
+
+
+def lattice_values(h):
+    return [h.value(a) for a in occupation_vectors(h.order, h.atoms)]
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert float(got).hex() == float(want).hex()
+
+
+def assert_canonical(h):
+    """A package-built kernel: int-tuple keys of the order's layer."""
+    for counts in h.values:
+        assert type(counts) is tuple and len(counts) == h.atoms
+        assert all(type(c) is int and c >= 0 for c in counts)
+        assert sum(counts) == h.order
+
+
+# ---------------------------------------------------------------------------
+# the ladder table and the kernels it feeds
+
+
+@EXAMPLES
+@given(alpha=measures(), data=st.data())
+def test_posterior_table_equals_the_per_vector_means(alpha, data):
+    F = data.draw(polynomials(alpha.atoms))
+    order = F.degree + data.draw(st.integers(0, 2))
+    terms, lead = F.scaled_terms
+    layers, den = alpha.moment_ladder.posterior_table(terms, order)
+    assert len(layers) == order + 1
+    for k, layer in enumerate(layers):
+        vectors = occupation_vectors(k, alpha.atoms)
+        assert len(layer) == len(vectors)
+        for mu, num in zip(vectors, layer):
+            assert type(num) is int
+            assert Fraction(num, den * lead) == poly_posterior_mean(F, alpha, mu)
+
+
+@EXAMPLES
+@given(alpha=measures(), data=st.data())
+@example(alpha=DiscreteBaseMeasure((Fraction(1, 2), Fraction(3, 2))), data=None)
+def test_chaos_kernels_equal_the_per_vector_route(alpha, data):
+    if data is None:  # a constant F, decomposed past its degree
+        F, max_order = SimplexPolynomial.constant(2, Fraction(7, 3)), 3
+    else:
+        F = data.draw(polynomials(alpha.atoms))
+        max_order = max(F.degree, 1) + data.draw(st.integers(0, 2))
+    decomposition = chaos_kernels(F, alpha, max_order)
+    mean, kernels = per_vector_kernels(F, alpha, max_order)
+    assert type(decomposition.mean) is Fraction and decomposition.mean == mean
+    assert decomposition.kernels == kernels
+    for h in decomposition.kernels:
+        assert all(type(v) is Fraction for v in h.values.values())
+        assert_canonical(h)
+    assert all(h.is_zero() for h in decomposition.kernels[F.degree :])
+
+
+def test_an_exact_polynomial_takes_no_per_vector_mean(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a per-vector posterior mean was taken")
+
+    monkeypatch.setattr(chaos_module, "poly_posterior_mean", refuse)
+    alpha = DiscreteBaseMeasure((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1, 2)))
+    F = SimplexPolynomial(4, {(2, 1, 0, 1): Fraction(-3, 5), (0, 0, 1, 0): 2})
+    decomposition = chaos_kernels(F, alpha, 5)
+    monkeypatch.undo()
+    assert decomposition.kernels == per_vector_kernels(F, alpha, 5)[1]
+
+
+@EXAMPLES
+@given(alpha=measures(), data=st.data())
+def test_variance_and_product_means_equal_the_product_polynomial(alpha, data):
+    F = data.draw(polynomials(alpha.atoms))
+    zeros = (0,) * alpha.atoms
+    mean = poly_posterior_mean(F, alpha, zeros)
+    variance = variance_functional(F, alpha)
+    assert type(variance) is Fraction
+    assert variance == poly_posterior_mean(F.mul(F), alpha, zeros) - mean * mean
+    if alpha.atoms > 1:
+        basis = degenerate_basis(alpha, 1) + degenerate_basis(alpha, 2)
+        h, f = data.draw(st.sampled_from(basis)), data.draw(st.sampled_from(basis))
+        product = h.to_polynomial().mul(f.to_polynomial())
+        assert covariance_integrals(h, f, alpha).exact == poly_posterior_mean(product, alpha, zeros)
+
+
+@EXAMPLES
+@given(mass=MASSES | st.integers(1, 9), n=st.integers(0, 10))
+def test_c_iso_equals_the_product_loop(mass, n):
+    value = Fraction(1)
+    for l in range(1, n + 1):
+        value = value * (n - l + 1) / (mass + n + l - 1)
+    got = c_iso(n, mass)
+    assert type(got) is Fraction and got == value
+
+
+def test_c_iso_of_a_float_mass_is_the_float_loop():
+    for mass in (0.3, 2.0, 7.25):
+        value = Fraction(1)
+        for l in range(1, 6):
+            value = value * (5 - l + 1) / (mass + 5 + l - 1)
+        assert_same_bits(c_iso(5, mass), value)
+
+
+# ---------------------------------------------------------------------------
+# kernels that keep their numerators
+
+
+@EXAMPLES
+@given(alpha=measures(max_atoms=3), data=st.data())
+def test_cached_numerators_equal_exact_numerators(alpha, data):
+    F = data.draw(polynomials(alpha.atoms, max_degree=3))
+    built = list(chaos_kernels(F, alpha, max(F.degree, 1)).kernels)
+    order = data.draw(st.integers(1, 3))
+    domain = occupation_vectors(order, alpha.atoms)
+    values = data.draw(st.lists(COEFFICIENTS, min_size=len(domain), max_size=len(domain)))
+    statistic = SymmetricKernel(order, alpha.atoms, dict(zip(domain, values)))
+    split = hoeffding_decompose(statistic, alpha)
+    built += [*split.components, *split.projections, split.reconstruct()]
+    thirds = {mu: float(v) / 3 for mu, v in zip(domain, values)}
+    floats = SymmetricKernel(order, alpha.atoms, thirds)
+    for h in [*built, statistic, floats]:
+        nums, den, rounded = exact_numerators(lattice_values(h))
+        assert h.numerators == (tuple(nums), den, rounded)
+    for h in built:
+        assert_canonical(h)
+
+
+# ---------------------------------------------------------------------------
+# the conditional-variance estimate
+
+
+def reference_estimate(h, sample):
+    """The estimate with its moments accumulated one vector at a time."""
+    atoms = sample.alpha.atoms
+    m, sums = _occupation_sums(h, atoms)
+    if m == 0 or not sums:
+        return 0
+    posterior = sample.posterior()
+    first = second = 0
+    for counts, (value, square) in sums.items():
+        prob = dirichlet_moment(posterior, counts)
+        first = first + value * prob
+        second = second + square * prob
+    mean_poly = SimplexPolynomial(atoms, {c: value for c, (value, _) in sums.items()})
+    decomposition = chaos_kernels(mean_poly, posterior, m)
+    correction = 0
+    for k in range(1, m + 1):
+        kernel = decomposition.kernel(k)
+        correction = correction + c_iso(k, posterior.total_mass) * statistic_product_mean(
+            kernel, kernel, posterior
+        )
+    return second - first * first - correction
+
+
+@EXAMPLES
+@given(alpha=measures(max_atoms=3), data=st.data())
+def test_conditional_variance_equals_the_per_vector_moments(alpha, data):
+    order = data.draw(st.integers(1, 3))
+    domain = occupation_vectors(order, alpha.atoms)
+    values = data.draw(st.lists(COEFFICIENTS, min_size=len(domain), max_size=len(domain)))
+    h = SymmetricKernel(order, alpha.atoms, dict(zip(domain, values)))
+    labels = data.draw(st.lists(st.integers(1, alpha.atoms), max_size=4))
+    sample = ObservedSample(alpha, tuple(labels))
+    estimate = estimate_conditional_variance(h, sample)
+    assert estimate == reference_estimate(h, sample)
+    assert type(estimate) is Fraction or estimate == 0
+    table = {(1,) * order: Fraction(1, 2), (alpha.atoms,) * order: -1}
+    assert estimate_conditional_variance(table, sample) == reference_estimate(table, sample)
+
+
+def test_conditional_variance_of_float_values_is_the_float_loop():
+    alpha = DiscreteBaseMeasure((Fraction(3, 10), Fraction(9, 20), Fraction(11, 10)))
+    sample = ObservedSample(alpha, (3,))
+    table = {(1, 2, 3): 0.25, (2, 2, 1): 1, (3, 1, 1): -0.7}
+    estimate = estimate_conditional_variance(table, sample)
+    assert_same_bits(estimate, reference_estimate(table, sample))
+
+
+# ---------------------------------------------------------------------------
+# float and black-box inputs keep the per-vector route
+
+
+def test_a_float_coefficient_keeps_the_per_vector_route_bit_for_bit():
+    alpha = DiscreteBaseMeasure((Fraction(3, 10), Fraction(9, 20), Fraction(11, 10)))
+    F = SimplexPolynomial(3, {(1, 0, 0): 0.3, (2, 1, 0): Fraction(2), (0, 1, 2): -1.5})
+    decomposition = chaos_kernels(F, alpha, 4)
+    mean, kernels = per_vector_kernels(F, alpha, 4)
+    assert_same_bits(decomposition.mean, mean)
+    for got, want in zip(decomposition.kernels, kernels):
+        for counts, value in want.items():
+            assert_same_bits(got.value(counts), value)
+    zeros = (0,) * 3
+    moment = poly_posterior_mean(F, alpha, zeros)
+    assert_same_bits(
+        variance_functional(F, alpha), poly_posterior_mean(F.mul(F), alpha, zeros) - moment * moment
+    )
+
+
+def test_float_theta_rows_round_the_exact_table_bit_for_bit():
+    alpha = DiscreteBaseMeasure((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1, 2)))
+    F = SimplexPolynomial(4, {(1, 1, 0, 0): Fraction(2, 3), (0, 0, 3, 1): -5, (0, 1, 0, 0): 1})
+    exact = limit_coefficients(alpha.total_mass, 4)
+    theta = {key: float(value) for key, value in exact.items()}
+    decomposition = chaos_kernels(F, alpha, 4, theta=theta, validate=False)
+    mean, kernels = per_vector_kernels(F, alpha, 4, theta=theta)
+    assert decomposition.mean == mean and type(decomposition.mean) is Fraction
+    for got, want in zip(decomposition.kernels, kernels):
+        for counts, value in want.items():
+            assert_same_bits(got.value(counts), value)
+
+
+def test_a_black_box_keeps_the_per_vector_route_and_its_random_stream():
+    alpha = DiscreteBaseMeasure((Fraction(1, 2), Fraction(1), Fraction(1, 2)))
+    F = BlackBoxFunctional(lambda d: d[0] * d[1] + d[2] ** 2, atoms=3, mc_budget=64)
+    rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
+    decomposition = chaos_kernels(F, alpha, 2, rng=rng)
+    mean, kernels = per_vector_kernels(F, alpha, 2, rng=reference_rng)
+    assert_same_bits(decomposition.mean, mean)
+    for got, want in zip(decomposition.kernels, kernels):
+        for counts, value in want.items():
+            assert_same_bits(got.value(counts), value)
+    assert rng.random() == reference_rng.random()
+
+
+def reference_float_degeneracy(h, alpha):
+    """The degeneracy residual of a float kernel in floats."""
+    weights = [float(w) for w in alpha.weights]
+    nums, value_den = common_denominator(list(h.values.values()))
+    table = dict(zip(h.values, nums))
+    column = [table.get(a, 0) for a in occupation_vectors(h.order, h.atoms)]
+    rows, den = _predictive_rows(weights, h.order)
+    return max(abs(sum(w * column[rank] for rank, w in row)) for row in rows) / (value_den * den)
+
+
+def test_float_kernels_keep_the_float_degeneracy_check():
+    params = BetaParams(Fraction(1, 3), Fraction(5, 2))
+    for n in range(1, 9):
+        phi = solve_phi_system(n, params)
+        got = degenerate_check(phi, params.as_measure())
+        assert_same_bits(got, reference_float_degeneracy(phi, params.as_measure()))
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi inner product
+
+
+def reference_inner(n, m, params):
+    """<J_n, J_m> with the bilinear sum in Fractions, term by term."""
+    kn, gn = exact_parts(n, params)
+    km, gm = exact_parts(m, params)
+    bilinear = Fraction(0)
+    for a, ga in enumerate(gn):
+        for b, gb in enumerate(gm):
+            moment = rising_factorial(params.a1, a + b) / rising_factorial(params.total, a + b)
+            bilinear += ga * gb * moment
+    if bilinear == 0:
+        return Fraction(0)
+    if n == m:
+        return kn * bilinear
+    return math.sqrt(float(kn * km)) * float(bilinear)
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(a1=MASSES, a0=MASSES)
+@example(a1=Fraction(1, 3), a0=Fraction(5, 2))
+def test_jacobi_inner_products_equal_the_fraction_bilinear_sum(a1, a0):
+    params = BetaParams(a1, a0)
+    gram = jacobi_gram(8, params)
+    for n in range(9):
+        for m in range(9):
+            want = reference_inner(n, m, params)
+            got = jacobi_inner(n, m, params)
+            assert type(got) is type(want) and got == want
+            assert type(gram[n][m]) is type(want) and gram[n][m] == want
