@@ -9,8 +9,7 @@ arithmetic wherever the inputs are rational.  Highlights:
   exchangeable urn view of sampling (joint laws, predictive rules,
   conditional expectations by exact enumeration).
 - ``coeffs``: the finite-sample projection coefficient tables and their
-  limits (closed forms, cross-checked against oracles in ``validation``),
-  and the isometry/overlap constants.
+  limits, and the isometry/overlap constants, all in closed form.
 - ``chaos``: kernel extraction, multiple integrals, reconstruction,
   covariance identities, Parseval accounting.
 - ``hoeffding``: the finite-sample orthogonal split of a symmetric
@@ -23,8 +22,10 @@ arithmetic wherever the inputs are rational.  Highlights:
   the exponential worked example.
 - ``ustat``: windowed U-statistic approximations, the projection oracle,
   the scaled-kernel candidate, and their loss comparison.
-- ``validation``: the coefficient erratum report and a named invariant
-  suite; ``cli``: the ``dfchaos`` command.
+- ``validation``: the oracles that check those closed forms (the
+  extrapolated limits ``theta_limit``, the two-point projection oracle,
+  the overlap enumeration), the coefficient erratum report and a named
+  invariant suite; ``cli``: the ``dfchaos`` command.
 
 The package namespace is lazy (PEP 562): ``import dfchaos`` loads no
 submodule, and each public name in ``__all__`` imports its defining module
@@ -40,6 +41,7 @@ __version__ = "0.1.0"
 # Public name table, grouped by defining module, in ``__all__`` order.
 _EXPORTS = {
     "errors": (
+        "DEFAULT_ENUMERATION_CAP",
         "DFChaosError",
         "DomainError",
         "NumericError",
@@ -62,7 +64,6 @@ _EXPORTS = {
         "PredictableComponent",
     ),
     "polya": (
-        "DEFAULT_ENUMERATION_CAP",
         "PolyaSample",
         "polya_joint_prob",
         "occupation_prob",
@@ -77,8 +78,6 @@ _EXPORTS = {
         "CoefficientTable",
         "theta_table",
         "system_residuals",
-        "ThetaLimit",
-        "theta_limit",
         "limit_coefficient",
         "limit_coefficients",
         "c_iso",
@@ -148,6 +147,8 @@ _EXPORTS = {
         "approximation_report",
     ),
     "validation": (
+        "ThetaLimit",
+        "theta_limit",
         "ThetaErratumReport",
         "theta_erratum_report",
         "CheckResult",

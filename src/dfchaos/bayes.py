@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 from .chaos import ChaosDecomposition, chaos_kernels, statistic_product_mean
 from .coeffs import c_iso
-from .errors import DomainError, ResourceCapError
+from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
 from .jacobi import beta_bernstein
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, dirichlet_moment, with_observations
@@ -50,7 +50,6 @@ from .numeric import (
     tuple_counts,
     variance_ratio,
 )
-from .polya import DEFAULT_ENUMERATION_CAP
 
 __all__ = [
     "ObservedSample",

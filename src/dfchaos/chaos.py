@@ -28,7 +28,7 @@ from operator import add
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .coeffs import _limit_row, c_iso, validate_limit_values
-from .errors import DomainError
+from .errors import DEFAULT_ENUMERATION_CAP, DomainError
 from .hoeffding import degenerate_check, hoeffding_decompose
 from .kernels import (
     PredictableComponent,
@@ -49,7 +49,7 @@ from .numeric import (
     tuple_counts,
     variance_ratio,
 )
-from .polya import DEFAULT_ENUMERATION_CAP, cond_exp_statistic_counts
+from .polya import cond_exp_statistic_counts
 
 if TYPE_CHECKING:
     import numpy as np

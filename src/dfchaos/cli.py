@@ -23,16 +23,19 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import DFChaosError, NumericError, ResourceCapError
-from .kernels import SimplexPolynomial, SymmetricKernel
-from .measures import DiscreteBaseMeasure
+from .errors import DEFAULT_ENUMERATION_CAP, DFChaosError, NumericError, ResourceCapError
 from .numeric import Scalar, as_scalar, scalar_to_json
-from .polya import DEFAULT_ENUMERATION_CAP
 
-# Each subcommand imports the library modules it runs, so a cold process
-# loads only those; numpy is imported only by the Monte Carlo paths.
+if TYPE_CHECKING:
+    from .kernels import SimplexPolynomial
+    from .measures import DiscreteBaseMeasure
+
+# Each subcommand, and each helper that builds a library object, imports the
+# library modules it runs, so a cold process loads only those: a ``coeffs``
+# table loads ``coeffs`` and ``numeric``, and numpy is imported only by the
+# Monte Carlo paths.
 
 __all__ = ["main", "build_parser"]
 
@@ -50,6 +53,8 @@ def _parse_scalar(parser: argparse.ArgumentParser, flag: str, text: str) -> Frac
 
 
 def _parse_weights(parser: argparse.ArgumentParser, flag: str, text: str) -> DiscreteBaseMeasure:
+    from .measures import DiscreteBaseMeasure
+
     parts = [p for p in text.split(",") if p.strip() != ""]
     if not parts:
         parser.error(f"{flag} expects comma-separated weights, got {text!r}")
@@ -89,6 +94,8 @@ def _load_json_file(parser: argparse.ArgumentParser, flag: str, path: str) -> di
 
 
 def _load_functional(parser: argparse.ArgumentParser, flag: str, path: str) -> SimplexPolynomial:
+    from .kernels import SimplexPolynomial
+
     payload = _load_json_file(parser, flag, path)
     try:
         return SimplexPolynomial.from_json(payload)
@@ -99,6 +106,8 @@ def _load_functional(parser: argparse.ArgumentParser, flag: str, path: str) -> S
 
 def _load_value_table(parser: argparse.ArgumentParser, flag: str, path: str):
     """A statistic file: either a symmetric kernel or an ordered value table."""
+    from .kernels import SymmetricKernel
+
     payload = _load_json_file(parser, flag, path)
     try:
         if "entries" in payload:
@@ -202,6 +211,7 @@ def _cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     )
     from .coeffs import c_iso
     from .hoeffding import hoeffding_decompose
+    from .kernels import SymmetricKernel
 
     if args.F is None:
         parser.error("decompose needs --F (functional JSON file)")

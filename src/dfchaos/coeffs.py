@@ -5,48 +5,40 @@ Three layers live here:
 * the finite-sample coefficient engine: the rational functions ``phi`` and
   ``psi``, and the table of projection weights theta_N^(k,a) (and their
   binomially rescaled "starred" form) used by the finite decomposition.
-  With m the total mass and rising(x, j) = x(x+1)...(x+j-1), the rows solve
-  a triangular system in closed form:
+  With m the total mass and rising(x, j) = x(x+1)...(x+j-1), every row,
+  the closing row k = N included, is one product
 
-      rho(k,a)       = rising(m+a, k-a) / rising(m+k+a-1, k-a)
-      theta*_N(k,a)  = (-1)^(k-a) · rho(k,a) / psi_N(k,k,k)        (k < N)
+      theta*_N(k,a) = (-1)^(k-a) · (m+2k-1) · rising(m+a, k-1) / rising(m+N, k),
 
-  ``system_residuals`` re-substitutes a table into that defining system;
+  the closed-form solution of a triangular system whose diagonal
+  psi_N(k,k,k) sums by Chu–Vandermonde; ``system_residuals`` re-substitutes
+  a table into that defining system, with ``psi`` summed term by term;
 * the infinite-sample limits theta^(n,k) = lim_N C(N,n)·theta*_N(n,k),
 
       theta(n,k) = (m+2n-1) · (-1)^(n-k) · rising(m+k, n-1) / n!,
 
   also the coefficients of Griffiths' kernel polynomials (``wright_fisher``
-  reads them, k = 0 included), with ``theta_limit`` as an independent route
-  (exact extrapolation in 1/N of the finite tables); the two-point
-  projection oracle that solves for the same row lives in ``validation``;
+  reads them, k = 0 included);
 * the isometry constants c(n, |alpha|) and the overlapping-window covariance
   factors c(r, n, |alpha|), the latter in both circulating closed-form
-  readings plus an exact enumeration oracle that arbitrates between them.
+  readings.
 
-All of it is exact over ``fractions.Fraction`` for rational total mass; the
-tables and the limits read a float mass as its exact image ``Fraction(x)``.
+The independent routes that only check these forms (the extrapolation of
+the finite tables, the tabulated alternative row, the two-point projection
+oracle and the overlap enumeration) live in ``validation``.  All of it is
+exact over ``fractions.Fraction`` for rational total mass; the tables and
+the limits read a float mass as its exact image ``Fraction(x)``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .errors import (
-    CoefficientValidationError,
-    ConvergenceError,
-    DomainError,
-    ResourceCapError,
-)
-from .kernels import SymmetricKernel
-from .measures import DiscreteBaseMeasure
+from .errors import CoefficientValidationError, DomainError
 from .numeric import Scalar, binom, binom_star, falling_ratio, rising_factorial
-from .polya import DEFAULT_ENUMERATION_CAP, polya_joint_prob
 
 # ---------------------------------------------------------------------------
 # the rational building blocks
@@ -56,6 +48,11 @@ def _check_mass(total_mass: Scalar) -> None:
     """Refuse a total mass that is not positive and finite (NaN included)."""
     if not 0 < total_mass < math.inf:
         raise DomainError(f"total mass must be positive and finite, got {total_mass}")
+
+
+def _exact_mass(total_mass: Scalar) -> Fraction:
+    _check_mass(total_mass)
+    return Fraction(total_mass)
 
 
 def phi(n: int, m: int, r: int, p: int, total_mass: Scalar) -> Scalar:
@@ -99,8 +96,7 @@ def psi(N: int, q: int, n: int, m: int, total_mass: Scalar) -> Scalar:
 # finite-sample coefficient tables
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """Projection weights theta_N^(k,a) for statistics of N urn draws.
 
     ``entries[(k, a)]`` holds theta_N^(k,a) for 1 <= a <= k <= max_k;
@@ -132,36 +128,35 @@ class CoefficientTable:
             ) from None
 
 
-def _rho(k: int, a: int, total_mass: Scalar) -> Scalar:
-    """rising(m+a, k-a) / rising(m+k+a-1, k-a): the within-row ratio of the
-    finite tables (it does not depend on N; their diagonal does)."""
-    num = rising_factorial(total_mass + a, k - a)
-    return num / rising_factorial(total_mass + k + a - 1, k - a)
-
-
 def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> CoefficientTable:
     """Build the coefficient table for sample size N, in closed form.
 
-    With m the total mass, every row k < N is
+    With m the total mass, every row k <= N is
 
-        theta*_N(k,a) = (-1)^(k-a) · rho(k,a) / psi_N(k,k,k),
+        theta*_N(k,a) = (-1)^(k-a) · rho(k,a) · rising(m+k, k) / rising(m+N, k)
+                      = (-1)^(k-a) · (m+2k-1) · rising(m+a, k-1) / rising(m+N, k),
         rho(k,a)      = rising(m+a, k-a) / rising(m+k+a-1, k-a),
 
-    and theta_N(k,a) = C(N-a, k-a)·theta*_N(k,a).  The ratios within a row
-    do not depend on N; only the diagonal 1/psi_N(k,k,k) does (psi > 0 for
-    m > 0, so no row is singular); C(N,k)·theta*_N(k,a) tends to the
-    rho-free product of ``limit_coefficient``.  The closing row is
-    theta^(N,N) = 1, theta^(N,a) = -sum_{s=a..N-1} theta^(s,a); it is
-    produced only when max_k >= N (it needs every lower row).
-
-    The rows are the unique solution of the defining triangular system
-    theta^(k,k)·psi(k,k,k) = 1 and, for q < k,
+    and theta_N(k,a) = C(N-a, k-a)·theta*_N(k,a).  The rows solve the
+    defining triangular system theta^(k,k)·psi(k,k,k) = 1 and, for q < k,
     sum_{i=q..k} sum_{j=q..i} theta^(i,j)·psi(q,k,j) = 0, which
-    ``system_residuals`` re-substitutes.  The closed form was checked equal
-    to the exact recursive solution of that system for N = 1..16 on eight
-    masses from 1/10 to 7, and at N = 24 and 32 for two of them; the tests
-    keep every residual exactly zero for N <= 16 on random rational masses.
-    A float mass is read as its exact image ``Fraction(x)``, as in the limits.
+    ``system_residuals`` re-substitutes.  Its diagonal is a terminating
+    2F1 at 1, summed by Chu–Vandermonde (DLMF 15.4.24):
+
+        psi_N(k,k,k) = sum_j C(k,j) (N-k)!/(N-k-j)! / rising(m+k, j)
+                     = 2F1(-k, k-N; m+k; 1) = rising(m+N, k) / rising(m+k, k),
+
+    and rho(k,a)·rising(m+k, k) telescopes to (m+2k-1)·rising(m+a, k-1).
+    The ratios within a row do not depend on N; C(N,k)·theta*_N(k,a) tends
+    to the limit ``limit_coefficient``.  The tests keep every residual
+    exactly zero, the closing row k = N equal to the cumulative sum
+    theta^(N,a) = -sum_{s=a..N-1} theta^(s,a), and the diagonal equal to
+    ``psi``, on random rational masses for N <= 24.
+
+    With m = p/q every factor is an integer over a power of q, and the
+    powers cancel: theta*_N(k,a) = ±(p+(2k-1)q)·L[a+k-1]/L[a] / (L[N+k]/L[N])
+    on the ladder L[x] = prod_{i<x} (p+iq), one Fraction per entry.  A float
+    mass is read as its exact image ``Fraction(x)``, as in the limits.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
@@ -171,19 +166,20 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
     if not 1 <= max_k <= N:
         raise DomainError(f"max_k must lie in 1..N, got {max_k}")
 
+    p, q = mass.numerator, mass.denominator
+    ladder = [1]
+    for i in range(N + max_k):
+        ladder.append(ladder[-1] * (p + i * q))
     entries: dict[tuple[int, int], Fraction] = {}
-    for k in range(1, min(max_k, N - 1) + 1):
-        diag = psi(N, k, k, k, mass)
+    starred: dict[tuple[int, int], Fraction] = {}
+    for k in range(1, max_k + 1):
+        lead = p + (2 * k - 1) * q
+        den = ladder[N + k] // ladder[N]
         for a in range(k, 0, -1):
-            star = (-1) ** (k - a) * _rho(k, a, mass) / diag
+            num = lead * (ladder[a + k - 1] // ladder[a])
+            star = Fraction(num if (k - a) % 2 == 0 else -num, den)
+            starred[(k, a)] = star
             entries[(k, a)] = star * binom(N - a, k - a)
-
-    if max_k >= N:
-        entries[(N, N)] = Fraction(1)
-        for a in range(1, N):
-            entries[(N, a)] = -sum(entries[(s, a)] for s in range(a, N))
-
-    starred = {(k, a): value / binom(N - a, k - a) for (k, a), value in entries.items()}
     return CoefficientTable(N, mass, max_k, entries, starred)
 
 
@@ -213,104 +209,7 @@ def system_residuals(table: CoefficientTable) -> dict[tuple[int, int], Scalar]:
 
 
 # ---------------------------------------------------------------------------
-# limits, route 1: extrapolation of the exact finite tables
-
-
-@dataclass(frozen=True)
-class ThetaLimit:
-    """A converged limit estimate with its convergence evidence."""
-
-    k: int
-    a: int
-    total_mass: Scalar
-    value: float
-    sample_sizes: tuple[int, ...]
-    last_delta: float
-    tolerance: float
-    oracle_value: Fraction | None = None
-    matches_oracle: bool | None = None
-
-
-def theta_limit(
-    k: int,
-    a: int,
-    total_mass: Scalar,
-    tol: float = 1e-8,
-    max_N: int = 2**14,
-    cross_validate: bool = True,
-) -> ThetaLimit:
-    """lim_N C(N,k)·theta*_N(k,a) by exact Neville extrapolation in 1/N.
-
-    Sample sizes double (N = k, 2k, 4k, ...); the target is a rational
-    function of N, so the interpolating-polynomial diagonal converges
-    quickly. The value is reported only once two successive diagonal
-    entries agree within ``tol``; otherwise ConvergenceError carries the
-    best partial value. With ``cross_validate`` the converged value is
-    compared against the closed-form ``limit_coefficient`` and both are
-    attached.
-    """
-    if not 1 <= a <= k:
-        raise DomainError(f"need 1 <= a <= k, got (k={k}, a={a})")
-    xs: list[Fraction] = []
-    prev_col: list[Fraction] = []
-    sizes: list[int] = []
-    previous_diag: Fraction | None = None
-    N = k
-    while N <= max_N:
-        tab = theta_table(N, total_mass, max_k=min(k, N))
-        value = Fraction(binom(N, k)) * Fraction(tab.theta_star(k, a))
-        x = Fraction(1, N)
-        col = [value]
-        for i in range(1, len(xs) + 1):
-            older_x = xs[len(xs) - i]
-            num = x * prev_col[i - 1] - older_x * col[i - 1]
-            col.append(num / (x - older_x))
-        xs.append(x)
-        sizes.append(N)
-        prev_col = col
-        current = col[-1]
-        if previous_diag is not None:
-            delta = abs(float(current - previous_diag))
-            if delta < tol:
-                oracle_val = None
-                matches = None
-                if cross_validate:
-                    oracle_val = limit_coefficient(k, a, total_mass)
-                    scale = max(1.0, abs(float(oracle_val)))
-                    matches = abs(float(current) - float(oracle_val)) <= 10 * tol * scale
-                return ThetaLimit(
-                    k, a, total_mass, float(current), tuple(sizes), delta, tol,
-                    oracle_val, matches,
-                )
-        previous_diag = current
-        N *= 2
-    raise ConvergenceError(
-        f"theta limit ({k},{a}) did not stabilise below {tol} with N <= {max_N}",
-        partial=float(previous_diag) if previous_diag is not None else None,
-    )
-
-
-def tabulated_limit_values(total_mass: Scalar) -> dict[tuple[int, int], Scalar]:
-    """Closed forms for the first limit coefficients as previously tabulated
-    elsewhere, retained solely for cross-checking. The second row disagrees
-    with both the recursion limit and the projection oracle (see
-    ``validation.theta_erratum_report``), so these values must never feed
-    the decomposition routines."""
-    m = total_mass
-    return {
-        (1, 1): m + 1,
-        (2, 1): (m + 3) * (m + 2),
-        (2, 2): (m + 3) * (m + 1) / 2,
-    }
-
-
-# ---------------------------------------------------------------------------
-# limits, route 2: the closed form
-
-
-def _exact_mass(total_mass: Scalar) -> Fraction:
-    _check_mass(total_mass)
-    return Fraction(total_mass)
+# limits in closed form
 
 
 @lru_cache(maxsize=None)
@@ -430,8 +329,8 @@ def c_overlap(n: int, r: int, total_mass: Scalar, bound: str = "reduced") -> Sca
     bound:
 
     * ``reduced``: prod_{l=1..n-r} (n-r-l+1)/(|alpha|+n+l-1) — matches the
-      exact enumeration oracle (c_overlap_oracle); gives 1 at full overlap
-      and c_iso(n) at zero overlap;
+      exact enumeration oracle (``validation.c_overlap_oracle``); gives 1
+      at full overlap and c_iso(n) at zero overlap;
     * ``full``: prod_{l=1..n} (n-r-l+1)/(|alpha|+n+l-1) — the numerator hits
       zero as soon as r >= 1, so every partial overlap is assigned zero
       covariance, contradicting the oracle already at r = n.
@@ -448,34 +347,3 @@ def c_overlap(n: int, r: int, total_mass: Scalar, bound: str = "reduced") -> Sca
     for l in range(1, upper + 1):
         value = value * (n - r - l + 1) / (total_mass + n + l - 1)
     return value
-
-
-def c_overlap_oracle(
-    h: SymmetricKernel,
-    f: SymmetricKernel,
-    r: int,
-    alpha: DiscreteBaseMeasure,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Scalar:
-    """E[h(X_1..X_n)·f(X_{n-r+1}..X_{2n-r})], exactly, by enumeration.
-
-    The two order-n windows share their last/first r coordinates. The
-    nominal enumeration size K^(2n-r) is checked against ``cap``.
-    """
-    if h.order != f.order:
-        raise DomainError("overlap oracle requires kernels of equal order")
-    n = h.order
-    if not 0 <= r <= n:
-        raise DomainError(f"need 0 <= r <= n, got (r={r}, n={n})")
-    if h.atoms != alpha.atoms or f.atoms != alpha.atoms:
-        raise DomainError("kernels and measure disagree on the atom count")
-    span = 2 * n - r
-    if alpha.atoms**span > cap:
-        raise ResourceCapError(
-            f"enumeration of {alpha.atoms}^{span} tuples exceeds cap {cap}"
-        )
-    total: Scalar = Fraction(0)
-    for labels in itertools.product(range(1, alpha.atoms + 1), repeat=span):
-        weight = polya_joint_prob(alpha, labels)
-        total = total + weight * h.value_at(labels[:n]) * f.value_at(labels[n - r :])
-    return total

@@ -7,6 +7,10 @@ on stderr, and resource-cap breaches exit 3.
 
 from __future__ import annotations
 
+#: Default bound on the terms of an exact enumeration; a path whose nominal
+#: size exceeds its ``cap`` raises ``ResourceCapError`` (CLI exit code 3).
+DEFAULT_ENUMERATION_CAP = 10_000_000
+
 
 class DFChaosError(Exception):
     """Base class for every error raised by this package."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .coeffs import theta_table
-from .errors import DomainError
+from .errors import DEFAULT_ENUMERATION_CAP, DomainError
 from .kernels import SymmetricKernel, subset_sum_kernels
 from .measures import DiscreteBaseMeasure
 from .numeric import (
@@ -28,7 +28,7 @@ from .numeric import (
     occupation_lattice,
     occupation_vectors,
 )
-from .polya import DEFAULT_ENUMERATION_CAP, cond_exp_statistic_counts
+from .polya import cond_exp_statistic_counts
 
 
 def _predictive_rows(weights: Sequence[Scalar], order: int) -> tuple[Iterator, Scalar]:

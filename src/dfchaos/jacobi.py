@@ -16,8 +16,11 @@ sqrt(k_n) * (exact rational vector)  with k_n itself an exact rational.
 Float parameters enter as their exact rational image ``Fraction(x)``, so
 there is one route for every parameter type.  All inner products are
 evaluated on the rational side and only the final sqrt introduces a
-rounding; orthogonality residuals are exact zeros.  The degree is capped
-at ``MAX_JACOBI_ORDER`` for the cost of the CLI's exact Gram check.
+rounding; orthogonality residuals are exact zeros.  k_n is the reciprocal
+of the squared norm of ``beta_bernstein``, the one norm formula, and the
+kernel of ``solve_phi_system`` reads its leading coefficient sqrt(k_n)
+from there.  The degree is capped at ``MAX_JACOBI_ORDER`` for the cost of
+the CLI's exact Gram check.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ __all__ = [
 
 #: Largest supported degree.  The closed form itself has no limit; the cap
 #: bounds the CLI's exact Gram check over all pairs i, j <= n, which costs
-#: O(n^4) integer products (``jacobi --n 30`` takes about 0.13 s on an idle
-#: 2-core x86-64 machine under Python 3.11).
-MAX_JACOBI_ORDER = 30
+#: O(n^4) integer products (``jacobi --n 60 --a1 1/3 --a0 5/2`` takes about
+#: 0.35 s on a 2-core x86-64 machine under Python 3.11).
+MAX_JACOBI_ORDER = 60
 
 
 @dataclass(frozen=True)
@@ -159,11 +162,12 @@ def exact_parts(n: int, params: BetaParams) -> tuple[Fraction, tuple[Fraction, .
         k_n = (2n + p) rising(n + p, n) rising(p + 1, 2n - 1)
               / (n! rising(a1, n) rising(a0, n))
 
-    with p = a1 + a0 - 1 and q = a1.  Every base entering a rising factorial
-    is strictly positive for n >= 1, so no gamma-pole case arises.  n = 0
-    returns (1, (1,)) directly (the generic route would pass through
-    Gamma(a1 + a0 - 1), undefined for a1 + a0 <= 1, even though k_0
-    collapses to 1 algebraically).
+    with p = a1 + a0 - 1 and q = a1; k_n is read as the reciprocal of the
+    squared norm of ``beta_bernstein`` (the same rational).  Every base
+    entering a rising factorial is strictly positive for n >= 1, so no
+    gamma-pole case arises.  n = 0 returns (1, (1,)) directly (the generic
+    route would pass through Gamma(a1 + a0 - 1), undefined for
+    a1 + a0 <= 1, even though k_0 collapses to 1 algebraically).
     """
     _validated_order(n)
     if n == 0:
@@ -177,13 +181,7 @@ def exact_parts(n: int, params: BetaParams) -> tuple[Fraction, tuple[Fraction, .
         / rising_factorial(p + a + n, n - a)
         for a in range(n + 1)
     )
-    k = (
-        (2 * n + p)
-        * rising_factorial(n + p, n)
-        * rising_factorial(p + 1, 2 * n - 1)
-        / (math.factorial(n) * rising_factorial(a1, n) * rising_factorial(a0, n))
-    )
-    return k, g
+    return 1 / _squared_norm(n, a1, a0), g
 
 
 def jacobi_modified(n: int, params: BetaParams) -> PolynomialCoeffs:
@@ -209,7 +207,7 @@ def jacobi_modified(n: int, params: BetaParams) -> PolynomialCoeffs:
     if n == 0:
         return PolynomialCoeffs((1.0,))
     k, g = exact_parts(n, params)
-    root = math.sqrt(k.numerator / k.denominator) if k.denominator < 2**52 else math.sqrt(float(k))
+    root = math.sqrt(k)  # the correctly rounded quotient, then one sqrt
     coeffs = tuple(float(ga) * root for ga in g)
     if coeffs[-1] < 0:  # unreachable with g_{n,n} = 1, kept as an explicit guarantee
         coeffs = tuple(-c for c in coeffs)
@@ -322,8 +320,13 @@ def beta_bernstein(n: int, a: Scalar, b: Scalar) -> tuple[tuple[Fraction, ...], 
         (-1) ** (n - j) * rising_factorial(a + j, n - j) * rising_factorial(n + b - j, j) / lead
         for j in range(n + 1)
     )
+    return psi, _squared_norm(n, a, b)
+
+
+def _squared_norm(n: int, a: Fraction, b: Fraction) -> Fraction:
+    """||P_n||^2 of the monic Beta(a, b) polynomial, exactly (= 1/k_n)."""
     norm = math.factorial(n) * rising_factorial(a, n) * rising_factorial(b, n)
-    return psi, norm / (rising_factorial(a + b, 2 * n) * lead)
+    return norm / (rising_factorial(a + b, 2 * n) * rising_factorial(n + a + b - 1, n))
 
 
 def solve_phi_system(n: int, params: BetaParams) -> SymmetricKernel:
@@ -332,15 +335,17 @@ def solve_phi_system(n: int, params: BetaParams) -> SymmetricKernel:
     With phi_m the kernel value on tuples with m entries at atom 1, the
     order-n integral is the Bernstein sum  sum_m C(n, m) phi_m eta^m
     (1 - eta)^(n-m), so phi_m = psi_m (``beta_bernstein``, exact) times the
-    leading coefficient of J_n (one float), for every parameter type.  The
-    kernel is degenerate: its integral lies in the order-n component.
+    leading coefficient sqrt(k_n) = 1/||P_n|| of J_n (one float, rounded as
+    in ``jacobi_modified``), for every parameter type.  The kernel is
+    degenerate: its integral lies in the order-n component.
     """
     if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")
+    _validated_order(n)
     if n == 0:
         return SymmetricKernel(0, 2, {(0, 0): 1.0})
-    lead = jacobi_modified(n, params).coefficient(n)
-    psi, _ = beta_bernstein(n, params.a1, params.a0)
+    psi, norm = beta_bernstein(n, params.a1, params.a0)
+    lead = math.sqrt(1 / norm)
     return SymmetricKernel(n, 2, {(m, n - m): float(p) * lead for m, p in enumerate(psi)})
 
 

@@ -132,6 +132,11 @@ def common_denominator(values: Sequence[Scalar]) -> tuple[list, int]:
     """
     if not is_exact(values):
         return [float(v) for v in values], 1
+    return _over_lcm(values)
+
+
+def _over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of exact values over their least common denominator."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -150,7 +155,7 @@ def exact_numerators(values: Iterable[Scalar]) -> tuple[list[int], int, bool]:
             if isinstance(v, float) and not math.isfinite(v):
                 raise NumericError(f"non-finite value {v} in an exact sum")
         values = [Fraction(v) for v in values]
-    nums, den = common_denominator(values)
+    nums, den = _over_lcm(values)
     return nums, den, rounded
 
 

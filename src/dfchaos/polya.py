@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DomainError, ResourceCapError
+from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
 from .kernels import SymmetricKernel
 from .measures import DiscreteBaseMeasure, check_counts, dirichlet_moment, with_counts
 from .numeric import (
@@ -32,8 +32,6 @@ from .numeric import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-DEFAULT_ENUMERATION_CAP = 10_000_000
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from .chaos import (
     variance_functional,
 )
 from .coeffs import c_iso, c_overlap
-from .errors import DomainError, NumericError, ResourceCapError
+from .errors import DEFAULT_ENUMERATION_CAP, DomainError, NumericError, ResourceCapError
 from .hoeffding import HoeffdingDecomposition, hoeffding_decompose
 from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
 from .measures import DiscreteBaseMeasure
@@ -59,7 +59,7 @@ from .numeric import (
     sub_occupations,
     tuple_counts,
 )
-from .polya import DEFAULT_ENUMERATION_CAP, PolyaSample
+from .polya import PolyaSample
 
 __all__ = [
     "UStatistic",

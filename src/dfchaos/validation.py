@@ -1,14 +1,16 @@
 """Cross-checking suites: the projection oracle, coefficient-table errata
 and the named verify run.
 
-``oracle_limit_row`` is the independent route to the limit projection
-coefficients: it solves the defining projection conditions on a balanced
-two-point space exactly.  The library itself uses the closed form in
-``coeffs``; the oracle only checks it, here and in the tests.
+The library computes its coefficients in closed form (``coeffs``); the
+independent routes here only check them, in ``verify`` and in the tests.
+``oracle_limit_row`` solves the defining projection conditions for the
+limit coefficients on a balanced two-point space exactly; ``theta_limit``
+pushes the finite tables through an exact extrapolation in 1/N;
+``c_overlap_oracle`` enumerates the overlapping-window covariance.
 
-Two independent routes produce the limit coefficients (the finite tables
-pushed through an exact extrapolation, and the two-point projection oracle),
-and a third set of closed forms has been tabulated elsewhere.
+Two independent routes produce the limit coefficients (the extrapolation
+and the two-point projection oracle), and a third set of closed forms has
+been tabulated elsewhere (``tabulated_limit_values``).
 ``theta_erratum_report`` pits all three against each other and settles
 disagreements with an arbiter that neither route controls: rebuild a known
 functional from kernels extracted with each coefficient set and measure the
@@ -27,6 +29,7 @@ machine-readable results for the command-line ``verify`` subcommand.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,13 +55,18 @@ from .chaos import (
 )
 from .coeffs import (
     c_iso,
+    limit_coefficient,
     limit_coefficients,
     system_residuals,
-    tabulated_limit_values,
-    theta_limit,
     theta_table,
 )
-from .errors import DFChaosError, DomainError
+from .errors import (
+    DEFAULT_ENUMERATION_CAP,
+    ConvergenceError,
+    DFChaosError,
+    DomainError,
+    ResourceCapError,
+)
 from .hoeffding import degenerate_basis, degenerate_check
 from .jacobi import (
     BetaParams,
@@ -72,7 +80,14 @@ from .jacobi import (
 )
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, measure
-from .numeric import Scalar, occupation_vectors, scalar_to_json, solve_exact, sub_occupations
+from .numeric import (
+    Scalar,
+    binom,
+    occupation_vectors,
+    scalar_to_json,
+    solve_exact,
+    sub_occupations,
+)
 from .polya import occupation_prob, polya_joint_prob
 from .ustat import approximation_report, ustat_mse_curve
 from .wright_fisher import (
@@ -88,6 +103,10 @@ __all__ = [
     "two_point_measure",
     "degenerate_chain_kernel",
     "oracle_limit_row",
+    "ThetaLimit",
+    "theta_limit",
+    "tabulated_limit_values",
+    "c_overlap_oracle",
     "ThetaComparison",
     "ThetaErratumEntry",
     "ThetaErratumReport",
@@ -160,6 +179,134 @@ def oracle_limit_row(total_mass: Scalar, n: int) -> tuple[Fraction, ...]:
             rows.append(row)
             rhs.append(chain.value(a_counts) if m == n else Fraction(0))
     return tuple(solve_exact(rows, rhs))
+
+
+# ---------------------------------------------------------------------------
+# limits by extrapolation of the exact finite tables, and the tabulated row
+
+
+@dataclass(frozen=True)
+class ThetaLimit:
+    """A converged limit estimate with its convergence evidence."""
+
+    k: int
+    a: int
+    total_mass: Scalar
+    value: float
+    sample_sizes: tuple[int, ...]
+    last_delta: float
+    tolerance: float
+    oracle_value: Fraction | None = None
+    matches_oracle: bool | None = None
+
+
+def theta_limit(
+    k: int,
+    a: int,
+    total_mass: Scalar,
+    tol: float = 1e-8,
+    max_N: int = 2**14,
+    cross_validate: bool = True,
+) -> ThetaLimit:
+    """lim_N C(N,k)·theta*_N(k,a) by exact Neville extrapolation in 1/N.
+
+    Sample sizes double (N = k, 2k, 4k, ...); the target is a rational
+    function of N, so the interpolating-polynomial diagonal converges
+    quickly. The value is reported only once two successive diagonal
+    entries agree within ``tol``; otherwise ConvergenceError carries the
+    best partial value. With ``cross_validate`` the converged value is
+    compared against the closed-form ``limit_coefficient`` and both are
+    attached.
+    """
+    if not 1 <= a <= k:
+        raise DomainError(f"need 1 <= a <= k, got (k={k}, a={a})")
+    xs: list[Fraction] = []
+    prev_col: list[Fraction] = []
+    sizes: list[int] = []
+    previous_diag: Fraction | None = None
+    N = k
+    while N <= max_N:
+        tab = theta_table(N, total_mass, max_k=min(k, N))
+        value = Fraction(binom(N, k)) * Fraction(tab.theta_star(k, a))
+        x = Fraction(1, N)
+        col = [value]
+        for i in range(1, len(xs) + 1):
+            older_x = xs[len(xs) - i]
+            num = x * prev_col[i - 1] - older_x * col[i - 1]
+            col.append(num / (x - older_x))
+        xs.append(x)
+        sizes.append(N)
+        prev_col = col
+        current = col[-1]
+        if previous_diag is not None:
+            delta = abs(float(current - previous_diag))
+            if delta < tol:
+                oracle_val = None
+                matches = None
+                if cross_validate:
+                    oracle_val = limit_coefficient(k, a, total_mass)
+                    scale = max(1.0, abs(float(oracle_val)))
+                    matches = abs(float(current) - float(oracle_val)) <= 10 * tol * scale
+                return ThetaLimit(
+                    k, a, total_mass, float(current), tuple(sizes), delta, tol,
+                    oracle_val, matches,
+                )
+        previous_diag = current
+        N *= 2
+    raise ConvergenceError(
+        f"theta limit ({k},{a}) did not stabilise below {tol} with N <= {max_N}",
+        partial=float(previous_diag) if previous_diag is not None else None,
+    )
+
+
+def tabulated_limit_values(total_mass: Scalar) -> dict[tuple[int, int], Scalar]:
+    """Closed forms for the first limit coefficients as previously tabulated
+    elsewhere, retained solely for cross-checking. The second row disagrees
+    with both the recursion limit and the projection oracle (see
+    ``theta_erratum_report``), so these values must never feed the
+    decomposition routines."""
+    m = total_mass
+    return {
+        (1, 1): m + 1,
+        (2, 1): (m + 3) * (m + 2),
+        (2, 2): (m + 3) * (m + 1) / 2,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the overlap enumeration oracle
+
+
+def c_overlap_oracle(
+    h: SymmetricKernel,
+    f: SymmetricKernel,
+    r: int,
+    alpha: DiscreteBaseMeasure,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> Scalar:
+    """E[h(X_1..X_n)·f(X_{n-r+1}..X_{2n-r})], exactly, by enumeration.
+
+    The two order-n windows share their last/first r coordinates. The
+    nominal enumeration size K^(2n-r) is checked against ``cap``.  It
+    arbitrates between the two readings of ``coeffs.c_overlap``.
+    """
+    if h.order != f.order:
+        raise DomainError("overlap oracle requires kernels of equal order")
+    n = h.order
+    if not 0 <= r <= n:
+        raise DomainError(f"need 0 <= r <= n, got (r={r}, n={n})")
+    if h.atoms != alpha.atoms or f.atoms != alpha.atoms:
+        raise DomainError("kernels and measure disagree on the atom count")
+    span = 2 * n - r
+    if alpha.atoms**span > cap:
+        raise ResourceCapError(
+            f"enumeration of {alpha.atoms}^{span} tuples exceeds cap {cap}"
+        )
+    total: Scalar = Fraction(0)
+    for labels in itertools.product(range(1, alpha.atoms + 1), repeat=span):
+        weight = polya_joint_prob(alpha, labels)
+        total = total + weight * h.value_at(labels[:n]) * f.value_at(labels[n - r :])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +737,6 @@ def _check_exponential(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, s
 
 
 def _check_polya(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
-    import itertools
-
     top = 4 if quick else 6
     K = alpha.atoms
     for n in (1, top):

@@ -26,7 +26,7 @@ from dfchaos.chaos import (
     variance_from_decomposition,
     variance_functional,
 )
-from dfchaos.coeffs import c_iso, system_residuals, theta_limit, theta_table
+from dfchaos.coeffs import c_iso, system_residuals, theta_table
 from dfchaos.hoeffding import degenerate_basis, degenerate_check
 from dfchaos.jacobi import (
     BetaParams,
@@ -46,7 +46,7 @@ from dfchaos.polya import (
     sample_polya,
 )
 from dfchaos.ustat import approximation_report, direct_loss, mc_loss, ustat_mse_curve
-from dfchaos.validation import theta_erratum_report
+from dfchaos.validation import theta_erratum_report, theta_limit
 from dfchaos.wright_fisher import (
     TransitionModel,
     dirichlet_density,

@@ -9,14 +9,11 @@ import pytest
 from dfchaos.coeffs import (
     c_iso,
     c_overlap,
-    c_overlap_oracle,
     limit_coefficient,
     limit_coefficients,
     phi,
     psi,
     system_residuals,
-    tabulated_limit_values,
-    theta_limit,
     theta_table,
     validate_limit_values,
 )
@@ -29,6 +26,7 @@ from dfchaos.errors import (
 from dfchaos.kernels import SymmetricKernel
 from dfchaos.measures import measure
 from dfchaos.numeric import binom
+from dfchaos.validation import c_overlap_oracle, tabulated_limit_values, theta_limit
 
 
 def test_theta_first_order_closed_form():

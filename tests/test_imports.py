@@ -35,6 +35,42 @@ def _loaded_after(code: str) -> set[str]:
     return set(json.loads(result.stdout.splitlines()[-1]))
 
 
+def _modules_run_adds(code: str) -> set[str]:
+    """Modules a fresh interpreter adds to ``sys.modules`` while running
+    ``code`` (whatever its own start-up loaded is left out)."""
+    probe = (
+        "import sys\nbefore = set(sys.modules)\n"
+        f"{code}\n"
+        "import json\nprint(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--alpha", "7/3", "--N", "12"],
+        ["coeffs", "--alpha", "7/3", "--N", "12", "--max-k", "3"],
+        ["coeffs", "--alpha", "2", "--limits", "--max-order", "5"],
+    ],
+)
+def test_coeffs_process_loads_only_what_it_runs(argv):
+    code = (
+        "import contextlib, io, dfchaos.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert dfchaos.cli.main({argv!r}) == 0"
+    )
+    added = _modules_run_adds(code)
+    package = {m for m in added if m == "dfchaos" or m.startswith("dfchaos.")}
+    assert package == {"dfchaos", "dfchaos.cli", "dfchaos.coeffs", "dfchaos.numeric", "dfchaos.errors"}
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_cli_import_loads_no_heavy_module():
     assert _loaded_after("import dfchaos.cli") == set()
 

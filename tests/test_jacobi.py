@@ -15,6 +15,7 @@ from dfchaos.jacobi import (
     beta_bernstein,
     beta_weight_integral,
     exact_parts,
+    jacobi_gram,
     jacobi_inner,
     jacobi_modified,
     jacobi_norm_identity,
@@ -107,9 +108,34 @@ def test_float_parameters_are_read_exactly(a1, a0):
     assert lhs == rhs == 1
 
 
+def test_gram_matrix_is_exactly_the_identity_at_the_order_cap():
+    assert MAX_JACOBI_ORDER == 60
+    gram = jacobi_gram(MAX_JACOBI_ORDER, BetaParams(Fraction(1, 3), Fraction(5, 2)))
+    for i, row in enumerate(gram):
+        assert row == [1 if j == i else 0 for j in range(MAX_JACOBI_ORDER + 1)]
+
+
+@pytest.mark.parametrize(
+    "params", PARAM_SETS + (BetaParams(Fraction(1, 3), Fraction(5, 2)), BetaParams(0.3, 2.7))
+)
+def test_phi_kernel_lead_is_the_rounded_sqrt_of_k(params):
+    # sqrt(k_n) read from the Bernstein norm is the float leading coefficient
+    # of ``jacobi_modified``, bit for bit
+    for n in (1, 2, 7, 30, MAX_JACOBI_ORDER):
+        k, _ = exact_parts(n, params)
+        psi, norm = beta_bernstein(n, params.a1, params.a0)
+        assert k * norm == 1
+        lead = jacobi_modified(n, params).coefficient(n)
+        phi = solve_phi_system(n, params)
+        assert phi.value((n, 0)) == float(psi[n]) * lead
+        assert phi.value((0, n)) == float(psi[0]) * lead
+
+
 def test_order_cap_and_domain_errors():
     with pytest.raises(NumericError):
         jacobi_modified(MAX_JACOBI_ORDER + 1, BetaParams(1, 1))
+    with pytest.raises(NumericError):
+        solve_phi_system(MAX_JACOBI_ORDER + 1, BetaParams(1, 1))
     with pytest.raises(DomainError):
         jacobi_modified(-1, BetaParams(1, 1))
     with pytest.raises(DomainError):

@@ -2,6 +2,9 @@
 
 Masses and mutation weights are drawn as p/q with 1 <= p, q <= 12; the
 masses named in the coefficient docstrings are pinned as explicit examples.
+The closed-form finite tables are held to the term-by-term ``psi`` sum of
+their diagonal, the cumulative sum that once built their closing row, and
+the defining system.
 The kernel polynomials Q_n of Griffiths' closed form are compared with the
 Gram-Schmidt oracle (``TransitionModel.band``) at rational interior points,
 and with the chaos kernels through the spectral identity
@@ -41,8 +44,8 @@ from dfchaos.chaos import (
 from dfchaos.coeffs import (
     limit_coefficient,
     limit_coefficients,
+    psi,
     system_residuals,
-    tabulated_limit_values,
     theta_table,
     validate_limit_values,
 )
@@ -50,10 +53,10 @@ from dfchaos.errors import CoefficientValidationError, DomainError
 from dfchaos.hoeffding import degenerate_check, hoeffding_decompose
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
 from dfchaos.measures import DiscreteBaseMeasure, dirichlet_moment, with_counts
-from dfchaos.numeric import occupation_vectors, rising_factorial, sub_occupations, tuple_counts
+from dfchaos.numeric import binom, occupation_vectors, rising_factorial, sub_occupations, tuple_counts
 from dfchaos.polya import cond_exp_statistic_counts, occupation_prob, polya_joint_prob
 from dfchaos.ustat import direct_loss, mc_loss, scaled_kernel_candidate, statistic_from_kernels
-from dfchaos.validation import mass_kernel_identities, oracle_limit_row
+from dfchaos.validation import mass_kernel_identities, oracle_limit_row, tabulated_limit_values
 from dfchaos.wright_fisher import (
     TransitionModel,
     _orthogonal_basis,
@@ -69,16 +72,36 @@ MASSES = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
 BOUNDED = settings(max_examples=10, deadline=None, database=None)
 
 
+def closing_row_by_cumulative_sum(table):
+    """The closing row k = N as the tables once built it from the rows below:
+    theta^(N,N) = 1 and theta^(N,a) = -sum_{s=a..N-1} theta^(s,a)."""
+    N = table.N
+    row = {(N, N): Fraction(1)}
+    for a in range(1, N):
+        row[(N, a)] = -sum(table.theta(s, a) for s in range(a, N))
+    return row
+
+
 @BOUNDED
-@given(mass=MASSES, N=st.integers(1, 16))
+@given(mass=MASSES, N=st.integers(1, 24))
 @example(mass=Fraction(1, 2), N=16)
 @example(mass=Fraction(1), N=16)
 @example(mass=Fraction(2), N=16)
 @example(mass=Fraction(5), N=16)
-@example(mass=Fraction(7, 3), N=16)
-@example(mass=Fraction(1, 10), N=16)
+@example(mass=Fraction(7, 3), N=24)
+@example(mass=Fraction(1, 10), N=24)
 def test_theta_table_solves_the_defining_system(mass, N):
-    residuals = system_residuals(theta_table(N, mass))
+    table = theta_table(N, mass)
+    for k in range(1, N + 1):
+        # Chu-Vandermonde: psi_N(k,k,k) = 2F1(-k, k-N; m+k; 1)
+        diagonal = rising_factorial(mass + N, k) / rising_factorial(mass + k, k)
+        assert diagonal == psi(N, k, k, k, mass)
+        assert table.theta_star(k, k) * diagonal == 1
+        for a in range(1, k + 1):
+            assert table.theta_star(k, a) * binom(N - a, k - a) == table.theta(k, a)
+    closing = {key: value for key, value in table.entries.items() if key[0] == N}
+    assert closing == closing_row_by_cumulative_sum(table)
+    residuals = system_residuals(table)
     assert all(value == 0 for value in residuals.values())
 
 
