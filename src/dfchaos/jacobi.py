@@ -54,7 +54,7 @@ __all__ = [
 #: Largest supported degree.  The closed form itself has no limit; the cap
 #: bounds the CLI's exact Gram check over all pairs i, j <= n, which costs
 #: O(n^4) integer products (``jacobi --n 60 --a1 1/3 --a0 5/2`` takes about
-#: 0.35 s on a 2-core x86-64 machine under Python 3.11).
+#: 0.4 s on a 2-core x86-64 machine under Python 3.11).
 MAX_JACOBI_ORDER = 60
 
 

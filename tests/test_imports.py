@@ -20,28 +20,12 @@ SRC = str(Path(dfchaos.__file__).resolve().parent.parent)
 HEAVY = ("numpy", "dfchaos.validation", "dfchaos.ustat", "dfchaos.bayes", "dfchaos.jacobi")
 
 
-def _loaded_after(code: str) -> set[str]:
-    """Names of ``HEAVY`` modules a fresh interpreter holds after ``code``."""
-    probe = f"{code}\nimport sys\nprint(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-c", "import json\n" + probe],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
-    assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout.splitlines()[-1]))
-
-
-def _modules_run_adds(code: str) -> set[str]:
+def _modules_added_by(code: str) -> set[str]:
     """Modules a fresh interpreter adds to ``sys.modules`` while running
     ``code`` (whatever its own start-up loaded is left out)."""
     probe = (
-        "import sys\nbefore = set(sys.modules)\n"
-        f"{code}\n"
-        "import json\nprint(json.dumps(sorted(set(sys.modules) - before)))"
+        f"import sys\nbefore = set(sys.modules)\n{code}\n"
+        "added = sorted(set(sys.modules) - before)\nimport json\nprint(json.dumps(added))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
@@ -49,6 +33,11 @@ def _modules_run_adds(code: str) -> set[str]:
     )
     assert result.returncode == 0, result.stderr
     return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+def _loaded_after(code: str) -> set[str]:
+    """Names of ``HEAVY`` modules a fresh interpreter loads running ``code``."""
+    return _modules_added_by(code) & set(HEAVY)
 
 
 @pytest.mark.parametrize(
@@ -65,7 +54,7 @@ def test_coeffs_process_loads_only_what_it_runs(argv):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert dfchaos.cli.main({argv!r}) == 0"
     )
-    added = _modules_run_adds(code)
+    added = _modules_added_by(code)
     package = {m for m in added if m == "dfchaos" or m.startswith("dfchaos.")}
     assert package == {"dfchaos", "dfchaos.cli", "dfchaos.coeffs", "dfchaos.numeric", "dfchaos.errors"}
     assert not added & {"dataclasses", "inspect"}
