@@ -38,15 +38,16 @@ from .coeffs import c_iso
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
 from .jacobi import beta_bernstein
 from .kernels import SimplexPolynomial, SymmetricKernel
-from .measures import DiscreteBaseMeasure, dirichlet_moment, with_observations
+from .measures import DiscreteBaseMeasure, with_observations
 from .numeric import (
     Scalar,
     as_scalar,
+    exact_image,
     exact_numerators,
     hyp1f1,
-    is_exact,
     multiplicity,
     occupation_vectors,
+    ratio,
     tuple_counts,
     variance_ratio,
 )
@@ -89,55 +90,50 @@ class ObservedSample:
 
 def _occupation_sums(
     h: SymmetricKernel | Mapping[tuple[int, ...], Scalar], atoms: int
-) -> tuple[int, dict[tuple[int, ...], tuple[Scalar, Scalar]]]:
-    """(arity m, occupation vector c -> (sum of h(t), sum of h(t)^2)).
+) -> tuple[int, dict[tuple[int, ...], tuple[Scalar, Scalar]], bool]:
+    """(arity m, occupation vector c -> (sum of h(t), sum of h(t)^2), rounded).
 
     The sums run over the label tuples t with occupation vector c.  A
     symmetric kernel contributes mult(c)·h(c) and mult(c)·h(c)^2 on each
     vector where it is nonzero; a plain mapping from 1-based label tuples
     to values need not be symmetric, and missing tuples count as zero.
+    Each value is read as its exact image (``exact_image``), so the sums
+    are exact; ``rounded`` says whether any value was a float.
     """
     if isinstance(h, SymmetricKernel):
         if h.atoms != atoms:
             raise DomainError(f"kernel is over {h.atoms} atoms, expected {atoms}")
-        return h.order, {
-            c: (multiplicity(c) * v, multiplicity(c) * v * v) for c, v in h.values.items() if v != 0
-        }
-    arities = {len(k) for k in h.keys()}
-    if len(arities) != 1:
-        raise DomainError(f"value table mixes arities {sorted(arities) if arities else '(empty)'}")
-    (m,) = arities
+        m = h.order
+        entries = ((c, multiplicity(c), v) for c, v in h.values.items() if v != 0)
+    else:
+        arities = {len(k) for k in h.keys()}
+        if len(arities) != 1:
+            raise DomainError(f"value table mixes arities {sorted(arities) if arities else '(empty)'}")
+        (m,) = arities
+        entries = (
+            (tuple_counts(tuple(int(x) for x in raw), atoms), 1, as_scalar(value))
+            for raw, value in h.items()
+        )
     sums: dict[tuple[int, ...], tuple[Scalar, Scalar]] = {}
-    for raw, value in h.items():
-        labels = tuple(int(x) for x in raw)
-        for x in labels:
-            if not 1 <= x <= atoms:
-                raise DomainError(f"label {x} outside support 1..{atoms}")
-        value = as_scalar(value)
-        counts = tuple_counts(labels, atoms)
+    rounded = False
+    for counts, weight, value in entries:
+        rounded = rounded or isinstance(value, float)
+        value = exact_image(value)
         first, second = sums.get(counts, (0, 0))
-        sums[counts] = (first + value, second + value * value)
-    return m, sums
+        sums[counts] = (first + weight * value, second + weight * value * value)
+    return m, sums, rounded
 
 
 def _posterior_variance(
     sums: Mapping[tuple[int, ...], tuple[Scalar, Scalar]], posterior: DiscreteBaseMeasure
 ) -> Scalar:
-    """Var[h | obs] = E[h^2 | obs] - E[h | obs]^2 from the occupation sums.
+    """Var[h | obs] = E[h^2 | obs] - E[h | obs]^2 from the exact occupation
+    sums of ``_occupation_sums``.
 
-    Each moment is sum_c (sum over c) E[D^c] under the posterior.  With
-    exact sums they are two integer ladder sums and the variance is one
-    Fraction (``variance_ratio``); a float sum keeps the per-vector float
-    accumulation.
+    Each moment is sum_c (sum over c) E[D^c] under the posterior: two
+    integer ladder sums, and the variance is one Fraction
+    (``variance_ratio``).
     """
-    if not is_exact(v for pair in sums.values() for v in pair):
-        first: Scalar = 0
-        second: Scalar = 0
-        for counts, (value, square) in sums.items():
-            prob = dirichlet_moment(posterior, counts)
-            first = first + value * prob
-            second = second + square * prob
-        return second - first * first
     zeros = (0,) * posterior.atoms
     moments = []
     for column in zip(*sums.values()):
@@ -164,9 +160,11 @@ def estimate_conditional_variance(
     label tuples (K^m) raises ResourceCapError.  Because everything is
     phrased through the posterior, conditioning on data and folding the
     data into the base measure give identical results by construction.
+    A float value of h is read as its exact image and the estimate rounded
+    once, to a float.
     """
     atoms = sample.alpha.atoms
-    m, sums = _occupation_sums(h, atoms)
+    m, sums, rounded = _occupation_sums(h, atoms)
     if m == 0 or not sums:
         return 0
     if atoms**m > cap:
@@ -187,7 +185,8 @@ def estimate_conditional_variance(
             continue
         second_moment = statistic_product_mean(kernel, kernel, posterior)
         correction = correction + c_iso(k, total) * second_moment
-    return variance - correction
+    estimate = variance - correction
+    return ratio(estimate.numerator, estimate.denominator, rounded)
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,6 @@ from .measures import DiscreteBaseMeasure, sample_dirichlet, with_counts
 from .numeric import (
     Scalar,
     binom,
-    exact_ratio,
-    is_exact,
     occupation_lattice,
     occupation_vectors,
     ratio,
@@ -95,11 +93,12 @@ def poly_posterior_mean(
     The coefficients over their common denominator are built once per
     polynomial (``SimplexPolynomial.scaled_terms``) and the moments are
     shifts on the prior's moment ladder, so the sum runs on ints and one
-    Fraction is formed at the end (floats throughout on a float path).
+    Fraction is formed at the end.  A float coefficient is read as its
+    exact image and the mean rounded once, to a float.
     """
-    terms, scale = F.scaled_terms
+    terms, lead, rounded = F.scaled_terms
     num, den = alpha.moment_ladder.posterior_sum(terms, counts)
-    return exact_ratio(num, den * scale)
+    return ratio(num, den * lead, rounded)
 
 
 def cond_exp_functional(
@@ -135,44 +134,38 @@ def functional_mean(F: Functional, alpha: DiscreteBaseMeasure, rng=None):
     return cond_exp_functional(F, alpha, (), rng)
 
 
-def _product_sum(
-    F: SimplexPolynomial, G: SimplexPolynomial, alpha: DiscreteBaseMeasure
-) -> tuple[int, int] | None:
-    """(N, Q) with E[F(D) G(D)] = N / Q, or None when a coefficient is a float.
+def _product_sum(first: tuple, second: tuple, alpha: DiscreteBaseMeasure) -> tuple[int, int, bool]:
+    """(N, Q, rounded) with E[F(D) G(D)] = N / Q, for F and G given by their
+    integer terms over one denominator (``SimplexPolynomial.scaled_terms``,
+    ``_integral_terms``).
 
-    The coefficients over their denominators (``scaled_terms``) multiply
-    on ints, and one ladder sum at the prior takes the moments of the
-    product's terms; no product polynomial is built.
+    The numerators multiply on ints, and one ladder sum at the prior takes
+    the moments of the product's terms; no product polynomial is built.
     """
-    (f_terms, f_lead), (g_terms, g_lead) = F.scaled_terms, G.scaled_terms
-    if not is_exact(c for _, c in f_terms + g_terms):
-        return None
+    (f_terms, f_lead, f_rounded), (g_terms, g_lead, g_rounded) = first, second
     product: dict[tuple[int, ...], int] = {}
     for e1, c1 in f_terms:
         for e2, c2 in g_terms:
             key = tuple(map(add, e1, e2))
             product[key] = product.get(key, 0) + c1 * c2
     num, den = alpha.moment_ladder.posterior_sum(product.items(), (0,) * alpha.atoms)
-    return num, den * f_lead * g_lead
+    return num, den * f_lead * g_lead, f_rounded or g_rounded
 
 
 def variance_functional(F: SimplexPolynomial, alpha: DiscreteBaseMeasure) -> Scalar:
     """Var F(D), exactly, via first and second moments of the masses.
 
-    With exact coefficients both moments are integer ladder sums and the
-    variance is one Fraction (``variance_ratio``).  A float coefficient
-    keeps the float moments of F and of the product polynomial F·F.
+    Both moments are integer ladder sums and the variance is one Fraction
+    (``variance_ratio``).  A float coefficient is read as its exact image
+    and the variance rounded once, to a float.
     """
     if not isinstance(F, SimplexPolynomial):
         raise DomainError("exact variance needs a polynomial functional")
-    zeros = (0,) * alpha.atoms
-    second = _product_sum(F, F, alpha)
-    if second is None:
-        mean = poly_posterior_mean(F, alpha, zeros)
-        return poly_posterior_mean(F.mul(F), alpha, zeros) - mean * mean
-    terms, lead = F.scaled_terms
-    num, den = alpha.moment_ladder.posterior_sum(terms, zeros)
-    return variance_ratio((num, den * lead), second)
+    terms, lead, rounded = F.scaled_terms
+    second, second_den, _ = _product_sum(F.scaled_terms, F.scaled_terms, alpha)
+    num, den = alpha.moment_ladder.posterior_sum(terms, (0,) * alpha.atoms)
+    variance = variance_ratio((num, den * lead), (second, second_den))
+    return ratio(variance.numerator, variance.denominator, rounded)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +282,16 @@ def chaos_kernels(
     exact: kernels beyond d come out identically zero.
 
     Every occupation vector mu with |mu| <= max_order is a sub-occupation,
-    so every conditional mean E[F | mu] is needed.  For F with exact
-    coefficients c_e / L they come from one integer table,
-    ``MomentLadder.posterior_table``: E[F | mu] = N(mu) / (D L) over one
-    denominator for all mu, and the centred numerators N(mu) - N(0) feed
-    the integer assembly ``subset_sum_assembly`` with no Fraction formed
-    in between.  A black box, or F with a float coefficient, takes one
-    conditional mean per vector, by size (the order in which a black box
-    draws from ``rng``), and the centred values run through
-    ``subset_sum_kernels``.
+    so every conditional mean E[F | mu] is needed.  For a polynomial F
+    with coefficients c_e / L (``SimplexPolynomial.scaled_terms``) they
+    come from one integer table, ``MomentLadder.posterior_table``:
+    E[F | mu] = N(mu) / (D L) over one denominator for all mu, and the
+    centred numerators N(mu) - N(0) feed the integer assembly
+    ``subset_sum_assembly`` with no Fraction formed in between.  A float
+    coefficient is read as its exact image, and the mean and every kernel
+    entry are rounded once, to floats.  A black box takes one conditional
+    mean per vector, by size (the order in which it draws from ``rng``),
+    and the centred values run through ``subset_sum_kernels``.
     """
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order}")
@@ -313,25 +307,17 @@ def chaos_kernels(
             validate_limit_values(theta, mass, max_order)
         rows = {n: {k: theta[(n, k)] for k in range(1, n + 1)} for n in orders}
 
-    if isinstance(F, SimplexPolynomial) and is_exact(F.terms.values()):
-        terms, lead = F.scaled_terms
+    if isinstance(F, SimplexPolynomial):
+        terms, lead, rounded = F.scaled_terms
         table, den = alpha.moment_ladder.posterior_table(terms, max_order)
         centre = table[0][0]
         layers = [[x - centre for x in layer] for layer in table]
-        kernels = subset_sum_assembly(layers.__getitem__, den * lead, False, rows, atoms)
-        mean: Scalar = Fraction(centre, den * lead)
+        kernels = subset_sum_assembly(layers.__getitem__, den * lead, rounded, rows, atoms)
+        mean: Scalar = ratio(centre, den * lead, rounded)
     else:
-
-        def cond(counts: tuple[int, ...]) -> Scalar:
-            if isinstance(F, SimplexPolynomial):
-                return poly_posterior_mean(F, alpha, counts)
-            labels: list[int] = []
-            for atom, c in enumerate(counts, start=1):
-                labels.extend([atom] * c)
-            return cond_exp_functional(F, alpha, labels, rng).value
-
         vectors = [mu for n in range(max_order + 1) for mu in occupation_vectors(n, atoms)]
-        conds = [cond(mu) for mu in vectors]
+        labels = ([a for a, c in enumerate(mu, start=1) for _ in range(c)] for mu in vectors)
+        conds = [cond_exp_functional(F, alpha, ls, rng).value for ls in labels]
         mean = conds[0]
         kernels = subset_sum_kernels({mu: c - mean for mu, c in zip(vectors, conds)}, rows, atoms)
     return ChaosDecomposition(alpha, mean, tuple(kernels.values()))
@@ -362,6 +348,16 @@ class CovarianceResult:
     route: str
 
 
+def _integral_terms(h: SymmetricKernel) -> tuple[list[tuple[tuple[int, ...], int]], int, bool]:
+    """The integral of h against D^n, sum_a h(a) mult(a) D^a, as integer
+    terms (a, mult(a) N(a)) over the denominator d of h's cached
+    ``numerators`` N / d, with their ``rounded`` flag."""
+    nums, den, rounded = h.numerators
+    lattice = occupation_lattice(h.order, h.atoms)
+    terms = [(a, m * x) for a, m, x in zip(lattice.vectors, lattice.multiplicities, nums) if x]
+    return terms, den, rounded
+
+
 def covariance_integrals(
     h: SymmetricKernel,
     f: SymmetricKernel,
@@ -370,7 +366,9 @@ def covariance_integrals(
 ) -> CovarianceResult:
     """E[(integral of h dD^n)(integral of f dD^m)] two ways.
 
-    ``exact`` comes from moment algebra on the product polynomial. The
+    ``exact`` comes from moment algebra on the product of the two
+    integrals, on the kernels' integer numerators (a float value is read
+    as its exact image and ``exact`` rounded once, to a float).  The
     prediction is the isometry form delta_{nm}·c(n)·E[h·f] when both
     kernels are degenerate; otherwise both are routed through their
     finite-sample orthogonal components:
@@ -378,12 +376,7 @@ def covariance_integrals(
     """
     if h.atoms != alpha.atoms or f.atoms != alpha.atoms:
         raise DomainError("kernels and measure disagree on the atom count")
-    F, G = h.to_polynomial(), f.to_polynomial()
-    product = _product_sum(F, G, alpha)
-    if product is None:
-        exact_val = poly_posterior_mean(F.mul(G), alpha, (0,) * alpha.atoms)
-    else:
-        exact_val = Fraction(*product)
+    exact_val = ratio(*_product_sum(_integral_terms(h), _integral_terms(f), alpha))
     mass = alpha.total_mass
     h_degen = degenerate_check(h, alpha) <= degeneracy_tol
     f_degen = degenerate_check(f, alpha) <= degeneracy_tol

@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 from .errors import CoefficientValidationError, DomainError
-from .numeric import Scalar, binom, binom_star, falling_ratio, rising_factorial
+from .numeric import Scalar, binom, binom_star, falling_ratio, ratio, rising_factorial
 
 # ---------------------------------------------------------------------------
 # the rational building blocks
@@ -302,24 +302,18 @@ def c_iso(n: int, total_mass: Scalar) -> Scalar:
 
     This is the variance scale of an order-n integral: the covariance of two
     same-order integrals of degenerate kernels h, f equals
-    c_iso(n)·E[h(X_1..X_n)·f(X_1..X_n)].  An exact mass a/b gives the one
-    Fraction n! b^n / prod_l (a + (n+l-1) b); a float mass keeps the float
-    product.
+    c_iso(n)·E[h(X_1..X_n)·f(X_1..X_n)].  A mass a/b gives the one
+    Fraction n! b^n / prod_l (a + (n+l-1) b); a float mass is read as its
+    exact image and the constant rounded once, to a float.
     """
     if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")
-    _check_mass(total_mass)
-    if isinstance(total_mass, float):
-        value: Scalar = Fraction(1)
-        for l in range(1, n + 1):
-            value = value * (n - l + 1) / (total_mass + n + l - 1)
-        return value
-    mass = Fraction(total_mass)
+    mass = _exact_mass(total_mass)
     a, b = mass.numerator, mass.denominator
     den = 1
     for l in range(1, n + 1):
         den *= a + (n + l - 1) * b
-    return Fraction(math.factorial(n) * b**n, den)
+    return ratio(math.factorial(n) * b**n, den, isinstance(total_mass, float))
 
 
 def c_overlap(n: int, r: int, total_mass: Scalar, bound: str = "reduced") -> Scalar:

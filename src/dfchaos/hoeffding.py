@@ -23,10 +23,10 @@ from .measures import DiscreteBaseMeasure
 from .numeric import (
     Scalar,
     common_denominator,
-    exact_ratio,
     nullspace,
     occupation_lattice,
     occupation_vectors,
+    ratio,
 )
 from .polya import cond_exp_statistic_counts
 
@@ -54,24 +54,17 @@ def degenerate_check(h: SymmetricKernel, alpha: DiscreteBaseMeasure) -> Scalar:
     degenerate for this base measure. Order-1 kernels are checked against
     the empty history (the base predictive). With h's values over their
     common denominator (the kernel's cached ``numerators``) the sums run on
-    ints and one ratio is formed at the end.  A float value meets the
-    weights rounded once, and the sums run in floats: the integer
-    numerators need not fit a float.
+    ints and one ratio is formed at the end.  A float value is read as its
+    exact image and the residual rounded once, to a float.
     """
     if h.atoms != alpha.atoms:
         raise DomainError("kernel and measure disagree on the atom count")
     if h.order < 1:
         raise DomainError("degeneracy is defined for orders >= 1")
     column, value_den, rounded = h.numerators
-    weights = alpha.weights
-    if rounded:
-        weights = [float(w) for w in weights]
-        nums, value_den = common_denominator(list(h.values.values()))
-        table = dict(zip(h.values, nums))
-        column = [table.get(a, 0) for a in occupation_vectors(h.order, h.atoms)]
-    rows, den = _predictive_rows(weights, h.order)
+    rows, den = _predictive_rows(alpha.weights, h.order)
     worst = max(abs(sum(w * column[rank] for rank, w in row)) for row in rows)
-    return exact_ratio(worst, value_den * den)
+    return ratio(worst, value_den * den, rounded)
 
 
 def degenerate_basis(alpha: DiscreteBaseMeasure, order: int) -> list[SymmetricKernel]:

@@ -34,7 +34,15 @@ from .coeffs import c_iso
 from .errors import DomainError, NumericError
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, MomentLadder, dirichlet_moment
-from .numeric import Scalar, as_scalar, binom, common_denominator, rising_factorial
+from .numeric import (
+    Scalar,
+    as_scalar,
+    binom,
+    common_denominator,
+    exact_numerators,
+    ratio,
+    rising_factorial,
+)
 
 __all__ = [
     "BetaParams",
@@ -153,6 +161,12 @@ def _validated_order(n: int) -> None:
         raise NumericError(f"degree {n} exceeds the supported range n <= {MAX_JACOBI_ORDER}")
 
 
+def _root(k: Fraction) -> float:
+    """sqrt(k) of an exact k > 0: the correctly rounded quotient, then one
+    sqrt.  A k beyond the float range raises ``NumericError`` (``ratio``)."""
+    return math.sqrt(ratio(k.numerator, k.denominator, True))
+
+
 def exact_parts(n: int, params: BetaParams) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact factorization J_n = sqrt(k_n) * sum_a g_a x^a.
 
@@ -201,38 +215,33 @@ def jacobi_modified(n: int, params: BetaParams) -> PolynomialCoeffs:
     leading coefficient (g_{n,n} = 1, so the sign is carried entirely by
     sqrt(k_n) > 0).  The coefficients are the exact rising-factorial parts
     of ``exact_parts``; each returned float carries the rounding of the
-    final sqrt/multiply only.
+    final sqrt/multiply only.  A k_n beyond the float range raises
+    ``NumericError``.
     """
     _validated_order(n)
     if n == 0:
         return PolynomialCoeffs((1.0,))
     k, g = exact_parts(n, params)
-    root = math.sqrt(k)  # the correctly rounded quotient, then one sqrt
+    root = _root(k)
     coeffs = tuple(float(ga) * root for ga in g)
     if coeffs[-1] < 0:  # unreachable with g_{n,n} = 1, kept as an explicit guarantee
         coeffs = tuple(-c for c in coeffs)
     return PolynomialCoeffs(coeffs)
 
 
-def _beta_moment(params: BetaParams, a: int) -> Fraction:
-    """E[x^a] under the Beta weight: rising(a1, a) / rising(a1 + a0, a)."""
-    return rising_factorial(params.a1, a) / rising_factorial(params.total, a)
-
-
 def beta_weight_integral(poly: PolynomialCoeffs, params: BetaParams) -> Scalar:
     """Integral of a polynomial against the Beta(a1, a0) weight on [0, 1].
 
     Uses the exact monomial moments  E[x^a] = rising(a1, a) / rising(a1 + a0, a),
-    so exact coefficients give an exact integral; float coefficients are
-    summed through math.fsum.
+    E[D_1^a] of the two-atom measure (a1, a0): the coefficients over their
+    common denominator make the integral one integer ladder sum and one
+    Fraction.  A float coefficient is read as its exact image and the
+    integral rounded once, to a float.
     """
-    terms = [
-        c * _beta_moment(params, a)
-        for a, c in enumerate(poly.coefficients)
-    ]
-    if all(isinstance(t, (int, Fraction)) for t in terms):
-        return sum(terms, Fraction(0))
-    return math.fsum(float(t) for t in terms)
+    nums, den, rounded = exact_numerators(poly.coefficients)
+    ladder = params.as_measure().moment_ladder
+    num, q = ladder.posterior_sum([((a, 0), c) for a, c in enumerate(nums) if c], (0, 0))
+    return ratio(num, q * den, rounded)
 
 
 def _integer_parts(n: int, params: BetaParams) -> tuple[Fraction, list[int], int]:
@@ -265,7 +274,7 @@ def _inner(
     bilinear = Fraction(num, den * ln * lm)
     if len(gn) == len(gm):
         return kn * bilinear
-    return math.sqrt(float(kn * km)) * float(bilinear)
+    return _root(kn * km) * float(bilinear)
 
 
 def jacobi_inner(n: int, m: int, params: BetaParams) -> Scalar:
@@ -336,8 +345,9 @@ def solve_phi_system(n: int, params: BetaParams) -> SymmetricKernel:
     order-n integral is the Bernstein sum  sum_m C(n, m) phi_m eta^m
     (1 - eta)^(n-m), so phi_m = psi_m (``beta_bernstein``, exact) times the
     leading coefficient sqrt(k_n) = 1/||P_n|| of J_n (one float, rounded as
-    in ``jacobi_modified``), for every parameter type.  The kernel is
-    degenerate: its integral lies in the order-n component.
+    in ``jacobi_modified``, and refused the same way beyond the float
+    range), for every parameter type.  The kernel is degenerate: its
+    integral lies in the order-n component.
     """
     if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")
@@ -345,7 +355,7 @@ def solve_phi_system(n: int, params: BetaParams) -> SymmetricKernel:
     if n == 0:
         return SymmetricKernel(0, 2, {(0, 0): 1.0})
     psi, norm = beta_bernstein(n, params.a1, params.a0)
-    lead = math.sqrt(1 / norm)
+    lead = _root(1 / norm)
     return SymmetricKernel(n, 2, {(m, n - m): float(p) * lead for m, p in enumerate(psi)})
 
 

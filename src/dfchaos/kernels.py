@@ -315,13 +315,14 @@ class SimplexPolynomial:
         return tuple(tuple((j, e) for j, e in enumerate(exps) if e) for exps in self.terms)
 
     @cached_property
-    def scaled_terms(self) -> tuple[tuple[tuple[tuple[int, ...], Scalar], ...], int]:
-        """(pairs, L): the terms as (e, c_e) with the coefficients c_e / L
-        over their common denominator (floats over L = 1 when a coefficient
-        is a float).  Built once; every posterior mean of this polynomial
-        reads it."""
-        coeffs, lead = common_denominator(list(self.terms.values()))
-        return tuple(zip(self.terms, coeffs)), lead
+    def scaled_terms(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int, bool]:
+        """(pairs, L, rounded): the terms as (e, c_e) with the coefficients
+        c_e / L as integer numerators over their common denominator
+        (``exact_numerators``: a float coefficient is read as its exact
+        image and ``rounded`` says one was seen).  Built once; every
+        posterior mean of this polynomial reads it."""
+        coeffs, lead, rounded = exact_numerators(self.terms.values())
+        return tuple(zip(self.terms, coeffs)), lead, rounded
 
     @cached_property
     def float_coefficients(self) -> tuple[float, ...]:
@@ -335,7 +336,7 @@ class SimplexPolynomial:
         None when a coefficient is a float."""
         if not is_exact(self.terms.values()):
             return None
-        pairs, lead = self.scaled_terms
+        pairs, lead, _ = self.scaled_terms
         terms = [(c, sum(exps), factors) for (exps, c), factors in zip(pairs, self._factors)]
         return terms, lead, self.degree
 

@@ -42,7 +42,6 @@ from .numeric import (
     Scalar,
     as_scalar,
     common_denominator,
-    is_exact,
     occupation_lattice,
     scalar_to_json,
 )
@@ -194,18 +193,16 @@ class MomentLadder:
         return Fraction(*self.posterior_sum([(exponents, 1)], (0,) * (len(self.bases) - 1)))
 
     def posterior_sum(
-        self, terms: Iterable[tuple[Sequence[int], Scalar]], counts: Sequence[int]
-    ) -> tuple:
+        self, terms: Iterable[tuple[Sequence[int], int]], counts: Sequence[int]
+    ) -> tuple[int, int]:
         """(N, Q) with N / Q = sum of a * E[D^e | counts c] over the (e, a) terms.
 
         By conjugacy E[D^e | c] = prod_j row(j, c_j)[e_j] / row(K, |c|)[|e|].
         Over Q = row(K, |c|)[d], d the largest |e|, the term of e
         contributes a prod_j row(j, c_j)[e_j] times the integer tail
-        Q / row(K, |c|)[|e|] = prod_{|e| <= i < d} (P + (|c| + i) q).  With
-        integer weights a, N and Q are ints.  A float weight multiplies its
-        moment rounded once, as the ratio of two ints (at most 1), and
-        (N, Q) = (float sum, 1): the integer numerators grow without bound
-        and need not fit a float.
+        Q / row(K, |c|)[|e|] = prod_{|e| <= i < d} (P + (|c| + i) q).  The
+        weights a are ints (a caller puts its values over their common
+        denominator first, ``numeric.exact_numerators``), so N and Q are ints.
         """
         atoms = len(self.bases) - 1
         check_counts(atoms, counts)
@@ -214,19 +211,17 @@ class MomentLadder:
         rows = [self.row(j, c, top) for j, c in enumerate(counts)]
         base = sum(counts)
         mass, q = self.bases[atoms], self.q
-        den = self.row(atoms, base, top)[top]
-        rounded = not is_exact(weight for _, weight in terms)
         tails = [1] * (top + 1)  # tails[k] = Q / row(K, |c|)[k]
         for k in range(top - 1, -1, -1):
             tails[k] = tails[k + 1] * (mass + (base + k) * q)
         total = 0
         for exponents, weight in terms:
-            value = tails[sum(exponents)] if rounded else weight * tails[sum(exponents)]
+            value = weight * tails[sum(exponents)]
             for row, e in zip(rows, exponents):
                 if e:
                     value *= row[e]
-            total += weight * (value / den) if rounded else value
-        return (total, 1) if rounded else (total, den)
+            total += value
+        return total, self.row(atoms, base, top)[top]
 
     def posterior_table(
         self, terms: Sequence[tuple[Sequence[int], int]], order: int

@@ -33,8 +33,9 @@ Scalar = Fraction | float | int
 def as_scalar(value) -> Scalar:
     """Coerce a user-supplied number into Fraction (exact) or float.
 
-    Strings and ints become Fractions; floats stay floats so callers can
-    tell the exact path from the approximate one.
+    Strings and ints become Fractions; floats stay floats, so a helper that
+    reads one as its exact image (``exact_numerators``) knows to round its
+    result once.
     """
     if isinstance(value, Fraction):
         return value
@@ -123,45 +124,52 @@ def is_exact(values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def common_denominator(values: Sequence[Scalar]) -> tuple[list, int]:
-    """(numerators, d) with values[i] = numerators[i] / d.
-
-    Exact values come back as integer numerators over their least common
-    denominator, so sums and products of them run on ints; if any value is
-    a float, every value comes back as a float over d = 1.
-    """
-    if not is_exact(values):
-        return [float(v) for v in values], 1
-    return _over_lcm(values)
-
-
-def _over_lcm(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of exact values over their least common denominator."""
+def common_denominator(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """(numerators, d) with values[i] = numerators[i] / d: exact values as
+    integer numerators over their least common denominator, so sums and
+    products of them run on ints."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def exact_image(value: Scalar) -> int | Fraction:
+    """A float as its exact image ``Fraction(x)``; an int or a Fraction as
+    itself.  A NaN or an infinity has no image and raises ``NumericError``."""
+    if not isinstance(value, float):
+        return value
+    if not math.isfinite(value):
+        raise NumericError(f"non-finite value {value} in an exact sum")
+    return Fraction(value)
 
 
 def exact_numerators(values: Iterable[Scalar]) -> tuple[list[int], int, bool]:
     """(numerators, d, rounded) with values[i] = numerators[i] / d exactly.
 
-    A float is read as its exact image ``Fraction(x)``, so the numerators
-    are always ints; ``rounded`` says whether any value was a float, and a
-    caller that saw one rounds its result once, at the end (``ratio``).
+    This is how every exact helper reads its values, coefficients and
+    masses: a float is read as its exact image (``exact_image``), so the
+    numerators are always ints; ``rounded`` says whether any value was a
+    float, and a caller that saw one rounds its result once, at the end
+    (``ratio``).
     """
     values = list(values)
     rounded = not is_exact(values)
     if rounded:
-        for v in values:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise NumericError(f"non-finite value {v} in an exact sum")
-        values = [Fraction(v) for v in values]
-    nums, den = _over_lcm(values)
+        values = [exact_image(v) for v in values]
+    nums, den = common_denominator(values)
     return nums, den, rounded
 
 
 def ratio(num: int, den: int, rounded: bool) -> Scalar:
-    """num / den for ints: a reduced Fraction, or the float it rounds to."""
-    return num / den if rounded else Fraction(num, den)
+    """num / den for ints: a reduced Fraction, or the float it rounds to
+    (int true division rounds correctly, so this is ``float(Fraction(num,
+    den))``).  A quotient beyond the float range raises ``NumericError``."""
+    if not rounded:
+        return Fraction(num, den)
+    try:
+        return num / den
+    except OverflowError:
+        size = math.log10(abs(num)) - math.log10(abs(den))
+        raise NumericError(f"a value of about 1e{size:.0f} leaves the float range") from None
 
 
 def variance_ratio(first: tuple[int, int], second: tuple[int, int]) -> Fraction:
@@ -169,13 +177,6 @@ def variance_ratio(first: tuple[int, int], second: tuple[int, int]) -> Fraction:
     pairs: the one Fraction (N2 Q1^2 - N1^2 Q2) / (Q2 Q1^2)."""
     (n1, q1), (n2, q2) = first, second
     return Fraction(n2 * q1 * q1 - n1 * n1 * q2, q2 * q1 * q1)
-
-
-def exact_ratio(num, den) -> Scalar:
-    """num / den: a reduced Fraction when both are ints, a float otherwise."""
-    if type(num) is int and type(den) is int:
-        return Fraction(num, den)
-    return num / den
 
 
 def occupation_vectors(order: int, atoms: int) -> tuple[tuple[int, ...], ...]:

@@ -7,9 +7,9 @@ directing Dirichlet measure the draws are i.i.d. from it, and the posterior
 of the directing measure given observations is the conjugate update.
 
 Exact conditional expectations of symmetric statistics are computed by
-enumerating completions, collapsed to occupation vectors. The *nominal*
-ordered enumeration size K^(N - #fixed) is checked against a configurable
-cap so that the failure surface is independent of internal optimisations.
+enumerating completions, collapsed to occupation vectors. The number of
+completions enumerated, C(N - #fixed + K - 1, K - 1), is checked against a
+configurable cap, the count the windowed losses of ``ustat`` check too.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from .kernels import SymmetricKernel
 from .measures import DiscreteBaseMeasure, check_counts, dirichlet_moment, with_counts
 from .numeric import (
     Scalar,
-    common_denominator,
-    exact_ratio,
+    binom,
+    exact_numerators,
     multiplicity,
     occupation_vectors,
+    ratio,
     tuple_counts,
 )
 
@@ -154,7 +155,9 @@ def cond_exp_statistic_counts(
     A completion's weight is its multiplicity times the posterior moment
     E[D^completion | fixed], a shift on the prior's moment ladder; the
     statistic's values go over one common denominator, so the weighted sum
-    runs on ints and one Fraction is formed at the end.
+    runs on ints and one Fraction is formed at the end.  A float value is
+    read as its exact image and the mean rounded once, to a float.  More
+    than ``cap`` completions raise ResourceCapError.
     """
     if statistic.atoms != alpha.atoms:
         raise DomainError("statistic and measure disagree on the atom count")
@@ -164,14 +167,13 @@ def cond_exp_statistic_counts(
         raise DomainError(
             f"cannot fix {sum(fixed_counts)} of {statistic.order} coordinates"
         )
-    if alpha.atoms**n_free > cap:
-        raise ResourceCapError(
-            f"enumeration of {alpha.atoms}^{n_free} completions exceeds cap {cap}"
-        )
+    size = binom(n_free + alpha.atoms - 1, alpha.atoms - 1)
+    if size > cap:
+        raise ResourceCapError(f"enumeration of {size} completions exceeds cap {cap}")
     completions = list(occupation_vectors(n_free, alpha.atoms))
-    values, scale = common_denominator(
-        [statistic.value(tuple(f + c for f, c in zip(fixed_counts, completion)))
-         for completion in completions]
+    values, scale, rounded = exact_numerators(
+        statistic.value(tuple(f + c for f, c in zip(fixed_counts, completion)))
+        for completion in completions
     )
     terms = [
         (completion, multiplicity(completion) * value)
@@ -179,7 +181,7 @@ def cond_exp_statistic_counts(
         if value
     ]
     num, den = alpha.moment_ladder.posterior_sum(terms, fixed_counts)
-    return exact_ratio(num, den * scale)
+    return ratio(num, den * scale, rounded)
 
 
 def expectation_statistic(

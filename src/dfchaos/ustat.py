@@ -55,6 +55,7 @@ from .numeric import (
     exact_numerators,
     occupation_lattice,
     occupation_vectors,
+    ratio,
     scalar_to_json,
     sub_occupations,
     tuple_counts,
@@ -162,8 +163,10 @@ def direct_loss(
     is one posterior sum at the prior, with integer weights over the common
     denominator of S, F's coefficients and E F.  A float value or
     coefficient is read as its exact image and the loss rounded once.
+    More than ``cap`` window occupation vectors, C(window + K - 1, K - 1),
+    raise ResourceCapError.
     """
-    if alpha.atoms ** window > cap and binom(window + alpha.atoms - 1, alpha.atoms - 1) > cap:
+    if binom(window + alpha.atoms - 1, alpha.atoms - 1) > cap:
         raise ResourceCapError(f"window enumeration exceeds cap {cap}")
     statistic = statistic_from_kernels(kernels, window, alpha.atoms)
     lattice = occupation_lattice(window, alpha.atoms)
@@ -185,7 +188,7 @@ def direct_loss(
             terms[key] = terms.get(key, 0) - 2 * weight * c * s_den * m_den
     num, den = alpha.moment_ladder.posterior_sum(terms.items(), (0,) * alpha.atoms)
     loss = var_f + Fraction(num, den * s_den * s_den * c_den * m_den)
-    return float(loss) if rounded or f_rounded else loss
+    return ratio(loss.numerator, loss.denominator, rounded or f_rounded)
 
 
 # Replications per Monte Carlo block: large enough that numpy's per-call

@@ -116,6 +116,17 @@ def test_jacobi_payload(capsys):
     assert payload["degeneracy"] == 0.0
 
 
+def test_jacobi_overflow_reports_numeric_error(capsys):
+    code, out, err = run_cli(
+        capsys, "jacobi", "--n", "20", "--a1", "1000000007/3", "--a0", "1/500000000"
+    )
+    assert code == 1
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "NumericError"
+    assert "leaves the float range" in diagnostic["message"]
+
+
 def test_wf_density_payload(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -107,7 +107,8 @@ def test_split_requires_matching_atoms():
 @pytest.mark.parametrize("decompose", [hoeffding_decompose, martingale_decomposition])
 def test_cap_stops_the_first_and_largest_enumeration(decompose, monkeypatch):
     # every conditional mean is taken once, up front and by size, so the
-    # mean's K^N completions hit the cap before anything else is computed
+    # mean's C(N + K - 1, K - 1) = 10 completions, the most of any vector,
+    # hit the cap before anything else is computed
     alpha = measure(1, "1/2", 2)
     H = SymmetricKernel.from_function(
         3, 3, lambda counts: Fraction(counts[0] - counts[2], 1 + counts[1])
@@ -122,9 +123,9 @@ def test_cap_stops_the_first_and_largest_enumeration(decompose, monkeypatch):
 
     monkeypatch.setattr(module, "cond_exp_statistic_counts", spy)
     with pytest.raises(ResourceCapError):
-        decompose(H, alpha, cap=3**3 - 1)
+        decompose(H, alpha, cap=9)
     assert calls == [(0, 0, 0)]
     calls.clear()
-    decompose(H, alpha, cap=3**3)
+    decompose(H, alpha, cap=10)
     every = [mu for n in range(4) for mu in occupation_vectors(n, 3)]
     assert calls == every

@@ -1,14 +1,19 @@
 """The integer pass of a chaos query against the per-vector routes.
 
-Every conditional mean E[F | mu] of an exact polynomial comes from one
-ladder table (``MomentLadder.posterior_table``) and feeds the integer
-assembly directly; second moments, the isometry constant, the
-conditional-variance moments and the Jacobi inner products run on ints.
-Each is held here to a test-local copy of the per-vector or per-term
-``Fraction`` route it replaced, exactly, over random p/q measures with
-K <= 4 and polynomials of degree <= 4.  Float coefficients, float theta
-rows and black-box functionals keep the per-vector route: their results,
-and the random stream of a black box, are pinned bit for bit.
+Every conditional mean E[F | mu] of a polynomial comes from one ladder
+table (``MomentLadder.posterior_table``) and feeds the integer assembly
+directly; second moments, the isometry constant, the conditional-variance
+moments and the Jacobi inner products run on ints.  Each is held here to a
+test-local copy of the per-vector or per-term ``Fraction`` route it
+replaced, exactly, over random p/q measures with K <= 4 and polynomials of
+degree <= 4.
+
+A float coefficient, value, mass or theta row takes the same integer route
+at its exact image ``Fraction(x)``, rounded once: each helper's result is
+pinned to ``float`` of the same helper at the exact-image inputs, bit for
+bit, and a NaN or an infinity raises ``NumericError``.  A black box keeps
+the per-vector route, and its results and random stream are pinned bit
+for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,21 +38,21 @@ from dfchaos.chaos import (
     variance_functional,
 )
 from dfchaos.coeffs import c_iso, limit_coefficients
-from dfchaos.hoeffding import (
-    _predictive_rows,
-    degenerate_basis,
-    degenerate_check,
-    hoeffding_decompose,
+from dfchaos.errors import DomainError, NumericError
+from dfchaos.hoeffding import degenerate_basis, degenerate_check, hoeffding_decompose
+from dfchaos.jacobi import (
+    BetaParams,
+    PolynomialCoeffs,
+    beta_weight_integral,
+    exact_parts,
+    jacobi_gram,
+    jacobi_inner,
+    solve_phi_system,
 )
-from dfchaos.jacobi import BetaParams, exact_parts, jacobi_gram, jacobi_inner, solve_phi_system
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
 from dfchaos.measures import DiscreteBaseMeasure, dirichlet_moment
-from dfchaos.numeric import (
-    common_denominator,
-    exact_numerators,
-    occupation_vectors,
-    rising_factorial,
-)
+from dfchaos.numeric import exact_numerators, occupation_vectors, rising_factorial
+from dfchaos.polya import cond_exp_statistic, cond_exp_statistic_counts
 
 MASSES = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
 COEFFICIENTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
@@ -112,7 +118,7 @@ def assert_canonical(h):
 def test_posterior_table_equals_the_per_vector_means(alpha, data):
     F = data.draw(polynomials(alpha.atoms))
     order = F.degree + data.draw(st.integers(0, 2))
-    terms, lead = F.scaled_terms
+    terms, lead, _ = F.scaled_terms
     layers, den = alpha.moment_ladder.posterior_table(terms, order)
     assert len(layers) == order + 1
     for k, layer in enumerate(layers):
@@ -180,12 +186,9 @@ def test_c_iso_equals_the_product_loop(mass, n):
     assert type(got) is Fraction and got == value
 
 
-def test_c_iso_of_a_float_mass_is_the_float_loop():
+def test_c_iso_of_a_float_mass_rounds_its_exact_image():
     for mass in (0.3, 2.0, 7.25):
-        value = Fraction(1)
-        for l in range(1, 6):
-            value = value * (5 - l + 1) / (mass + 5 + l - 1)
-        assert_same_bits(c_iso(5, mass), value)
+        assert_same_bits(c_iso(5, mass), float(c_iso(5, Fraction(mass))))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +222,7 @@ def test_cached_numerators_equal_exact_numerators(alpha, data):
 def reference_estimate(h, sample):
     """The estimate with its moments accumulated one vector at a time."""
     atoms = sample.alpha.atoms
-    m, sums = _occupation_sums(h, atoms)
+    m, sums, _ = _occupation_sums(h, atoms)
     if m == 0 or not sums:
         return 0
     posterior = sample.posterior()
@@ -255,32 +258,49 @@ def test_conditional_variance_equals_the_per_vector_moments(alpha, data):
     assert estimate_conditional_variance(table, sample) == reference_estimate(table, sample)
 
 
-def test_conditional_variance_of_float_values_is_the_float_loop():
+def test_conditional_variance_of_float_values_rounds_the_exact_image():
     alpha = DiscreteBaseMeasure((Fraction(3, 10), Fraction(9, 20), Fraction(11, 10)))
     sample = ObservedSample(alpha, (3,))
     table = {(1, 2, 3): 0.25, (2, 2, 1): 1, (3, 1, 1): -0.7}
+    image = {labels: Fraction(v) for labels, v in table.items()}
     estimate = estimate_conditional_variance(table, sample)
-    assert_same_bits(estimate, reference_estimate(table, sample))
+    assert_same_bits(estimate, float(estimate_conditional_variance(image, sample)))
 
 
 # ---------------------------------------------------------------------------
-# float and black-box inputs keep the per-vector route
+# float inputs round their exact image; black boxes keep the per-vector route
 
 
-def test_a_float_coefficient_keeps_the_per_vector_route_bit_for_bit():
+def image(F):
+    """A polynomial with each float coefficient read as its exact image."""
+    return SimplexPolynomial(F.nvars, {e: Fraction(c) for e, c in F.terms.items()})
+
+
+def kernel_image(h):
+    """A kernel with each float value read as its exact image."""
+    return SymmetricKernel(h.order, h.atoms, {a: Fraction(v) for a, v in h.values.items()})
+
+
+def assert_rounds(got, want):
+    """``got`` is ``want`` rounded once to a float."""
+    assert_same_bits(got, float(want))
+
+
+def assert_kernels_round(got, want):
+    for g, w in zip(got, want, strict=True):
+        for counts, value in w.items():
+            assert_rounds(g.value(counts), value)
+
+
+def test_a_float_coefficient_rounds_the_exact_image_bit_for_bit():
     alpha = DiscreteBaseMeasure((Fraction(3, 10), Fraction(9, 20), Fraction(11, 10)))
     F = SimplexPolynomial(3, {(1, 0, 0): 0.3, (2, 1, 0): Fraction(2), (0, 1, 2): -1.5})
     decomposition = chaos_kernels(F, alpha, 4)
-    mean, kernels = per_vector_kernels(F, alpha, 4)
-    assert_same_bits(decomposition.mean, mean)
-    for got, want in zip(decomposition.kernels, kernels):
-        for counts, value in want.items():
-            assert_same_bits(got.value(counts), value)
-    zeros = (0,) * 3
-    moment = poly_posterior_mean(F, alpha, zeros)
-    assert_same_bits(
-        variance_functional(F, alpha), poly_posterior_mean(F.mul(F), alpha, zeros) - moment * moment
-    )
+    exact = chaos_kernels(image(F), alpha, 4)
+    assert_rounds(decomposition.mean, exact.mean)
+    assert_kernels_round(decomposition.kernels, exact.kernels)
+    assert sum(len(h.values) for h in decomposition.kernels) == 34
+    assert_rounds(variance_functional(F, alpha), variance_functional(image(F), alpha))
 
 
 def test_float_theta_rows_round_the_exact_table_bit_for_bit():
@@ -309,22 +329,104 @@ def test_a_black_box_keeps_the_per_vector_route_and_its_random_stream():
     assert rng.random() == reference_rng.random()
 
 
-def reference_float_degeneracy(h, alpha):
-    """The degeneracy residual of a float kernel in floats."""
-    weights = [float(w) for w in alpha.weights]
-    nums, value_den = common_denominator(list(h.values.values()))
-    table = dict(zip(h.values, nums))
-    column = [table.get(a, 0) for a in occupation_vectors(h.order, h.atoms)]
-    rows, den = _predictive_rows(weights, h.order)
-    return max(abs(sum(w * column[rank] for rank, w in row)) for row in rows) / (value_den * den)
-
-
-def test_float_kernels_keep_the_float_degeneracy_check():
+def test_float_kernels_take_the_exact_degeneracy_check():
     params = BetaParams(Fraction(1, 3), Fraction(5, 2))
+    alpha = params.as_measure()
     for n in range(1, 9):
         phi = solve_phi_system(n, params)
-        got = degenerate_check(phi, params.as_measure())
-        assert_same_bits(got, reference_float_degeneracy(phi, params.as_measure()))
+        assert_rounds(degenerate_check(phi, alpha), degenerate_check(kernel_image(phi), alpha))
+
+
+FLOATS = st.floats(-1e3, 1e3, allow_nan=False).filter(bool)
+
+
+@st.composite
+def float_kernels(draw, atoms, order):
+    domain = occupation_vectors(order, atoms)
+    values = draw(st.lists(FLOATS, min_size=len(domain), max_size=len(domain)))
+    return SymmetricKernel(order, atoms, dict(zip(domain, values)))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(alpha=measures(), data=st.data())
+@example(
+    alpha=DiscreteBaseMeasure((Fraction(3, 10), Fraction(9, 20), Fraction(11, 10))), data=None
+)
+def test_every_exact_helper_rounds_the_exact_image_of_its_floats(alpha, data):
+    atoms = alpha.atoms
+    if data is None:  # tiny, huge and inexact binary fractions side by side
+        F = SimplexPolynomial(3, {(1, 0, 0): 0.1, (0, 2, 1): 1e150, (0, 0, 0): -3.3e-12})
+        h = SymmetricKernel(2, 3, dict.fromkeys(occupation_vectors(2, 3), 0.1))
+        f, n, mass = h, 2, 0.3
+    else:
+        F = data.draw(polynomials(atoms, coefficients=FLOATS).filter(lambda F: F.terms))
+        n = data.draw(st.integers(1, 2 if atoms > 2 else 3))
+        h, f = data.draw(float_kernels(atoms, n)), data.draw(float_kernels(atoms, n))
+        mass = data.draw(st.floats(1e-3, 1e3))
+    exact_f, exact_h, exact_g = image(F), kernel_image(h), kernel_image(f)
+    zeros = (0,) * atoms
+    mu = tuple(range(1, atoms + 1))
+
+    assert_rounds(poly_posterior_mean(F, alpha, mu), poly_posterior_mean(exact_f, alpha, mu))
+    assert_rounds(variance_functional(F, alpha), variance_functional(exact_f, alpha))
+    order = max(F.degree, 1)
+    decomposition, exact = chaos_kernels(F, alpha, order), chaos_kernels(exact_f, alpha, order)
+    assert_rounds(decomposition.mean, exact.mean)
+    assert_kernels_round(decomposition.kernels, exact.kernels)
+
+    assert_rounds(
+        covariance_integrals(h, f, alpha).exact, covariance_integrals(exact_h, exact_g, alpha).exact
+    )
+    assert_rounds(statistic_product_mean(h, f, alpha), statistic_product_mean(exact_h, exact_g, alpha))
+    assert_rounds(degenerate_check(h, alpha), degenerate_check(exact_h, alpha))
+    fixed = zeros[:-1] + (1,)
+    assert_rounds(
+        cond_exp_statistic_counts(h, alpha, fixed), cond_exp_statistic_counts(exact_h, alpha, fixed)
+    )
+    sample = ObservedSample(alpha, (atoms,))
+    assert_rounds(
+        estimate_conditional_variance(h, sample), estimate_conditional_variance(exact_h, sample)
+    )
+
+    assert_rounds(c_iso(n, mass), c_iso(n, Fraction(mass)))
+    params = BetaParams(alpha.weights[0], alpha.total_mass)
+    poly = PolynomialCoeffs(tuple(F.terms.values()))
+    exact_poly = PolynomialCoeffs(tuple(Fraction(c) for c in poly.coefficients))
+    assert_rounds(beta_weight_integral(poly, params), beta_weight_integral(exact_poly, params))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_float_raises_numeric_error_from_every_exact_helper(bad):
+    alpha = DiscreteBaseMeasure((Fraction(3, 10), Fraction(9, 20), Fraction(11, 10)))
+    F = SimplexPolynomial(3, {(1, 0, 0): bad, (0, 1, 1): Fraction(1, 2)})
+    h = SymmetricKernel(2, 3, {(2, 0, 0): bad, (1, 1, 0): 0.5})
+    table = {(1, 2): bad, (3, 3): 1}
+    sample = ObservedSample(alpha, (3,))
+    params = BetaParams(Fraction(1, 3), Fraction(5, 2))
+    calls = [
+        lambda: poly_posterior_mean(F, alpha, (0, 0, 0)),
+        lambda: variance_functional(F, alpha),
+        lambda: chaos_kernels(F, alpha, 2),
+        lambda: covariance_integrals(h, h, alpha),
+        lambda: statistic_product_mean(h, h, alpha),
+        lambda: degenerate_check(h, alpha),
+        lambda: cond_exp_statistic(h, alpha, ()),
+        lambda: estimate_conditional_variance(h, sample),
+        lambda: estimate_conditional_variance(table, sample),
+        lambda: beta_weight_integral(PolynomialCoeffs((bad, 1.0)), params),
+    ]
+    for call in calls:
+        with pytest.raises(NumericError, match="non-finite"):
+            call()
+    # a mass is refused like every measure weight that is not positive and finite
+    with pytest.raises(DomainError):
+        c_iso(2, bad)
+
+
+def test_a_float_result_beyond_the_float_range_raises_numeric_error():
+    alpha = DiscreteBaseMeasure((Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(NumericError, match="leaves the float range"):
+        variance_functional(SimplexPolynomial(2, {(1, 0): 1e300}), alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,16 @@ def test_order_cap_and_domain_errors():
             BetaParams(1, bad)
 
 
+def test_a_normalising_constant_beyond_the_float_range_raises_numeric_error():
+    # k_20 of these parameters is about 1e314: its exact parts are fine, its sqrt is not
+    params = BetaParams(Fraction(1000000007, 3), Fraction(1, 500000000))
+    for build in (jacobi_modified, solve_phi_system):
+        with pytest.raises(NumericError, match="leaves the float range"):
+            build(20, params)
+    gram = jacobi_gram(20, params)
+    assert all(gram[i][j] == (i == j) for i in range(21) for j in range(21))
+
+
 def _bernstein_kernel(psi):
     n = len(psi) - 1
     return SymmetricKernel(n, 2, {(j, n - j): p for j, p in enumerate(psi)})
