@@ -42,6 +42,7 @@ from .measures import DiscreteBaseMeasure, with_observations
 from .numeric import (
     Scalar,
     as_scalar,
+    binom,
     exact_image,
     exact_numerators,
     hyp1f1,
@@ -156,8 +157,10 @@ def estimate_conditional_variance(
 
     with m_k the order-k kernels of the conditional-mean functional under
     the posterior.  The sum is finite because a statistic of m coordinates
-    has no components beyond order m.  A future block of more than ``cap``
-    label tuples (K^m) raises ResourceCapError.  Because everything is
+    has no components beyond order m.  The decomposition takes a
+    conditional mean at every occupation vector of at most m points, so a
+    block whose lattice of C(m + K, K) vectors exceeds ``cap`` raises
+    ResourceCapError before any kernel is built.  Because everything is
     phrased through the posterior, conditioning on data and folding the
     data into the base measure give identical results by construction.
     A float value of h is read as its exact image and the estimate rounded
@@ -167,9 +170,10 @@ def estimate_conditional_variance(
     m, sums, rounded = _occupation_sums(h, atoms)
     if m == 0 or not sums:
         return 0
-    if atoms**m > cap:
+    lattice = binom(m + atoms, atoms)
+    if lattice > cap:
         raise ResourceCapError(
-            f"future block enumeration K^m = {atoms}**{m} exceeds cap {cap}"
+            f"future block lattice of C(m + K, K) = {lattice} vectors exceeds cap {cap}"
         )
     posterior = sample.posterior()
     variance = _posterior_variance(sums, posterior)

@@ -17,8 +17,9 @@ Three layers live here:
 
       theta(n,k) = (m+2n-1) · (-1)^(n-k) · rising(m+k, n-1) / n!,
 
-  also the coefficients of Griffiths' kernel polynomials (``wright_fisher``
-  reads them, k = 0 included);
+  whose products C(n,k)·theta(n,k), k = 0 included, are the coefficients
+  of Griffiths' kernel polynomials (``wright_fisher`` builds those on
+  integer ladders of its own, and the tests check them against these rows);
 * the isometry constants c(n, |alpha|) and the overlapping-window covariance
   factors c(r, n, |alpha|), the latter in both circulating closed-form
   readings.
@@ -227,9 +228,10 @@ def limit_coefficient(n: int, k: int, total_mass: Scalar) -> Fraction:
         theta(n,k) = (m+2n-1) · (-1)^(n-k) · rising(m+k, n-1) / n!,
 
     so theta(n,n) = 1/c_iso(n); C(n,k)·theta(n,k) is Griffiths' coefficient
-    of the kernel polynomial Q_n (Adv. Appl. Probab. 11, 1979).  Its k = 0
-    entry, which ``wright_fisher`` reads, never reaches a chaos kernel (the
-    centred mean of the empty vector is 0), so here k >= 1.  The
+    of the kernel polynomial Q_n (Adv. Appl. Probab. 11, 1979;
+    ``wright_fisher`` builds those products on integer ladders, k = 0
+    included).  The k = 0 entry never reaches a chaos kernel (the centred
+    mean of the empty vector is 0), so here k >= 1.  The
     coefficients are pinned by the extraction conditions: the formula
     sum_k theta(n,k) sum_{|S|=k} E[F | X_S] must return the order-n kernel
     of F for every F = I_j(h), h degenerate of order j <= n.

@@ -32,13 +32,13 @@ integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DomainError
 from .numeric import (
+    Record,
     Scalar,
     as_scalar,
     common_denominator,
@@ -50,22 +50,22 @@ if TYPE_CHECKING:  # numpy loads only on the float and Monte Carlo paths
     import numpy as np
 
 
-@dataclass(frozen=True)
-class DiscreteBaseMeasure:
+class DiscreteBaseMeasure(Record):
     """A measure alpha = sum_j weights[j] * delta_{j+1}: finite weights > 0,
-    each stored as a Fraction (a float as its exact image ``Fraction(x)``)."""
+    each stored as a Fraction (a float as its exact image ``Fraction(x)``).
 
-    weights: tuple[Fraction, ...]
+    Immutable; equality, hashing and ``repr`` read the weights only."""
 
-    def __post_init__(self):
-        if not self.weights:
+    _fields = ("weights",)
+
+    def __init__(self, weights: Sequence[Scalar]):
+        if not weights:
             raise DomainError("a base measure needs at least one atom")
-        coerced = tuple(as_scalar(w) for w in self.weights)
+        coerced = tuple(as_scalar(w) for w in weights)
         for w in coerced:
             if not w > 0 or (isinstance(w, float) and w == math.inf):
                 raise DomainError(f"atom weights must be positive and finite, got {w}")
-        exact = tuple(Fraction(w) if isinstance(w, float) else w for w in coerced)
-        object.__setattr__(self, "weights", exact)
+        vars(self)["weights"] = tuple(Fraction(w) if isinstance(w, float) else w for w in coerced)
 
     @property
     def atoms(self) -> int:
@@ -79,8 +79,8 @@ class DiscreteBaseMeasure:
     def moment_ladder(self) -> "MomentLadder":
         """The rising-factorial rows every moment of this measure reads.
 
-        Built on first use and kept in the instance, outside the dataclass
-        fields, so equality, hashing and JSON see the weights only."""
+        Built on first use and kept in the instance, outside ``_fields``,
+        so equality, hashing and JSON see the weights only."""
         return MomentLadder(self.weights)
 
     def weight(self, atom: int) -> Fraction:

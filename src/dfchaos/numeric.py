@@ -12,6 +12,10 @@ Conventions used throughout the package:
   tuple of non-negative ints summing to ``n`` (how many points sit on each
   atom); symmetric objects are stored as tables keyed by these tuples;
 * ``falling_ratio(a, b) = a!/b!`` for integers ``a >= b >= 0``.
+
+``Record`` gives the value objects that a cold process builds (base
+measures, transition models and densities) the equality, hashing, ``repr``
+and immutability of a frozen dataclass.
 """
 
 from __future__ import annotations
@@ -64,6 +68,48 @@ def scalar_to_json(value: Scalar):
 
 def scalar_from_json(value) -> Scalar:
     return as_scalar(value)
+
+
+# ---------------------------------------------------------------------------
+# immutable value records
+
+
+class Record:
+    """The value behaviour of a frozen dataclass, without importing
+    ``dataclasses`` (which loads ``inspect`` and ``ast``, several ms of a
+    cold process).
+
+    A subclass names its fields in ``_fields`` and its ``__init__`` stores
+    them in ``vars(self)``.  ``==`` (between instances of one class),
+    ``hash`` and ``repr`` read the fields in that order, and every later
+    assignment or deletion raises ``AttributeError``.  The instance dict
+    stays writable for ``functools.cached_property``, which fills it
+    directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        values = vars(self)
+        return tuple([values[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def eval_ustat_counts(
             f"counts over {len(counts)} atoms, kernel over {kernel.atoms}"
         )
     n = kernel.order
-    total: Scalar = 0
+    total: Scalar = Fraction(0)  # an all-zero exact sum stays a Fraction
     for mu, ways in sub_occupations(counts, n):
         value = kernel.value(mu)
         if value != 0:

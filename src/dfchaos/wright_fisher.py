@@ -24,10 +24,13 @@ Adv. Appl. Probab. 11, 1979) reads, for full simplex points x, y and n >= 1,
 
 with Q_0 = 1.  Griffiths' coefficient is C(n, m) theta(n,m), with theta the
 limit projection coefficient of ``coeffs`` at total mass |theta| (its m = 0
-entry included), so it is read from there.  ``TransitionModel`` stores the
-per-atom series
-1/(k! rising(theta_i, k)) and the folded coefficients of xi_m up to order
-M + 1, each row as integers over its denominator; the inner sums of all
+entry included).  Folded with the factor m! rising(|theta|, m) of xi_m it
+is c[n][m] = (-1)^(n-m) (|theta|+2n-1) rising(|theta|, n+m-1) / (n-m)!.
+With |theta| = p/q every rising factorial is a ladder of integer products
+(p + i q), and so is each atom's series 1/(k! rising(theta_i, k)) at
+theta_i = p_i/q_i.  ``TransitionModel`` builds both tables up to order
+M + 1 on those ladders, each row as integers over its denominator, with no
+Fraction arithmetic and no call into ``coeffs``.  The inner sums of all
 orders at once are the coefficients of one truncated product of K power
 series in z_i = x_i y_i (O(K n^2) integer operations, no sum over
 compositions), and each Q_n is one integer dot product and one Fraction.
@@ -48,22 +51,27 @@ exact degree n equals a single order-n integral of a degenerate kernel, and
 evaluating that integral against the deterministic measure sitting at a
 simplex point recovers the polynomial.  Points on the simplex are passed as
 their K-1 free coordinates; the last coordinate is implied.
+
+Imports.  The closed form needs only ``measures`` and ``numeric``: the
+polynomial class of ``kernels`` is imported inside the Gram-Schmidt
+route, ``q_polynomial`` and the oracles, so a cold process that evaluates
+densities at rational points loads neither ``kernels`` nor ``coeffs``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .coeffs import _limit_row
 from .errors import DomainError
-from .kernels import SimplexPolynomial
-from .measures import DiscreteBaseMeasure, dirichlet_moment
-from .numeric import Scalar, as_scalar, binom, common_denominator, is_exact, rising_factorial
+from .measures import DiscreteBaseMeasure
+from .numeric import Record, Scalar, as_scalar, binom, common_denominator, is_exact
+
+if TYPE_CHECKING:  # kernels loads only on the float-point route and in the oracles
+    from .kernels import SimplexPolynomial
 
 __all__ = [
     "multi_indices",
@@ -145,6 +153,8 @@ def monomial_expectation(theta: DiscreteBaseMeasure, exponents: Sequence[int]) -
     vector, so this is the joint Dirichlet moment with exponent 0 on the
     last atom.
     """
+    from .measures import dirichlet_moment
+
     return dirichlet_moment(theta, tuple(exponents) + (0,))
 
 
@@ -196,6 +206,8 @@ def _orthogonal_basis(
     norm of the result e is E[x^n e]: each is a linear sum of moments of the
     measure, and no polynomial product is formed.
     """
+    from .kernels import SimplexPolynomial
+
     ladder = DiscreteBaseMeasure(weights).moment_ladder
     dim = len(weights) - 1
     indices = tuple(multi_indices(dim, max_degree))
@@ -265,14 +277,23 @@ def _atom_series(
     weights: Sequence[Fraction], top: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """(rows, dens): per atom i the coefficients 1/(k! rising(theta_i, k)),
-    k = 0..top, as an integer row over its own denominator dens[i]."""
+    k = 0..top, as an integer row over its own denominator dens[i].
+
+    With theta_i = p/q and A[k] = (top!/k!) prod_{k <= j < top} (p + j q),
+    coefficient k is q^k A[k] over A[0]; A is one descending ladder,
+    A[k] = A[k+1] (k+1) (p + k q).  The row and its denominator are divided
+    by their common factor.
+    """
     rows, dens = [], []
     for w in weights:
-        nums, den = common_denominator(
-            [1 / (math.factorial(k) * rising_factorial(w, k)) for k in range(top + 1)]
-        )
-        rows.append(tuple(nums))
-        dens.append(den)
+        p, q = w.numerator, w.denominator
+        ladder = [1] * (top + 1)
+        for k in range(top - 1, -1, -1):
+            ladder[k] = ladder[k + 1] * (k + 1) * (p + k * q)
+        nums = [a * q**k for k, a in enumerate(ladder)]
+        common = math.gcd(*nums)
+        rows.append(tuple(c // common for c in nums))
+        dens.append(ladder[0] // common)
     return tuple(rows), tuple(dens)
 
 
@@ -280,20 +301,28 @@ def _kernel_coefficients(total: Fraction, top: int) -> tuple[tuple[tuple[int, ..
     """Row n holds c[n][m], m = 0..n, with Q_n = sum_m c[n][m] e_m, as
     integer numerators over the row's denominator.
 
-    c[n][m] = theta(n,m) n! rising(|theta|, m) / (n-m)!: Griffiths' coefficient
-    C(n, m) theta(n,m) times the factor rising(|theta|, m) m! that turns e_m
-    into xi_m; row 0 is Q_0 = 1.
+    c[n][m] = (-1)^(n-m) (|theta|+2n-1) rising(|theta|, n+m-1) / (n-m)! is
+    Griffiths' coefficient C(n, m) theta(n,m) times the factor
+    m! rising(|theta|, m) that turns e_m into xi_m; row 0 is Q_0 = 1.  With
+    |theta| = p/q and L[j] = prod_{i<j} (p + i q), row n is the integers
+    (-1)^(n-m) (p + (2n-1) q) L[n+m-1] q^(n-m) n!/(n-m)! over q^(2n) n!,
+    divided by their common factor.
     """
+    p, q = total.numerator, total.denominator
+    ladder = [1]
+    for i in range(2 * top - 1):
+        ladder.append(ladder[-1] * (p + i * q))
     rows = [((1,), 1)]
     for n in range(1, top + 1):
-        theta = _limit_row(total, n)
-        nums, den = common_denominator(
-            [
-                t * math.factorial(n) * rising_factorial(total, m) / math.factorial(n - m)
-                for m, t in enumerate(theta)
-            ]
-        )
-        rows.append((tuple(nums), den))
+        lead = p + (2 * n - 1) * q
+        nums, falling = [], 1  # falling = n!/(n-m)!
+        for m in range(n + 1):
+            c = lead * ladder[n + m - 1] * q ** (n - m) * falling
+            nums.append(c if (n - m) % 2 == 0 else -c)
+            falling *= n - m
+        den = q ** (2 * n) * math.factorial(n)
+        common = math.gcd(den, *nums)
+        rows.append((tuple(c // common for c in nums), den // common))
     return tuple(rows)
 
 
@@ -323,36 +352,40 @@ def _product_coefficients(
     return out
 
 
-@dataclass(frozen=True)
-class TransitionModel:
+class TransitionModel(Record):
     """Mutation weights plus the tables of the kernel polynomials up to order M + 1.
 
-    The extra order feeds the truncation tail bound.  The build precomputes
-    two small tables of Griffiths' closed form from the exact weights, as
-    integer rows over their denominators; the Gram-Schmidt system is built
-    only on first use by the float-point route or an oracle (``band``).  The instance is immutable
-    afterwards; evaluations are pure apart from the memo of diagonal tail
-    kernels Q_{M+1}(x, x).
+    The extra order feeds the truncation tail bound.  The build
+    (``__post_init__``, a step of its own so that a profiler can time it)
+    precomputes two small tables of Griffiths' closed form from the exact
+    weights, as integer rows over their denominators; the Gram-Schmidt
+    system is built only on first use by the float-point route or an oracle
+    (``band``).  The instance is immutable, and equal to another with the
+    same ``theta`` and ``M``; evaluations are pure apart from the memo of
+    diagonal tail kernels Q_{M+1}(x, x).
     """
 
-    theta: DiscreteBaseMeasure
-    M: int
+    _fields = ("theta", "M")
+
+    def __init__(self, theta: DiscreteBaseMeasure | Sequence[Scalar], M: int):
+        vars(self).update(theta=theta, M=M)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         measure = _validated_theta(self.theta)
-        object.__setattr__(self, "theta", measure)
         if self.M < 0:
             raise DomainError(f"truncation order must be >= 0, got {self.M}")
         top = self.M + 1
         atoms = measure.atoms
-        # the number of orthogonal polynomials of exact degree n, per band
-        object.__setattr__(
-            self, "_bands", {n: range(binom(n + atoms - 2, atoms - 2)) for n in range(top + 1)}
+        vars(self).update(
+            theta=measure,
+            # the number of orthogonal polynomials of exact degree n, per band
+            # (the benchmark's tracer reports their total as the basis size)
+            _bands={n: range(binom(n + atoms - 2, atoms - 2)) for n in range(top + 1)},
+            _series=_atom_series(measure.weights, top),
+            _coeffs=_kernel_coefficients(measure.total_mass, top),
+            _diagonal={},
         )
-        object.__setattr__(self, "_series", _atom_series(measure.weights, top))
-        object.__setattr__(self, "_coeffs", _kernel_coefficients(measure.total_mass, top))
-        object.__setattr__(self, "_oracle", None)
-        object.__setattr__(self, "_diagonal", {})
 
     @property
     def dim(self) -> int:
@@ -363,16 +396,15 @@ class TransitionModel:
         (the Gram-Schmidt oracle)."""
         if n < 0 or n > self.M + 1:
             raise DomainError(f"band {n} outside cached range 0..{self.M + 1}")
-        return list(self._oracle_bands()[n])
+        return list(self._oracle_bands[n])
 
+    @cached_property
     def _oracle_bands(self) -> dict[int, list[tuple[SimplexPolynomial, Scalar]]]:
-        if self._oracle is None:
-            indices, basis, norms = _orthogonal_basis(self.theta.weights, self.M + 1)
-            by_degree: dict[int, list[tuple[SimplexPolynomial, Scalar]]] = {}
-            for index, poly, norm_sq in zip(indices, basis, norms):
-                by_degree.setdefault(sum(index), []).append((poly, norm_sq))
-            object.__setattr__(self, "_oracle", by_degree)
-        return self._oracle
+        indices, basis, norms = _orthogonal_basis(self.theta.weights, self.M + 1)
+        by_degree: dict[int, list[tuple[SimplexPolynomial, Scalar]]] = {}
+        for index, poly, norm_sq in zip(indices, basis, norms):
+            by_degree.setdefault(sum(index), []).append((poly, norm_sq))
+        return by_degree
 
     def _closed_form(self, *points: tuple[Scalar, ...]) -> bool:
         return all(is_exact(p) for p in points)
@@ -402,7 +434,7 @@ class TransitionModel:
 
     def _band_sum(self, n: int, g: tuple[Scalar, ...], gp: tuple[Scalar, ...]) -> Scalar:
         total: Scalar = 0
-        for poly, norm_sq in self._oracle_bands()[n]:
+        for poly, norm_sq in self._oracle_bands[n]:
             total = total + poly.evaluate(g) * poly.evaluate(gp) / norm_sq
         return total
 
@@ -417,10 +449,12 @@ class TransitionModel:
         return value
 
     def _q_polynomial(self, n: int, g: tuple[Scalar, ...]) -> SimplexPolynomial:
+        from .kernels import SimplexPolynomial
+
         dim = self.dim
         if not self._closed_form(g):
             out = SimplexPolynomial.constant(dim, 0)
-            for poly, norm_sq in self._oracle_bands()[n]:
+            for poly, norm_sq in self._oracle_bands[n]:
                 out = out.add(poly.scale(poly.evaluate(g) / norm_sq))
             return out
         # Q_n(g, y) = sum over |l| <= n of c[n][|l|] prod_i a_i[l_i] (g_i y_i)^l_i,
@@ -479,8 +513,7 @@ def q_polynomial(model: TransitionModel, n: int, gamma: Sequence[Scalar]) -> Sim
     return model._q_polynomial(n, _validated_point(gamma, model.dim))
 
 
-@dataclass(frozen=True)
-class TransitionDensity:
+class TransitionDensity(Record):
     """Truncated transition density value with its error diagnostics.
 
     ``value`` = stationary * (1 + sum of contributions); ``contributions``
@@ -490,11 +523,23 @@ class TransitionDensity:
     nonnegative, truncated series need not be — values are reported as-is).
     """
 
-    value: float
-    stationary: float
-    contributions: tuple[tuple[int, float, float, float], ...]
-    tail_bound: float
-    negative: bool
+    _fields = ("value", "stationary", "contributions", "tail_bound", "negative")
+
+    def __init__(
+        self,
+        value: float,
+        stationary: float,
+        contributions: tuple[tuple[int, float, float, float], ...],
+        tail_bound: float,
+        negative: bool,
+    ):
+        vars(self).update(
+            value=value,
+            stationary=stationary,
+            contributions=contributions,
+            tail_bound=tail_bound,
+            negative=negative,
+        )
 
 
 def transition_density(

@@ -74,6 +74,29 @@ def test_estimator_accepts_asymmetric_tables():
     assert 0 < estimate < 1
 
 
+# a two-entry table of arity 8 on ten unit atoms: K^m = 10**8 label tuples,
+# but the decomposition reads the C(8 + 10, 10) = 43,758 occupation vectors
+# of at most 8 points
+ARITY_8_TABLE = {(1,) * 8: Fraction(1), (1, 2, 3, 4, 5, 6, 7, 8): Fraction(2)}
+TEN_ATOMS_SEEN_TWICE = ObservedSample(measure(*([1] * 10)), (1, 2))
+
+
+def test_conditional_variance_cap_counts_the_lattice():
+    estimate = estimate_conditional_variance(ARITY_8_TABLE, TEN_ATOMS_SEEN_TWICE)
+    assert estimate == Fraction(3486151916099, 29599515805860000)
+
+
+def test_conditional_variance_cap_refuses_before_any_kernel(monkeypatch):
+    def no_kernels(*args, **kwargs):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(bayes, "chaos_kernels", no_kernels)
+    with pytest.raises(ResourceCapError):
+        estimate_conditional_variance(
+            ARITY_8_TABLE, TEN_ATOMS_SEEN_TWICE, cap=math.comb(18, 10) - 1
+        )
+
+
 def test_observed_sample_validation():
     with pytest.raises(DomainError):
         ObservedSample(measure(1, 1), (3,))

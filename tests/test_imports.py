@@ -35,6 +35,19 @@ def _modules_added_by(code: str) -> set[str]:
     return set(json.loads(result.stdout.splitlines()[-1]))
 
 
+def _package_modules_of_cli_run(argv: list[str]) -> set[str]:
+    """Package modules a fresh interpreter loads running ``dfchaos`` on
+    ``argv``; it also asserts that ``dataclasses`` and ``inspect`` stay out."""
+    code = (
+        "import contextlib, io, dfchaos.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert dfchaos.cli.main({argv!r}) == 0"
+    )
+    added = _modules_added_by(code)
+    assert not added & {"dataclasses", "inspect"}
+    return {m for m in added if m == "dfchaos" or m.startswith("dfchaos.")}
+
+
 def _loaded_after(code: str) -> set[str]:
     """Names of ``HEAVY`` modules a fresh interpreter loads running ``code``."""
     return _modules_added_by(code) & set(HEAVY)
@@ -49,15 +62,32 @@ def _loaded_after(code: str) -> set[str]:
     ],
 )
 def test_coeffs_process_loads_only_what_it_runs(argv):
-    code = (
-        "import contextlib, io, dfchaos.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert dfchaos.cli.main({argv!r}) == 0"
-    )
-    added = _modules_added_by(code)
-    package = {m for m in added if m == "dfchaos" or m.startswith("dfchaos.")}
-    assert package == {"dfchaos", "dfchaos.cli", "dfchaos.coeffs", "dfchaos.numeric", "dfchaos.errors"}
-    assert not added & {"dataclasses", "inspect"}
+    assert _package_modules_of_cli_run(argv) == {
+        "dfchaos",
+        "dfchaos.cli",
+        "dfchaos.coeffs",
+        "dfchaos.numeric",
+        "dfchaos.errors",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wf", "--theta", "1,1/2", "--t", "0.5", "--truncation", "4",
+         "--gamma", "1/3", "--gamma-prime", "1/2"],
+        ["wf", "--theta", "4/3,1", "--t", "0.05", "--truncation", "12", "--table", "--grid", "3"],
+    ],
+)
+def test_wf_process_loads_only_what_it_runs(argv):
+    assert _package_modules_of_cli_run(argv) == {
+        "dfchaos",
+        "dfchaos.cli",
+        "dfchaos.errors",
+        "dfchaos.numeric",
+        "dfchaos.measures",
+        "dfchaos.wright_fisher",
+    }
 
 
 def test_cli_import_loads_no_heavy_module():

@@ -60,6 +60,24 @@ def test_every_weight_is_a_fraction():
     assert DiscreteBaseMeasure.from_json(floats.to_json()) == floats
 
 
+def test_measure_is_an_immutable_value():
+    alpha = DiscreteBaseMeasure((1, Fraction(1, 2)))
+    assert alpha == DiscreteBaseMeasure(weights=(Fraction(1), 0.5)) == measure(1, "1/2")
+    assert alpha != measure(1, 2)
+    assert (alpha == (Fraction(1), Fraction(1, 2))) is False
+    assert hash(alpha) == hash(((Fraction(1), Fraction(1, 2)),))
+    assert repr(alpha) == "DiscreteBaseMeasure(weights=(Fraction(1, 1), Fraction(1, 2)))"
+    # the cached moment ladder is state outside the value
+    assert alpha.moment_ladder.moment((1, 0)) == Fraction(2, 3)
+    assert alpha == measure(1, "1/2") and hash(alpha) == hash(measure(1, "1/2"))
+    with pytest.raises(AttributeError):
+        alpha.weights = (Fraction(2),)
+    with pytest.raises(AttributeError):
+        alpha.label = "prior"
+    with pytest.raises(AttributeError):
+        del alpha.weights
+
+
 def test_weight_label_range():
     alpha = measure(1, 1)
     with pytest.raises(DomainError):

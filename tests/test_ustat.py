@@ -47,6 +47,13 @@ def test_eval_ustat_counts_hand_value():
         eval_ustat_counts(h, 3, (1, 1))
 
 
+def test_eval_ustat_counts_keeps_an_all_zero_exact_sum_exact():
+    # every sub-occupation of (1, 2) has value 0; an int 0 / C(3, 2) was the float 0.0
+    kernel = SymmetricKernel(2, 2, {(2, 0): 1, (1, 1): 0, (0, 2): 0})
+    value = eval_ustat_counts(kernel, 3, (1, 2))
+    assert value == 0 and isinstance(value, Fraction)
+
+
 def test_eval_ustat_uses_window_prefix():
     h = SymmetricKernel(1, 2, {(1, 0): Fraction(1), (0, 1): Fraction(0)})
     u = UStatistic(h, 2)

@@ -9,12 +9,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dfchaos.coeffs import _limit_row
 from dfchaos.errors import DomainError
 from dfchaos.jacobi import BetaParams, jacobi_modified
 from dfchaos.kernels import SimplexPolynomial
 from dfchaos.measures import measure
+from dfchaos.numeric import rising_factorial
 from dfchaos.wright_fisher import (
+    TransitionDensity,
     TransitionModel,
+    _atom_series,
+    _kernel_coefficients,
     dirichlet_density,
     gram_schmidt_P,
     kernel_Q,
@@ -148,3 +153,71 @@ def test_transition_density_domain_checks():
         transition_density(model, 1.0, (Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 2),))
     with pytest.raises(DomainError):
         kernel_Q(model, 9, (Fraction(1, 2),), (Fraction(1, 2),))
+
+
+@pytest.mark.parametrize(
+    "mass",
+    [Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(4, 3), Fraction(2),
+     Fraction(7, 3), Fraction(5), Fraction(12)],
+)
+def test_integer_tables_equal_their_fraction_forms(mass):
+    # the kernel rows against C(n,m) theta(n,m) m! rising(|theta|, m) from the
+    # limit rows of coeffs, the atom series against 1/(k! rising(theta_i, k))
+    top = 21
+    rows = _kernel_coefficients(mass, top)
+    assert rows[0] == ((1,), 1)
+    for n in range(1, top + 1):
+        nums, den = rows[n]
+        theta = _limit_row(mass, n)
+        assert [Fraction(c, den) for c in nums] == [
+            math.comb(n, m) * theta[m] * math.factorial(m) * rising_factorial(mass, m)
+            for m in range(n + 1)
+        ]
+    weights = (mass, mass / 3, 1 / mass)
+    series, dens = _atom_series(weights, top)
+    for w, row, den in zip(weights, series, dens):
+        assert [Fraction(c, den) for c in row] == [
+            1 / (math.factorial(k) * rising_factorial(w, k)) for k in range(top + 1)
+        ]
+
+
+def test_model_and_density_are_immutable_values():
+    theta = measure(1, "1/2")
+    model = TransitionModel(theta, 4)
+    assert model == TransitionModel(theta=(Fraction(1), Fraction(1, 2)), M=4)
+    assert model != TransitionModel(theta, 5)
+    assert (model == (theta, 4)) is False
+    assert hash(model) == hash((theta, 4))
+    assert repr(model) == (
+        "TransitionModel(theta=DiscreteBaseMeasure(weights=(Fraction(1, 1), Fraction(1, 2))), M=4)"
+    )
+    for name, value in (("M", 5), ("theta", theta), ("cache", {})):
+        with pytest.raises(AttributeError):
+            setattr(model, name, value)
+
+    density = transition_density(model, 0.5, (Fraction(1, 3),), (Fraction(1, 2),))
+    fields = (
+        density.value,
+        density.stationary,
+        density.contributions,
+        density.tail_bound,
+        density.negative,
+    )
+    assert TransitionDensity(*fields) == density
+    assert TransitionDensity(
+        value=fields[0],
+        stationary=fields[1],
+        contributions=fields[2],
+        tail_bound=fields[3],
+        negative=fields[4],
+    ) == density
+    assert TransitionDensity(0.0, *fields[1:]) != density
+    assert hash(density) == hash(fields)
+    assert repr(density) == (
+        "TransitionDensity(value=%r, stationary=%r, contributions=%r, tail_bound=%r, negative=%r)"
+        % fields
+    )
+    with pytest.raises(AttributeError):
+        density.value = 0.0
+    with pytest.raises(AttributeError):
+        del density.negative
