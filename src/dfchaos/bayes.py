@@ -21,9 +21,12 @@ monic Beta(a, b) orthogonal polynomial.  Integrating Rodrigues' formula
 (DLMF 18.5.5) n times by parts against e^(lambda y) gives
 E[e^(lambda Y) P_n(Y)] = lambda^n / n! ||P_n||^2 1F1(a + n; |alpha| + 2n;
 lambda), hence c_n = lambda^n / n! * 1F1(a + n; |alpha| + 2n; lambda); read
-as a kernel, P_n is its Bernstein form (``jacobi.beta_bernstein``).
-This is the Bernstein/Jacobi structure of Griffiths (Adv. Appl. Probab.
-11, 1979) that ``wright_fisher`` uses for the transition density.
+as a kernel, P_n is its Bernstein form (``jacobi.beta_bernstein``).  Its
+coefficients psi_j and squared norm come from the integer ladders of
+``jacobi``: integer numerators over one denominator per order, each
+rounded once, so no ``Fraction`` is built per kernel entry.  This is the
+Bernstein/Jacobi structure of Griffiths (Adv. Appl. Probab. 11, 1979) that
+``wright_fisher`` uses for the transition density.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Mapping, Sequence
 from .chaos import ChaosDecomposition, chaos_kernels, statistic_product_mean
 from .coeffs import c_iso
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
-from .jacobi import beta_bernstein
+from .jacobi import _bernstein_integers
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, with_observations
 from .numeric import (
@@ -221,11 +224,31 @@ class ExponentialDecomposition:
         return len(self.contributions)
 
 
+def _atom_subset(subset: Sequence[int], atoms: int) -> tuple[int, ...]:
+    """The distinct atoms of ``subset``, sorted; ``DomainError`` for an atom
+    outside 1..atoms."""
+    C = tuple(sorted(set(int(x) for x in subset)))
+    for x in C:
+        if not 1 <= x <= atoms:
+            raise DomainError(f"atom {x} outside support 1..{atoms}")
+    return C
+
+
 def mass_kernel(atoms: int, subset: Sequence[int], psi: Sequence[Scalar]) -> SymmetricKernel:
-    """The order len(psi) - 1 kernel o -> psi[j(o)], j(o) the draws of o in ``subset``."""
+    """The order len(psi) - 1 kernel o -> psi[j(o)], j(o) the draws of o in ``subset``.
+
+    The subset is checked and the n + 1 distinct values coerced once, before
+    the kernel is built."""
     n = len(psi) - 1
-    values = {o: psi[sum(o[x - 1] for x in subset)] for o in occupation_vectors(n, atoms)}
-    return SymmetricKernel(n, atoms, values)
+    if n < 0:
+        raise DomainError(f"order must be >= 0, got {n}")
+    if atoms < 1:
+        raise DomainError(f"need at least one atom, got {atoms}")
+    index = [x - 1 for x in _atom_subset(subset, atoms)]
+    values = [as_scalar(v) for v in psi]
+    return SymmetricKernel._trusted(
+        n, atoms, {o: values[sum([o[i] for i in index])] for o in occupation_vectors(n, atoms)}
+    )
 
 
 def decompose_exponential(
@@ -244,23 +267,22 @@ def decompose_exponential(
 
     and the order-n share is c_n^2 ||P_n||^2, with psi and ||P_n||^2 the
     exact Bernstein coefficients and squared norm of the monic Beta(a, b)
-    polynomial (``jacobi.beta_bernstein``).  One 1F1 per order times exact
-    rationals, so the kernels carry float rounding only, at any order.  The
-    subset must have 0 < alpha(C) < |alpha|: D(C) is a nondegenerate Beta mass.
-    More than ``DEFAULT_ENUMERATION_CAP`` kernel values in all,
-    C(max_order + K, K) - 1 on K atoms, raise ResourceCapError.
+    polynomial (``jacobi.beta_bernstein``), as integers over one
+    denominator per order.  One 1F1 per order times exact rationals, each
+    rounded once, so the kernels carry float rounding only, at any order.
+    The subset must have 0 < alpha(C) < |alpha|: D(C) is a nondegenerate
+    Beta mass.  ``max_order`` must be an int >= 1.  More than
+    ``DEFAULT_ENUMERATION_CAP`` kernel values in all, C(max_order + K, K) - 1
+    on K atoms, raise ResourceCapError.
     """
-    C = tuple(sorted(set(int(x) for x in subset)))
-    for x in C:
-        if not 1 <= x <= alpha.atoms:
-            raise DomainError(f"atom {x} outside support 1..{alpha.atoms}")
+    C = _atom_subset(subset, alpha.atoms)
     if not C or len(C) == alpha.atoms:
         raise DomainError(
             "subset must be proper and nonempty so the mass D(C) is strictly "
             "between 0 and 1"
         )
-    if max_order < 1:
-        raise DomainError(f"max_order must be >= 1, got {max_order}")
+    if isinstance(max_order, bool) or not isinstance(max_order, int) or max_order < 1:
+        raise DomainError(f"max_order must be an int >= 1, got {max_order!r}")
     if math.comb(max_order + alpha.atoms, alpha.atoms) - 1 > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(
             f"order-{max_order} kernels on {alpha.atoms} atoms exceed cap {DEFAULT_ENUMERATION_CAP}"
@@ -280,9 +302,9 @@ def decompose_exponential(
     for n in range(1, max_order + 1):
         power *= lam_f / n
         c_n = power * hyp1f1(float(a + n), float(a + b + 2 * n), lam_f)
-        psi, norm = beta_bernstein(n, a, b)
-        kernels.append(mass_kernel(alpha.atoms, C, [c_n * float(p) for p in psi]))
-        contributions.append(c_n * c_n * float(norm))
+        psi, den, norm_num, norm_den = _bernstein_integers(n, a, b)
+        kernels.append(mass_kernel(alpha.atoms, C, [c_n * (x / den) for x in psi]))
+        contributions.append(c_n * c_n * (norm_num / norm_den))
     decomposition = ChaosDecomposition(alpha=alpha, mean=mean, kernels=tuple(kernels))
 
     return ExponentialDecomposition(

@@ -10,17 +10,21 @@ two-atom kernel phi_n whose order-n integral against the random measure
 reproduces J_n(eta): J_n in the Bernstein basis, whose coefficients have
 the closed form of ``beta_bernstein`` (no linear solve).
 
-Although the printed coefficients are gamma ratios, every ratio collapses
-to a product of rising factorials, so the entire polynomial is
-sqrt(k_n) * (exact rational vector)  with k_n itself an exact rational.
-Float parameters enter as their exact rational image ``Fraction(x)``, so
-there is one route for every parameter type.  All inner products are
-evaluated on the rational side and only the final sqrt introduces a
-rounding; orthogonality residuals are exact zeros.  k_n is the reciprocal
-of the squared norm of ``beta_bernstein``, the one norm formula, and the
-kernel of ``solve_phi_system`` reads its leading coefficient sqrt(k_n)
-from there.  The degree is capped at ``MAX_JACOBI_ORDER`` for the cost of
-the CLI's exact Gram check.
+Although the printed coefficients are gamma ratios, each one is a ratio of
+rising factorials, and with both parameters over one denominator, a = A/u
+and b = B/u, each rising factorial is an integer product
+prod_i (A + i u) over a power of u.  Every coefficient of an order is then
+a product of one entry of a suffix ladder and one of a prefix ladder,
+integers over one shared denominator, and the squared norm is an integer
+pair; the entire polynomial is  sqrt(k_n) * (exact rational vector)  with
+k_n itself an exact rational.  Float parameters enter as their exact
+rational image ``Fraction(x)``, so there is one route for every parameter
+type.  All inner products are evaluated on the integer side and only the
+final sqrt introduces a rounding; orthogonality residuals are exact zeros.
+k_n is the reciprocal of the squared norm of ``beta_bernstein``, the one
+norm formula, and the kernel of ``solve_phi_system`` reads its leading
+coefficient sqrt(k_n) from there.  The degree is capped at
+``MAX_JACOBI_ORDER`` for the cost of the CLI's exact Gram check.
 """
 
 from __future__ import annotations
@@ -28,21 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from .coeffs import c_iso
 from .errors import DomainError, NumericError
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, MomentLadder, dirichlet_moment
-from .numeric import (
-    Scalar,
-    as_scalar,
-    binom,
-    common_denominator,
-    exact_numerators,
-    ratio,
-    rising_factorial,
-)
+from .numeric import Scalar, as_scalar, binom, exact_numerators, ratio
 
 __all__ = [
     "BetaParams",
@@ -66,6 +64,15 @@ __all__ = [
 MAX_JACOBI_ORDER = 60
 
 
+def _beta_pair(a: Scalar, b: Scalar) -> tuple[Fraction, Fraction]:
+    """The exact images of two Beta parameters; ``DomainError`` unless both
+    are positive and finite."""
+    a, b = as_scalar(a), as_scalar(b)
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise DomainError(f"Beta parameters must be positive and finite, got ({a}, {b})")
+    return Fraction(a), Fraction(b)
+
+
 @dataclass(frozen=True)
 class BetaParams:
     """Parameters (a1, a0) of the Beta weight  x^(a1-1) (1-x)^(a0-1) / B(a1, a0).
@@ -79,11 +86,9 @@ class BetaParams:
     a0: Fraction
 
     def __post_init__(self) -> None:
-        a1, a0 = as_scalar(self.a1), as_scalar(self.a0)
-        if not (0 < a1 < math.inf and 0 < a0 < math.inf):
-            raise DomainError(f"Beta parameters must be positive and finite, got ({a1}, {a0})")
-        object.__setattr__(self, "a1", Fraction(a1))
-        object.__setattr__(self, "a0", Fraction(a0))
+        a1, a0 = _beta_pair(self.a1, self.a0)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a0", a0)
 
     @property
     def total(self) -> Fraction:
@@ -167,6 +172,65 @@ def _root(k: Fraction) -> float:
     return math.sqrt(ratio(k.numerator, k.denominator, True))
 
 
+def _ladder(first: int, step: int, count: int) -> list[int]:
+    """The count + 1 partial products [1, f_0, f_0 f_1, ...] of the integer
+    ladder f_i = first + i step."""
+    return list(accumulate(range(first, first + count * step, step), mul, initial=1))
+
+
+def _rising(first: int, u: int, count: int) -> int:
+    """u^count rising(first / u, count): the product of the ladder first + i u."""
+    return math.prod(range(first, first + count * u, u))
+
+
+def _over_one_unit(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(A, B, u) with a = A / u and b = B / u, u the least common denominator."""
+    u = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (u // a.denominator), b.numerator * (u // b.denominator), u
+
+
+def _squared_norm(n: int, A: int, B: int, u: int, lead: int) -> tuple[int, int]:
+    """||P_n||^2 = N / Q of the monic Beta(A/u, B/u) polynomial (= 1/k_n), from
+    n! rising(a, n) rising(b, n) / (rising(a+b, 2n) rising(n+a+b-1, n)) with
+    lead = u^n rising(n+a+b-1, n)."""
+    num = math.factorial(n) * _rising(A, u, n) * _rising(B, u, n) * u**n
+    return num, _rising(A + B, u, 2 * n) * lead
+
+
+def _bernstein_integers(n: int, a: Fraction, b: Fraction) -> tuple[list[int], int, int, int]:
+    """(Psi, L, N, Q): the Bernstein coefficients psi_j = Psi_j / L and the
+    squared norm ||P_n||^2 = N / Q of ``beta_bernstein``, for exact a, b > 0.
+
+    With a = A/u and b = B/u, psi_j L is the suffix product
+    prod_{j<=i<n} -(A + i u) times the prefix product
+    prod_{i<j} (B + (n-1-i) u), and L = prod_{i<n} (A + B + (n-1+i) u).
+    """
+    A, B, u = _over_one_unit(a, b)
+    suffix = _ladder(-A - (n - 1) * u, u, n)  # suffix[n - j] = prod_{j<=i<n} -(A + i u)
+    prefix = _ladder(B + (n - 1) * u, -u, n)
+    lead = _rising(A + B + (n - 1) * u, u, n)
+    psi = [suffix[n - j] * prefix[j] for j in range(n + 1)]
+    return psi, lead, *_squared_norm(n, A, B, u, lead)
+
+
+def _integer_parts(n: int, params: BetaParams) -> tuple[Fraction, list[int], int]:
+    """(k_n, G, L): ``exact_parts`` with the coefficients g_a = G_a / L over
+    their least common denominator.
+
+    With a1 = A/u and a0 = B/u, g_a L is C(n, a) times the suffix product
+    prod_{a<=i<n} -(A + i u) and the prefix product
+    prod_{i<a} (A + B + (n-1+i) u), whose full length is L."""
+    _validated_order(n)
+    A, B, u = _over_one_unit(params.a1, params.a0)
+    suffix = _ladder(-A - (n - 1) * u, u, n)
+    prefix = _ladder(A + B + (n - 1) * u, u, n)
+    lead = prefix[n]
+    nums = [math.comb(n, a) * suffix[n - a] * prefix[a] for a in range(n + 1)]
+    shared = math.gcd(lead, *nums)
+    num, den = _squared_norm(n, A, B, u, lead)
+    return Fraction(den, num), [x // shared for x in nums], lead // shared
+
+
 def exact_parts(n: int, params: BetaParams) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Exact factorization J_n = sqrt(k_n) * sum_a g_a x^a.
 
@@ -177,25 +241,15 @@ def exact_parts(n: int, params: BetaParams) -> tuple[Fraction, tuple[Fraction, .
               / (n! rising(a1, n) rising(a0, n))
 
     with p = a1 + a0 - 1 and q = a1; k_n is read as the reciprocal of the
-    squared norm of ``beta_bernstein`` (the same rational).  Every base
-    entering a rising factorial is strictly positive for n >= 1, so no
-    gamma-pole case arises.  n = 0 returns (1, (1,)) directly (the generic
-    route would pass through Gamma(a1 + a0 - 1), undefined for
-    a1 + a0 <= 1, even though k_0 collapses to 1 algebraically).
+    squared norm of ``beta_bernstein`` (the same rational).  With the
+    parameters over one denominator each g_a is one entry of a suffix
+    ladder times one of a prefix ladder, integers over a shared
+    denominator (``_integer_parts``), wrapped in ``Fraction``s here.  Every
+    ladder factor is strictly positive, so no gamma-pole case arises, and
+    n = 0 is the empty product (1, (1,)).
     """
-    _validated_order(n)
-    if n == 0:
-        return Fraction(1), (Fraction(1),)
-    a1, a0 = params.a1, params.a0
-    p = a1 + a0 - 1
-    q = a1
-    g = tuple(
-        Fraction(binom(n, a) * (-1) ** (n - a))
-        * rising_factorial(q + a, n - a)
-        / rising_factorial(p + a + n, n - a)
-        for a in range(n + 1)
-    )
-    return 1 / _squared_norm(n, a1, a0), g
+    k, nums, den = _integer_parts(n, params)
+    return k, tuple(Fraction(x, den) for x in nums)
 
 
 def jacobi_modified(n: int, params: BetaParams) -> PolynomialCoeffs:
@@ -213,17 +267,14 @@ def jacobi_modified(n: int, params: BetaParams) -> PolynomialCoeffs:
 
     The result has unit norm against the Beta(a1, a0) weight and a positive
     leading coefficient (g_{n,n} = 1, so the sign is carried entirely by
-    sqrt(k_n) > 0).  The coefficients are the exact rising-factorial parts
-    of ``exact_parts``; each returned float carries the rounding of the
-    final sqrt/multiply only.  A k_n beyond the float range raises
-    ``NumericError``.
+    sqrt(k_n) > 0).  The coefficients are the exact integer parts of
+    ``exact_parts``, each rounded once as G_a / L; each returned float
+    carries the rounding of that quotient and the final sqrt/multiply only.
+    A k_n beyond the float range raises ``NumericError``.
     """
-    _validated_order(n)
-    if n == 0:
-        return PolynomialCoeffs((1.0,))
-    k, g = exact_parts(n, params)
+    k, nums, den = _integer_parts(n, params)
     root = _root(k)
-    coeffs = tuple(float(ga) * root for ga in g)
+    coeffs = tuple(x / den * root for x in nums)
     if coeffs[-1] < 0:  # unreachable with g_{n,n} = 1, kept as an explicit guarantee
         coeffs = tuple(-c for c in coeffs)
     return PolynomialCoeffs(coeffs)
@@ -242,14 +293,6 @@ def beta_weight_integral(poly: PolynomialCoeffs, params: BetaParams) -> Scalar:
     ladder = params.as_measure().moment_ladder
     num, q = ladder.posterior_sum([((a, 0), c) for a, c in enumerate(nums) if c], (0, 0))
     return ratio(num, q * den, rounded)
-
-
-def _integer_parts(n: int, params: BetaParams) -> tuple[Fraction, list[int], int]:
-    """(k_n, G, L): ``exact_parts`` with the coefficients g_a = G_a / L over
-    their common denominator."""
-    k, g = exact_parts(n, params)
-    nums, den = common_denominator(g)
-    return k, nums, den
 
 
 def _inner(
@@ -316,26 +359,19 @@ def beta_bernstein(n: int, a: Scalar, b: Scalar) -> tuple[tuple[Fraction, ...], 
         psi_j     = (-1)^(n-j) rising(a+j, n-j) rising(n+b-j, j) / rising(n+a+b-1, n)
         ||P_n||^2 = n! rising(a, n) rising(b, n) / (rising(a+b, 2n) rising(n+a+b-1, n))
 
-    (the norm is 1/k_n of ``exact_parts``).  Float parameters enter as
-    their exact image ``Fraction(x)``; all values are exact, at any degree.
+    (the norm is 1/k_n of ``exact_parts``).  With a and b over one
+    denominator u, the psi_j share the denominator u^n rising(n+a+b-1, n),
+    and each numerator is a suffix product on the ladder of a times a
+    prefix product on the ladder of b (``_bernstein_integers``); the
+    integers are wrapped in ``Fraction``s once, here.  Float parameters
+    enter as their exact image ``Fraction(x)``; a parameter that is not
+    positive and finite raises ``DomainError``.  All values are exact, at
+    any degree.
     """
     if n < 0:
         raise DomainError(f"polynomial degree must be >= 0, got {n}")
-    a, b = Fraction(a), Fraction(b)
-    if not (a > 0 and b > 0):
-        raise DomainError(f"Beta parameters must be positive, got ({a}, {b})")
-    lead = rising_factorial(n + a + b - 1, n)
-    psi = tuple(
-        (-1) ** (n - j) * rising_factorial(a + j, n - j) * rising_factorial(n + b - j, j) / lead
-        for j in range(n + 1)
-    )
-    return psi, _squared_norm(n, a, b)
-
-
-def _squared_norm(n: int, a: Fraction, b: Fraction) -> Fraction:
-    """||P_n||^2 of the monic Beta(a, b) polynomial, exactly (= 1/k_n)."""
-    norm = math.factorial(n) * rising_factorial(a, n) * rising_factorial(b, n)
-    return norm / (rising_factorial(a + b, 2 * n) * rising_factorial(n + a + b - 1, n))
+    psi, lead, num, den = _bernstein_integers(n, *_beta_pair(a, b))
+    return tuple(Fraction(x, lead) for x in psi), Fraction(num, den)
 
 
 def solve_phi_system(n: int, params: BetaParams) -> SymmetricKernel:
@@ -343,20 +379,21 @@ def solve_phi_system(n: int, params: BetaParams) -> SymmetricKernel:
 
     With phi_m the kernel value on tuples with m entries at atom 1, the
     order-n integral is the Bernstein sum  sum_m C(n, m) phi_m eta^m
-    (1 - eta)^(n-m), so phi_m = psi_m (``beta_bernstein``, exact) times the
-    leading coefficient sqrt(k_n) = 1/||P_n|| of J_n (one float, rounded as
-    in ``jacobi_modified``, and refused the same way beyond the float
-    range), for every parameter type.  The kernel is degenerate: its
-    integral lies in the order-n component.
+    (1 - eta)^(n-m), so phi_m = psi_m (``beta_bernstein``, exact, rounded
+    once from its integer numerator and denominator) times the leading
+    coefficient sqrt(k_n) = 1/||P_n|| of J_n (one float, rounded as in
+    ``jacobi_modified``, and refused the same way beyond the float range),
+    for every parameter type.  The kernel is degenerate: its integral lies
+    in the order-n component.
     """
     if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")
     _validated_order(n)
-    if n == 0:
-        return SymmetricKernel(0, 2, {(0, 0): 1.0})
-    psi, norm = beta_bernstein(n, params.a1, params.a0)
-    lead = _root(1 / norm)
-    return SymmetricKernel(n, 2, {(m, n - m): float(p) * lead for m, p in enumerate(psi)})
+    psi, den, norm_num, norm_den = _bernstein_integers(n, params.a1, params.a0)
+    lead = _root(Fraction(norm_den, norm_num))
+    return SymmetricKernel._trusted(
+        n, 2, {(m, n - m): x / den * lead for m, x in enumerate(psi)}
+    )
 
 
 def kernel_to_univariate(kernel: SymmetricKernel) -> PolynomialCoeffs:

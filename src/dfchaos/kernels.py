@@ -30,6 +30,9 @@ from .numeric import (
     tuple_counts,
 )
 
+#: The value of a missing entry, shared: ``Fraction`` is immutable.
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class SymmetricKernel:
@@ -62,7 +65,7 @@ class SymmetricKernel:
     # -- access ------------------------------------------------------------
 
     def value(self, counts: Sequence[int]) -> Scalar:
-        return self.values.get(tuple(counts), Fraction(0))
+        return self.values.get(tuple(counts), _ZERO)
 
     def value_at(self, labels: Sequence[int]) -> Scalar:
         """Value at an ordered tuple of atom labels."""

@@ -136,6 +136,22 @@ def test_exponential_subset_validation():
         decompose_exponential(measure(1, 1), (5,), 1, 4)
 
 
+def test_exponential_order_must_be_an_int():
+    alpha = measure(1, 1, 1)
+    for bad in (2.5, True, 0):
+        with pytest.raises(DomainError, match="max_order"):
+            decompose_exponential(alpha, (1,), 2, bad)
+
+
+def test_mass_kernel_refuses_an_atom_outside_the_support():
+    with pytest.raises(DomainError, match="atom 4 outside support 1..3"):
+        bayes.mass_kernel(3, (4,), [1, 2, 3])
+    h = bayes.mass_kernel(3, (3, 1, 3), [1, "1/2", 0.25])
+    assert h.values == {
+        o: [Fraction(1), Fraction(1, 2), 0.25][o[0] + o[2]] for o in occupation_vectors(2, 3)
+    }
+
+
 def test_exponential_caps_the_kernel_size():
     # sum over n <= 30 of C(n + 9, 9) = C(40, 10) - 1 ~ 8.5e8 values on ten
     # atoms: refused before any kernel is built; two atoms hold 31 * 32 / 2

@@ -186,6 +186,13 @@ def test_beta_bernstein_has_no_degree_cap_and_reads_floats_exactly():
         beta_bernstein(2, 0, 1)
 
 
+def test_beta_bernstein_refuses_parameters_that_are_not_finite():
+    for bad in (math.nan, math.inf):
+        for a, b in ((bad, 1), (2, bad)):
+            with pytest.raises(DomainError, match="positive and finite"):
+                beta_bernstein(2, a, b)
+
+
 def test_float_parameter_kernels_match_polynomials():
     for params in (BetaParams(1.25, 0.75), BetaParams(0.3, 2.7)):
         for n in range(1, 9):
