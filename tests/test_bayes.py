@@ -5,9 +5,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dfchaos import bayes
+from dfchaos import bayes, chaos, coeffs
 from dfchaos.bayes import (
     ObservedSample,
     decompose_exponential,
@@ -87,19 +88,79 @@ def test_conditional_variance_cap_counts_the_lattice():
 
 
 def test_conditional_variance_cap_refuses_before_any_kernel(monkeypatch):
-    def no_kernels(*args, **kwargs):
-        raise AssertionError("a kernel was built")
+    # the posterior is the first step after the gate, the product of the
+    # mean functional's terms the costly one
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a step after the cap gate ran")
 
-    monkeypatch.setattr(bayes, "chaos_kernels", no_kernels)
+    monkeypatch.setattr(bayes, "with_observations", not_reached)
+    monkeypatch.setattr(bayes, "_product_sum", not_reached)
     with pytest.raises(ResourceCapError):
         estimate_conditional_variance(
             ARITY_8_TABLE, TEN_ATOMS_SEEN_TWICE, cap=math.comb(18, 10) - 1
         )
 
 
+def test_conditional_variance_takes_no_decomposition(monkeypatch):
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("the decomposition route ran")
+
+    for module, name in (
+        (chaos, "chaos_kernels"),
+        (chaos, "statistic_product_mean"),
+        (coeffs, "c_iso"),
+    ):
+        monkeypatch.setattr(module, name, no_decomposition)
+        assert not hasattr(bayes, name)
+    h = SymmetricKernel(
+        2, 2, {(2, 0): Fraction(1), (1, 1): Fraction(1, 2), (0, 2): Fraction(-1)}
+    )
+    sample = ObservedSample(measure(1, 1), (1, 2, 2))
+    assert estimate_conditional_variance(h, sample) > 0
+    assert estimate_conditional_variance(ARITY_8_TABLE, TEN_ATOMS_SEEN_TWICE) == Fraction(
+        3486151916099, 29599515805860000
+    )
+
+
 def test_observed_sample_validation():
     with pytest.raises(DomainError):
         ObservedSample(measure(1, 1), (3,))
+
+
+@pytest.mark.parametrize("label", [1.7, 1.0, True, Fraction(1), "1", None])
+def test_a_label_that_is_not_an_integer_is_refused(label):
+    alpha = measure(1, 1, 1)
+    with pytest.raises(DomainError, match="is not an integer"):
+        ObservedSample(alpha, (2, label))
+    with pytest.raises(DomainError, match="is not an integer"):
+        estimate_conditional_variance({(label, 2): 1}, ObservedSample(alpha))
+    with pytest.raises(DomainError, match="is not an integer"):
+        decompose_exponential(alpha, (label,), 1, 2)
+    assert ObservedSample(alpha, (np.int64(2), 3)).labels == (2, 3)
+
+
+def test_a_value_table_key_that_is_not_a_tuple_is_refused():
+    sample = ObservedSample(measure(1, 1))
+    for table in ({1: 1}, {(1,): 1, 2: 1}, {"12": 1}):
+        with pytest.raises(DomainError, match="is not a tuple of labels"):
+            estimate_conditional_variance(table, sample)
+
+
+def test_a_zero_estimate_keeps_the_type_of_its_values():
+    sample = ObservedSample(measure(1, "1/2"), (2,))
+    for h in (
+        {(): Fraction(3)},
+        SymmetricKernel(0, 2, {(0, 0): 1}),
+        SymmetricKernel(2, 2, {}),
+        SymmetricKernel(2, 2, {(1, 1): 0, (2, 0): 0.0}),
+        {(1, 2): 0, (2, 1): Fraction(0)},
+    ):
+        estimate = estimate_conditional_variance(h, sample)
+        assert type(estimate) is Fraction and estimate == 0
+    for h in ({(): 0.5}, {(1, 2): 0.0, (2, 2): 0}, {(1,): 1.25}):
+        estimate = estimate_conditional_variance(h, sample)
+        assert type(estimate) is float
+    assert estimate_conditional_variance({(): 0.5}, sample) == 0.0
 
 
 def test_exponential_mean_and_variance_are_confluent_values():

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dfchaos.chaos as chaos_module
-from dfchaos.bayes import ObservedSample, _occupation_sums, estimate_conditional_variance
+from dfchaos.bayes import ObservedSample, estimate_conditional_variance
 from dfchaos.chaos import (
     BlackBoxFunctional,
     chaos_kernels,
@@ -51,7 +51,13 @@ from dfchaos.jacobi import (
 )
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
 from dfchaos.measures import DiscreteBaseMeasure, dirichlet_moment
-from dfchaos.numeric import exact_numerators, occupation_vectors, rising_factorial
+from dfchaos.numeric import (
+    exact_numerators,
+    multiplicity,
+    occupation_vectors,
+    rising_factorial,
+    tuple_counts,
+)
 from dfchaos.polya import cond_exp_statistic, cond_exp_statistic_counts
 
 MASSES = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
@@ -219,10 +225,28 @@ def test_cached_numerators_equal_exact_numerators(alpha, data):
 # the conditional-variance estimate
 
 
+def occupation_sums(h, atoms):
+    """(m, occupation vector c -> (sum of h(t), sum of h(t)^2)) over the
+    label tuples t with occupation vector c, one ``Fraction`` per entry."""
+    if isinstance(h, SymmetricKernel):
+        m = h.order
+        entries = [(c, multiplicity(c), v) for c, v in h.values.items() if v != 0]
+    else:
+        (m,) = {len(labels) for labels in h}
+        entries = [(tuple_counts(labels, atoms), 1, v) for labels, v in h.items()]
+    sums = {}
+    for counts, weight, value in entries:
+        value = Fraction(value)
+        first, second = sums.get(counts, (0, 0))
+        sums[counts] = (first + weight * value, second + weight * value * value)
+    return m, sums
+
+
 def reference_estimate(h, sample):
-    """The estimate with its moments accumulated one vector at a time."""
+    """The estimate through the decomposition of the mean functional, with
+    its moments accumulated one vector at a time."""
     atoms = sample.alpha.atoms
-    m, sums, _ = _occupation_sums(h, atoms)
+    m, sums = occupation_sums(h, atoms)
     if m == 0 or not sums:
         return 0
     posterior = sample.posterior()
@@ -253,9 +277,39 @@ def test_conditional_variance_equals_the_per_vector_moments(alpha, data):
     sample = ObservedSample(alpha, tuple(labels))
     estimate = estimate_conditional_variance(h, sample)
     assert estimate == reference_estimate(h, sample)
-    assert type(estimate) is Fraction or estimate == 0
+    assert type(estimate) is Fraction
     table = {(1,) * order: Fraction(1, 2), (alpha.atoms,) * order: -1}
     assert estimate_conditional_variance(table, sample) == reference_estimate(table, sample)
+
+
+VALUES = st.one_of(COEFFICIENTS, st.floats(-4, 4))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(alpha=measures(max_atoms=3), data=st.data())
+def test_the_closed_form_estimate_equals_the_decomposition_route(alpha, data):
+    # E[h^2 | obs] - E[M(D)^2 | obs] against Var[h | obs] minus the
+    # isometry-weighted second moments of the kernels of M, for kernels and
+    # asymmetric label tables with rational and float values
+    order = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        domain = occupation_vectors(order, alpha.atoms)
+        support = data.draw(st.lists(st.sampled_from(domain), unique=True))
+        h = SymmetricKernel(order, alpha.atoms, {c: data.draw(VALUES) for c in support})
+        read = [v for v in h.values.values() if v != 0]
+    else:
+        labels = st.tuples(*[st.integers(1, alpha.atoms)] * order)
+        h = data.draw(st.dictionaries(labels, VALUES, min_size=1, max_size=6))
+        read = list(h.values())
+    labels = data.draw(st.lists(st.integers(1, alpha.atoms), max_size=4))
+    sample = ObservedSample(alpha, tuple(labels))
+    estimate = estimate_conditional_variance(h, sample)
+    reference = reference_estimate(h, sample)
+    if any(isinstance(v, float) for v in read):
+        assert_same_bits(estimate, float(reference))
+    else:
+        assert_same_bits(estimate, Fraction(reference))
+        assert estimate == reference
 
 
 def test_conditional_variance_of_float_values_rounds_the_exact_image():

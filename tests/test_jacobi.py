@@ -116,6 +116,22 @@ def test_gram_matrix_is_exactly_the_identity_at_the_order_cap():
 
 
 @pytest.mark.parametrize(
+    "params",
+    [
+        BetaParams(Fraction(1, 3), Fraction(5, 2)),
+        BetaParams(Fraction(7, 2), Fraction(1, 9)),
+        BetaParams(0.3, 2.7),
+        BetaParams(2.5, 0.25),
+    ],
+)
+def test_gram_matrix_equals_the_pairwise_inner_products(params):
+    # the Hankel route of the Gram matrix against one convolution per pair
+    for n in (0, 1, 30):
+        pairwise = [[jacobi_inner(i, j, params) for j in range(n + 1)] for i in range(n + 1)]
+        assert repr(jacobi_gram(n, params)) == repr(pairwise)
+
+
+@pytest.mark.parametrize(
     "params", PARAM_SETS + (BetaParams(Fraction(1, 3), Fraction(5, 2)), BetaParams(0.3, 2.7))
 )
 def test_phi_kernel_lead_is_the_rounded_sqrt_of_k(params):
