@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .coeffs import _limit_row, c_iso, validate_limit_values
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError
-from .hoeffding import degenerate_check, hoeffding_decompose
+from .hoeffding import _conditional_layers, degenerate_check, hoeffding_decompose
 from .kernels import (
     PredictableComponent,
     SimplexPolynomial,
@@ -47,7 +47,6 @@ from .numeric import (
     tuple_counts,
     variance_ratio,
 )
-from .polya import cond_exp_statistic_counts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -415,23 +414,23 @@ def martingale_decomposition(
     with the symmetric decomposition. The defining identity
     E[H|D] = E[H] + sum_n (integral of g_n against D^n) holds as a
     polynomial identity on the simplex.
+
+    The conditional means are the finite split's backward lattice pass
+    (``hoeffding._conditional_layers``), all over one denominator, so each
+    entry is one ratio of an integer difference: exact for rational values,
+    and for a float value rounded once.  More than ``cap`` lattice vectors,
+    C(N + K, K), raise ResourceCapError before any layer is built.
     """
     if H.atoms != alpha.atoms:
         raise DomainError("statistic and measure disagree on the atom count")
-    # by size, so the largest enumeration (the empty history) comes first
-    ce = {
-        counts: cond_exp_statistic_counts(H, alpha, counts, cap=cap)
-        for n in range(H.order + 1)
-        for counts in occupation_vectors(n, H.atoms)
-    }
+    layers, den, rounded = _conditional_layers(H, alpha, cap)
     components = []
     for n in range(1, H.order + 1):
+        lower, upper = layers[n - 1], layers[n]
+        lattice = occupation_lattice(n - 1, H.atoms)
         table: dict[tuple[tuple[int, ...], int], Scalar] = {}
-        for hist in occupation_vectors(n - 1, H.atoms):
-            base = ce[hist]
-            for atom in range(1, H.atoms + 1):
-                bumped = list(hist)
-                bumped[atom - 1] += 1
-                table[(hist, atom)] = ce[tuple(bumped)] - base
+        for hist, base, ranks in zip(lattice.vectors, lower, lattice.up):
+            for atom, rank in enumerate(ranks, start=1):
+                table[(hist, atom)] = ratio(upper[rank] - base, den, rounded)
         components.append(PredictableComponent(n, H.atoms, table))
     return components

@@ -203,25 +203,14 @@ def _cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 
 
 def _cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    from .chaos import (
-        chaos_kernels,
-        poly_posterior_mean,
-        statistic_product_mean,
-        variance_functional,
-    )
-    from .coeffs import c_iso
-    from .hoeffding import hoeffding_decompose
-    from .kernels import SymmetricKernel
-
     if args.F is None:
         parser.error("decompose needs --F (functional JSON file)")
     alpha = _parse_weights(parser, "--alpha", args.alpha)
     F = _load_functional(parser, "--F", args.F)
     if args.finite is not None:
-        H = SymmetricKernel.from_function(
-            args.finite, alpha.atoms, lambda counts: poly_posterior_mean(F, alpha, counts)
-        )
-        split = hoeffding_decompose(H, alpha)
+        from .hoeffding import _posterior_mean_split
+
+        split, _ = _posterior_mean_split(F, alpha, args.finite, DEFAULT_ENUMERATION_CAP)
         _emit_json(
             {
                 "N": split.N,
@@ -232,6 +221,9 @@ def _cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             }
         )
         return 0
+    from .chaos import chaos_kernels, statistic_product_mean, variance_functional
+    from .coeffs import c_iso
+
     order = args.order if args.order is not None else max(F.degree, 1)
     decomposition = chaos_kernels(F, alpha, order)
     variance = variance_functional(F, alpha)

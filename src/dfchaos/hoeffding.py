@@ -5,10 +5,29 @@ mean plus N mutually orthogonal projections; the order-s projection is a sum
 over s-subsets of a *degenerate* symmetric function of s arguments, obtained
 by weighting partial conditional expectations with the starred coefficient
 table. It is the chaos kernels' subset-sum formula with theta*_N(s, k) in
-place of theta(n, k), run by the same ``kernels.subset_sum_kernels``, which
-also lifts each component to its order-N projection. Degeneracy here means:
-averaging the function over its last argument under the one-step predictive
-law gives zero at every history.
+place of theta(n, k), run by the same ``kernels.subset_sum_assembly``; the
+order-N projection of phi_s is the same sum with the weights
+theta*_N(s, k) C(N - k, s - k), since a k-subset lies in C(N - k, s - k)
+of the s-subsets. Degeneracy here means: averaging the function over its
+last argument under the one-step predictive law gives zero at every
+history.
+
+Every conditional mean comes from one backward pass over the occupation
+lattice.  One draw of the urn gives, for |mu| = k < N,
+
+    E[T | mu] = sum_i (p_i + mu_i q) / (P + k q) · E[T | mu + e_i],
+
+with the weights p_i / q over their common denominator and P = sum_i p_i,
+so layer k is an integer vector over d · prod_{j=k}^{N-1} (P + j q), d the
+denominator of T's values; lifted by prod_{j<k} (P + j q), every layer is
+over one denominator and the assembly forms no Fraction in between.  The
+split of a posterior-mean statistic T(mu) = E[F(D) | mu] needs no pass at
+all: by the tower property E[T | mu] = E[F | mu] for |mu| <= N, one
+``MomentLadder.posterior_table``.
+
+One cap rule: a path caps what it holds.  The split holds its lattice, the
+C(N + K, K) occupation vectors of size <= N, and refuses a larger one
+(``ResourceCapError``) before any layer is built.
 """
 
 from __future__ import annotations
@@ -17,18 +36,18 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .coeffs import theta_table
-from .errors import DEFAULT_ENUMERATION_CAP, DomainError
-from .kernels import SymmetricKernel, subset_sum_kernels
+from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
+from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
 from .measures import DiscreteBaseMeasure
 from .numeric import (
     Scalar,
+    binom,
     common_denominator,
     nullspace,
     occupation_lattice,
     occupation_vectors,
     ratio,
 )
-from .polya import cond_exp_statistic_counts
 
 
 def _predictive_rows(weights: Sequence[Scalar], order: int) -> tuple[Iterator, Scalar]:
@@ -123,31 +142,111 @@ class HoeffdingDecomposition:
         return total
 
 
+def _check_lattice(N: int, atoms: int, cap: int) -> None:
+    """The split's one cap: its C(N + K, K) lattice vectors, every occupation
+    vector of size <= N, checked before any layer is built."""
+    size = binom(N + atoms, atoms)
+    if size > cap:
+        raise ResourceCapError(
+            f"the split's lattice of {size} occupation vectors exceeds cap {cap}"
+        )
+
+
+def _conditional_layers(
+    statistic: SymmetricKernel, alpha: DiscreteBaseMeasure, cap: int
+) -> tuple[list[list[int]], int, bool]:
+    """(layers, D, rounded) with E[T | mu] = layers[k][i] / D for every mu of
+    size k <= N, i its rank in ``occupation_lattice(k, K)``.
+
+    The backward pass of the module docstring: layer N is T's cached
+    ``numerators`` over d, each lower layer is one predictive step
+    (``_predictive_rows``) on the layer above, and layer k is lifted by
+    S(k) = prod_{j<k} (P + j q), the measure's moment-ladder row, so that
+    D = d S(N).  A float value is read as its exact image and ``rounded``
+    says to round each mean once, at the end.
+    """
+    N = statistic.order
+    _check_lattice(N, alpha.atoms, cap)
+    nums, scale, rounded = statistic.numerators
+    layers = [list(nums)]
+    for k in range(N - 1, -1, -1):
+        above = layers[-1]
+        rows, _ = _predictive_rows(alpha.weights, k + 1)
+        layers.append([sum(w * above[rank] for rank, w in row) for row in rows])
+    layers.reverse()
+    totals = alpha.moment_ladder.row(alpha.atoms, 0, N)  # S(0), ..., S(N)
+    lifted = [[totals[k] * x for x in layer] for k, layer in enumerate(layers)]
+    return lifted, scale * totals[N], rounded
+
+
+def _assemble(
+    layers: list[list[int]], den: int, rounded: bool, alpha: DiscreteBaseMeasure
+) -> HoeffdingDecomposition:
+    """The split of the N-draw statistic whose conditional means are
+    E[T | mu] = layers[k][i] / den, N = len(layers) - 1: the centred layers
+    through ``subset_sum_assembly``, with the theta*_N rows for the
+    components and one order-N row per projection (module docstring)."""
+    N = len(layers) - 1
+    table = theta_table(N, alpha.total_mass)
+    rows = {s: {k: table.theta_star(s, k) for k in range(1, s + 1)} for s in range(1, N + 1)}
+    centre = layers[0][0]
+    centred = [[x - centre for x in layer] for layer in layers]
+    components = subset_sum_assembly(centred.__getitem__, den, rounded, rows, alpha.atoms)
+    projections = [
+        subset_sum_assembly(
+            centred.__getitem__,
+            den,
+            rounded,
+            {N: {k: w * binom(N - k, s - k) for k, w in row.items()}},
+            alpha.atoms,
+        )[N]
+        for s, row in rows.items()
+    ]
+    return HoeffdingDecomposition(
+        alpha, N, ratio(centre, den, rounded), tuple(components.values()), tuple(projections)
+    )
+
+
 def hoeffding_decompose(
     statistic: SymmetricKernel,
     alpha: DiscreteBaseMeasure,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> HoeffdingDecomposition:
-    """Full orthogonal decomposition of a symmetric statistic of N draws."""
+    """Full orthogonal decomposition of a symmetric statistic of N draws.
+
+    Every conditional mean comes from one backward lattice pass
+    (``_conditional_layers``); more than ``cap`` lattice vectors raise
+    ResourceCapError before any is built.  For rational values the result
+    is exact; a float value is read as its exact image and the mean and
+    every component and projection entry are rounded once, to floats.
+    """
     if statistic.atoms != alpha.atoms:
         raise DomainError("statistic and measure disagree on the atom count")
-    N = statistic.order
+    if statistic.order < 1:
+        raise DomainError("the statistic must depend on at least one draw")
+    return _assemble(*_conditional_layers(statistic, alpha, cap), alpha)
+
+
+def _posterior_mean_split(
+    F: SimplexPolynomial, alpha: DiscreteBaseMeasure, N: int, cap: int
+) -> tuple[HoeffdingDecomposition, SymmetricKernel]:
+    """(split, T): the split of the N-draw statistic T(mu) = E[F(D) | mu], the
+    projection of F on the first N draws, and T itself.
+
+    By the tower property E[T | mu] = E[F | mu] for |mu| <= N, so every
+    layer is one ``MomentLadder.posterior_table`` of F's integer terms, and
+    its top layer is T.  The cap is the split's, checked before the table.
+    """
+    if F.nvars != alpha.atoms:
+        raise DomainError("functional and measure disagree on the atom count")
     if N < 1:
         raise DomainError("the statistic must depend on at least one draw")
-    table = theta_table(N, alpha.total_mass)
-    # by size, so the largest enumeration (the mean) comes first and the cap
-    # is hit before any component is built
-    vectors = [mu for n in range(N + 1) for mu in occupation_vectors(n, alpha.atoms)]
-    conds = [cond_exp_statistic_counts(statistic, alpha, mu, cap=cap) for mu in vectors]
-    mean = conds[0]
-    rows = {s: {k: table.theta_star(s, k) for k in range(1, s + 1)} for s in range(1, N + 1)}
-    components = subset_sum_kernels(
-        {mu: c - mean for mu, c in zip(vectors, conds)}, rows, alpha.atoms
+    _check_lattice(N, alpha.atoms, cap)
+    terms, lead, rounded = F.scaled_terms
+    layers, den = alpha.moment_ladder.posterior_table(terms, N)
+    den *= lead
+    vectors = occupation_lattice(N, alpha.atoms).vectors
+    statistic = SymmetricKernel._trusted(
+        N, alpha.atoms, {mu: ratio(x, den, rounded) for mu, x in zip(vectors, layers[N])}
     )
-    projections = [
-        subset_sum_kernels(phi.values, {N: {s: 1}}, alpha.atoms)[N]
-        for s, phi in components.items()
-    ]
-    return HoeffdingDecomposition(
-        alpha, N, mean, tuple(components.values()), tuple(projections)
-    )
+    return _assemble(layers, den, rounded, alpha), statistic

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, NumericError, SingularSystemError
+from .errors import DomainError, NumericError
 
 Scalar = Fraction | float | int
 
@@ -434,29 +434,6 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(rows):
             break
     return rows, pivots
-
-
-def solve_exact(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Fraction]:
-    """Unique exact solution of an (possibly overdetermined) linear system.
-
-    Raises SingularSystemError if the system is inconsistent or the solution
-    is not unique. All entries are coerced to Fraction.
-    """
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    if not aug:
-        raise SingularSystemError("empty system")
-    n_unknowns = len(aug[0]) - 1
-    reduced, pivots = _rref(aug)
-    for row in reduced:
-        if all(v == 0 for v in row[:-1]) and row[-1] != 0:
-            raise SingularSystemError("inconsistent linear system")
-    if len([p for p in pivots if p < n_unknowns]) < n_unknowns:
-        raise SingularSystemError("underdetermined linear system")
-    solution = [Fraction(0)] * n_unknowns
-    for row, p in zip(reduced, pivots):
-        if p < n_unknowns:
-            solution[p] = row[-1]
-    return solution
 
 
 def nullspace(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:

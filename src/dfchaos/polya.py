@@ -6,10 +6,14 @@ mass + #previous draws). The sequence is exchangeable; conditionally on the
 directing Dirichlet measure the draws are i.i.d. from it, and the posterior
 of the directing measure given observations is the conjugate update.
 
-Exact conditional expectations of symmetric statistics are computed by
-enumerating completions, collapsed to occupation vectors. The number of
-completions enumerated, C(N - #fixed + K - 1, K - 1), is checked against a
-configurable cap, the count the windowed losses of ``ustat`` check too.
+A single conditional expectation of a symmetric statistic,
+``cond_exp_statistic_counts``, sums over the completions of the fixed block,
+collapsed to occupation vectors; the number of completions,
+C(N - #fixed + K - 1, K - 1), is checked against a configurable cap.  It
+answers single queries and is the independent oracle of the tests and of
+``verify``: the finite split (``hoeffding``) takes every conditional mean
+at once, in one backward pass over the occupation lattice, and caps the
+C(N + K, K) lattice vectors it holds.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ functional F of the random measure by symmetric statistics of the first N
 draws:
 
 * the exact projection E[F | X_1..X_N] — the unique loss minimizer over all
-  symmetric statistics of the window, computed by enumeration and split
-  into its per-order components; and
+  symmetric statistics of the window — with its per-order components, all
+  from one table of posterior means E[F | mu], |mu| <= N (the tower
+  property: E[E[F | window] | mu] = E[F | mu]), under the finite split's
+  one cap of C(N + K, K) lattice vectors; and
 * the scaled-kernel candidate that reuses the decomposition kernels of F,
   dividing the order-i kernel by C(N, i) and summing over i-subsets.
 
@@ -35,17 +37,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .chaos import (
-    ChaosDecomposition,
     MCEstimate,
     chaos_kernels,
     functional_mean,
-    poly_posterior_mean,
     statistic_product_mean,
     variance_functional,
 )
 from .coeffs import c_iso, c_overlap
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, NumericError, ResourceCapError
-from .hoeffding import HoeffdingDecomposition, hoeffding_decompose
+from .hoeffding import HoeffdingDecomposition, _posterior_mean_split
 from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
 from .measures import DiscreteBaseMeasure
 from .numeric import (
@@ -54,7 +54,6 @@ from .numeric import (
     binom_star,
     exact_numerators,
     occupation_lattice,
-    occupation_vectors,
     ratio,
     scalar_to_json,
     sub_occupations,
@@ -352,20 +351,14 @@ def best_symmetric_approx_oracle(
     """The unique loss-minimizing symmetric statistic of the first N draws.
 
     The minimizer over all square-integrable symmetric statistics of the
-    window is the conditional expectation T(mu) = E[F | occupation mu],
-    computed exactly from posterior moments; its per-order components come
-    from the finite-sample decomposition and the achieved loss is
-    Var F - Var T, cross-checkable against direct enumeration of
-    E[(F - T)^2].
+    window is the conditional expectation T(mu) = E[F | occupation mu].  By
+    the tower property E[T | mu] = E[F | mu] for |mu| <= N, so T and its
+    per-order components come from one table of posterior means
+    (``hoeffding._posterior_mean_split``), under the split's cap of
+    C(N + K, K) lattice vectors.  The achieved loss is Var F - Var T,
+    cross-checkable against direct enumeration of E[(F - T)^2].
     """
-    if binom(window + alpha.atoms - 1, alpha.atoms - 1) > cap:
-        raise ResourceCapError(f"window enumeration exceeds cap {cap}")
-    values = {
-        counts: poly_posterior_mean(F, alpha, counts)
-        for counts in occupation_vectors(window, alpha.atoms)
-    }
-    projection = SymmetricKernel(window, alpha.atoms, values)
-    decomposition = hoeffding_decompose(projection, alpha, cap=cap)
+    decomposition, projection = _posterior_mean_split(F, alpha, window, cap)
     var_f = variance_functional(F, alpha)
     var_t = statistic_product_mean(projection, projection, alpha) - decomposition.mean**2
     return OracleApproximation(decomposition=decomposition, loss=var_f - var_t)

@@ -4,9 +4,9 @@ and the named verify run.
 The library computes its coefficients in closed form (``coeffs``); the
 independent routes here only check them, in ``verify`` and in the tests.
 ``oracle_limit_row`` solves the defining projection conditions for the
-limit coefficients on a balanced two-point space exactly; ``theta_limit``
-pushes the finite tables through an exact extrapolation in 1/N;
-``c_overlap_oracle`` enumerates the overlapping-window covariance.
+limit coefficients on a balanced two-point space exactly (``solve_exact``);
+``theta_limit`` pushes the finite tables through an exact extrapolation in
+1/N; ``c_overlap_oracle`` enumerates the overlapping-window covariance.
 
 Two independent routes produce the limit coefficients (the extrapolation
 and the two-point projection oracle), and a third set of closed forms has
@@ -28,7 +28,9 @@ polynomial, and their norm through the isometry.
 its closed form.
 
 ``run_verification`` drives the library's invariant checks as named,
-machine-readable results for the command-line ``verify`` subcommand.
+machine-readable results for the command-line ``verify`` subcommand.  Its
+urn-law check holds the finite split's backward lattice pass to one
+completion enumeration per conditional mean (``polya``), exactly.
 """
 
 from __future__ import annotations
@@ -70,8 +72,9 @@ from .errors import (
     DFChaosError,
     DomainError,
     ResourceCapError,
+    SingularSystemError,
 )
-from .hoeffding import degenerate_basis, degenerate_check
+from .hoeffding import _conditional_layers, degenerate_basis, degenerate_check
 from .jacobi import (
     BetaParams,
     beta_bernstein,
@@ -86,14 +89,14 @@ from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, dirichlet_moment, measure
 from .numeric import (
     Scalar,
+    _rref,
     binom,
     occupation_vectors,
     scalar_to_json,
-    solve_exact,
     sub_occupations,
     tuple_counts,
 )
-from .polya import occupation_prob, polya_joint_prob
+from .polya import cond_exp_statistic_counts, occupation_prob, polya_joint_prob
 from .ustat import approximation_report, ustat_mse_curve
 from .wright_fisher import (
     TransitionModel,
@@ -149,6 +152,29 @@ def degenerate_chain_kernel(total_mass: Scalar, n: int) -> SymmetricKernel:
     for j in range(n):
         v.append(-v[-1] * (theta2 + n - 1 - j) / (theta1 + j))
     return SymmetricKernel(n, 2, {(i, n - i): v[i] for i in range(n + 1)})
+
+
+def solve_exact(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Fraction]:
+    """Unique exact solution of an (possibly overdetermined) linear system.
+
+    Raises SingularSystemError if the system is inconsistent or the solution
+    is not unique. All entries are coerced to Fraction.
+    """
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    if not aug:
+        raise SingularSystemError("empty system")
+    n_unknowns = len(aug[0]) - 1
+    reduced, pivots = _rref(aug)
+    for row in reduced:
+        if all(v == 0 for v in row[:-1]) and row[-1] != 0:
+            raise SingularSystemError("inconsistent linear system")
+    if len([p for p in pivots if p < n_unknowns]) < n_unknowns:
+        raise SingularSystemError("underdetermined linear system")
+    solution = [Fraction(0)] * n_unknowns
+    for row, p in zip(reduced, pivots):
+        if p < n_unknowns:
+            solution[p] = row[-1]
+    return solution
 
 
 def oracle_limit_row(total_mass: Scalar, n: int) -> tuple[Fraction, ...]:
@@ -794,7 +820,21 @@ def _check_polya(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
     )
     if occ_total != 1:
         return False, "occupation law does not sum to 1"
-    return True, f"joint and occupation laws sum to 1 exactly up to n={top}"
+    # the finite split's backward lattice pass against one completion
+    # enumeration per conditional mean
+    order = top - 1
+    statistic = SymmetricKernel.from_function(
+        order, K, lambda c: Fraction(sum(j * j * cj for j, cj in enumerate(c)) - 3, 1 + c[0])
+    )
+    layers, den, _ = _conditional_layers(statistic, alpha, DEFAULT_ENUMERATION_CAP)
+    for k, layer in enumerate(layers):
+        for mu, num in zip(occupation_vectors(k, K), layer):
+            if Fraction(num, den) != cond_exp_statistic_counts(statistic, alpha, mu):
+                return False, f"backward conditional mean at {mu} differs from enumeration"
+    return True, (
+        f"joint and occupation laws sum to 1 exactly up to n={top}; backward "
+        f"conditional means equal enumeration at all {sum(map(len, layers))} vectors of N={order}"
+    )
 
 
 def _check_ustat(alpha: DiscreteBaseMeasure, quick: bool, seed: int) -> tuple[bool, str]:

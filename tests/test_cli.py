@@ -100,6 +100,48 @@ def test_decompose_finite_split(capsys, eta2_file):
     assert first == {(1, 0): "1/8", (0, 1): "-1/8"}
 
 
+def _refuse_posterior_table(monkeypatch):
+    from dfchaos.measures import MomentLadder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped split built its table of posterior means")
+
+    monkeypatch.setattr(MomentLadder, "posterior_table", refuse)
+
+
+def test_decompose_finite_checks_its_cap_before_building(capsys, tmp_path, monkeypatch):
+    # ten atoms and N = 22: the split's C(32, 10) = 64,512,240 lattice vectors
+    # exceed the default cap, which refuses before any posterior mean is taken
+    functional = tmp_path / "F.json"
+    first_mass = {"exponents": [1] + [0] * 9, "coeff": 1}
+    functional.write_text(json.dumps({"nvars": 10, "terms": [first_mass]}))
+    _refuse_posterior_table(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "decompose", "--alpha", ",".join(["1"] * 10), "--F", str(functional),
+        "--finite", "22",
+    )
+    assert code == 3
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "ResourceCapError"
+    assert "64512240 occupation vectors" in diagnostic["message"]
+
+
+def test_approx_cap_counts_the_split_lattice(capsys, eta2_file, monkeypatch):
+    # window 4 on two atoms: the oracle's split holds C(6, 2) = 15 lattice
+    # vectors, more than the window's C(5, 1) = 5 occupation vectors
+    _refuse_posterior_table(monkeypatch)
+    code, out, err = run_cli(
+        capsys, "approx", "--alpha", "1,1", "--F", eta2_file, "--N", "4",
+        "--seed", "11", "--reps", "2000", "--cap", "14",
+    )
+    assert code == 3
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "ResourceCapError"
+    assert "15 occupation vectors exceeds cap 14" in diagnostic["message"]
+
+
 def test_decompose_missing_functional_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["decompose", "--alpha", "1,1"])

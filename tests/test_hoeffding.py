@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import itertools
-import sys
 from fractions import Fraction
 
 import pytest
 
+from dfchaos import hoeffding
 from dfchaos.chaos import martingale_decomposition
 from dfchaos.errors import DomainError, ResourceCapError
 from dfchaos.hoeffding import (
@@ -15,10 +15,11 @@ from dfchaos.hoeffding import (
     degenerate_check,
     hoeffding_decompose,
 )
-from dfchaos.kernels import SymmetricKernel
-from dfchaos.measures import measure
+from dfchaos.kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
+from dfchaos.measures import MomentLadder, measure
 from dfchaos.numeric import occupation_vectors
 from dfchaos.polya import polya_joint_prob
+from dfchaos.ustat import best_symmetric_approx_oracle
 
 
 def _posterior_mean_eta_sq(counts):
@@ -104,28 +105,46 @@ def test_split_requires_matching_atoms():
         )
 
 
-@pytest.mark.parametrize("decompose", [hoeffding_decompose, martingale_decomposition])
+@pytest.mark.parametrize(
+    "decompose", [hoeffding_decompose, martingale_decomposition, best_symmetric_approx_oracle]
+)
 def test_cap_stops_the_first_and_largest_enumeration(decompose, monkeypatch):
-    # every conditional mean is taken once, up front and by size, so the
-    # mean's C(N + K - 1, K - 1) = 10 completions, the most of any vector,
-    # hit the cap before anything else is computed
+    # one cap rule: a split holds its lattice, the C(N + K, K) = C(6, 3) = 20
+    # occupation vectors of size <= 3 on three atoms, and a cap below that
+    # refuses before any lattice layer, table or component is built
     alpha = measure(1, "1/2", 2)
-    H = SymmetricKernel.from_function(
-        3, 3, lambda counts: Fraction(counts[0] - counts[2], 1 + counts[1])
+    if decompose is best_symmetric_approx_oracle:
+        F = SimplexPolynomial(3, {(1, 1, 0): Fraction(2), (0, 0, 2): Fraction(-1, 3)})
+        args = (F, alpha, 3)
+    else:
+        args = (
+            SymmetricKernel.from_function(
+                3, 3, lambda counts: Fraction(counts[0] - counts[2], 1 + counts[1])
+            ),
+            alpha,
+        )
+    built = []
+
+    def spy(label, fn):
+        def wrapper(*a, **kw):
+            built.append(label)
+            return fn(*a, **kw)
+
+        return wrapper
+
+    monkeypatch.setattr(hoeffding, "_predictive_rows", spy("layer", hoeffding._predictive_rows))
+    monkeypatch.setattr(hoeffding, "subset_sum_assembly", spy("assembly", subset_sum_assembly))
+    monkeypatch.setattr(
+        MomentLadder, "posterior_table", spy("table", MomentLadder.posterior_table)
     )
-    module = sys.modules[decompose.__module__]
-    original = module.cond_exp_statistic_counts
-    calls = []
-
-    def spy(statistic, alpha, counts, cap):
-        calls.append(tuple(counts))
-        return original(statistic, alpha, counts, cap=cap)
-
-    monkeypatch.setattr(module, "cond_exp_statistic_counts", spy)
-    with pytest.raises(ResourceCapError):
-        decompose(H, alpha, cap=9)
-    assert calls == [(0, 0, 0)]
-    calls.clear()
-    decompose(H, alpha, cap=10)
-    every = [mu for n in range(4) for mu in occupation_vectors(n, 3)]
-    assert calls == every
+    with pytest.raises(ResourceCapError, match="20 occupation vectors exceeds cap 19"):
+        decompose(*args, cap=19)
+    assert built == []
+    decompose(*args, cap=20)
+    # the means are one pass (three predictive steps, or one posterior
+    # table), then the components and the three projections are assembled
+    assert built == {
+        hoeffding_decompose: ["layer"] * 3 + ["assembly"] * 4,
+        martingale_decomposition: ["layer"] * 3,
+        best_symmetric_approx_oracle: ["table"] + ["assembly"] * 4,
+    }[decompose]

@@ -129,6 +129,25 @@ def test_exact_subcommands_run_without_heavy_modules(argv, tmp_path):
     assert _loaded_after(code) == set()
 
 
+def test_finite_split_loads_neither_the_urn_module_nor_the_chaos_kernels(tmp_path):
+    # every conditional mean of the split is one posterior table: no
+    # per-mean completion enumeration (``polya``), no ``chaos`` module
+    functional = tmp_path / "F.json"
+    functional.write_text(json.dumps(
+        {"nvars": 2, "terms": [{"coeff": "-1", "exponents": [2, 0]},
+                               {"coeff": "1", "exponents": [2, 1]}]}
+    ))
+    argv = ["decompose", "--alpha", "1/3,4/3", "--F", str(functional), "--finite", "4"]
+    code = (
+        "import contextlib, io, dfchaos.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert dfchaos.cli.main({argv!r}) == 0"
+    )
+    added = _modules_added_by(code)
+    assert "dfchaos.hoeffding" in added
+    assert not added & {"dfchaos.polya", "dfchaos.chaos"}
+
+
 def test_package_import_is_lazy_and_erratum_loads_validation():
     assert _loaded_after("import dfchaos") == set()
     code = (

@@ -22,10 +22,10 @@ from dfchaos.numeric import (
     rising_factorial,
     scalar_from_json,
     scalar_to_json,
-    solve_exact,
     sub_occupations,
     tuple_counts,
 )
+from dfchaos.validation import solve_exact
 
 # reference values frozen from mpmath (30-digit working precision)
 HYP1F1_REFERENCE = {

@@ -18,7 +18,10 @@ and a float measure to the exact measure of its floats' rational images.
 The finite split (components, projections, degeneracy, reconstruction),
 the degeneracy residual and window subset sums are held to per-term
 Fraction references and brute force, and the chaos kernels to exact
-reconstruction and Parseval.
+reconstruction and Parseval.  The split's backward lattice pass and the
+martingale tables it feeds are held to one completion enumeration per
+conditional mean, the projection oracle to the split of its window
+statistic, and a float statistic to its exact image rounded once.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from hypothesis import strategies as st
 from dfchaos.chaos import (
     chaos_kernels,
     expectation_of_integral,
+    martingale_decomposition,
     multiple_integral,
     poly_posterior_mean,
     reconstruct,
@@ -49,13 +53,19 @@ from dfchaos.coeffs import (
     theta_table,
     validate_limit_values,
 )
-from dfchaos.errors import CoefficientValidationError, DomainError
-from dfchaos.hoeffding import degenerate_check, hoeffding_decompose
+from dfchaos.errors import DEFAULT_ENUMERATION_CAP, CoefficientValidationError, DomainError
+from dfchaos.hoeffding import _conditional_layers, degenerate_check, hoeffding_decompose
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
 from dfchaos.measures import DiscreteBaseMeasure, dirichlet_moment, with_counts
 from dfchaos.numeric import binom, occupation_vectors, rising_factorial, sub_occupations, tuple_counts
 from dfchaos.polya import cond_exp_statistic_counts, occupation_prob, polya_joint_prob
-from dfchaos.ustat import direct_loss, mc_loss, scaled_kernel_candidate, statistic_from_kernels
+from dfchaos.ustat import (
+    best_symmetric_approx_oracle,
+    direct_loss,
+    mc_loss,
+    scaled_kernel_candidate,
+    statistic_from_kernels,
+)
 from dfchaos.validation import mass_kernel_identities, oracle_limit_row, tabulated_limit_values
 from dfchaos.wright_fisher import (
     TransitionModel,
@@ -507,6 +517,89 @@ def test_finite_split_equals_the_fraction_assembly(alpha, data):
     assert (split.mean, split.components, split.projections) == reference_split(statistic, alpha)
     assert all(degenerate_check(phi, alpha) == 0 for phi in split.components)
     assert split.reconstruct() == statistic
+
+
+def enumerated_means(statistic, alpha):
+    """E[T | mu] for every mu of size <= N, one completion enumeration each:
+    the per-mean route the backward lattice pass replaced."""
+    return {
+        mu: cond_exp_statistic_counts(statistic, alpha, mu)
+        for n in range(statistic.order + 1)
+        for mu in occupation_vectors(n, statistic.atoms)
+    }
+
+
+def reference_martingale(H, alpha):
+    """The telescoping tables E[H | x, a] - E[H | x] from the enumerated
+    means, differences taken in Fractions."""
+    ce = enumerated_means(H, alpha)
+    tables = []
+    for n in range(1, H.order + 1):
+        table = {}
+        for hist in occupation_vectors(n - 1, H.atoms):
+            for atom in range(1, H.atoms + 1):
+                bumped = tuple(c + (j == atom - 1) for j, c in enumerate(hist))
+                table[(hist, atom)] = ce[bumped] - ce[hist]
+        tables.append(table)
+    return tables
+
+
+@SPLIT_EXAMPLES
+@given(alpha=rational_measures(), data=st.data())
+def test_backward_means_equal_the_per_mean_enumeration(alpha, data):
+    statistic = data.draw(statistics(alpha.atoms, 0, 5))
+    layers, den, rounded = _conditional_layers(statistic, alpha, DEFAULT_ENUMERATION_CAP)
+    assert not rounded
+    backward = {
+        mu: Fraction(x, den)
+        for k, layer in enumerate(layers)
+        for mu, x in zip(occupation_vectors(k, alpha.atoms), layer)
+    }
+    assert backward == enumerated_means(statistic, alpha)
+
+
+@SPLIT_EXAMPLES
+@given(alpha=rational_measures(), data=st.data())
+def test_martingale_components_equal_the_per_mean_enumeration(alpha, data):
+    H = data.draw(statistics(alpha.atoms, 0, 5))
+    components = martingale_decomposition(H, alpha)
+    assert [g.table for g in components] == reference_martingale(H, alpha)
+    assert all(type(v) is Fraction for g in components for v in g.table.values())
+
+
+@SPLIT_EXAMPLES
+@given(alpha=rational_measures(), data=st.data())
+def test_oracle_split_is_the_split_of_the_window_statistic(alpha, data):
+    # the tower property: the oracle's one posterior table is the split of
+    # T(mu) = E[F | mu] over the window, mean, components and projections
+    F = data.draw(polynomials(alpha.atoms))
+    window = data.draw(st.integers(1, 5))
+    domain = occupation_vectors(window, alpha.atoms)
+    values = {mu: poly_posterior_mean(F, alpha, mu) for mu in domain}
+    statistic = SymmetricKernel(window, alpha.atoms, values)
+    oracle = best_symmetric_approx_oracle(F, alpha, window)
+    split = hoeffding_decompose(statistic, alpha)
+    assert oracle.decomposition == split
+    variance = statistic_product_mean(statistic, statistic, alpha) - split.mean**2
+    assert oracle.loss == variance_functional(F, alpha) - variance
+
+
+@SPLIT_EXAMPLES
+@given(alpha=rational_measures(max_atoms=3), data=st.data())
+def test_a_float_statistic_is_split_from_its_exact_image_rounded_once(alpha, data):
+    exact = data.draw(statistics(alpha.atoms, 1, 4))
+    thirds = {mu: float(v) / 3 for mu, v in exact.values.items()}
+    floats = SymmetricKernel(exact.order, exact.atoms, thirds)
+    image = SymmetricKernel(exact.order, exact.atoms, {mu: Fraction(v) for mu, v in thirds.items()})
+    split, reference = hoeffding_decompose(floats, alpha), hoeffding_decompose(image, alpha)
+    assert type(split.mean) is float and split.mean == float(reference.mean)
+    for got, want in zip(
+        split.components + split.projections, reference.components + reference.projections
+    ):
+        assert got.values == {mu: float(v) for mu, v in want.values.items()}
+    telescoped = zip(martingale_decomposition(floats, alpha), martingale_decomposition(image, alpha))
+    for got, want in telescoped:
+        assert got.table == {key: float(v) for key, v in want.table.items()}
 
 
 @SPLIT_EXAMPLES
