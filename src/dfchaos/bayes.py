@@ -42,15 +42,17 @@ from typing import Mapping, Sequence
 from .chaos import ChaosDecomposition, _product_sum
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
 from .jacobi import _bernstein_integers
-from .kernels import SymmetricKernel
+from .kernels import SymmetricKernel, _ExactKernel
 from .measures import DiscreteBaseMeasure, with_observations
 from .numeric import (
     Scalar,
     as_scalar,
     binom,
+    common_denominator,
     exact_numerators,
     hyp1f1,
     multiplicity,
+    occupation_lattice,
     occupation_vectors,
     ratio,
     tuple_counts,
@@ -116,15 +118,23 @@ def _occupation_integers(
     tuples of 1-based labels to values need not be symmetric, and missing
     tuples count as zero.  The values are read by ``exact_numerators`` (a
     float as its exact image), and ``rounded`` says whether any value read
-    was a float.
+    was a float.  A kernel built from numerators hands over its cached
+    ``numerators``; another is read by its listed values, so its layer is
+    not enumerated before the cap gate.
     """
     if isinstance(h, SymmetricKernel):
         if h.atoms != atoms:
             raise DomainError(f"kernel is over {h.atoms} atoms, expected {atoms}")
         m = h.order
-        nonzero = {c: v for c, v in h.values.items() if v != 0}
-        nums, d, rounded = exact_numerators(nonzero.values())
-        entries = [(c, multiplicity(c), a) for c, a in zip(nonzero, nums)]
+        if isinstance(h, _ExactKernel):
+            nums, d, rounded = h.numerators
+            lattice = occupation_lattice(m, atoms)
+            vectors, weights = lattice.vectors, lattice.multiplicities
+            entries = [(c, w, a) for c, w, a in zip(vectors, weights, nums) if a]
+        else:
+            nonzero = {c: v for c, v in h.values.items() if v != 0}
+            nums, d, rounded = exact_numerators(nonzero.values())
+            entries = [(c, multiplicity(c), a) for c, a in zip(nonzero, nums)]
     else:
         for raw in h:
             if not isinstance(raw, tuple):
@@ -236,7 +246,9 @@ def mass_kernel(atoms: int, subset: Sequence[int], psi: Sequence[Scalar]) -> Sym
     """The order len(psi) - 1 kernel o -> psi[j(o)], j(o) the draws of o in ``subset``.
 
     The subset is checked and the n + 1 distinct values coerced once, before
-    the kernel is built."""
+    the kernel is built.  Exact values go over their common denominator
+    and the kernel keeps the numerators; a float among them keeps the
+    values as given."""
     n = len(psi) - 1
     if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")
@@ -244,9 +256,13 @@ def mass_kernel(atoms: int, subset: Sequence[int], psi: Sequence[Scalar]) -> Sym
         raise DomainError(f"need at least one atom, got {atoms}")
     index = [x - 1 for x in _atom_subset(subset, atoms)]
     values = [as_scalar(v) for v in psi]
-    return SymmetricKernel._trusted(
-        n, atoms, {o: values[sum([o[i] for i in index])] for o in occupation_vectors(n, atoms)}
-    )
+    if float in map(type, values):
+        return SymmetricKernel._trusted(
+            n, atoms, {o: values[sum([o[i] for i in index])] for o in occupation_vectors(n, atoms)}
+        )
+    values, den = common_denominator(values)
+    nums = [values[sum([o[i] for i in index])] for o in occupation_vectors(n, atoms)]
+    return SymmetricKernel._from_numerators(n, atoms, nums, den)
 
 
 def decompose_exponential(

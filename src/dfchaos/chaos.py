@@ -24,23 +24,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import add
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .coeffs import _limit_row, c_iso, validate_limit_values
+from .coeffs import _limit_weights, c_iso, validate_limit_values
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError
 from .hoeffding import _conditional_layers, degenerate_check, hoeffding_decompose
 from .kernels import (
     PredictableComponent,
     SimplexPolynomial,
     SymmetricKernel,
+    integer_rows,
     subset_sum_assembly,
-    subset_sum_kernels,
 )
 from .measures import DiscreteBaseMeasure, sample_dirichlet, with_counts
 from .numeric import (
     Scalar,
     binom,
+    exact_numerators,
     occupation_lattice,
     occupation_vectors,
     ratio,
@@ -140,13 +142,26 @@ def _product_sum(first: tuple, second: tuple, alpha: DiscreteBaseMeasure) -> tup
 
     The numerators multiply on ints, and one ladder sum at the prior takes
     the moments of the product's terms; no product polynomial is built.
+    When both factors are the same object (a square, E[F(D)^2]) the T
+    terms form T(T+1)/2 unordered pairs, each off-diagonal one counted
+    twice: the same integer sums as the T^2 ordered pairs.
     """
     (f_terms, f_lead, f_rounded), (g_terms, g_lead, g_rounded) = first, second
     product: dict[tuple[int, ...], int] = {}
-    for e1, c1 in f_terms:
-        for e2, c2 in g_terms:
-            key = tuple(map(add, e1, e2))
-            product[key] = product.get(key, 0) + c1 * c2
+    if first is second:
+        f_terms = list(f_terms)
+        for i, (e1, c1) in enumerate(f_terms):
+            key = tuple(map(add, e1, e1))
+            product[key] = product.get(key, 0) + c1 * c1
+            double = 2 * c1
+            for e2, c2 in f_terms[i + 1 :]:
+                key = tuple(map(add, e1, e2))
+                product[key] = product.get(key, 0) + double * c2
+    else:
+        for e1, c1 in f_terms:
+            for e2, c2 in g_terms:
+                key = tuple(map(add, e1, e2))
+                product[key] = product.get(key, 0) + c1 * c2
     num, den = alpha.moment_ladder.posterior_sum(product.items(), (0,) * alpha.atoms)
     return num, den * f_lead * g_lead, f_rounded or g_rounded
 
@@ -183,22 +198,19 @@ def _urn_mean(alpha: DiscreteBaseMeasure, *kernels: SymmetricKernel) -> Scalar:
     """E[prod of the kernels at (X_1..X_n)] under the urn law, for kernels
     of one order n.
 
-    P(a) = mult(a) E[D^a] for a vector a of the order-n lattice layer, so
-    with each kernel's values over their common denominator (its cached
-    ``numerators``) this is one posterior sum at the prior, with the
-    integer weights mult(a) times the numerators.  A float value is read
-    as its exact image and the result is rounded once.
+    P(a) = mult(a) E[D^a] = W(a) / S(n) for a vector a of the order-n
+    lattice layer (``MomentLadder.urn_weights``, cached per order), so with
+    each kernel's values over their common denominator (its cached
+    ``numerators``) this is one integer dot product.  A float value is
+    read as its exact image and the result is rounded once.
     """
-    lattice = occupation_lattice(kernels[0].order, alpha.atoms)
-    weights = list(lattice.multiplicities)
+    weights, total = alpha.moment_ladder.urn_weights(kernels[0].order)
     scale, rounded = 1, False
     for h in kernels:
         nums, den, h_rounded = h.numerators
         weights = [w * v for w, v in zip(weights, nums)]
         scale, rounded = scale * den, rounded or h_rounded
-    terms = [(a, w) for a, w in zip(lattice.vectors, weights) if w]
-    num, den = alpha.moment_ladder.posterior_sum(terms, (0,) * alpha.atoms)
-    return ratio(num, den * scale, rounded)
+    return ratio(sum(weights), total * scale, rounded)
 
 
 def expectation_of_integral(h: SymmetricKernel, alpha: DiscreteBaseMeasure) -> Scalar:
@@ -286,11 +298,13 @@ def chaos_kernels(
     come from one integer table, ``MomentLadder.posterior_table``:
     E[F | mu] = N(mu) / (D L) over one denominator for all mu, and the
     centred numerators N(mu) - N(0) feed the integer assembly
-    ``subset_sum_assembly`` with no Fraction formed in between.  A float
-    coefficient is read as its exact image, and the mean and every kernel
-    entry are rounded once, to floats.  A black box takes one conditional
-    mean per vector, by size (the order in which it draws from ``rng``),
-    and the centred values run through ``subset_sum_kernels``.
+    ``subset_sum_assembly``, whose kernels keep their numerators: no
+    Fraction is formed until a value is read.  The limit rows are read as
+    cached integer rows (``coeffs._limit_weights``).  A float coefficient
+    is read as its exact image, and the mean and every kernel entry are
+    rounded once, to floats.  A black box takes one conditional mean per
+    vector, by size (the order in which it draws from ``rng``), and the
+    centred means, over their common denominator, feed the same assembly.
     """
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order}")
@@ -300,25 +314,34 @@ def chaos_kernels(
     mass = alpha.total_mass
     orders = range(1, max_order + 1)
     if theta is None:
-        rows = {n: {k: t for k, t in enumerate(_limit_row(mass, n)) if k} for n in orders}
+        rows, rows_rounded = _limit_weights(mass.numerator, mass.denominator, max_order), False
     else:
         if validate:
             validate_limit_values(theta, mass, max_order)
-        rows = {n: {k: theta[(n, k)] for k in range(1, n + 1)} for n in orders}
+        rows, rows_rounded = integer_rows(
+            {n: {k: theta[(n, k)] for k in range(1, n + 1)} for n in orders}
+        )
 
     if isinstance(F, SimplexPolynomial):
         terms, lead, rounded = F.scaled_terms
         table, den = alpha.moment_ladder.posterior_table(terms, max_order)
+        den *= lead
         centre = table[0][0]
         layers = [[x - centre for x in layer] for layer in table]
-        kernels = subset_sum_assembly(layers.__getitem__, den * lead, rounded, rows, atoms)
-        mean: Scalar = ratio(centre, den * lead, rounded)
+        mean: Scalar = ratio(centre, den, rounded)
     else:
-        vectors = [mu for n in range(max_order + 1) for mu in occupation_vectors(n, atoms)]
-        labels = ([a for a, c in enumerate(mu, start=1) for _ in range(c)] for mu in vectors)
+        vectors = [occupation_vectors(n, atoms) for n in range(max_order + 1)]
+        labels = (
+            [a for a, c in enumerate(mu, start=1) for _ in range(c)]
+            for layer in vectors
+            for mu in layer
+        )
         conds = [cond_exp_functional(F, alpha, ls, rng).value for ls in labels]
         mean = conds[0]
-        kernels = subset_sum_kernels({mu: c - mean for mu, c in zip(vectors, conds)}, rows, atoms)
+        nums, den, rounded = exact_numerators([c - mean for c in conds])
+        column = iter(nums)
+        layers = [list(islice(column, len(layer))) for layer in vectors]
+    kernels = subset_sum_assembly(layers.__getitem__, den, rounded or rows_rounded, rows, atoms)
     return ChaosDecomposition(alpha, mean, tuple(kernels.values()))
 
 

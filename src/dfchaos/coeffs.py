@@ -39,7 +39,15 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 from .errors import CoefficientValidationError, DomainError
-from .numeric import Scalar, binom, binom_star, falling_ratio, ratio, rising_factorial
+from .numeric import (
+    Scalar,
+    binom,
+    binom_star,
+    common_denominator,
+    falling_ratio,
+    ratio,
+    rising_factorial,
+)
 
 # ---------------------------------------------------------------------------
 # the rational building blocks
@@ -222,6 +230,22 @@ def _limit_row(total_mass: Fraction, n: int) -> tuple[Fraction, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _limit_weights(p: int, q: int, top: int) -> dict[int, tuple[dict[int, int], int]]:
+    """The rows theta^(n,1..n), n = 1..top, of the mass p/q (``_limit_row``)
+    as integer numerators over each row's least common denominator,
+    {n: ({k: numerator}, d)}: the weight rows that
+    ``kernels.subset_sum_assembly`` reads.  Cached beside the rows and keyed
+    by ints, so a lookup hashes no Fraction; the maps are shared and must
+    not be changed."""
+    mass = Fraction(p, q)
+    rows = {}
+    for n in range(1, top + 1):
+        nums, den = common_denominator(_limit_row(mass, n)[1:])
+        rows[n] = dict(enumerate(nums, start=1)), den
+    return rows
+
+
 def limit_coefficient(n: int, k: int, total_mass: Scalar) -> Fraction:
     """theta^(n,k): the limit projection coefficient, in closed form.
 
@@ -299,6 +323,8 @@ def validate_limit_values(
 # isometry and overlap constants
 
 
+# typed: a float mass gives a float and an equal exact mass a Fraction
+@lru_cache(maxsize=1 << 10, typed=True)
 def c_iso(n: int, total_mass: Scalar) -> Scalar:
     """The order-n isometry constant prod_{l=1..n} (n-l+1)/(|alpha|+n+l-1).
 
@@ -306,7 +332,8 @@ def c_iso(n: int, total_mass: Scalar) -> Scalar:
     same-order integrals of degenerate kernels h, f equals
     c_iso(n)·E[h(X_1..X_n)·f(X_1..X_n)].  A mass a/b gives the one
     Fraction n! b^n / prod_l (a + (n+l-1) b); a float mass is read as its
-    exact image and the constant rounded once, to a float.
+    exact image and the constant rounded once, to a float.  Cached: every
+    variance and covariance of one measure reads the same few constants.
     """
     if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")

@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 
 from .coeffs import theta_table
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
-from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
+from .kernels import SimplexPolynomial, SymmetricKernel, integer_rows, subset_sum_assembly
 from .measures import DiscreteBaseMeasure
 from .numeric import (
     Scalar,
@@ -185,10 +185,14 @@ def _assemble(
     """The split of the N-draw statistic whose conditional means are
     E[T | mu] = layers[k][i] / den, N = len(layers) - 1: the centred layers
     through ``subset_sum_assembly``, with the theta*_N rows for the
-    components and one order-N row per projection (module docstring)."""
+    components and one order-N row per projection (module docstring), all
+    as integer rows.  Every component and projection keeps its integer
+    numerators; a Fraction is built only when a value is read."""
     N = len(layers) - 1
     table = theta_table(N, alpha.total_mass)
-    rows = {s: {k: table.theta_star(s, k) for k in range(1, s + 1)} for s in range(1, N + 1)}
+    rows, _ = integer_rows(
+        {s: {k: table.theta_star(s, k) for k in range(1, s + 1)} for s in range(1, N + 1)}
+    )
     centre = layers[0][0]
     centred = [[x - centre for x in layer] for layer in layers]
     components = subset_sum_assembly(centred.__getitem__, den, rounded, rows, alpha.atoms)
@@ -197,10 +201,10 @@ def _assemble(
             centred.__getitem__,
             den,
             rounded,
-            {N: {k: w * binom(N - k, s - k) for k, w in row.items()}},
+            {N: ({k: w * binom(N - k, s - k) for k, w in row.items()}, row_den)},
             alpha.atoms,
         )[N]
-        for s, row in rows.items()
+        for s, (row, row_den) in rows.items()
     ]
     return HoeffdingDecomposition(
         alpha, N, ratio(centre, den, rounded), tuple(components.values()), tuple(projections)
@@ -245,8 +249,5 @@ def _posterior_mean_split(
     terms, lead, rounded = F.scaled_terms
     layers, den = alpha.moment_ladder.posterior_table(terms, N)
     den *= lead
-    vectors = occupation_lattice(N, alpha.atoms).vectors
-    statistic = SymmetricKernel._trusted(
-        N, alpha.atoms, {mu: ratio(x, den, rounded) for mu, x in zip(vectors, layers[N])}
-    )
+    statistic = SymmetricKernel._from_numerators(N, alpha.atoms, layers[N], den, rounded)
     return _assemble(layers, den, rounded, alpha), statistic

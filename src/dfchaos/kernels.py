@@ -17,6 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import DomainError
 from .numeric import (
+    Record,
     Scalar,
     as_scalar,
     common_denominator,
@@ -34,33 +35,48 @@ from .numeric import (
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class SymmetricKernel:
+class SymmetricKernel(Record):
     """A symmetric function of `order` points on `atoms` atoms.
 
     ``values`` maps occupation vectors to values; missing vectors mean 0.
+    The public constructor ``SymmetricKernel(order, atoms, values)`` checks
+    and coerces every entry.  The package's exact routes build a kernel
+    from integers instead (``_from_numerators``): the numerators by rank in
+    ``occupation_lattice(order, atoms)`` over one denominator.  Such a
+    kernel keeps the integers, and its ``values`` map, one ``Fraction`` per
+    vector of the layer, is built on first read; ``numerators``,
+    ``is_zero``, ``scale``, ``add``, ``sub`` and ``to_json`` read the
+    integers.  Both forms of one kernel are equal and serialise alike.
     """
 
-    order: int
-    atoms: int
-    values: Mapping[tuple[int, ...], Scalar]
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise DomainError(f"order must be >= 0, got {self.order}")
-        if self.atoms < 1:
-            raise DomainError(f"need at least one atom, got {self.atoms}")
+    def __init__(self, order: int, atoms: int, values: Mapping[tuple[int, ...], Scalar]):
+        if order < 0:
+            raise DomainError(f"order must be >= 0, got {order}")
+        if atoms < 1:
+            raise DomainError(f"need at least one atom, got {atoms}")
         cleaned = {}
-        for counts, value in self.values.items():
+        for counts, value in values.items():
             counts = tuple(int(c) for c in counts)
-            if len(counts) != self.atoms:
+            if len(counts) != atoms:
                 raise DomainError(f"occupation vector {counts} has wrong length")
-            if any(c < 0 for c in counts) or sum(counts) != self.order:
+            if any(c < 0 for c in counts) or sum(counts) != order:
                 raise DomainError(
-                    f"occupation vector {counts} is not a size-{self.order} multiset"
+                    f"occupation vector {counts} is not a size-{order} multiset"
                 )
             cleaned[counts] = as_scalar(value)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "values", cleaned)
+
+    def __eq__(self, other):
+        # a kernel built from numerators equals the same values built publicly
+        if not isinstance(other, SymmetricKernel):
+            return NotImplemented
+        return (self.order, self.atoms, self.values) == (other.order, other.atoms, other.values)
+
+    def __repr__(self) -> str:
+        fields = f"order={self.order!r}, atoms={self.atoms!r}, values={self.values!r}"
+        return f"SymmetricKernel({fields})"
 
     # -- access ------------------------------------------------------------
 
@@ -135,12 +151,38 @@ class SymmetricKernel:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _from_numerators(
+        cls, order: int, atoms: int, nums: Sequence[int], den: int, rounded: bool = False
+    ) -> "SymmetricKernel":
+        """The kernel with value nums[i] / den at the i-th vector of
+        ``occupation_lattice(order, atoms)``, for ints with den > 0.  The
+        integers are kept and read as they are (``_ExactKernel``); with
+        ``rounded`` every value is rounded once, to a float (``ratio``), and
+        the floats are kept instead."""
+        if rounded:
+            vectors = occupation_lattice(order, atoms).vectors
+            return cls._trusted(
+                order, atoms, {a: ratio(x, den, True) for a, x in zip(vectors, nums)}
+            )
+        kernel = object.__new__(_ExactKernel)
+        object.__setattr__(kernel, "order", order)
+        object.__setattr__(kernel, "atoms", atoms)
+        object.__setattr__(kernel, "nums", nums)
+        object.__setattr__(kernel, "den", den)
+        return kernel
+
+    @classmethod
     def _trusted(
         cls, order: int, atoms: int, values: dict[tuple[int, ...], Scalar]
     ) -> "SymmetricKernel":
-        """A kernel the package built itself, without the re-coercion of
-        ``__post_init__``: the keys are canonical int tuples of the order's
-        layer and the values Fractions or floats."""
+        """A kernel the package built itself as a value map, without the
+        re-coercion of the public constructor: the keys are canonical int
+        tuples of the order's layer and the values Fractions or floats.
+        Float tables (rounded entries, the Jacobi kernels) take this
+        route.  Like every constructor here it stores the fields one by
+        one past ``Record``'s guard: an update of ``vars(kernel)`` would
+        move them out of the interpreter's fast per-instance layout, which
+        every ``value`` call reads."""
         kernel = object.__new__(cls)
         object.__setattr__(kernel, "order", order)
         object.__setattr__(kernel, "atoms", atoms)
@@ -166,6 +208,12 @@ class SymmetricKernel:
 
     @classmethod
     def from_json(cls, payload: dict) -> "SymmetricKernel":
+        """The kernel of a ``to_json`` payload.  A payload that lists every
+        vector of its layer with exact values (as ``to_json`` writes one)
+        is checked by one lookup per vector in the order's lattice layer
+        and kept as numerators over their common denominator.  Any other
+        payload goes through the public constructor, so reading it never
+        enumerates a layer larger than the payload."""
         try:
             order = int(payload["order"])
             atoms = int(payload["K"])
@@ -175,7 +223,91 @@ class SymmetricKernel:
         values = {}
         for entry in entries:
             values[tuple(int(c) for c in entry["counts"])] = as_scalar(entry["value"])
+        dense = order >= 0 and atoms >= 1 and len(values) >= math.comb(order + atoms - 1, order)
+        if dense and is_exact(values.values()):
+            lattice = occupation_lattice(order, atoms)
+            if all(counts in lattice.rank for counts in values):
+                nums, den = common_denominator([values[a] for a in lattice.vectors])
+                return cls._from_numerators(order, atoms, nums, den)
         return cls(order, atoms, values)
+
+
+class _ExactKernel(SymmetricKernel):
+    """A kernel built from numerators (``SymmetricKernel._from_numerators``):
+    ``nums`` by lattice rank over ``den``.  Its value map is built on first
+    read; the numerators, zero test, algebra and JSON read the integers.
+    A class of its own, so a value-map kernel looks its values up without a
+    descriptor in the way."""
+
+    @cached_property
+    def values(self) -> dict[tuple[int, ...], Fraction]:
+        den = self.den
+        vectors = occupation_lattice(self.order, self.atoms).vectors
+        return {a: Fraction(x, den) for a, x in zip(vectors, self.nums)}
+
+    @cached_property
+    def numerators(self) -> tuple[tuple[int, ...], int, bool]:
+        """The stored integers over their least common denominator: divided
+        by their common factor with the denominator, once."""
+        nums, den = self.nums, self.den
+        common = math.gcd(den, *nums)
+        if common == 1:
+            return tuple(nums), den, False
+        return tuple(x // common for x in nums), den // common, False
+
+    def is_zero(self, tol: float = 0.0) -> bool:
+        return not any(self.nums) if not tol else super().is_zero(tol)
+
+    def scale(self, factor: Scalar) -> SymmetricKernel:
+        if not isinstance(factor, (int, Fraction)):
+            return super().scale(factor)
+        p, q = factor.numerator, factor.denominator
+        nums = [p * x for x in self.nums]
+        return self._from_numerators(self.order, self.atoms, nums, q * self.den)
+
+    def add(self, other: SymmetricKernel) -> SymmetricKernel:
+        shape = (self.order, self.atoms)
+        if not isinstance(other, _ExactKernel) or (other.order, other.atoms) != shape:
+            return super().add(other)  # which refuses a kernel of another shape
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = [a * x + b * y for x, y in zip(self.nums, other.nums)]
+        return self._from_numerators(self.order, self.atoms, nums, den)
+
+    def to_json(self) -> dict:
+        """The public form's JSON, each value reduced once from the integers."""
+        den = self.den
+        vectors = occupation_lattice(self.order, self.atoms).vectors
+        return {
+            "order": self.order,
+            "K": self.atoms,
+            "values": [
+                {"counts": list(c), "value": _fraction_text(x, den)}
+                for c, x in zip(vectors, self.nums)
+            ],
+        }
+
+
+def _fraction_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ints with den > 0, without the
+    Fraction: the reduced 'p/q', or 'p' when the quotient is an integer."""
+    common = math.gcd(num, den)
+    if common != 1:
+        num, den = num // common, den // common
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def integer_rows(rows: Mapping[int, Mapping[int, Scalar]]) -> tuple[dict, bool]:
+    """(rows, rounded): each weight row {k: w} as ({k: numerator}, d) over
+    the row's least common denominator (``exact_numerators``: a float
+    weight is read as its exact image and ``rounded`` says one was seen),
+    the form ``subset_sum_assembly`` reads."""
+    out, rounded = {}, False
+    for n, row in rows.items():
+        weights, den, row_rounded = exact_numerators(row.values())
+        out[n] = dict(zip(row, weights)), den
+        rounded = rounded or row_rounded
+    return out, rounded
 
 
 def subset_sum_kernels(
@@ -194,30 +326,34 @@ def subset_sum_kernels(
     unit row {N: {s: 1}} the order-N subset sum of an order-s kernel.
     Weights at k < 0 or k > n add nothing.
 
-    The values go over one common denominator and the integer layers run
-    through ``subset_sum_assembly``.  A float value or weight is read as
-    its exact image and every entry is rounded once, to a float.
+    The values and each row go over one common denominator and the
+    integer layers run through ``subset_sum_assembly``.  A float value or
+    weight is read as its exact image and every entry is rounded once, to
+    a float.
     """
     nums, den, rounded = exact_numerators(values.values())
     table = dict(zip(values, nums))
+    weights, rows_rounded = integer_rows(rows)
 
     def layer(k: int) -> list[int]:
         return [table.get(mu, 0) for mu in occupation_lattice(k, atoms).vectors]
 
-    return subset_sum_assembly(layer, den, rounded, rows, atoms)
+    return subset_sum_assembly(layer, den, rounded or rows_rounded, weights, atoms)
 
 
 def subset_sum_assembly(
     layer: Callable[[int], Sequence[int]],
     den: int,
     rounded: bool,
-    rows: Mapping[int, Mapping[int, Scalar]],
+    rows: Mapping[int, tuple[Mapping[int, int], int]],
     atoms: int,
 ) -> dict[int, SymmetricKernel]:
-    """``subset_sum_kernels`` on integer layers: ``layer(k)`` lists by rank
-    in ``occupation_lattice(k, atoms)`` the numerators of v on layer k, all
-    over ``den``; ``rounded`` rounds every entry once, to a float.  Each
-    layer is read at most once, and only if a row weights it.
+    """``subset_sum_kernels`` on integers: ``layer(k)`` lists by rank in
+    ``occupation_lattice(k, atoms)`` the numerators of v on layer k, all
+    over ``den``, and ``rows[n]`` is the weight row of order n as
+    ({k: numerator}, d), over its own denominator (``integer_rows``);
+    ``rounded`` rounds every entry once, to a float.  Each layer is read
+    at most once, and only if a row weights it.
 
     The sub-occupations are never walked.  With U the up operator of the
     occupation lattice, (Uf)(a) = sum_{i: a_i > 0} f(a - e_i), and
@@ -226,16 +362,11 @@ def subset_sum_assembly(
         mult(a) · h_n(a) = sum_k w[n][k] C(n, k) (U^(n-k) [mult · v_k])(a),
 
     v_k the values on layer k; the sum runs by Horner's rule, one up-step
-    per layer.  Each row goes over its own denominator, so every step adds
-    ints and each entry is one Fraction.
+    per layer.  Every step adds ints.  Times den · d, h_n(a) is an integer
+    sum of weights times values, so mult(a) divides the accumulated entry
+    exactly: the kernel keeps the quotients as its numerators over den · d
+    (``SymmetricKernel._from_numerators``), and no Fraction is formed.
     """
-    scaled_rows = {}
-    for n, row in rows.items():
-        weights, row_den, row_rounded = exact_numerators(row.values())
-        rounded = rounded or row_rounded
-        terms = {k: w * math.comb(n, k) for k, w in zip(row, weights) if 0 <= k <= n and w}
-        scaled_rows[n] = terms, row_den
-
     layers: dict[int, list[int]] = {}  # layer k: mult(mu) · numerator of v(mu), by rank
 
     def weighted(k: int) -> list[int]:
@@ -246,7 +377,8 @@ def subset_sum_assembly(
         return out
 
     kernels = {}
-    for n, (terms, row_den) in scaled_rows.items():
+    for n, (row, row_den) in rows.items():
+        terms = {k: w * math.comb(n, k) for k, w in row.items() if 0 <= k <= n and w}
         lattice = occupation_lattice(n, atoms)
         if terms:
             low = min(terms)
@@ -257,14 +389,10 @@ def subset_sum_assembly(
                 w = terms.get(m)
                 if w:
                     acc = [x + w * y for x, y in zip(acc, weighted(m))]
+            nums = [x // m for x, m in zip(acc, lattice.multiplicities)]
         else:
-            acc = [0] * len(lattice.vectors)
-        entry_den = den * row_den
-        out = {
-            a: ratio(x, entry_den * m, rounded)
-            for a, x, m in zip(lattice.vectors, acc, lattice.multiplicities)
-        }
-        kernels[n] = SymmetricKernel._trusted(n, atoms, out)
+            nums = [0] * len(lattice.vectors)
+        kernels[n] = SymmetricKernel._from_numerators(n, atoms, nums, den * row_den, rounded)
     return kernels
 
 
@@ -283,7 +411,7 @@ class SimplexPolynomial:
                 raise DomainError(f"bad exponent vector {exps}")
             coeff = as_scalar(coeff)
             if coeff != 0:
-                cleaned[exps] = cleaned.get(exps, Fraction(0)) + coeff
+                cleaned[exps] = cleaned[exps] + coeff if exps in cleaned else coeff
         object.__setattr__(self, "terms", cleaned)
 
     @cached_property
@@ -293,10 +421,10 @@ class SimplexPolynomial:
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         if len(point) != self.nvars:
             raise DomainError(f"expected {self.nvars} coordinates, got {len(point)}")
-        if self._integer_terms is not None and is_exact(point):
-            return self._evaluate_exact(point)
         if self.degree and all(type(x) is float for x in point):
             return self._evaluate_floats(point)
+        if self._integer_terms is not None and is_exact(point):
+            return self._evaluate_exact(point)
         # each distinct power x_j**e is computed once per call and shared
         # by every term that uses it (same values as computing it per term)
         powers: dict[tuple[int, int], Scalar] = {}
@@ -431,7 +559,8 @@ class SimplexPolynomial:
             exps = tuple(int(e) for e in entry["exponents"])
             if nvars is None:
                 nvars = len(exps)
-            terms[exps] = terms.get(exps, Fraction(0)) + as_scalar(entry["coeff"])
+            coeff = as_scalar(entry["coeff"])
+            terms[exps] = terms[exps] + coeff if exps in terms else coeff
         if nvars is None:
             raise DomainError("polynomial JSON has no terms and no 'nvars'")
         return cls(int(nvars), terms)

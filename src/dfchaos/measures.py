@@ -161,16 +161,37 @@ class MomentLadder:
     a_e tail_k[|e|] prod_j row(j, mu_j)[e_j], with
     tail_k[s] = prod_{s <= i < top}(P + (k + i) q) and top the degree, and
     lifting layer k by the integer S(k) S(top + d) / S(top + k) puts every
-    layer over D = S(top + d).
+    layer over D = S(top + d).  ``urn_weights`` holds the occupation
+    probabilities of one layer as integers over S(n).
     """
 
-    __slots__ = ("q", "bases", "total_mass", "_rows")
+    __slots__ = ("q", "bases", "total_mass", "_rows", "_urn")
 
     def __init__(self, weights: Sequence[Fraction]):
         p, self.q = common_denominator(weights)
         self.bases = (*p, sum(p))
         self.total_mass = sum(weights)
         self._rows: dict[tuple[int, int], list] = {}
+        self._urn: dict[int, tuple[list[int], int]] = {}
+
+    def urn_weights(self, order: int) -> tuple[list[int], int]:
+        """(W, S(n)), n = order: the urn law of n draws from the measure,
+        P(a) = mult(a) E[D^a] = W[i] / S(n) for the i-th vector a of
+        ``occupation_lattice(n, K)``, with W[i] = mult(a) prod_j R_j(a_j).
+        Built once per order; every urn expectation of that order is one
+        dot product with it."""
+        cached = self._urn.get(order)
+        if cached is None:
+            atoms = len(self.bases) - 1
+            lattice = occupation_lattice(order, atoms)
+            rows = [self.row(j, 0, order) for j in range(atoms)]
+            weights = []
+            for a, mult in zip(lattice.vectors, lattice.multiplicities):
+                for row, e in zip(rows, a):
+                    mult *= row[e]
+                weights.append(mult)
+            cached = self._urn[order] = weights, self.row(atoms, 0, order)[order]
+        return cached
 
     def row(self, j: int, start: int, top: int) -> list:
         """row(j, start), holding at least the indices 0..top.
@@ -224,14 +245,14 @@ class MomentLadder:
         return total, self.row(atoms, base, top)[top]
 
     def posterior_table(
-        self, terms: Sequence[tuple[Sequence[int], int]], order: int
+        self, terms: Sequence[tuple[Sequence[int], int]], order: int, start: int = 0
     ) -> tuple[list[list[int]], int]:
         """(layers, D): every posterior sum of one integer polynomial at once.
 
-        ``layers[k]`` lists, by rank in ``occupation_lattice(k, K)``, the
-        integers N(mu) with N(mu) / D = sum of a * E[D^e | counts mu] over the
-        (e, a) terms, for every layer k <= order, all over the one
-        denominator D = S(top + order), top the largest |e|.  Entry mu is
+        ``layers[k - start]`` lists, by rank in ``occupation_lattice(k, K)``,
+        the integers N(mu) with N(mu) / D = sum of a * E[D^e | counts mu]
+        over the (e, a) terms, for every layer start <= k <= order, all over
+        the one denominator D = S(top + order), top the largest |e|.  Entry mu is
         ``posterior_sum`` at counts mu, over its denominator
         row(K, k)[top] = S(top + k) / S(k), times the lift of the class
         docstring.  The tails, the lift and the rows are shared by a whole
@@ -245,7 +266,7 @@ class MomentLadder:
         rows = [[self.row(j, c, top) for c in range(order + 1)] for j in range(atoms)]
         factors = [tuple((j, ej) for j, ej in enumerate(e) if ej) for e, _ in terms]
         layers = []
-        for k in range(order + 1):
+        for k in range(start, order + 1):
             lift = totals[k] * (den // totals[top + k])
             tails = [lift] * (top + 1)  # lifted: tails[s] = lift * tail_k[s]
             for s in range(top - 1, -1, -1):

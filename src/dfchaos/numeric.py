@@ -39,7 +39,9 @@ def as_scalar(value) -> Scalar:
 
     Strings and ints become Fractions; floats stay floats, so a helper that
     reads one as its exact image (``exact_numerators``) knows to round its
-    result once.
+    result once.  A plain 'p/q' or 'p' string of decimal digits (as
+    ``scalar_to_json`` writes one) is read by ``int``; any other string by
+    ``Fraction``'s own parser, which accepts and refuses the same strings.
     """
     if isinstance(value, Fraction):
         return value
@@ -50,7 +52,12 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, float):
         return value
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
         try:
+            if (num[1:] if num[:1] == "-" else num).isdecimal() and (
+                den.isdecimal() or not slash
+            ):
+                return Fraction(int(num), int(den) if slash else 1)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse scalar {value!r}") from exc

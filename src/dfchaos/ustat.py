@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,14 +45,13 @@ from .chaos import (
 from .coeffs import c_iso, c_overlap
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, NumericError, ResourceCapError
 from .hoeffding import HoeffdingDecomposition, _posterior_mean_split
-from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
+from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
 from .measures import DiscreteBaseMeasure
 from .numeric import (
     Scalar,
     binom,
     binom_star,
-    exact_numerators,
-    occupation_lattice,
+    is_exact,
     ratio,
     scalar_to_json,
     sub_occupations,
@@ -135,15 +133,30 @@ def statistic_from_kernels(
 
     This is the unnormalized form in which kernel families approximate a
     functional: each order contributes its full subset sum, not its average.
+    Each kernel's cached ``numerators`` are lifted to one common
+    denominator and run through ``subset_sum_assembly`` with a unit row;
+    a float value is read as its exact image and every entry of the
+    statistic rounded once, to a float.
     """
-    values: dict[tuple[int, ...], Scalar] = {}
+    columns, rounded = {}, False
     for order, g in kernels.items():
         if g.order != order:
             raise DomainError(f"kernel at slot {order} has order {g.order}")
         if g.atoms != atoms:
             raise DomainError("kernel atom counts disagree")
-        values.update(g.values)
-    return subset_sum_kernels(values, {window: dict.fromkeys(kernels, 1)}, atoms)[window]
+        if order <= window:
+            columns[order] = g.numerators
+            rounded = rounded or columns[order][2]
+        else:  # adds nothing, though a float value still rounds the statistic
+            rounded = rounded or not is_exact(g.values.values())
+    den = math.lcm(*(d for _, d, _ in columns.values()))
+
+    def layer(k: int) -> list[int]:
+        nums, d, _ = columns[k]
+        return [x * (den // d) for x in nums]
+
+    rows = {window: (dict.fromkeys(kernels, 1), 1)}
+    return subset_sum_assembly(layer, den, rounded, rows, atoms)[window]
 
 
 def direct_loss(
@@ -157,36 +170,32 @@ def direct_loss(
 
     Expanded as  Var F - 2 sum_mu P(mu) S(mu) (E[F | mu] - E F)
     + sum_mu P(mu) S(mu)^2  over window occupation vectors mu, all terms
-    exact under the urn law.  Since P(mu) = mult(mu) E[D^mu] and
-    P(mu) E[F | mu] = mult(mu) sum_e c_e E[D^(mu + e)], the enumerated part
-    is one posterior sum at the prior, with integer weights over the common
-    denominator of S, F's coefficients and E F.  A float value or
-    coefficient is read as its exact image and the loss rounded once.
+    exact under the urn law.  The posterior means E[F | mu] = N(mu) / D of
+    the window's layer are one ``MomentLadder.posterior_table`` layer, and
+    P(mu) = W(mu) / S(N) is the measure's cached ``urn_weights`` row, so
+    the enumerated part is one integer dot product over the window's
+    vectors, over the common denominator of S, D and E F.  A float value
+    or coefficient is read as its exact image and the loss rounded once.
     More than ``cap`` window occupation vectors, C(window + K - 1, K - 1),
     raise ResourceCapError.
     """
     if binom(window + alpha.atoms - 1, alpha.atoms - 1) > cap:
         raise ResourceCapError(f"window enumeration exceeds cap {cap}")
     statistic = statistic_from_kernels(kernels, window, alpha.atoms)
-    lattice = occupation_lattice(window, alpha.atoms)
     s_nums, s_den, rounded = statistic.numerators
-    coeffs, c_den, f_rounded = exact_numerators(F.terms.values())
+    pairs, c_den, f_rounded = F.scaled_terms
     if f_rounded:
-        F = SimplexPolynomial(F.nvars, {e: Fraction(c, c_den) for e, c in zip(F.terms, coeffs)})
+        F = SimplexPolynomial(F.nvars, {e: Fraction(c, c_den) for e, c in pairs})
     mean = functional_mean(F, alpha)
     var_f = variance_functional(F, alpha)
     m, m_den = mean.numerator, mean.denominator
-    terms: dict[tuple[int, ...], int] = {}
-    for mu, mult, s_mu in zip(lattice.vectors, lattice.multiplicities, s_nums):
-        if not s_mu:
-            continue
-        weight = mult * s_mu
-        terms[mu] = terms.get(mu, 0) + weight * c_den * (s_mu * m_den + 2 * m * s_den)
-        for exps, c in zip(F.terms, coeffs):
-            key = tuple(map(add, mu, exps))
-            terms[key] = terms.get(key, 0) - 2 * weight * c * s_den * m_den
-    num, den = alpha.moment_ladder.posterior_sum(terms.items(), (0,) * alpha.atoms)
-    loss = var_f + Fraction(num, den * s_den * s_den * c_den * m_den)
+    (conds,), f_den = alpha.moment_ladder.posterior_table(pairs, window, start=window)
+    f_den *= c_den  # E[F | mu] = conds[i] / f_den
+    weights, total = alpha.moment_ladder.urn_weights(window)
+    # P(mu) S(mu) (S(mu) + 2 E F - 2 E[F | mu]) = W s (s a + b - c N(mu)) / (S(N) s_den^2 a)
+    a, b, c = m_den * f_den, 2 * m * s_den * f_den, 2 * s_den * m_den
+    num = sum(w * s * (s * a + b - c * n) for w, s, n in zip(weights, s_nums, conds) if s)
+    loss = var_f + Fraction(num, total * s_den * s_den * a)
     return ratio(loss.numerator, loss.denominator, rounded or f_rounded)
 
 

@@ -128,10 +128,17 @@ def _validated_theta(theta: DiscreteBaseMeasure | Sequence[Scalar]) -> DiscreteB
 
 
 def _validated_point(gamma: Sequence[Scalar], dim: int) -> tuple[Scalar, ...]:
+    """The free coordinates as a tuple, refused unless strictly interior;
+    exact coordinates are checked on their integer numerators x_i / b."""
     point = tuple(as_scalar(g) for g in gamma)
     if len(point) != dim:
         raise DomainError(f"expected {dim} free coordinates, got {len(point)}")
-    if any(g <= 0 for g in point) or sum(point) >= 1:
+    if is_exact(point):
+        x, b = common_denominator(point)
+        outside = any(c <= 0 for c in x) or sum(x) >= b
+    else:
+        outside = any(g <= 0 for g in point) or sum(point) >= 1
+    if outside:
         raise DomainError(f"point {point} is not strictly interior to the simplex")
     return point
 
@@ -433,10 +440,27 @@ class TransitionModel(Record):
         return out
 
     def _band_sum(self, n: int, g: tuple[Scalar, ...], gp: tuple[Scalar, ...]) -> Scalar:
+        """Q_n(g, g') as the Gram-Schmidt band sum of e(g) e(g') / ||e||^2.
+
+        Each polynomial is evaluated once per distinct point (once in all
+        when g' is g, as for a diagonal).  A float product is divided by
+        the squared norm rounded once to a float, cached per band: that is
+        what dividing a float by the Fraction computes, so the sum is bit
+        for bit the same."""
         total: Scalar = 0
-        for poly, norm_sq in self._oracle_bands[n]:
-            total = total + poly.evaluate(g) * poly.evaluate(gp) / norm_sq
+        for poly, norm_sq, norm_f in self._float_bands[n]:
+            left = poly.evaluate(g)
+            term = left * (left if gp is g else poly.evaluate(gp))
+            total = total + term / (norm_f if type(term) is float else norm_sq)
         return total
+
+    @cached_property
+    def _float_bands(self) -> dict[int, list[tuple[SimplexPolynomial, Scalar, float]]]:
+        """Per band, each (polynomial, squared norm, the norm as a float)."""
+        return {
+            n: [(poly, norm_sq, float(norm_sq)) for poly, norm_sq in band]
+            for n, band in self._oracle_bands.items()
+        }
 
     def _tail_diagonal(self, g: tuple[Scalar, ...]) -> Scalar:
         """Q_{M+1}(g, g), memoized per exact point."""

@@ -131,6 +131,25 @@ def test_scalar_json_round_trip():
     assert scalar_from_json("3/4") == Fraction(3, 4)
 
 
+NUMBER_TEXT = st.text(alphabet="0123456789-+/._ e", max_size=7) | st.from_regex(
+    r"\A-?[0-9]{1,4}(/[0-9]{1,4})?\Z"
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=NUMBER_TEXT | st.sampled_from(["1/0", "-0/5", "٣/٤", "³", "--3", "3/-4", " 3/4 "]))
+def test_scalar_strings_read_as_fractions_parse_them(text):
+    # the 'p/q' fast path reads and refuses exactly what Fraction(text) does
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(DomainError):
+            scalar_from_json(text)
+    else:
+        got = scalar_from_json(text)
+        assert type(got) is Fraction and got == want
+
+
 def test_solve_exact_small_system():
     # x + 2y = 5, 3x + 4y = 11  ->  x = 1, y = 2
     solution = solve_exact(
