@@ -17,7 +17,7 @@ Var F = sum_n c(n)·E[h_(F,n)(X_1..X_n)^2].
 
 Polynomial functionals (sparse multi-exponent maps) follow an exact
 rational path end to end; black-box functionals carry a declared Monte
-Carlo budget for their conditional expectations.
+Carlo budget, drawn in blocks, for their conditional expectations.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .kernels import (
     integer_rows,
     subset_sum_assembly,
 )
-from .measures import DiscreteBaseMeasure, sample_dirichlet, with_counts
+from .measures import DiscreteBaseMeasure, _dirichlet_blocks, with_counts
 from .numeric import (
     Scalar,
     binom,
@@ -111,22 +111,27 @@ def cond_exp_functional(
     """E[F(D) | observed atom labels].
 
     Exact (rational for rational data) when F is polynomial; a Monte Carlo
-    MCEstimate over the posterior when F is a black box, in which case a
-    generator is required.
+    MCEstimate when F is a black box, in which case a generator is required.
     """
     counts = tuple_counts(observations, alpha.atoms)
     if isinstance(F, SimplexPolynomial):
         if F.nvars != alpha.atoms:
             raise DomainError("functional and measure disagree on the atom count")
         return poly_posterior_mean(F, alpha, counts)
+    return _black_box_mean(F, alpha, counts, rng)
+
+
+def _black_box_mean(
+    F: BlackBoxFunctional, alpha: DiscreteBaseMeasure, counts: Sequence[int], rng
+) -> MCEstimate:
+    """The mean of ``F.fn``, given a tuple of floats, over ``mc_budget``
+    posterior draws at the counts (``measures._dirichlet_blocks``)."""
     if rng is None:
         raise DomainError("black-box conditional expectations need a generator")
     import numpy as np
 
-    posterior = with_counts(alpha, counts)
-    values = np.empty(F.mc_budget)
-    for i in range(F.mc_budget):
-        values[i] = F.fn(sample_dirichlet(posterior, rng))
+    blocks = _dirichlet_blocks(with_counts(alpha, counts), F.mc_budget, rng)
+    values = np.array([F.fn(tuple(d)) for block in blocks for d in block.tolist()], dtype=float)
     stderr = float(values.std(ddof=1) / np.sqrt(F.mc_budget)) if F.mc_budget > 1 else float("inf")
     return MCEstimate(float(values.mean()), stderr, F.mc_budget)
 
@@ -331,12 +336,7 @@ def chaos_kernels(
         mean: Scalar = ratio(centre, den, rounded)
     else:
         vectors = [occupation_vectors(n, atoms) for n in range(max_order + 1)]
-        labels = (
-            [a for a, c in enumerate(mu, start=1) for _ in range(c)]
-            for layer in vectors
-            for mu in layer
-        )
-        conds = [cond_exp_functional(F, alpha, ls, rng).value for ls in labels]
+        conds = [_black_box_mean(F, alpha, mu, rng).value for layer in vectors for mu in layer]
         mean = conds[0]
         nums, den, rounded = exact_numerators([c - mean for c in conds])
         column = iter(nums)

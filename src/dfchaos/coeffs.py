@@ -45,6 +45,7 @@ from .numeric import (
     binom_star,
     common_denominator,
     falling_ratio,
+    integer_ladder,
     ratio,
     rising_factorial,
 )
@@ -164,8 +165,9 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
 
     With m = p/q every factor is an integer over a power of q, and the
     powers cancel: theta*_N(k,a) = ±(p+(2k-1)q)·L[a+k-1]/L[a] / (L[N+k]/L[N])
-    on the ladder L[x] = prod_{i<x} (p+iq), one Fraction per entry.  A float
-    mass is read as its exact image ``Fraction(x)``, as in the limits.
+    on the ladder L[x] = prod_{i<x} (p+iq): cached integer rows, which the
+    finite split reads directly (``_theta_star_rows``), wrapped one Fraction
+    per entry.  A float mass is read as its exact image, as in the limits.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
@@ -175,21 +177,29 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
     if not 1 <= max_k <= N:
         raise DomainError(f"max_k must lie in 1..N, got {max_k}")
 
-    p, q = mass.numerator, mass.denominator
-    ladder = [1]
-    for i in range(N + max_k):
-        ladder.append(ladder[-1] * (p + i * q))
     entries: dict[tuple[int, int], Fraction] = {}
     starred: dict[tuple[int, int], Fraction] = {}
-    for k in range(1, max_k + 1):
-        lead = p + (2 * k - 1) * q
-        den = ladder[N + k] // ladder[N]
+    for k, (row, den) in _theta_star_rows(mass.numerator, mass.denominator, N, max_k).items():
         for a in range(k, 0, -1):
-            num = lead * (ladder[a + k - 1] // ladder[a])
-            star = Fraction(num if (k - a) % 2 == 0 else -num, den)
-            starred[(k, a)] = star
+            star = starred[(k, a)] = Fraction(row[a], den)
             entries[(k, a)] = star * binom(N - a, k - a)
     return CoefficientTable(N, mass, max_k, entries, starred)
+
+
+@lru_cache(maxsize=1 << 10)
+def _theta_star_rows(p: int, q: int, N: int, max_k: int) -> dict[int, tuple[dict[int, int], int]]:
+    """The rows theta*_N(k, 1..k), k <= max_k, of the mass p/q as {k: ({a:
+    numerator}, d)}: the integers of ``theta_table`` over L[N+k]/L[N], less
+    the row's common factor.  Shared; the maps must not be changed."""
+    ladder = integer_ladder(p, q, N + max_k)
+    rows = {}
+    for k in range(1, max_k + 1):
+        lead = p + (2 * k - 1) * q
+        nums = [(-1) ** (k - a) * lead * (ladder[a + k - 1] // ladder[a]) for a in range(1, k + 1)]
+        den = ladder[N + k] // ladder[N]
+        common = math.gcd(den, *nums)
+        rows[k] = {a: x // common for a, x in enumerate(nums, start=1)}, den // common
+    return rows
 
 
 def system_residuals(table: CoefficientTable) -> dict[tuple[int, int], Scalar]:

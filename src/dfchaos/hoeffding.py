@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .coeffs import theta_table
+from .coeffs import _theta_star_rows
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
-from .kernels import SimplexPolynomial, SymmetricKernel, integer_rows, subset_sum_assembly
+from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
 from .measures import DiscreteBaseMeasure
 from .numeric import (
     Scalar,
@@ -184,15 +184,14 @@ def _assemble(
 ) -> HoeffdingDecomposition:
     """The split of the N-draw statistic whose conditional means are
     E[T | mu] = layers[k][i] / den, N = len(layers) - 1: the centred layers
-    through ``subset_sum_assembly``, with the theta*_N rows for the
-    components and one order-N row per projection (module docstring), all
-    as integer rows.  Every component and projection keeps its integer
-    numerators; a Fraction is built only when a value is read."""
+    through ``subset_sum_assembly``, with the cached integer theta*_N rows
+    (``coeffs._theta_star_rows``) for the components and one order-N row
+    per projection (module docstring).  Every component and projection
+    keeps its integer numerators; a Fraction is built only when a value is
+    read."""
     N = len(layers) - 1
-    table = theta_table(N, alpha.total_mass)
-    rows, _ = integer_rows(
-        {s: {k: table.theta_star(s, k) for k in range(1, s + 1)} for s in range(1, N + 1)}
-    )
+    mass = alpha.total_mass
+    rows = _theta_star_rows(mass.numerator, mass.denominator, N, N)
     centre = layers[0][0]
     centred = [[x - centre for x in layer] for layer in layers]
     components = subset_sum_assembly(centred.__getitem__, den, rounded, rows, alpha.atoms)

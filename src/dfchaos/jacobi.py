@@ -32,15 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul
 from typing import Sequence
 
 from .coeffs import c_iso
 from .errors import DomainError, NumericError
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, dirichlet_moment
-from .numeric import Scalar, as_scalar, binom, exact_numerators, ratio
+from .numeric import Scalar, as_scalar, binom, exact_numerators, integer_ladder, ratio
 
 __all__ = [
     "BetaParams",
@@ -172,12 +170,6 @@ def _root(k: Fraction) -> float:
     return math.sqrt(ratio(k.numerator, k.denominator, True))
 
 
-def _ladder(first: int, step: int, count: int) -> list[int]:
-    """The count + 1 partial products [1, f_0, f_0 f_1, ...] of the integer
-    ladder f_i = first + i step."""
-    return list(accumulate(range(first, first + count * step, step), mul, initial=1))
-
-
 def _rising(first: int, u: int, count: int) -> int:
     """u^count rising(first / u, count): the product of the ladder first + i u."""
     return math.prod(range(first, first + count * u, u))
@@ -206,8 +198,8 @@ def _bernstein_integers(n: int, a: Fraction, b: Fraction) -> tuple[list[int], in
     prod_{i<j} (B + (n-1-i) u), and L = prod_{i<n} (A + B + (n-1+i) u).
     """
     A, B, u = _over_one_unit(a, b)
-    suffix = _ladder(-A - (n - 1) * u, u, n)  # suffix[n - j] = prod_{j<=i<n} -(A + i u)
-    prefix = _ladder(B + (n - 1) * u, -u, n)
+    suffix = integer_ladder(-A - (n - 1) * u, u, n)  # suffix[n - j] = prod_{j<=i<n} -(A + i u)
+    prefix = integer_ladder(B + (n - 1) * u, -u, n)
     lead = _rising(A + B + (n - 1) * u, u, n)
     psi = [suffix[n - j] * prefix[j] for j in range(n + 1)]
     return psi, lead, *_squared_norm(n, A, B, u, lead)
@@ -222,8 +214,8 @@ def _integer_parts(n: int, params: BetaParams) -> tuple[Fraction, list[int], int
     prod_{i<a} (A + B + (n-1+i) u), whose full length is L."""
     _validated_order(n)
     A, B, u = _over_one_unit(params.a1, params.a0)
-    suffix = _ladder(-A - (n - 1) * u, u, n)
-    prefix = _ladder(A + B + (n - 1) * u, u, n)
+    suffix = integer_ladder(-A - (n - 1) * u, u, n)
+    prefix = integer_ladder(A + B + (n - 1) * u, u, n)
     lead = prefix[n]
     nums = [math.comb(n, a) * suffix[n - a] * prefix[a] for a in range(n + 1)]
     shared = math.gcd(lead, *nums)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .numeric import (
@@ -44,6 +44,7 @@ from .numeric import (
     common_denominator,
     occupation_lattice,
     scalar_to_json,
+    tuple_counts,
 )
 
 if TYPE_CHECKING:  # numpy loads only on the float and Monte Carlo paths
@@ -65,7 +66,8 @@ class DiscreteBaseMeasure(Record):
         for w in coerced:
             if not w > 0 or (isinstance(w, float) and w == math.inf):
                 raise DomainError(f"atom weights must be positive and finite, got {w}")
-        vars(self)["weights"] = tuple(Fraction(w) if isinstance(w, float) else w for w in coerced)
+        weights = tuple(Fraction(w) if isinstance(w, float) else w for w in coerced)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def atoms(self) -> int:
@@ -122,12 +124,7 @@ def with_observations(alpha: DiscreteBaseMeasure, observations: Sequence[int]) -
 
     Each observation adds unit mass at its atom; the support never changes.
     """
-    counts = [0] * alpha.atoms
-    for a in observations:
-        if not 1 <= a <= alpha.atoms:
-            raise DomainError(f"observed label {a} outside 1..{alpha.atoms}")
-        counts[a - 1] += 1
-    return DiscreteBaseMeasure(tuple(w + c for w, c in zip(alpha.weights, counts)))
+    return with_counts(alpha, tuple_counts(observations, alpha.atoms))
 
 
 def check_counts(atoms: int, counts: Sequence[int]) -> None:
@@ -302,19 +299,29 @@ def dirichlet_moment(alpha: DiscreteBaseMeasure, exponents: Sequence[int]) -> Fr
     return alpha.moment_ladder.moment(cleaned)
 
 
-def sample_dirichlet(alpha: DiscreteBaseMeasure, rng: np.random.Generator) -> tuple[float, ...]:
-    """One draw of the Dirichlet mass vector, as a tuple summing to 1.
+# Rows per Monte Carlo block: large enough that numpy's per-call overhead
+# vanishes, small enough that a block's (MC_BLOCK, K) draws stay a few
+# hundred KiB whatever the number of draws.
+MC_BLOCK = 4096
 
-    Uses normalised Gamma variates from the caller-owned generator; a
-    degenerate all-zero draw (possible for very small shapes in floating
-    point) is redrawn.
-    """
-    shapes = alpha.as_floats()
-    while True:
-        gammas = rng.gamma(shape=shapes)
-        s = gammas.sum()
-        if s > 0:
-            return tuple(gammas / s)
+
+def _dirichlet_blocks(
+    alpha: DiscreteBaseMeasure, reps: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """The ``reps`` draws of D ~ Dirichlet(alpha) behind every Monte Carlo
+    path: consecutive (n <= MC_BLOCK, K) arrays, each one ``rng.dirichlet``
+    call made only when the block is requested, so that a consumer may draw
+    from ``rng`` between blocks."""
+    if reps < 1:
+        raise DomainError(f"a Monte Carlo estimate needs at least one draw, got {reps}")
+    weights = alpha.as_floats()
+    for start in range(0, reps, MC_BLOCK):
+        yield rng.dirichlet(weights, size=min(MC_BLOCK, reps - start))
+
+
+def sample_dirichlet(alpha: DiscreteBaseMeasure, rng: np.random.Generator) -> tuple[float, ...]:
+    """One draw of the Dirichlet mass vector, as a tuple summing to 1."""
+    return tuple(next(_dirichlet_blocks(alpha, 1, rng))[0])
 
 
 def as_simplex_point(values: Sequence[Scalar], atoms: int | None = None) -> tuple[Scalar, ...]:

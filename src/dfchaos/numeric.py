@@ -24,6 +24,8 @@ import math
 import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, NumericError
@@ -87,18 +89,17 @@ class Record:
     cold process).
 
     A subclass names its fields in ``_fields`` and its ``__init__`` stores
-    them in ``vars(self)``.  ``==`` (between instances of one class),
-    ``hash`` and ``repr`` read the fields in that order, and every later
-    assignment or deletion raises ``AttributeError``.  The instance dict
-    stays writable for ``functools.cached_property``, which fills it
-    directly.
+    each with ``object.__setattr__``: writing through ``vars(self)``, as
+    ``functools.cached_property`` does, moves the attributes out of the
+    interpreter's fast per-instance layout.  ``==`` (between instances of
+    one class), ``hash`` and ``repr`` read the fields in that order, and
+    every later assignment or deletion raises ``AttributeError``.
     """
 
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        values = vars(self)
-        return tuple([values[name] for name in self._fields])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -146,6 +147,12 @@ def falling_ratio(a: int, b: int) -> int:
     if b < 0 or a < b:
         raise DomainError(f"falling_ratio requires a >= b >= 0, got ({a}, {b})")
     return math.perm(a, a - b)
+
+
+def integer_ladder(first: int, step: int, count: int) -> list[int]:
+    """The count + 1 partial products [1, f_0, f_0 f_1, ...] of the integer
+    ladder f_i = first + i step."""
+    return list(accumulate(range(first, first + count * step, step), mul, initial=1))
 
 
 def rising_factorial(x: Scalar, k: int) -> Scalar:

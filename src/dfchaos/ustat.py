@@ -46,7 +46,7 @@ from .coeffs import c_iso, c_overlap
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, NumericError, ResourceCapError
 from .hoeffding import HoeffdingDecomposition, _posterior_mean_split
 from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
-from .measures import DiscreteBaseMeasure
+from .measures import MC_BLOCK, DiscreteBaseMeasure, _dirichlet_blocks
 from .numeric import (
     Scalar,
     binom,
@@ -199,12 +199,6 @@ def direct_loss(
     return ratio(loss.numerator, loss.denominator, rounded or f_rounded)
 
 
-# Replications per Monte Carlo block: large enough that numpy's per-call
-# overhead vanishes, small enough that a block's (MC_BLOCK, K) draws stay a
-# few hundred KiB whatever ``reps`` is.
-MC_BLOCK = 4096
-
-
 def mc_loss(
     kernels: Mapping[int, SymmetricKernel],
     F: SimplexPolynomial,
@@ -221,10 +215,10 @@ def mc_loss(
     the ``reps`` scores with its standard error (sample deviation with
     ddof=1 over sqrt(reps)), so ``reps`` must be at least 2.
 
-    Replications run in blocks of ``MC_BLOCK``.  Each block makes one
-    ``rng.dirichlet(weights, size=n)`` call and one
-    ``rng.multinomial(window, d)`` call for its n rows, so the stream
-    depends on the seed, ``reps`` and the block size.  F is evaluated in
+    Replications run in the blocks of ``measures._dirichlet_blocks``, of
+    ``MC_BLOCK`` rows: each block's one ``rng.dirichlet`` call is followed
+    by one ``rng.multinomial(window, d)`` call for its n rows, so the
+    stream depends on the seed, ``reps`` and the block size.  F is evaluated in
     floats at all n points at once, and S is looked up in the exact
     statistic of ``statistic_from_kernels``, converted to floats once, by
     the rank of each row's occupation counts among the window's occupation
@@ -236,14 +230,11 @@ def mc_loss(
     statistic = statistic_from_kernels(kernels, window, alpha.atoms)
     s_table = np.array([float(value) for _, value in statistic.items()])
     mean = float(functional_mean(F, alpha))
-    weights = alpha.as_floats()
     draws = np.empty(reps)
-    for start in range(0, reps, MC_BLOCK):
-        n = min(MC_BLOCK, reps - start)
-        d = rng.dirichlet(weights, size=n)
+    for start, d in zip(range(0, reps, MC_BLOCK), _dirichlet_blocks(alpha, reps, rng)):
         counts = rng.multinomial(window, d)
         s_vals = s_table[_occupation_rank(counts, window)]
-        draws[start : start + n] = (_evaluate_floats(F, d) - mean - s_vals) ** 2
+        draws[start : start + len(d)] = (_evaluate_floats(F, d) - mean - s_vals) ** 2
     value = float(np.mean(draws))
     stderr = float(np.std(draws, ddof=1) / math.sqrt(reps))
     return MCEstimate(value=value, stderr=stderr, draws=reps)
@@ -317,24 +308,22 @@ def ustat_mse_curve(
     i.i.d. labels shared across windows (larger windows extend smaller ones),
     and compares every U-statistic against the multiple integral of the same
     kernel at the same d.  Returns [(window, mse), ...] in increasing window
-    order; for a degenerate kernel the mse decays like 1/window.
+    order; for a degenerate kernel the mse decays like 1/window.  Only one
+    block of ``measures._dirichlet_blocks`` and its windows is held at once.
     """
     ws = sorted(set(int(w) for w in windows))
     if not ws or ws[0] < kernel.order:
         raise DomainError(f"windows {windows} must all be >= kernel order {kernel.order}")
-    weights = alpha.as_floats()
-    d = rng.dirichlet(weights, size=reps)
-    limit = _evaluate_floats(kernel.to_polynomial(), d)
-    out = []
-    counts = np.zeros((reps, alpha.atoms), dtype=np.int64)
-    filled = 0
-    for w in ws:
-        counts = counts + rng.multinomial(w - filled, d)
-        filled = w
-        u_vals = _ustat_vectorized(kernel, w, counts.astype(np.float64))
-        mse = float(np.mean((u_vals - limit) ** 2))
-        out.append((w, mse))
-    return out
+    integral = kernel.to_polynomial()
+    sums = [0.0] * len(ws)
+    for d in _dirichlet_blocks(alpha, reps, rng):
+        limit = _evaluate_floats(integral, d)
+        counts, filled = np.zeros(d.shape, dtype=np.int64), 0
+        for i, w in enumerate(ws):
+            counts, filled = counts + rng.multinomial(w - filled, d), w
+            u_vals = _ustat_vectorized(kernel, w, counts.astype(np.float64))
+            sums[i] += float(np.sum((u_vals - limit) ** 2))
+    return [(w, total / reps) for w, total in zip(ws, sums)]
 
 
 @dataclass(frozen=True)

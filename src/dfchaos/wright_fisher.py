@@ -68,7 +68,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
 from .measures import DiscreteBaseMeasure
-from .numeric import Record, Scalar, as_scalar, binom, common_denominator, is_exact
+from .numeric import Record, Scalar, as_scalar, binom, common_denominator, integer_ladder, is_exact
 
 if TYPE_CHECKING:  # kernels loads only on the float-point route and in the oracles
     from .kernels import SimplexPolynomial
@@ -316,9 +316,7 @@ def _kernel_coefficients(total: Fraction, top: int) -> tuple[tuple[tuple[int, ..
     divided by their common factor.
     """
     p, q = total.numerator, total.denominator
-    ladder = [1]
-    for i in range(2 * top - 1):
-        ladder.append(ladder[-1] * (p + i * q))
+    ladder = integer_ladder(p, q, 2 * top - 1)
     rows = [((1,), 1)]
     for n in range(1, top + 1):
         lead = p + (2 * n - 1) * q
@@ -375,7 +373,8 @@ class TransitionModel(Record):
     _fields = ("theta", "M")
 
     def __init__(self, theta: DiscreteBaseMeasure | Sequence[Scalar], M: int):
-        vars(self).update(theta=theta, M=M)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "M", M)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -384,15 +383,14 @@ class TransitionModel(Record):
             raise DomainError(f"truncation order must be >= 0, got {self.M}")
         top = self.M + 1
         atoms = measure.atoms
-        vars(self).update(
-            theta=measure,
-            # the number of orthogonal polynomials of exact degree n, per band
-            # (the benchmark's tracer reports their total as the basis size)
-            _bands={n: range(binom(n + atoms - 2, atoms - 2)) for n in range(top + 1)},
-            _series=_atom_series(measure.weights, top),
-            _coeffs=_kernel_coefficients(measure.total_mass, top),
-            _diagonal={},
-        )
+        object.__setattr__(self, "theta", measure)
+        # the number of orthogonal polynomials of exact degree n, per band
+        # (the benchmark's tracer reports their total as the basis size)
+        bands = {n: range(binom(n + atoms - 2, atoms - 2)) for n in range(top + 1)}
+        object.__setattr__(self, "_bands", bands)
+        object.__setattr__(self, "_series", _atom_series(measure.weights, top))
+        object.__setattr__(self, "_coeffs", _kernel_coefficients(measure.total_mass, top))
+        object.__setattr__(self, "_diagonal", {})
 
     @property
     def dim(self) -> int:
@@ -557,13 +555,11 @@ class TransitionDensity(Record):
         tail_bound: float,
         negative: bool,
     ):
-        vars(self).update(
-            value=value,
-            stationary=stationary,
-            contributions=contributions,
-            tail_bound=tail_bound,
-            negative=negative,
-        )
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "stationary", stationary)
+        object.__setattr__(self, "contributions", contributions)
+        object.__setattr__(self, "tail_bound", tail_bound)
+        object.__setattr__(self, "negative", negative)
 
 
 def transition_density(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,22 @@ def test_black_box_matches_exact_mean():
     estimate = functional_mean(F, UNIFORM, rng)
     assert estimate.value == pytest.approx(1 / 3, abs=4 * estimate.stderr)
     assert estimate.draws == 20_000
+
+
+def test_black_box_kernels_at_the_default_budget_are_fast_and_centred():
+    # K = 3, order 3: 20 conditional means of 10,000 posterior draws each
+    alpha = measure("1/2", 1, "3/2")
+    poly = SimplexPolynomial(
+        3, {(1, 1, 0): Fraction(1), (0, 0, 2): Fraction(1), (3, 0, 0): Fraction(-1)}
+    )
+    F = BlackBoxFunctional(lambda d: d[0] * d[1] + d[2] ** 2 - d[0] ** 3, atoms=3)
+    assert F.mc_budget == 10_000
+    started = time.perf_counter()
+    decomposition = chaos_kernels(F, alpha, 3, rng=np.random.default_rng(41))
+    assert time.perf_counter() - started < 2.0
+    stderr = functional_mean(F, alpha, np.random.default_rng(42)).stderr
+    exact = float(functional_mean(poly, alpha))
+    assert abs(decomposition.mean - exact) < 5 * stderr
 
 
 def test_order_bounds():

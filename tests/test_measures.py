@@ -10,7 +10,9 @@ import pytest
 from dfchaos.errors import DomainError
 from dfchaos.jacobi import BetaParams
 from dfchaos.measures import (
+    MC_BLOCK,
     DiscreteBaseMeasure,
+    _dirichlet_blocks,
     as_simplex_point,
     dirichlet_moment,
     measure,
@@ -130,3 +132,32 @@ def test_sample_dirichlet_moments():
     p, var = 2 / 3, (2 / 9) / 4
     stderr = np.sqrt(var / draws.shape[0])
     assert abs(draws[:, 0].mean() - p) < 4 * stderr
+
+
+@pytest.mark.parametrize("shape", [(1e-3, 1e-3), (1e-6, 1e-6, 1e-6)])
+def test_tiny_dirichlet_shapes_give_finite_rows_on_the_simplex(shape):
+    # the sampler keeps no redraw loop: numpy's own small-shape route must
+    # already give finite rows summing to 1
+    alpha = DiscreteBaseMeasure(shape)
+    rng = np.random.default_rng(99)
+    blocks = list(_dirichlet_blocks(alpha, 2 * MC_BLOCK + 5, rng))
+    assert [len(b) for b in blocks] == [MC_BLOCK, MC_BLOCK, 5]
+    single = np.array([sample_dirichlet(alpha, rng) for _ in range(500)])
+    for draws in blocks + [single]:
+        assert draws.shape[1] == len(shape)
+        assert np.isfinite(draws).all() and (draws >= 0).all()
+        assert np.abs(draws.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_dirichlet_blocks_draw_lazily_one_call_per_block():
+    alpha = measure(2, 1, "1/2")
+    rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+    blocks = _dirichlet_blocks(alpha, MC_BLOCK + 1, rng)
+    assert rng.random() == reference.random()  # nothing drawn before a block is asked for
+    first = next(blocks)
+    assert np.array_equal(first, reference.dirichlet(alpha.as_floats(), size=MC_BLOCK))
+    assert rng.random() == reference.random()
+    assert np.array_equal(next(blocks), reference.dirichlet(alpha.as_floats(), size=1))
+    assert next(blocks, None) is None
+    with pytest.raises(DomainError):
+        next(_dirichlet_blocks(alpha, 0, rng))

@@ -20,7 +20,9 @@ from dfchaos.numeric import occupation_vectors
 from dfchaos.ustat import (
     MC_BLOCK,
     UStatistic,
+    _evaluate_floats,
     _occupation_rank,
+    _ustat_vectorized,
     approximation_report,
     best_symmetric_approx_oracle,
     candidate_error_formula,
@@ -224,6 +226,25 @@ def test_mse_curve_halves_with_window_doubling():
     curve = ustat_mse_curve(h, UNIFORM, [100, 200], 4000, rng)
     ratio = curve[0][1] / curve[1][1]
     assert 1.4 <= ratio <= 3.0
+
+
+@pytest.mark.parametrize("reps", [1, 700, MC_BLOCK])
+def test_mse_curve_within_one_block_equals_the_one_shot_draw(reps):
+    # one dirichlet(size=reps) draw, then each window's multinomial increment
+    alpha = measure("1/2", 1, "3/2")
+    h = degenerate_basis(alpha, 2)[0]
+    windows = [12, 3, 6]
+    curve = ustat_mse_curve(h, alpha, windows, reps, np.random.default_rng(17))
+
+    rng = np.random.default_rng(17)
+    d = rng.dirichlet(alpha.as_floats(), size=reps)
+    limit = _evaluate_floats(h.to_polynomial(), d)
+    counts, filled, want = np.zeros((reps, alpha.atoms), dtype=np.int64), 0, []
+    for w in sorted(windows):
+        counts, filled = counts + rng.multinomial(w - filled, d), w
+        u_vals = _ustat_vectorized(h, w, counts.astype(np.float64))
+        want.append((w, float(np.mean((u_vals - limit) ** 2))))
+    assert curve == want
 
 
 def test_ustat_converges_to_multiple_integral():
