@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .chaos import ChaosDecomposition, _product_sum
@@ -45,6 +44,7 @@ from .jacobi import _bernstein_integers
 from .kernels import SymmetricKernel, _ExactKernel
 from .measures import DiscreteBaseMeasure, with_observations
 from .numeric import (
+    Record,
     Scalar,
     as_scalar,
     binom,
@@ -83,8 +83,7 @@ def _label(x) -> int:
         raise DomainError(f"label {x!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
-class ObservedSample:
+class ObservedSample(Record):
     """A prior base measure together with observed atom labels (1-based)."""
 
     alpha: DiscreteBaseMeasure
@@ -92,9 +91,7 @@ class ObservedSample:
 
     def __post_init__(self) -> None:
         labels = tuple(_label(x) for x in self.labels)
-        for x in labels:
-            if not 1 <= x <= self.alpha.atoms:
-                raise DomainError(f"label {x} outside support 1..{self.alpha.atoms}")
+        tuple_counts(labels, self.alpha.atoms)  # refuses a label outside 1..K
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -204,8 +201,7 @@ def estimate_conditional_variance(
     return ratio(second * q2 - mean_square * q1, q1 * q2 * d * d, rounded)
 
 
-@dataclass(frozen=True)
-class ExponentialDecomposition:
+class ExponentialDecomposition(Record):
     """Decomposition of exp(lambda * D(C)) truncated at ``order``.
 
     ``contributions[n-1]`` is the order-n variance share c_n^2 ||P_n||^2.

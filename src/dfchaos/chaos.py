@@ -22,7 +22,6 @@ Carlo budget, drawn in blocks, for their conditional expectations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import add
@@ -40,12 +39,15 @@ from .kernels import (
 )
 from .measures import DiscreteBaseMeasure, _dirichlet_blocks, with_counts
 from .numeric import (
+    Record,
     Scalar,
+    as_scalar,
     binom,
     exact_numerators,
     occupation_lattice,
     occupation_vectors,
     ratio,
+    scalar_to_json,
     tuple_counts,
     variance_ratio,
 )
@@ -57,8 +59,7 @@ if TYPE_CHECKING:
 # functionals
 
 
-@dataclass(frozen=True)
-class BlackBoxFunctional:
+class BlackBoxFunctional(Record):
     """An opaque functional of the mass vector with a Monte Carlo budget.
 
     ``fn`` maps a tuple of K masses to a number; ``mc_budget`` is the number
@@ -70,8 +71,7 @@ class BlackBoxFunctional:
     mc_budget: int = 10_000
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(Record):
     """A Monte Carlo estimate with its standard error attached."""
 
     value: float
@@ -240,8 +240,7 @@ def statistic_product_mean(
 # the decomposition
 
 
-@dataclass(frozen=True)
-class ChaosDecomposition:
+class ChaosDecomposition(Record):
     """mean + multiple integrals of ``kernels[n-1]`` (order n) for n = 1..M."""
 
     alpha: DiscreteBaseMeasure
@@ -258,8 +257,6 @@ class ChaosDecomposition:
         return self.kernels[n - 1]
 
     def to_json(self) -> dict:
-        from .numeric import scalar_to_json
-
         return {
             "mean": scalar_to_json(self.mean),
             "alpha": self.alpha.to_json(),
@@ -268,8 +265,6 @@ class ChaosDecomposition:
 
     @classmethod
     def from_json(cls, payload: dict) -> "ChaosDecomposition":
-        from .numeric import as_scalar
-
         alpha = DiscreteBaseMeasure.from_json(payload["alpha"])
         kernels = tuple(SymmetricKernel.from_json(k) for k in payload["kernels"])
         for i, k in enumerate(kernels, start=1):
@@ -363,8 +358,7 @@ def variance_from_decomposition(decomposition: ChaosDecomposition) -> Scalar:
     return total
 
 
-@dataclass(frozen=True)
-class CovarianceResult:
+class CovarianceResult(Record):
     exact: Scalar
     predicted: Scalar
     route: str

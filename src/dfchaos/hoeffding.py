@@ -32,7 +32,6 @@ C(N + K, K) occupation vectors of size <= N, and refuses a larger one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .coeffs import _theta_star_rows
@@ -40,6 +39,7 @@ from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
 from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
 from .measures import DiscreteBaseMeasure
 from .numeric import (
+    Record,
     Scalar,
     binom,
     common_denominator,
@@ -109,8 +109,7 @@ def degenerate_basis(alpha: DiscreteBaseMeasure, order: int) -> list[SymmetricKe
     ]
 
 
-@dataclass(frozen=True)
-class HoeffdingDecomposition:
+class HoeffdingDecomposition(Record):
     """mean + sum over s of (s-subset sums of phi_s) for a statistic of N draws.
 
     ``components[s-1]`` is phi_s (degenerate, order s); ``projections[s-1]``

@@ -30,7 +30,6 @@ coefficient sqrt(k_n) from there.  The degree is capped at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,7 +37,7 @@ from .coeffs import c_iso
 from .errors import DomainError, NumericError
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, dirichlet_moment
-from .numeric import Scalar, as_scalar, binom, exact_numerators, integer_ladder, ratio
+from .numeric import Record, Scalar, as_scalar, binom, exact_numerators, integer_ladder, ratio
 
 __all__ = [
     "BetaParams",
@@ -71,8 +70,7 @@ def _beta_pair(a: Scalar, b: Scalar) -> tuple[Fraction, Fraction]:
     return Fraction(a), Fraction(b)
 
 
-@dataclass(frozen=True)
-class BetaParams:
+class BetaParams(Record):
     """Parameters (a1, a0) of the Beta weight  x^(a1-1) (1-x)^(a0-1) / B(a1, a0).
 
     ``a1`` weights the atom whose mass is ``x`` and ``a0`` the complementary
@@ -97,8 +95,7 @@ class BetaParams:
         return DiscreteBaseMeasure((self.a1, self.a0))
 
 
-@dataclass(frozen=True)
-class PolynomialCoeffs:
+class PolynomialCoeffs(Record):
     """A univariate polynomial stored as coefficients (c_0, ..., c_n) of x^a.
 
     The leading coefficient must be nonzero unless the polynomial is a bare

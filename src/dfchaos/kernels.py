@@ -10,8 +10,6 @@ multi-exponent -> coefficient maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -20,6 +18,7 @@ from .numeric import (
     Record,
     Scalar,
     as_scalar,
+    cached_attribute,
     common_denominator,
     exact_numerators,
     is_exact,
@@ -49,6 +48,8 @@ class SymmetricKernel(Record):
     integers.  Both forms of one kernel are equal and serialise alike.
     """
 
+    _fields = ("order", "atoms", "values")
+
     def __init__(self, order: int, atoms: int, values: Mapping[tuple[int, ...], Scalar]):
         if order < 0:
             raise DomainError(f"order must be >= 0, got {order}")
@@ -64,9 +65,7 @@ class SymmetricKernel(Record):
                     f"occupation vector {counts} is not a size-{order} multiset"
                 )
             cleaned[counts] = as_scalar(value)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "values", cleaned)
+        super().__init__(order, atoms, cleaned)
 
     def __eq__(self, other):
         # a kernel built from numerators equals the same values built publicly
@@ -119,7 +118,7 @@ class SymmetricKernel(Record):
     def sub(self, other: "SymmetricKernel") -> "SymmetricKernel":
         return self.add(other.scale(Fraction(-1)))
 
-    @cached_property
+    @cached_attribute
     def numerators(self) -> tuple[tuple[int, ...], int, bool]:
         """(nums, d, rounded): the values on the order's lattice layer, by
         rank in ``occupation_lattice``, as nums[i] / d over their least
@@ -140,7 +139,7 @@ class SymmetricKernel(Record):
         rebuild it."""
         return self._polynomial
 
-    @cached_property
+    @cached_attribute
     def _polynomial(self) -> "SimplexPolynomial":
         terms = {}
         for counts, value in self.values.items():
@@ -239,13 +238,13 @@ class _ExactKernel(SymmetricKernel):
     A class of its own, so a value-map kernel looks its values up without a
     descriptor in the way."""
 
-    @cached_property
+    @cached_attribute
     def values(self) -> dict[tuple[int, ...], Fraction]:
         den = self.den
         vectors = occupation_lattice(self.order, self.atoms).vectors
         return {a: Fraction(x, den) for a, x in zip(vectors, self.nums)}
 
-    @cached_property
+    @cached_attribute
     def numerators(self) -> tuple[tuple[int, ...], int, bool]:
         """The stored integers over their least common denominator: divided
         by their common factor with the denominator, once."""
@@ -396,8 +395,7 @@ def subset_sum_assembly(
     return kernels
 
 
-@dataclass(frozen=True)
-class SimplexPolynomial:
+class SimplexPolynomial(Record):
     """A polynomial in the masses (d_1..d_nvars), sparse exponent map."""
 
     nvars: int
@@ -414,7 +412,7 @@ class SimplexPolynomial:
                 cleaned[exps] = cleaned[exps] + coeff if exps in cleaned else coeff
         object.__setattr__(self, "terms", cleaned)
 
-    @cached_property
+    @cached_attribute
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -440,12 +438,12 @@ class SimplexPolynomial:
             total = total + term
         return total
 
-    @cached_property
+    @cached_attribute
     def _factors(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per term, its (j, e_j) with e_j > 0."""
         return tuple(tuple((j, e) for j, e in enumerate(exps) if e) for exps in self.terms)
 
-    @cached_property
+    @cached_attribute
     def scaled_terms(self) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int, bool]:
         """(pairs, L, rounded): the terms as (e, c_e) with the coefficients
         c_e / L as integer numerators over their common denominator
@@ -455,12 +453,12 @@ class SimplexPolynomial:
         coeffs, lead, rounded = exact_numerators(self.terms.values())
         return tuple(zip(self.terms, coeffs)), lead, rounded
 
-    @cached_property
+    @cached_attribute
     def float_coefficients(self) -> tuple[float, ...]:
         """Each coefficient rounded once to a float, in term order."""
         return tuple(float(c) for c in self.terms.values())
 
-    @cached_property
+    @cached_attribute
     def _integer_terms(self) -> tuple[list, int, int] | None:
         """(terms, L, degree), the coefficients as c_e / L over their common
         denominator and each term as (c_e, |e|, its (j, e_j) with e_j > 0);
@@ -574,8 +572,7 @@ class SimplexPolynomial:
         return cls(nvars, {(0,) * nvars: value})
 
 
-@dataclass(frozen=True)
-class PredictableComponent:
+class PredictableComponent(Record):
     """One term of the predictable (filtration) decomposition of a statistic.
 
     The order-n component g_n(x_1..x_n) is symmetric in its first n-1
@@ -590,28 +587,24 @@ class PredictableComponent:
     def value(self, history_counts: Sequence[int], last: int) -> Scalar:
         return self.table.get((tuple(history_counts), last), Fraction(0))
 
-    def symmetrised(self) -> SymmetricKernel:
-        """Average over orderings; integrals against product measures only
-        ever see this symmetrisation."""
+    def _summed(self) -> dict[tuple[int, ...], Scalar]:
+        """Per occupation vector of all n points, the values of the
+        histories and last atoms that reach it, each weighted by the
+        number of orderings of its history."""
         sums: dict[tuple[int, ...], Scalar] = {}
         for (hist, last), value in self.table.items():
             full = list(hist)
             full[last - 1] += 1
             key = tuple(full)
-            weight = Fraction(multiplicity(hist))
-            sums[key] = sums.get(key, Fraction(0)) + weight * value
-        out = {}
-        for counts, total in sums.items():
-            out[counts] = total / multiplicity(counts)
+            sums[key] = sums.get(key, Fraction(0)) + value * multiplicity(hist)
+        return sums
+
+    def symmetrised(self) -> SymmetricKernel:
+        """Average over orderings; integrals against product measures only
+        ever see this symmetrisation."""
+        out = {counts: total / multiplicity(counts) for counts, total in self._summed().items()}
         return SymmetricKernel(self.order, self.atoms, out)
 
     def to_polynomial(self) -> SimplexPolynomial:
         """Integral against the n-fold product measure, as a polynomial."""
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for (hist, last), value in self.table.items():
-            full = list(hist)
-            full[last - 1] += 1
-            key = tuple(full)
-            contribution = value * multiplicity(hist)
-            terms[key] = terms.get(key, Fraction(0)) + contribution
-        return SimplexPolynomial(self.atoms, terms)
+        return SimplexPolynomial(self.atoms, self._summed())

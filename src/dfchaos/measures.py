@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -41,6 +40,7 @@ from .numeric import (
     Record,
     Scalar,
     as_scalar,
+    cached_attribute,
     common_denominator,
     occupation_lattice,
     scalar_to_json,
@@ -57,12 +57,12 @@ class DiscreteBaseMeasure(Record):
 
     Immutable; equality, hashing and ``repr`` read the weights only."""
 
-    _fields = ("weights",)
+    weights: Sequence[Scalar]
 
-    def __init__(self, weights: Sequence[Scalar]):
-        if not weights:
+    def __post_init__(self) -> None:
+        if not self.weights:
             raise DomainError("a base measure needs at least one atom")
-        coerced = tuple(as_scalar(w) for w in weights)
+        coerced = tuple(as_scalar(w) for w in self.weights)
         for w in coerced:
             if not w > 0 or (isinstance(w, float) and w == math.inf):
                 raise DomainError(f"atom weights must be positive and finite, got {w}")
@@ -77,7 +77,7 @@ class DiscreteBaseMeasure(Record):
     def total_mass(self) -> Fraction:
         return self.moment_ladder.total_mass
 
-    @cached_property
+    @cached_attribute
     def moment_ladder(self) -> "MomentLadder":
         """The rising-factorial rows every moment of this measure reads.
 

@@ -13,9 +13,9 @@ Conventions used throughout the package:
   atom); symmetric objects are stored as tables keyed by these tuples;
 * ``falling_ratio(a, b) = a!/b!`` for integers ``a >= b >= 0``.
 
-``Record`` gives the value objects that a cold process builds (base
-measures, transition models and densities) the equality, hashing, ``repr``
-and immutability of a frozen dataclass.
+``Record`` is the one base of the package's value classes: it gives them
+the constructor, equality, hashing, ``repr`` and immutability of a frozen
+dataclass, and ``cached_attribute`` their values computed on first read.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -82,21 +82,49 @@ def scalar_from_json(value) -> Scalar:
 # ---------------------------------------------------------------------------
 # immutable value records
 
+_store = object.__setattr__
+
 
 class Record:
     """The value behaviour of a frozen dataclass, without importing
     ``dataclasses`` (which loads ``inspect`` and ``ast``, several ms of a
     cold process).
 
-    A subclass names its fields in ``_fields`` and its ``__init__`` stores
-    each with ``object.__setattr__``: writing through ``vars(self)``, as
-    ``functools.cached_property`` does, moves the attributes out of the
-    interpreter's fast per-instance layout.  ``==`` (between instances of
-    one class), ``hash`` and ``repr`` read the fields in that order, and
-    every later assignment or deletion raises ``AttributeError``.
+    The fields are the class annotations, after the base's; an annotation
+    with a value is a default.  A class that sets ``_fields`` keeps it and
+    writes its own ``__init__``.  The generic one takes the fields by
+    position or keyword, then calls the class's ``__post_init__``, if any.
+    ``==`` (within one class), ``hash`` and ``repr`` read the fields in
+    order; assigning or deleting one raises ``AttributeError``.  Fields and
+    ``cached_attribute`` values are stored with ``object.__setattr__``: a
+    write through ``vars(self)`` moves the attributes out of the
+    interpreter's fast per-instance layout and slows every later read.
     """
 
     _fields: tuple[str, ...] = ()
+    __post_init__ = None
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" not in cls.__dict__:
+            cls._fields += tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        for name, value in zip(names, args):
+            _store(self, name, value)
+        if kwargs or len(args) != len(names):
+            cls = type(self)
+            for name in names[len(args) :]:
+                try:
+                    value = kwargs.pop(name) if name in kwargs else getattr(cls, name)
+                except AttributeError:
+                    raise TypeError(f"{cls.__name__} needs a value for {name!r}") from None
+                _store(self, name, value)
+            if kwargs or len(args) > len(names):
+                raise TypeError(f"{cls.__name__} takes the fields {names}, got {args}, {kwargs}")
+        post_init = type(self).__post_init__
+        if post_init is not None:
+            post_init(self)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -118,6 +146,26 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class cached_attribute:
+    """A method read as an attribute, computed on the first read of each
+    instance and stored there, under the method's name, with
+    ``object.__setattr__`` (past a ``Record``'s guard, keeping the fast
+    layout).  With no ``__set__``, it is shadowed by the stored value from
+    then on; read on the class, it returns itself."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        _store(instance, self.name, value)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +328,11 @@ class OccupationLattice:
         self.vectors = tuple(_enumerate_vectors(order, atoms))
         self.rank = {v: i for i, v in enumerate(self.vectors)}
 
-    @cached_property
+    @cached_attribute
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(multiplicity(v) for v in self.vectors)
 
-    @cached_property
+    @cached_attribute
     def down(self) -> tuple[tuple[int, ...], ...]:
         if self.order == 0:
             return ((),)
@@ -294,7 +342,7 @@ class OccupationLattice:
             for v in self.vectors
         )
 
-    @cached_property
+    @cached_attribute
     def up(self) -> tuple[tuple[int, ...], ...]:
         above = occupation_lattice(self.order + 1, self.atoms).rank
         return tuple(

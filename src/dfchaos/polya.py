@@ -18,7 +18,6 @@ C(N + K, K) lattice vectors it holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -26,6 +25,7 @@ from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
 from .kernels import SymmetricKernel
 from .measures import DiscreteBaseMeasure, check_counts, dirichlet_moment, with_counts
 from .numeric import (
+    Record,
     Scalar,
     binom,
     exact_numerators,
@@ -39,17 +39,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class PolyaSample:
+class PolyaSample(Record):
     """A realised urn sequence together with the base measure that drove it."""
 
     alpha: DiscreteBaseMeasure
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        for a in self.labels:
-            if not 1 <= a <= self.alpha.atoms:
-                raise DomainError(f"label {a} outside 1..{self.alpha.atoms}")
+        tuple_counts(self.labels, self.alpha.atoms)  # refuses a label outside 1..K
 
     def counts(self) -> tuple[int, ...]:
         return tuple_counts(self.labels, self.alpha.atoms)

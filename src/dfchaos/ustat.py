@@ -29,7 +29,6 @@ recorded verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -48,6 +47,7 @@ from .hoeffding import HoeffdingDecomposition, _posterior_mean_split
 from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
 from .measures import MC_BLOCK, DiscreteBaseMeasure, _dirichlet_blocks
 from .numeric import (
+    Record,
     Scalar,
     binom,
     binom_star,
@@ -77,8 +77,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UStatistic:
+class UStatistic(Record):
     """A symmetric kernel averaged over all n-subsets of a window of N draws."""
 
     kernel: SymmetricKernel
@@ -326,8 +325,7 @@ def ustat_mse_curve(
     return [(w, total / reps) for w, total in zip(ws, sums)]
 
 
-@dataclass(frozen=True)
-class OracleApproximation:
+class OracleApproximation(Record):
     """The exact projection E[F | window] with its per-order split and loss."""
 
     decomposition: HoeffdingDecomposition
@@ -362,8 +360,7 @@ def best_symmetric_approx_oracle(
     return OracleApproximation(decomposition=decomposition, loss=var_f - var_t)
 
 
-@dataclass(frozen=True)
-class ScaledKernelCandidate:
+class ScaledKernelCandidate(Record):
     """Decomposition kernels of F scaled by 1/C(N, i), with closed-form errors.
 
     ``error_reduced`` uses the overlap constant whose product stops at
@@ -433,8 +430,7 @@ def scaled_kernel_candidate(
     )
 
 
-@dataclass(frozen=True)
-class ApproximationReport:
+class ApproximationReport(Record):
     """Side-by-side record of the projection oracle and the scaled candidate.
 
     Every loss figure is produced twice (exact enumeration + Monte Carlo);

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -88,6 +87,7 @@ from .jacobi import (
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, dirichlet_moment, measure
 from .numeric import (
+    Record,
     Scalar,
     _rref,
     binom,
@@ -216,8 +216,7 @@ def oracle_limit_row(total_mass: Scalar, n: int) -> tuple[Fraction, ...]:
 # limits by extrapolation of the exact finite tables, and the tabulated row
 
 
-@dataclass(frozen=True)
-class ThetaLimit:
+class ThetaLimit(Record):
     """A converged limit estimate with its convergence evidence."""
 
     k: int
@@ -344,8 +343,7 @@ def c_overlap_oracle(
 # coefficient erratum report
 
 
-@dataclass(frozen=True)
-class ThetaComparison:
+class ThetaComparison(Record):
     """One coefficient, three sources."""
 
     order: int
@@ -374,8 +372,7 @@ class ThetaComparison:
         }
 
 
-@dataclass(frozen=True)
-class ThetaErratumEntry:
+class ThetaErratumEntry(Record):
     """Full three-way comparison at one total mass, with the arbiter verdict.
 
     ``reconstruction_residual_oracle`` and ``_published`` measure how far a
@@ -400,8 +397,7 @@ class ThetaErratumEntry:
         }
 
 
-@dataclass(frozen=True)
-class ThetaErratumReport:
+class ThetaErratumReport(Record):
     entries: tuple[ThetaErratumEntry, ...]
 
     def to_json(self) -> dict:
@@ -502,8 +498,7 @@ def theta_erratum_report(
 # named verification suite
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str
@@ -512,8 +507,7 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(Record):
     checks: tuple[CheckResult, ...]
 
     @property

@@ -62,13 +62,22 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import add
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
 from .measures import DiscreteBaseMeasure
-from .numeric import Record, Scalar, as_scalar, binom, common_denominator, integer_ladder, is_exact
+from .numeric import (
+    Record,
+    Scalar,
+    as_scalar,
+    binom,
+    cached_attribute,
+    common_denominator,
+    integer_ladder,
+    is_exact,
+)
 
 if TYPE_CHECKING:  # kernels loads only on the float-point route and in the oracles
     from .kernels import SimplexPolynomial
@@ -128,17 +137,17 @@ def _validated_theta(theta: DiscreteBaseMeasure | Sequence[Scalar]) -> DiscreteB
 
 
 def _validated_point(gamma: Sequence[Scalar], dim: int) -> tuple[Scalar, ...]:
-    """The free coordinates as a tuple, refused unless strictly interior;
-    exact coordinates are checked on their integer numerators x_i / b."""
+    """The free coordinates as a tuple, refused unless strictly interior (a
+    NaN fails every test); exact ones are checked on their numerators x_i / b."""
     point = tuple(as_scalar(g) for g in gamma)
     if len(point) != dim:
         raise DomainError(f"expected {dim} free coordinates, got {len(point)}")
     if is_exact(point):
         x, b = common_denominator(point)
-        outside = any(c <= 0 for c in x) or sum(x) >= b
+        inside = all(c > 0 for c in x) and sum(x) < b
     else:
-        outside = any(g <= 0 for g in point) or sum(point) >= 1
-    if outside:
+        inside = all(g > 0 for g in point) and sum(point) < 1
+    if not inside:
         raise DomainError(f"point {point} is not strictly interior to the simplex")
     return point
 
@@ -275,8 +284,8 @@ def rho(n: int, t: Scalar, total: Scalar) -> float:
     if n < 1:
         raise DomainError(f"decay factor defined for n >= 1, got {n}")
     t_f = float(t)
-    if t_f < 0:
-        raise DomainError(f"time must be >= 0, got {t}")
+    if not 0 <= t_f < math.inf:
+        raise DomainError(f"time must be finite and >= 0, got {t}")
     return math.exp(-0.5 * n * (n - 1) * t_f - 0.5 * float(total) * n * t_f)
 
 
@@ -370,12 +379,8 @@ class TransitionModel(Record):
     diagonal tail kernels Q_{M+1}(x, x).
     """
 
-    _fields = ("theta", "M")
-
-    def __init__(self, theta: DiscreteBaseMeasure | Sequence[Scalar], M: int):
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "M", M)
-        self.__post_init__()
+    theta: DiscreteBaseMeasure | Sequence[Scalar]
+    M: int
 
     def __post_init__(self) -> None:
         measure = _validated_theta(self.theta)
@@ -401,14 +406,15 @@ class TransitionModel(Record):
         (the Gram-Schmidt oracle)."""
         if n < 0 or n > self.M + 1:
             raise DomainError(f"band {n} outside cached range 0..{self.M + 1}")
-        return list(self._oracle_bands[n])
+        return [(poly, norm_sq) for poly, norm_sq, _ in self._oracle_bands[n]]
 
-    @cached_property
-    def _oracle_bands(self) -> dict[int, list[tuple[SimplexPolynomial, Scalar]]]:
+    @cached_attribute
+    def _oracle_bands(self) -> dict[int, list[tuple[SimplexPolynomial, Scalar, float]]]:
+        """Per degree, each (polynomial, squared norm, that norm as a float)."""
         indices, basis, norms = _orthogonal_basis(self.theta.weights, self.M + 1)
-        by_degree: dict[int, list[tuple[SimplexPolynomial, Scalar]]] = {}
+        by_degree: dict[int, list[tuple[SimplexPolynomial, Scalar, float]]] = {}
         for index, poly, norm_sq in zip(indices, basis, norms):
-            by_degree.setdefault(sum(index), []).append((poly, norm_sq))
+            by_degree.setdefault(sum(index), []).append((poly, norm_sq, float(norm_sq)))
         return by_degree
 
     def _closed_form(self, *points: tuple[Scalar, ...]) -> bool:
@@ -446,19 +452,11 @@ class TransitionModel(Record):
         what dividing a float by the Fraction computes, so the sum is bit
         for bit the same."""
         total: Scalar = 0
-        for poly, norm_sq, norm_f in self._float_bands[n]:
+        for poly, norm_sq, norm_f in self._oracle_bands[n]:
             left = poly.evaluate(g)
             term = left * (left if gp is g else poly.evaluate(gp))
             total = total + term / (norm_f if type(term) is float else norm_sq)
         return total
-
-    @cached_property
-    def _float_bands(self) -> dict[int, list[tuple[SimplexPolynomial, Scalar, float]]]:
-        """Per band, each (polynomial, squared norm, the norm as a float)."""
-        return {
-            n: [(poly, norm_sq, float(norm_sq)) for poly, norm_sq in band]
-            for n, band in self._oracle_bands.items()
-        }
 
     def _tail_diagonal(self, g: tuple[Scalar, ...]) -> Scalar:
         """Q_{M+1}(g, g), memoized per exact point."""
@@ -476,7 +474,7 @@ class TransitionModel(Record):
         dim = self.dim
         if not self._closed_form(g):
             out = SimplexPolynomial.constant(dim, 0)
-            for poly, norm_sq in self._oracle_bands[n]:
+            for poly, norm_sq, _ in self._oracle_bands[n]:
                 out = out.add(poly.scale(poly.evaluate(g) / norm_sq))
             return out
         # Q_n(g, y) = sum over |l| <= n of c[n][|l|] prod_i a_i[l_i] (g_i y_i)^l_i,
@@ -545,21 +543,11 @@ class TransitionDensity(Record):
     nonnegative, truncated series need not be — values are reported as-is).
     """
 
-    _fields = ("value", "stationary", "contributions", "tail_bound", "negative")
-
-    def __init__(
-        self,
-        value: float,
-        stationary: float,
-        contributions: tuple[tuple[int, float, float, float], ...],
-        tail_bound: float,
-        negative: bool,
-    ):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "stationary", stationary)
-        object.__setattr__(self, "contributions", contributions)
-        object.__setattr__(self, "tail_bound", tail_bound)
-        object.__setattr__(self, "negative", negative)
+    value: float
+    stationary: float
+    contributions: tuple[tuple[int, float, float, float], ...]
+    tail_bound: float
+    negative: bool
 
 
 def transition_density(
@@ -583,8 +571,8 @@ def transition_density(
     theta = (1, 1/2) at M = 20.  Pass ``Fraction(x)`` for an exact result.
     """
     t_f = float(t)
-    if t_f <= 0:
-        raise DomainError(f"time must be > 0, got {t}")
+    if not 0 < t_f < math.inf:
+        raise DomainError(f"time must be finite and > 0, got {t}")
     g = _validated_point(gamma, model.dim)
     gp = _validated_point(gamma_prime, model.dim)
     stationary = dirichlet_density(model.theta, g)
@@ -606,13 +594,7 @@ def transition_density(
     diag = float(model._tail_diagonal(g)) * float(model._tail_diagonal(gp))
     tail = stationary * decay_next * math.sqrt(max(diag, 0.0))
 
-    return TransitionDensity(
-        value=value,
-        stationary=stationary,
-        contributions=tuple(contributions),
-        tail_bound=tail,
-        negative=value < 0.0,
-    )
+    return TransitionDensity(value, stationary, tuple(contributions), tail, value < 0.0)
 
 
 def q_via_multiple_integrals(

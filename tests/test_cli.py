@@ -191,6 +191,19 @@ def test_wf_rejects_nonpositive_time(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_wf_rejects_a_non_finite_time_with_a_json_error(capsys, t):
+    code, out, err = run_cli(
+        capsys, "wf", "--theta", "1,1/2", "--t", t, "--gamma", "1/3",
+        "--gamma-prime", "1/2", "--truncation", "4",
+    )
+    assert code == 1
+    assert json.loads(err) == {
+        "error": "DomainError", "message": f"time must be finite and > 0, got {t}"
+    }
+    assert out == ""
+
+
 def test_wf_table_grid(capsys):
     code, out, _ = run_cli(
         capsys, "wf", "--theta", "2,1", "--t", "0.5", "--table", "--grid", "2",

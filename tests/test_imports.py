@@ -90,6 +90,30 @@ def test_wf_process_loads_only_what_it_runs(argv):
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--alpha", "1/3,4/3", "--F", "{F}"],
+        ["decompose", "--alpha", "1/3,4/3", "--F", "{F}", "--finite", "5"],
+        ["bayes", "exp", "--alpha", "1/2,1,1/2", "--set", "1", "--lambda", "3/2", "--order", "8"],
+        ["bayes", "var", "--alpha", "1/2,1,1/2", "--obs", "1,3", "--h", "{h}"],
+        ["jacobi", "--n", "8", "--a1", "1/3", "--a0", "5/2"],
+    ],
+)
+def test_value_class_subcommands_load_neither_dataclasses_nor_inspect(argv, tmp_path):
+    # their value classes are ``numeric.Record`` subclasses; approx and
+    # verify are left out because numpy itself imports ``inspect``
+    files = {
+        "{F}": {"nvars": 2, "terms": [{"exponents": [2, 1], "coeff": "-1"},
+                                      {"exponents": [1, 0], "coeff": "1/2"}]},
+        "{h}": {"entries": [{"labels": [1, 2], "value": "1/2"}, {"labels": [3, 3], "value": -1}]},
+    }
+    for placeholder, payload in files.items():
+        (tmp_path / placeholder.strip("{}")).write_text(json.dumps(payload))
+    argv = [str(tmp_path / a.strip("{}")) if a in files else a for a in argv]
+    assert "dfchaos.cli" in _package_modules_of_cli_run(argv)
+
+
 def test_cli_import_loads_no_heavy_module():
     assert _loaded_after("import dfchaos.cli") == set()
 

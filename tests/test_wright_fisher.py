@@ -155,6 +155,26 @@ def test_transition_density_domain_checks():
         kernel_Q(model, 9, (Fraction(1, 2),), (Fraction(1, 2),))
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_transition_density_refuses_a_non_finite_time(t):
+    model = TransitionModel(measure(1, Fraction(1, 2)), 4)
+    with pytest.raises(DomainError, match="finite"):
+        transition_density(model, t, (Fraction(1, 3),), (Fraction(1, 2),))
+    with pytest.raises(DomainError, match="finite"):
+        rho(1, t, 1)
+
+
+@pytest.mark.parametrize(
+    "point", [(math.nan, 0.25), (0.25, math.nan), (math.inf, 0.25), (-math.inf, 0.25)]
+)
+def test_transition_density_refuses_a_non_finite_coordinate(point):
+    model = TransitionModel(measure(1, Fraction(1, 2), 2), 3)
+    with pytest.raises(DomainError, match="interior"):
+        transition_density(model, 0.5, point, (0.25, 0.25))
+    with pytest.raises(DomainError, match="interior"):
+        transition_density(model, 0.5, (0.25, 0.25), point)
+
+
 @pytest.mark.parametrize(
     "mass",
     [Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(4, 3), Fraction(2),
