@@ -27,7 +27,7 @@ from itertools import islice
 from operator import add
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .coeffs import _limit_weights, c_iso, validate_limit_values
+from .coeffs import _limit_row, c_iso, validate_limit_values
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError
 from .hoeffding import _conditional_layers, degenerate_check, hoeffding_decompose
 from .kernels import (
@@ -300,7 +300,7 @@ def chaos_kernels(
     centred numerators N(mu) - N(0) feed the integer assembly
     ``subset_sum_assembly``, whose kernels keep their numerators: no
     Fraction is formed until a value is read.  The limit rows are read as
-    cached integer rows (``coeffs._limit_weights``).  A float coefficient
+    cached integer rows (``coeffs._limit_row``).  A float coefficient
     is read as its exact image, and the mean and every kernel entry are
     rounded once, to floats.  A black box takes one conditional mean per
     vector, by size (the order in which it draws from ``rng``), and the
@@ -314,7 +314,8 @@ def chaos_kernels(
     mass = alpha.total_mass
     orders = range(1, max_order + 1)
     if theta is None:
-        rows, rows_rounded = _limit_weights(mass.numerator, mass.denominator, max_order), False
+        rows = {n: _limit_row(mass.numerator, mass.denominator, n) for n in orders}
+        rows_rounded = False
     else:
         if validate:
             validate_limit_values(theta, mass, max_order)

@@ -301,6 +301,8 @@ def _cmd_wf(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.table:
         if theta.atoms != 2:
             parser.error("--table draws a 2D grid and needs a two-atom --theta")
+        if args.grid < 1:
+            parser.error(f"--grid must be >= 1, got {args.grid}")
         G = args.grid
         rows = []
         for i in range(1, G + 1):

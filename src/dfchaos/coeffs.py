@@ -19,16 +19,21 @@ Three layers live here:
 
   whose products C(n,k)·theta(n,k), k = 0 included, are the coefficients
   of Griffiths' kernel polynomials (``wright_fisher`` builds those on
-  integer ladders of its own, and the tests check them against these rows);
+  integer ladders of its own, and the tests check them against this form);
 * the isometry constants c(n, |alpha|) and the overlapping-window covariance
   factors c(r, n, |alpha|), the latter in both circulating closed-form
   readings.
 
-The independent routes that only check these forms (the extrapolation of
-the finite tables, the tabulated alternative row, the two-point projection
+With m = p/q, every product above is a quotient of integers on one ladder
+L[x] = prod_{i<x} (p+iq), over a power of q (and n! for a limit row): the
+theta* rows and the limit rows are cached as integer numerators over one
+denominator per row, and c(n), c(r, n) are each one such quotient.  The
+independent routes that only check these forms (the extrapolation of the
+finite tables, the tabulated alternative row, the two-point projection
 oracle and the overlap enumeration) live in ``validation``.  All of it is
-exact over ``fractions.Fraction`` for rational total mass; the tables and
-the limits read a float mass as its exact image ``Fraction(x)``.
+exact over ``fractions.Fraction`` for rational total mass; a float mass is
+read as its exact image ``Fraction(x)``, and the isometry and overlap
+factors of a float mass are rounded once, to floats.
 """
 
 from __future__ import annotations
@@ -39,16 +44,7 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 from .errors import CoefficientValidationError, DomainError
-from .numeric import (
-    Scalar,
-    binom,
-    binom_star,
-    common_denominator,
-    falling_ratio,
-    integer_ladder,
-    ratio,
-    rising_factorial,
-)
+from .numeric import Scalar, binom, integer_ladder, ratio
 
 # ---------------------------------------------------------------------------
 # the rational building blocks
@@ -78,7 +74,7 @@ def phi(n: int, m: int, r: int, p: int, total_mass: Scalar) -> Scalar:
     if not (0 <= p <= m - r):
         raise DomainError(f"phi requires 0 <= p <= m-r, got p={p}, m-r={m - r}")
     _check_mass(total_mass)
-    value: Scalar = Fraction(falling_ratio(m - r, m - r - p))
+    value: Scalar = Fraction(math.perm(m - r, p))
     for s in range(1, m - r - p + 1):
         value = value * (total_mass + r + p + s - 1)
     for s in range(1, m - r + 1):
@@ -96,7 +92,7 @@ def psi(N: int, q: int, n: int, m: int, total_mass: Scalar) -> Scalar:
     _check_mass(total_mass)
     total: Scalar = Fraction(0)
     for r in range(q + 1):
-        weight = binom(q, r) * binom_star(N - n, m - r)
+        weight = binom(q, r) * binom(N - n, m - r)
         if weight:
             total = total + weight * phi(n, m, r, q - r, total_mass)
     return total
@@ -231,29 +227,19 @@ def system_residuals(table: CoefficientTable) -> dict[tuple[int, int], Scalar]:
 # limits in closed form
 
 
-@lru_cache(maxsize=None)
-def _limit_row(total_mass: Fraction, n: int) -> tuple[Fraction, ...]:
-    """(theta^(n,0), ..., theta^(n,n)) from the closed form, for n >= 1."""
-    lead = (total_mass + 2 * n - 1) / math.factorial(n)
-    return tuple(
-        (-1) ** (n - k) * lead * rising_factorial(total_mass + k, n - 1) for k in range(n + 1)
-    )
-
-
-@lru_cache(maxsize=None)
-def _limit_weights(p: int, q: int, top: int) -> dict[int, tuple[dict[int, int], int]]:
-    """The rows theta^(n,1..n), n = 1..top, of the mass p/q (``_limit_row``)
-    as integer numerators over each row's least common denominator,
-    {n: ({k: numerator}, d)}: the weight rows that
-    ``kernels.subset_sum_assembly`` reads.  Cached beside the rows and keyed
-    by ints, so a lookup hashes no Fraction; the maps are shared and must
-    not be changed."""
-    mass = Fraction(p, q)
-    rows = {}
-    for n in range(1, top + 1):
-        nums, den = common_denominator(_limit_row(mass, n)[1:])
-        rows[n] = dict(enumerate(nums, start=1)), den
-    return rows
+@lru_cache(maxsize=1 << 10)
+def _limit_row(p: int, q: int, n: int) -> tuple[dict[int, int], int]:
+    """The row theta^(n, 1..n) of the mass p/q as ({k: numerator}, d): the
+    integers ±(p+(2n-1)q)·L[k+n-1]/L[k] of ``limit_coefficient`` over
+    q^n·n!, less the row's common factor, so d is the row's least common
+    denominator.  ``chaos_kernels`` hands these rows to
+    ``kernels.subset_sum_assembly``.  Shared; the maps must not be changed."""
+    ladder = integer_ladder(p, q, 2 * n - 1)
+    lead = p + (2 * n - 1) * q
+    nums = [(-1) ** (n - k) * lead * (ladder[k + n - 1] // ladder[k]) for k in range(1, n + 1)]
+    den = q**n * math.factorial(n)
+    common = math.gcd(den, *nums)
+    return {k: x // common for k, x in enumerate(nums, start=1)}, den // common
 
 
 def limit_coefficient(n: int, k: int, total_mass: Scalar) -> Fraction:
@@ -278,10 +264,17 @@ def limit_coefficient(n: int, k: int, total_mass: Scalar) -> Fraction:
     exactly for n <= 20 on seven masses).  The closed form also equals the
     two-point projection oracle (``validation.oracle_limit_row``) exactly
     for n <= 10 on eight masses from 1/10 to 7.
+
+    With m = p/q, m+2n-1 = (p+(2n-1)q)/q and rising(m+k, n-1) =
+    L[k+n-1]/L[k] / q^(n-1) on the ladder L[x] = prod_{i<x} (p+iq) of
+    ``theta_table``, so a row is integers over q^n·n! (``_limit_row``,
+    cached).  A float mass is read as its exact image.
     """
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got (n={n}, k={k})")
-    return _limit_row(_exact_mass(total_mass), n)[k]
+    mass = _exact_mass(total_mass)
+    row, den = _limit_row(mass.numerator, mass.denominator, n)
+    return Fraction(row[k], den)
 
 
 def limit_coefficients(total_mass: Scalar, max_order: int) -> dict[tuple[int, int], Fraction]:
@@ -319,7 +312,8 @@ def validate_limit_values(
                     f"missing limit coefficient ({n},{k}) in supplied set"
                 )
             row_values.append(values[(n, k)])
-        exact = _limit_row(mass, n)[1:]
+        row, den = _limit_row(mass.numerator, mass.denominator, n)
+        exact = [Fraction(x, den) for x in row.values()]
         scale = max(abs(float(t)) for t in exact)
         worst = max(abs(float(v - t)) for v, t in zip(row_values, exact)) / scale
         if worst > tol:
@@ -340,26 +334,22 @@ def c_iso(n: int, total_mass: Scalar) -> Scalar:
 
     This is the variance scale of an order-n integral: the covariance of two
     same-order integrals of degenerate kernels h, f equals
-    c_iso(n)·E[h(X_1..X_n)·f(X_1..X_n)].  A mass a/b gives the one
-    Fraction n! b^n / prod_l (a + (n+l-1) b); a float mass is read as its
-    exact image and the constant rounded once, to a float.  Cached: every
-    variance and covariance of one measure reads the same few constants.
+    c_iso(n)·E[h(X_1..X_n)·f(X_1..X_n)].  It is the zero-overlap factor
+    ``c_overlap(n, 0)``, so a mass a/b gives the one Fraction
+    n! b^n / prod_l (a + (n+l-1) b) and a float mass the float it rounds
+    to.  Cached: every variance and covariance of one measure reads the
+    same few constants.
     """
     if n < 0:
         raise DomainError(f"order must be >= 0, got {n}")
-    mass = _exact_mass(total_mass)
-    a, b = mass.numerator, mass.denominator
-    den = 1
-    for l in range(1, n + 1):
-        den *= a + (n + l - 1) * b
-    return ratio(math.factorial(n) * b**n, den, isinstance(total_mass, float))
+    return c_overlap(n, 0, total_mass)
 
 
 def c_overlap(n: int, r: int, total_mass: Scalar, bound: str = "reduced") -> Scalar:
     """Covariance factor for two order-n windows sharing r coordinates.
 
     Two closed-form readings circulate, differing in the product's upper
-    bound:
+    bound u:
 
     * ``reduced``: prod_{l=1..n-r} (n-r-l+1)/(|alpha|+n+l-1) — matches the
       exact enumeration oracle (``validation.c_overlap_oracle``); gives 1
@@ -368,15 +358,18 @@ def c_overlap(n: int, r: int, total_mass: Scalar, bound: str = "reduced") -> Sca
       zero as soon as r >= 1, so every partial overlap is assigned zero
       covariance, contradicting the oracle already at r = n.
 
-    Both are kept so reports can show them side by side.
+    Both are kept so reports can show them side by side.  With |alpha| =
+    a/b either reading is one quotient on the integer ladder
+    L[x] = prod_{i<x} (a+ib): (n-r)!/(n-r-u)! · b^u / (L[n+u]/L[n]), the
+    falling product being zero for u > n-r.  A float mass is read as its
+    exact image and the factor rounded once, to a float (``ratio``).
     """
     if not 0 <= r <= n:
         raise DomainError(f"need 0 <= r <= n, got (r={r}, n={n})")
     if bound not in ("reduced", "full"):
         raise DomainError(f"bound must be 'reduced' or 'full', got {bound!r}")
-    _check_mass(total_mass)
+    mass = _exact_mass(total_mass)
+    a, b = mass.numerator, mass.denominator
     upper = (n - r) if bound == "reduced" else n
-    value: Scalar = Fraction(1)
-    for l in range(1, upper + 1):
-        value = value * (n - r - l + 1) / (total_mass + n + l - 1)
-    return value
+    den = math.prod(range(a + n * b, a + (n + upper) * b, b))
+    return ratio(math.perm(n - r, upper) * b**upper, den, isinstance(total_mass, float))

@@ -43,9 +43,7 @@ from .numeric import (
     Scalar,
     binom,
     common_denominator,
-    nullspace,
     occupation_lattice,
-    occupation_vectors,
     ratio,
 )
 
@@ -89,24 +87,41 @@ def degenerate_check(h: SymmetricKernel, alpha: DiscreteBaseMeasure) -> Scalar:
 def degenerate_basis(alpha: DiscreteBaseMeasure, order: int) -> list[SymmetricKernel]:
     """Exact rational basis of the order-n degenerate kernels for alpha.
 
-    Solves the predictive-average conditions (each row times the common
-    denominator d, which leaves the basis unchanged) as a homogeneous
-    linear system over the rationals; the dimension equals the number of
-    occupation vectors of size n minus the number of size n-1.
+    The conditions are one equation per history x of size n-1:
+    sum_a w_a h(x + e_a) = 0, w_a = p_a + x_a q (``_predictive_rows``).
+    Each solves for its pivot x + e_1, whose first count is one above that
+    of every other term:
+
+        h(x + e_1) = -sum_{a >= 2} w_a h(x + e_a) / (p_1 + x_1 q).
+
+    The vectors with a_1 = 0 are free, one basis kernel each (1 there, 0 at
+    the other free vectors), and level j = a_1 follows from level j-1 as
+    integers N(x + e_1) = -sum_{a >= 2} w_a N(x + e_a) over the ladder
+    denominator prod_{i<j} (p_1 + i q) (``moment_ladder.row(0, 0, n)``).
+    So the dimension is C(n+K-2, K-2).  Row reduction of the same system,
+    columns in lattice order (a_1 descending), pivots on exactly these
+    vectors, as they come first and are independent: its null-space basis
+    has the same free vectors in the same order and the same unique pivot
+    values, so the two bases are equal (the tests keep that oracle).
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    domain = occupation_vectors(order, alpha.atoms)
-    matrix = []
-    for row in _predictive_rows(alpha.weights, order)[0]:
-        dense = [0] * len(domain)
-        for rank, w in row:
-            dense[rank] = w
-        matrix.append(dense)
-    basis = nullspace(matrix)
-    return [
-        SymmetricKernel(order, alpha.atoms, dict(zip(domain, vec))) for vec in basis
-    ]
+    lattice = occupation_lattice(order, alpha.atoms)
+    # histories by ascending x_1: each row's pivot reads only lower levels
+    rows = [list(row) for row in _predictive_rows(alpha.weights, order)[0]][::-1]
+    dens = alpha.moment_ladder.row(0, 0, order)
+    top = dens[order]
+    basis = []
+    for free, vector in enumerate(lattice.vectors):
+        if vector[0]:
+            continue
+        nums = [0] * len(lattice.vectors)
+        nums[free] = 1
+        for (pivot, _), *rest in rows:
+            nums[pivot] = -sum(w * nums[rank] for rank, w in rest)
+        lifted = [x * (top // dens[a[0]]) for x, a in zip(nums, lattice.vectors)]
+        basis.append(SymmetricKernel._from_numerators(order, alpha.atoms, lifted, top))
+    return basis
 
 
 class HoeffdingDecomposition(Record):

@@ -1,4 +1,4 @@
-"""Exact combinatorics, special functions and small exact linear algebra.
+"""Exact combinatorics, scalar parsing, value records and special functions.
 
 Everything here is deliberately boring: rational quantities are computed with
 ``fractions.Fraction`` (so the rest of the package can promise bit-exact
@@ -11,7 +11,10 @@ Conventions used throughout the package:
 * an *occupation vector* for ``n`` points on ``K`` atoms is a length-``K``
   tuple of non-negative ints summing to ``n`` (how many points sit on each
   atom); symmetric objects are stored as tables keyed by these tuples;
-* ``falling_ratio(a, b) = a!/b!`` for integers ``a >= b >= 0``.
+* a production path takes a rising product x(x+1)...(x+k-1) of a rational
+  x = p/q as a quotient of partial products of the integer ladder p + i q
+  (``integer_ladder``, or a ``measures.MomentLadder`` row) over q^k; only
+  the oracles multiply Fractions.
 
 ``Record`` is the one base of the package's value classes: it gives them
 the constructor, equality, hashing, ``repr`` and immutability of a frozen
@@ -181,50 +184,10 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def binom_star(a: int, b: int) -> int:
-    """C(a, b)·1_{a >= b}: the guarded binomial used by the Psi sums."""
-    if a < 0 or b < 0:
-        raise DomainError(f"binom_star requires non-negative args, got ({a}, {b})")
-    if a < b:
-        return 0
-    return math.comb(a, b)
-
-
-def falling_ratio(a: int, b: int) -> int:
-    """a!/b! for integers a >= b >= 0 (a falling product of a-b terms)."""
-    if b < 0 or a < b:
-        raise DomainError(f"falling_ratio requires a >= b >= 0, got ({a}, {b})")
-    return math.perm(a, a - b)
-
-
 def integer_ladder(first: int, step: int, count: int) -> list[int]:
     """The count + 1 partial products [1, f_0, f_0 f_1, ...] of the integer
     ladder f_i = first + i step."""
     return list(accumulate(range(first, first + count * step, step), mul, initial=1))
-
-
-def rising_factorial(x: Scalar, k: int) -> Scalar:
-    """x(x+1)...(x+k-1); exact when x is a Fraction, 1 when k = 0."""
-    if k < 0:
-        raise DomainError(f"rising_factorial requires k >= 0, got {k}")
-    return _rising_cached(x, k)
-
-
-# typed: 1.25, Fraction(5, 4) and 5/4-valued ints hash alike, and an untyped
-# cache would hand a float (or int) back to an exact caller
-@lru_cache(maxsize=1 << 16, typed=True)
-def _rising_cached(x: Scalar, k: int) -> Scalar:
-    # halving the range keeps cached sub-products shared between calls with
-    # nearby arguments (x, k) and (x, k') instead of redoing long chains
-    if k == 0:
-        return x - x + 1 if isinstance(x, Fraction) else 1
-    if k <= 8:
-        out = x - x + 1 if isinstance(x, Fraction) else 1
-        for i in range(k):
-            out = out * (x + i)
-        return out
-    half = k // 2
-    return _rising_cached(x, half) * _rising_cached(x + half, k - half)
 
 
 def is_exact(values) -> bool:
@@ -467,50 +430,3 @@ def hyp1f1(a: float, b: float, z: float) -> float:
             partial=scale * total,
         )
     return scale * total
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra (tiny systems over Fraction)
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (matrix, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def nullspace(matrix: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    """Basis of the exact null space of a matrix over the rationals."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = _rref(rows)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[free]
-        basis.append(vec)
-    return basis

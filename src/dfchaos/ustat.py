@@ -50,7 +50,6 @@ from .numeric import (
     Record,
     Scalar,
     binom,
-    binom_star,
     is_exact,
     ratio,
     scalar_to_json,
@@ -385,10 +384,9 @@ def candidate_error_formula(
 
         sum_{n > N} c(n) E[h_n^2]
         + sum_{n <= N} E[h_n^2] [ c(n) - C(N,n)^{-1} sum_r C(n,r)
-                                   C*(N-n, n-r) c_overlap(n, r) ]
+                                   C(N-n, n-r) c_overlap(n, r) ]
 
-    with C* the guarded binomial and ``bound`` selecting the overlap
-    reading ("reduced" or "full").
+    with ``bound`` selecting the overlap reading ("reduced" or "full").
     """
     total: Scalar = 0
     for n, moment in second_moments.items():
@@ -399,7 +397,7 @@ def candidate_error_formula(
             continue
         inner: Scalar = 0
         for r in range(0, n + 1):
-            star = binom_star(window - n, n - r)
+            star = binom(window - n, n - r)
             if star == 0:
                 continue
             inner = inner + binom(n, r) * star * c_overlap(n, r, total_mass, bound=bound)

@@ -89,7 +89,6 @@ from .measures import DiscreteBaseMeasure, dirichlet_moment, measure
 from .numeric import (
     Record,
     Scalar,
-    _rref,
     binom,
     occupation_vectors,
     scalar_to_json,
@@ -152,6 +151,30 @@ def degenerate_chain_kernel(total_mass: Scalar, n: int) -> SymmetricKernel:
     for j in range(n):
         v.append(-v[-1] * (theta2 + n - 1 - j) / (theta1 + j))
     return SymmetricKernel(n, 2, {(i, n - i): v[i] for i in range(n + 1)})
+
+
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a non-empty matrix, in place; returns
+    (matrix, pivot columns).  ``solve_exact`` is its one caller."""
+    ncols = len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        rows[r] = [v / inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
 
 
 def solve_exact(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> list[Fraction]:

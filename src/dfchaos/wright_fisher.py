@@ -77,6 +77,7 @@ from .numeric import (
     common_denominator,
     integer_ladder,
     is_exact,
+    occupation_lattice,
 )
 
 if TYPE_CHECKING:  # kernels loads only on the float-point route and in the oracles
@@ -104,25 +105,16 @@ def multi_indices(dim: int, max_degree: int) -> list[tuple[int, ...]]:
     Ordered graded-lexicographically: primarily by total degree, ties broken
     by the tuple itself.  Grading is what makes the Gram-Schmidt output have
     degree(P_n) = |n|; the lexicographic tie-break is just a deterministic
-    choice.
+    choice.  Each degree's vectors are the cached occupation-lattice layer
+    of that many points on ``dim`` atoms, sorted.
     """
     if dim < 1:
         raise DomainError(f"need at least one free coordinate, got {dim}")
     if max_degree < 0:
         raise DomainError(f"max_degree must be >= 0, got {max_degree}")
-
-    def bounded(remaining_dim: int, total: int) -> list[tuple[int, ...]]:
-        if remaining_dim == 0:
-            return [()] if total == 0 else []
-        out = []
-        for first in range(total + 1):
-            for rest in bounded(remaining_dim - 1, total - first):
-                out.append((first,) + rest)
-        return out
-
     indices: list[tuple[int, ...]] = []
     for degree in range(max_degree + 1):
-        indices.extend(sorted(bounded(dim, degree)))
+        indices.extend(sorted(occupation_lattice(degree, dim).vectors))
     return indices
 
 

@@ -215,6 +215,16 @@ def test_wf_table_grid(capsys):
     assert len(lines) == 1 + 4
 
 
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_wf_table_refuses_a_non_positive_grid(capsys, grid):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["wf", "--theta", "1,1/2", "--t", "0.5", "--table", "--grid", grid])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"--grid must be >= 1, got {grid}" in err
+
+
 def test_wf_four_atoms_high_truncation(capsys):
     # K = 4, M = 8: the closed-form kernels make this a sub-second job
     argv = ("wf", "--theta", "1/2,3/4,1,2", "--truncation", "8",

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dfchaos.coeffs import (
     c_iso,
@@ -149,6 +152,43 @@ def test_c_overlap_readings_and_oracle():
     assert c_overlap(2, 0, 2, bound="full") == c_iso(2, 2)
     assert c_overlap(2, 1, 2, bound="full") == 0
     assert c_overlap(2, 2, 2, bound="full") == 0
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    mass=st.floats(min_value=0.01, max_value=50),
+    n=st.integers(0, 8),
+    overlap=st.integers(0, 8),
+)
+@example(mass=0.1, n=3, overlap=0)
+@example(mass=13.049279805819122, n=4, overlap=0)
+def test_float_mass_factors_round_their_exact_image_once(mass, n, overlap):
+    # a stepwise float product missed this value in about half of all calls
+    r = overlap % (n + 1)
+    for bound in ("reduced", "full"):
+        got = c_overlap(n, r, mass, bound=bound)
+        assert type(got) is float
+        assert got == float(c_overlap(n, r, Fraction(mass), bound=bound))
+    assert c_iso(n, mass) == float(c_iso(n, Fraction(mass)))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    mass=st.builds(Fraction, st.integers(1, 40), st.integers(1, 15)),
+    n=st.integers(1, 20),
+)
+@example(mass=Fraction(7, 3), n=20)
+@example(mass=Fraction(1, 10), n=20)
+def test_limit_coefficient_equals_the_literal_closed_form(mass, n):
+    # theta(n,k) = (m+2n-1) (-1)^(n-k) rising(m+k, n-1) / n!, in Fractions
+    def rising(x, k):
+        return math.prod((x + i for i in range(k)), start=Fraction(1))
+
+    lead = (mass + 2 * n - 1) / math.factorial(n)
+    table = limit_coefficients(mass, n)
+    for k in range(1, n + 1):
+        expected = (-1) ** (n - k) * lead * rising(mass + k, n - 1)
+        assert limit_coefficient(n, k, mass) == expected == table[(n, k)]
 
 
 def test_c_overlap_rejects_bad_reading():

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfchaos import hoeffding
 from dfchaos.chaos import martingale_decomposition
@@ -20,6 +23,7 @@ from dfchaos.measures import MomentLadder, measure
 from dfchaos.numeric import occupation_vectors
 from dfchaos.polya import polya_joint_prob
 from dfchaos.ustat import best_symmetric_approx_oracle
+from dfchaos.validation import _rref
 
 
 def _posterior_mean_eta_sq(counts):
@@ -43,6 +47,52 @@ def test_degenerate_basis_dimensions():
     assert len(degenerate_basis(measure(1, 1, 1), 2)) == 6 - 3
     for h in degenerate_basis(measure(2, "1/2"), 3):
         assert degenerate_check(h, measure(2, "1/2")) == 0
+
+
+def nullspace(matrix):
+    """Row-reduction basis of the exact null space: one vector per free
+    column of the reduced form, 1 there and 0 at the other free columns."""
+    reduced, pivots = _rref([[Fraction(v) for v in row] for row in matrix])
+    ncols = len(matrix[0])
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def test_nullspace_oracle_rank_one():
+    basis = nullspace([[Fraction(1), Fraction(1)]])
+    assert len(basis) == 1
+    x, y = basis[0]
+    assert x + y == 0 and (x, y) != (0, 0)
+
+
+WEIGHTS = st.builds(Fraction, st.integers(1, 20), st.integers(1, 9))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(weights=st.lists(WEIGHTS, min_size=2, max_size=5), order=st.integers(1, 4))
+def test_degenerate_basis_equals_the_row_reduction_basis(weights, order):
+    # the predictive-average conditions from their definition: for every
+    # history x of size n-1, sum_a h(x + e_a) (alpha_a + x_a) / (|alpha| + n-1)
+    atoms = len(weights)
+    alpha = measure(*weights)
+    domain = occupation_vectors(order, atoms)
+    matrix = []
+    for history in occupation_vectors(order - 1, atoms):
+        row = dict.fromkeys(domain, Fraction(0))
+        for a in range(atoms):
+            successor = history[:a] + (history[a] + 1,) + history[a + 1 :]
+            row[successor] = (weights[a] + history[a]) / (sum(weights) + order - 1)
+        matrix.append([row[v] for v in domain])
+    basis = degenerate_basis(alpha, order)
+    assert [[h.value(v) for v in domain] for h in basis] == nullspace(matrix)
+    assert len(basis) == math.comb(order + atoms - 2, atoms - 2)
+    assert all(degenerate_check(h, alpha) == 0 for h in basis)
 
 
 def test_split_of_two_draw_posterior_mean():

@@ -55,7 +55,6 @@ from dfchaos.numeric import (
     exact_numerators,
     multiplicity,
     occupation_vectors,
-    rising_factorial,
     tuple_counts,
 )
 from dfchaos.polya import cond_exp_statistic, cond_exp_statistic_counts
@@ -487,6 +486,11 @@ def test_a_float_result_beyond_the_float_range_raises_numeric_error():
 # the Jacobi inner product
 
 
+def rising(x, k):
+    """x(x+1)...(x+k-1) in Fractions, term by term."""
+    return math.prod((x + i for i in range(k)), start=Fraction(1))
+
+
 def reference_inner(n, m, params):
     """<J_n, J_m> with the bilinear sum in Fractions, term by term."""
     kn, gn = exact_parts(n, params)
@@ -494,7 +498,7 @@ def reference_inner(n, m, params):
     bilinear = Fraction(0)
     for a, ga in enumerate(gn):
         for b, gb in enumerate(gm):
-            moment = rising_factorial(params.a1, a + b) / rising_factorial(params.total, a + b)
+            moment = rising(params.a1, a + b) / rising(params.total, a + b)
             bilinear += ga * gb * moment
     if bilinear == 0:
         return Fraction(0)

@@ -1,4 +1,4 @@
-"""Exact combinatorics, scalar JSON, linear algebra, special functions."""
+"""Exact combinatorics, scalar JSON, the exact solver, special functions."""
 
 from __future__ import annotations
 
@@ -13,13 +13,10 @@ from hypothesis import strategies as st
 from dfchaos.errors import DomainError, NumericError, SingularSystemError
 from dfchaos.numeric import (
     binom,
-    binom_star,
     hyp1f1,
     multiplicity,
-    nullspace,
     occupation_lattice,
     occupation_vectors,
-    rising_factorial,
     scalar_from_json,
     scalar_to_json,
     sub_occupations,
@@ -43,26 +40,6 @@ def test_binom_values():
     assert binom(5, 0) == 1
     assert binom(5, 5) == 1
     assert binom(4, 7) == 0
-
-
-def test_binom_star_gates_on_domain():
-    assert binom_star(5, 2) == binom(5, 2)
-    assert binom_star(2, 5) == 0
-    assert binom_star(3, 3) == 1
-
-
-def test_rising_factorial():
-    assert rising_factorial(Fraction(3, 2), 3) == Fraction(3 * 5 * 7, 8)
-    assert rising_factorial(4, 0) == 1
-    assert rising_factorial(2, 3) == 24
-
-
-def test_rising_factorial_keeps_the_argument_type():
-    # equal float, int and Fraction arguments must not share cached results
-    assert rising_factorial(1.25, 3) == pytest.approx(1.25 * 2.25 * 3.25)
-    assert type(rising_factorial(Fraction(5, 4), 3)) is Fraction
-    assert type(rising_factorial(5, 2)) is int
-    assert type(rising_factorial(Fraction(5), 2)) is Fraction
 
 
 def test_occupation_vectors_enumeration():
@@ -165,13 +142,6 @@ def test_solve_exact_rejects_singular():
             [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
             [Fraction(1), Fraction(1)],
         )
-
-
-def test_nullspace_rank_one():
-    basis = nullspace([[Fraction(1), Fraction(1)]])
-    assert len(basis) == 1
-    x, y = basis[0]
-    assert x + y == 0 and (x, y) != (0, 0)
 
 
 def test_hyp1f1_matches_reference():

@@ -27,6 +27,7 @@ statistic, and a float statistic to its exact image rounded once.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -57,7 +58,7 @@ from dfchaos.errors import DEFAULT_ENUMERATION_CAP, CoefficientValidationError, 
 from dfchaos.hoeffding import _conditional_layers, degenerate_check, hoeffding_decompose
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
 from dfchaos.measures import DiscreteBaseMeasure, dirichlet_moment, with_counts
-from dfchaos.numeric import binom, occupation_vectors, rising_factorial, sub_occupations, tuple_counts
+from dfchaos.numeric import binom, occupation_vectors, sub_occupations, tuple_counts
 from dfchaos.polya import cond_exp_statistic_counts, occupation_prob, polya_joint_prob
 from dfchaos.ustat import (
     best_symmetric_approx_oracle,
@@ -82,6 +83,11 @@ MASSES = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
 BOUNDED = settings(max_examples=10, deadline=None, database=None)
 
 
+def rising(x, k):
+    """x(x+1)...(x+k-1) in Fractions, term by term."""
+    return math.prod((x + i for i in range(k)), start=Fraction(1))
+
+
 def closing_row_by_cumulative_sum(table):
     """The closing row k = N as the tables once built it from the rows below:
     theta^(N,N) = 1 and theta^(N,a) = -sum_{s=a..N-1} theta^(s,a)."""
@@ -104,7 +110,7 @@ def test_theta_table_solves_the_defining_system(mass, N):
     table = theta_table(N, mass)
     for k in range(1, N + 1):
         # Chu-Vandermonde: psi_N(k,k,k) = 2F1(-k, k-N; m+k; 1)
-        diagonal = rising_factorial(mass + N, k) / rising_factorial(mass + k, k)
+        diagonal = rising(mass + N, k) / rising(mass + k, k)
         assert diagonal == psi(N, k, k, k, mass)
         assert table.theta_star(k, k) * diagonal == 1
         for a in range(1, k + 1):
@@ -274,8 +280,8 @@ def reference_posterior_mean(F, alpha, counts):
     for exps, coeff in F.terms.items():
         moment = Fraction(1)
         for w, e in zip(posterior.weights, exps):
-            moment *= rising_factorial(w, e)
-        total += coeff * moment / rising_factorial(sum(posterior.weights), sum(exps))
+            moment *= rising(w, e)
+        total += coeff * moment / rising(sum(posterior.weights), sum(exps))
     return total
 
 

@@ -9,12 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dfchaos.coeffs import _limit_row
 from dfchaos.errors import DomainError
 from dfchaos.jacobi import BetaParams, jacobi_modified
 from dfchaos.kernels import SimplexPolynomial
 from dfchaos.measures import measure
-from dfchaos.numeric import rising_factorial
 from dfchaos.wright_fisher import (
     TransitionDensity,
     TransitionModel,
@@ -181,23 +179,29 @@ def test_transition_density_refuses_a_non_finite_coordinate(point):
      Fraction(7, 3), Fraction(5), Fraction(12)],
 )
 def test_integer_tables_equal_their_fraction_forms(mass):
-    # the kernel rows against C(n,m) theta(n,m) m! rising(|theta|, m) from the
-    # limit rows of coeffs, the atom series against 1/(k! rising(theta_i, k))
+    # the kernel rows against C(n,m) theta(n,m) m! rising(|theta|, m), with
+    # theta(n,m) = (m+2n-1) (-1)^(n-m) rising(|theta|+m, n-1) / n! the limit
+    # coefficients' closed form (k = 0 included), and the atom series
+    # against 1/(k! rising(theta_i, k)), all in Fractions term by term
+    def rising(x, k):
+        return math.prod((x + i for i in range(k)), start=Fraction(1))
+
     top = 21
     rows = _kernel_coefficients(mass, top)
     assert rows[0] == ((1,), 1)
     for n in range(1, top + 1):
         nums, den = rows[n]
-        theta = _limit_row(mass, n)
+        lead = (mass + 2 * n - 1) / math.factorial(n)
         assert [Fraction(c, den) for c in nums] == [
-            math.comb(n, m) * theta[m] * math.factorial(m) * rising_factorial(mass, m)
+            math.comb(n, m) * (-1) ** (n - m) * lead * rising(mass + m, n - 1)
+            * math.factorial(m) * rising(mass, m)
             for m in range(n + 1)
         ]
     weights = (mass, mass / 3, 1 / mass)
     series, dens = _atom_series(weights, top)
     for w, row, den in zip(weights, series, dens):
         assert [Fraction(c, den) for c in row] == [
-            1 / (math.factorial(k) * rising_factorial(w, k)) for k in range(top + 1)
+            1 / (math.factorial(k) * rising(w, k)) for k in range(top + 1)
         ]
 
 
