@@ -20,8 +20,8 @@ arithmetic wherever the inputs are rational.  Highlights:
   transition density with truncation-tail bounds.
 - ``bayes``: conditional-variance estimation from observed labels and
   the exponential worked example.
-- ``ustat``: windowed U-statistic approximations, the projection oracle,
-  the scaled-kernel candidate, and their loss comparison.
+- ``ustat``: windowed U-statistics and their exact L² rate, the projection
+  oracle, the scaled-kernel candidate, and their loss comparison.
 - ``validation``: the oracles that check those closed forms (the
   extrapolated limits ``theta_limit``, the two-point projection oracle,
   the overlap enumeration), the coefficient erratum report and a named
@@ -31,7 +31,7 @@ The package namespace is lazy (PEP 562): ``import dfchaos`` loads no
 submodule, and each public name in ``__all__`` imports its defining module
 on first access and is then cached here.  A command-line process therefore
 loads only what its subcommand runs; numpy is imported only by the Monte
-Carlo paths (``ustat``, ``validation``, black-box functionals).
+Carlo paths (``ustat``, the ``verify`` window check, black-box functionals).
 """
 
 import importlib
@@ -138,7 +138,7 @@ _EXPORTS = {
         "statistic_from_kernels",
         "direct_loss",
         "mc_loss",
-        "ustat_mse_curve",
+        "ustat_mse",
         "OracleApproximation",
         "best_symmetric_approx_oracle",
         "ScaledKernelCandidate",

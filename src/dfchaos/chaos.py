@@ -140,12 +140,14 @@ def functional_mean(F: Functional, alpha: DiscreteBaseMeasure, rng=None):
     return cond_exp_functional(F, alpha, (), rng)
 
 
-def _product_sum(first: tuple, second: tuple, alpha: DiscreteBaseMeasure) -> tuple[int, int, bool]:
-    """(N, Q, rounded) with E[F(D) G(D)] = N / Q, for F and G given by their
-    integer terms over one denominator (``SimplexPolynomial.scaled_terms``,
-    ``_integral_terms``).
+def _product_sum(
+    first: tuple, second: tuple, alpha: DiscreteBaseMeasure, counts: Sequence[int] | None = None
+) -> tuple[int, int, bool]:
+    """(N, Q, rounded) with E[F(D) G(D) | counts] = N / Q, for F and G given
+    by their integer terms over one denominator (``SimplexPolynomial.scaled_terms``,
+    ``_integral_terms``); ``counts`` defaults to none observed (the prior).
 
-    The numerators multiply on ints, and one ladder sum at the prior takes
+    The numerators multiply on ints, and one ladder sum at the counts takes
     the moments of the product's terms; no product polynomial is built.
     When both factors are the same object (a square, E[F(D)^2]) the T
     terms form T(T+1)/2 unordered pairs, each off-diagonal one counted
@@ -167,7 +169,7 @@ def _product_sum(first: tuple, second: tuple, alpha: DiscreteBaseMeasure) -> tup
             for e2, c2 in g_terms:
                 key = tuple(map(add, e1, e2))
                 product[key] = product.get(key, 0) + c1 * c2
-    num, den = alpha.moment_ladder.posterior_sum(product.items(), (0,) * alpha.atoms)
+    num, den = alpha.moment_ladder.posterior_sum(product.items(), counts or (0,) * alpha.atoms)
     return num, den * f_lead * g_lead, f_rounded or g_rounded
 
 

@@ -136,16 +136,6 @@ class PolynomialCoeffs(Record):
                 out[i + j] = out[i + j] + ci * cj
         return _trimmed(out)
 
-    def scale(self, factor: Scalar) -> "PolynomialCoeffs":
-        if factor == 0:
-            return PolynomialCoeffs((0,))
-        return PolynomialCoeffs(tuple(c * factor for c in self.coefficients))
-
-    def sub(self, other: "PolynomialCoeffs") -> "PolynomialCoeffs":
-        size = max(len(self.coefficients), len(other.coefficients))
-        out = [self.coefficient(a) - other.coefficient(a) for a in range(size)]
-        return _trimmed(out)
-
 
 def _trimmed(coeffs: Sequence[Scalar]) -> PolynomialCoeffs:
     out = list(coeffs)

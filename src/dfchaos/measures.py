@@ -322,20 +322,3 @@ def _dirichlet_blocks(
 def sample_dirichlet(alpha: DiscreteBaseMeasure, rng: np.random.Generator) -> tuple[float, ...]:
     """One draw of the Dirichlet mass vector, as a tuple summing to 1."""
     return tuple(next(_dirichlet_blocks(alpha, 1, rng))[0])
-
-
-def as_simplex_point(values: Sequence[Scalar], atoms: int | None = None) -> tuple[Scalar, ...]:
-    """Validate a probability vector (sums to 1; exact for rationals)."""
-    point = tuple(as_scalar(v) for v in values)
-    if atoms is not None and len(point) != atoms:
-        raise DomainError(f"expected {atoms} coordinates, got {len(point)}")
-    for v in point:
-        if v < 0:
-            raise DomainError(f"simplex coordinates must be >= 0, got {v}")
-    total = sum(point)
-    if isinstance(total, Fraction):
-        if total != 1:
-            raise DomainError(f"simplex coordinates must sum to 1, got {total}")
-    elif abs(total - 1.0) > 1e-12:
-        raise DomainError(f"simplex coordinates must sum to 1 within 1e-12, got {total}")
-    return point

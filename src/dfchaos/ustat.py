@@ -5,6 +5,19 @@ observation window.  On a finite support every such average depends only on
 the window's occupation counts, so evaluation, moments, and losses reduce
 to exact sums over occupation vectors ("occupation algebra").
 
+By the paper's Blackwell–MacQueen result each multiple integral I_n(h)(D)
+is the L² limit of the U-statistics U_N of its kernel.  Given D the draws
+are i.i.d. D and E[U_N | D] = I_n(h)(D), so Hoeffding (1948) gives the
+rate exactly (``ustat_mse``):
+
+    E[(U_N - I_n(h))^2] = sum_{r=1..n} C(n,r) C(N-n,n-r) / C(N,n) (O(r) - O(0)),
+
+with O(r) = E_urn[h(X_1..X_n) h(X_{n-r+1}..X_{2n-r})], which depends on h
+and alpha only.  For a degenerate h, ``direct_loss`` of h / C(N, n) against
+F = I_n(h) enumerates the same loss over the window's C(N + K - 1, K - 1)
+occupation vectors: the oracle in ``verify`` and the tests, too slow at
+large N to be the route.
+
 The second half of the module compares two ways of approximating a
 functional F of the random measure by symmetric statistics of the first N
 draws:
@@ -30,12 +43,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .chaos import (
     MCEstimate,
+    _product_sum,
     chaos_kernels,
     functional_mean,
     statistic_product_mean,
@@ -45,12 +60,13 @@ from .coeffs import c_iso, c_overlap
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, NumericError, ResourceCapError
 from .hoeffding import HoeffdingDecomposition, _posterior_mean_split
 from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
-from .measures import MC_BLOCK, DiscreteBaseMeasure, _dirichlet_blocks
+from .measures import MC_BLOCK, DiscreteBaseMeasure, _dirichlet_blocks, check_counts
 from .numeric import (
     Record,
     Scalar,
     binom,
     is_exact,
+    occupation_lattice,
     ratio,
     scalar_to_json,
     sub_occupations,
@@ -65,7 +81,7 @@ __all__ = [
     "statistic_from_kernels",
     "direct_loss",
     "mc_loss",
-    "ustat_mse_curve",
+    "ustat_mse",
     "OracleApproximation",
     "best_symmetric_approx_oracle",
     "ScaledKernelCandidate",
@@ -98,13 +114,12 @@ def eval_ustat_counts(
     where ways counts the n-subsets realizing mu inside the window.
     """
     counts = tuple(int(c) for c in counts)
+    check_counts(kernel.atoms, counts)
     if sum(counts) != window:
         raise DomainError(f"counts {counts} do not fill a window of {window}")
-    if len(counts) != kernel.atoms:
-        raise DomainError(
-            f"counts over {len(counts)} atoms, kernel over {kernel.atoms}"
-        )
     n = kernel.order
+    if window < n:
+        raise DomainError(f"window {window} shorter than kernel order {n}")
     total: Scalar = Fraction(0)  # an all-zero exact sum stays a Fraction
     for mu, ways in sub_occupations(counts, n):
         value = kernel.value(mu)
@@ -268,60 +283,45 @@ def _evaluate_floats(poly: SimplexPolynomial, points: np.ndarray) -> np.ndarray:
     return total
 
 
-def _ways_column(counts: np.ndarray, m: int) -> np.ndarray:
-    """Vectorized C(counts, m) for a column of integer counts (as floats)."""
-    out = np.ones_like(counts, dtype=np.float64)
-    for t in range(m):
-        out *= counts - t
-    return out / math.factorial(m)
-
-
-def _ustat_vectorized(
-    kernel: SymmetricKernel, window: int, counts: np.ndarray
-) -> np.ndarray:
-    """U-statistic values for a (reps, K) matrix of window occupation counts."""
-    n = kernel.order
-    total = np.zeros(counts.shape[0])
-    for mu, value in kernel.items():
-        if value == 0:
-            continue
-        ways = np.ones(counts.shape[0])
-        for j, m in enumerate(mu):
-            if m:
-                ways *= _ways_column(counts[:, j], m)
-        total += float(value) * ways
-    return total / binom(window, n)
-
-
-def ustat_mse_curve(
-    kernel: SymmetricKernel,
-    alpha: DiscreteBaseMeasure,
-    windows: Sequence[int],
-    reps: int,
-    rng: np.random.Generator,
-) -> list[tuple[int, float]]:
-    """Mean-square distance between windowed U-statistics and their limit.
-
-    Coupled design: each replication draws one measure d, then conditionally
-    i.i.d. labels shared across windows (larger windows extend smaller ones),
-    and compares every U-statistic against the multiple integral of the same
-    kernel at the same d.  Returns [(window, mse), ...] in increasing window
-    order; for a degenerate kernel the mse decays like 1/window.  Only one
-    block of ``measures._dirichlet_blocks`` and its windows is held at once.
+def ustat_mse(kernel: SymmetricKernel, alpha: DiscreteBaseMeasure, window: int) -> Scalar:
+    """E[(U_N - I_n(h)(D))^2], exactly, by Hoeffding's formula of the module
+    docstring: O(r) = sum over the order-r lattice layer of
+    P(a) E[g_a(D)^2 | counts a], g_a(D) = sum_b mult(b) h(a + b) D^b over the
+    layer n - r, is the urn law ``urn_weights(r)`` times one ladder sum at
+    counts a (``chaos._product_sum``) on h's cached ``numerators``.  A float
+    value is read as its exact image and the result rounded once.  More than
+    ``DEFAULT_ENUMERATION_CAP`` triples (a, b, b'), sum_r |L_r| |L_{n-r}|^2,
+    raise ResourceCapError before any term is built.
     """
-    ws = sorted(set(int(w) for w in windows))
-    if not ws or ws[0] < kernel.order:
-        raise DomainError(f"windows {windows} must all be >= kernel order {kernel.order}")
-    integral = kernel.to_polynomial()
-    sums = [0.0] * len(ws)
-    for d in _dirichlet_blocks(alpha, reps, rng):
-        limit = _evaluate_floats(integral, d)
-        counts, filled = np.zeros(d.shape, dtype=np.int64), 0
-        for i, w in enumerate(ws):
-            counts, filled = counts + rng.multinomial(w - filled, d), w
-            u_vals = _ustat_vectorized(kernel, w, counts.astype(np.float64))
-            sums[i] += float(np.sum((u_vals - limit) ** 2))
-    return [(w, total / reps) for w, total in zip(ws, sums)]
+    n, atoms = kernel.order, alpha.atoms
+    if kernel.atoms != atoms:
+        raise DomainError("kernel and measure disagree on the atom count")
+    if window < n:
+        raise DomainError(f"window {window} shorter than kernel order {n}")
+    sizes = [binom(r + atoms - 1, atoms - 1) for r in range(n + 1)]
+    triples = sum(sizes[r] * sizes[n - r] ** 2 for r in range(n + 1))
+    if triples > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"order-{n} overlap moments on {atoms} atoms ({triples} terms) exceed cap "
+            f"{DEFAULT_ENUMERATION_CAP}"
+        )
+    nums, den, rounded = kernel.numerators
+    rank = occupation_lattice(n, atoms).rank
+    overlap = []  # O(0), ..., O(n)
+    for r in range(n + 1):
+        rest = occupation_lattice(n - r, atoms)
+        weights, total = alpha.moment_ladder.urn_weights(r)
+        moment = Fraction(0)
+        for a, w in zip(occupation_lattice(r, atoms).vectors, weights):
+            values = (nums[rank[tuple(map(add, a, b))]] for b in rest.vectors)
+            terms = [(b, m * x) for b, m, x in zip(rest.vectors, rest.multiplicities, values) if x]
+            g = (terms, den, rounded)
+            square, q, _ = _product_sum(g, g, alpha, a)
+            moment += Fraction(w * square, q)
+        overlap.append(moment / total)
+    shares = (binom(n, r) * binom(window - n, n - r) for r in range(n + 1))
+    mse = sum((w * (o - overlap[0]) for w, o in zip(shares, overlap)), Fraction(0)) / binom(window, n)
+    return ratio(mse.numerator, mse.denominator, rounded)
 
 
 class OracleApproximation(Record):

@@ -30,7 +30,11 @@ its closed form.
 ``run_verification`` drives the library's invariant checks as named,
 machine-readable results for the command-line ``verify`` subcommand.  Its
 urn-law check holds the finite split's backward lattice pass to one
-completion enumeration per conditional mean (``polya``), exactly.
+completion enumeration per conditional mean (``polya``), exactly.  Its
+window-approximation check holds the closed-form U-statistic rate
+``ustat.ustat_mse`` to the enumerated loss ``ustat.direct_loss``, exactly,
+and checks the Monte Carlo losses of ``approximation_report``; it alone
+imports numpy and ``ustat``, so the erratum report loads neither.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from .bayes import (
     ObservedSample,
@@ -96,7 +98,6 @@ from .numeric import (
     tuple_counts,
 )
 from .polya import cond_exp_statistic_counts, occupation_prob, polya_joint_prob
-from .ustat import approximation_report, ustat_mse_curve
 from .wright_fisher import (
     TransitionModel,
     q_polynomial,
@@ -854,7 +855,11 @@ def _check_polya(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
     )
 
 
-def _check_ustat(alpha: DiscreteBaseMeasure, quick: bool, seed: int) -> tuple[bool, str]:
+def _check_ustat(alpha: DiscreteBaseMeasure, seed: int) -> tuple[bool, str]:
+    import numpy as np
+
+    from .ustat import approximation_report, direct_loss, ustat_mse
+
     K = alpha.atoms
     F = SimplexPolynomial.monomial(K, (2,) + (0,) * (K - 1))
     report = approximation_report(F, alpha, 2, rng=np.random.default_rng(seed))
@@ -871,13 +876,17 @@ def _check_ustat(alpha: DiscreteBaseMeasure, quick: bool, seed: int) -> tuple[bo
         z = abs(estimate.value - float(exact)) / estimate.stderr
         ok = ok and z <= 5.0
         detail += f"; {label} MC {estimate.value:.6g} ({z:.2f} s.e.)"
-    if not quick:
-        h = degenerate_basis(alpha, 2)[0]
-        rng = np.random.default_rng(seed)
-        curve = ustat_mse_curve(h, alpha, [200, 400], 4000, rng)
-        ratio = curve[0][1] / curve[1][1]
-        ok = ok and 1.5 <= ratio <= 3.0
-        detail += f"; window-halving mse ratio {ratio:.3f}"
+    # the closed-form U-statistic rate against the enumerated loss of U_6
+    # as an approximation of I_2(h), then its exact window-halving ratio
+    h = degenerate_basis(alpha, 2)[0]
+    scaled = {2: h.scale(Fraction(1, binom(6, 2)))}
+    equal = ustat_mse(h, alpha, 6) == direct_loss(scaled, h.to_polynomial(), alpha, 6)
+    halving = ustat_mse(h, alpha, 200) / ustat_mse(h, alpha, 400)
+    ok = ok and equal and 1.5 <= halving <= 3.0
+    detail += (
+        f"; U-statistic mse {'equals' if equal else 'differs from'} enumeration at window 6"
+        f"; window-halving mse ratio {float(halving):.6g} (exact)"
+    )
     return ok, detail
 
 
@@ -910,7 +919,7 @@ def run_verification(
         ("conditional-variance-estimator", lambda: _check_bayes(base, quick)),
         ("exponential-functional", lambda: _check_exponential(base, quick)),
         ("urn-law-suite", lambda: _check_polya(base, quick)),
-        ("window-approximation", lambda: _check_ustat(base, quick, seed)),
+        ("window-approximation", lambda: _check_ustat(base, seed)),
     ]
     for name, runner in suite:
         try:

@@ -37,15 +37,15 @@ from dfchaos.jacobi import (
     solve_phi_system,
 )
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel
-from dfchaos.measures import measure
-from dfchaos.numeric import hyp1f1, occupation_vectors
+from dfchaos.measures import _dirichlet_blocks, measure
+from dfchaos.numeric import hyp1f1, multiplicity, occupation_vectors
 from dfchaos.polya import (
     occupation_prob,
     polya_joint_prob,
     predictive,
     sample_polya,
 )
-from dfchaos.ustat import approximation_report, direct_loss, mc_loss, ustat_mse_curve
+from dfchaos.ustat import approximation_report, direct_loss, mc_loss, ustat_mse
 from dfchaos.validation import theta_erratum_report, theta_limit
 from dfchaos.wright_fisher import (
     TransitionModel,
@@ -327,16 +327,53 @@ def test_criterion_08_transition_density_suite():
 # criterion 9: window-halving of the U-statistic mean-square error
 
 
+def mc_squared_distances(kernel, alpha, windows, reps, rng):
+    """(reps, len(windows)) draws of (U_N - I_n(h)(d))^2, the Monte Carlo
+    reference of ``ustat_mse``.
+
+    Coupled design: each draw d ~ Dirichlet(alpha) (in the blocks of
+    ``measures._dirichlet_blocks``) is followed by conditionally i.i.d.
+    labels shared across the windows, larger windows extending smaller
+    ones, and every U-statistic is compared with the integral of its kernel
+    at the same d.  The U-statistic reads the window's counts: the kernel's
+    value at each sub-occupation mu times prod_j C(counts_j, mu_j) ways.
+    """
+    out = np.empty((reps, len(windows)))
+    start = 0
+    for d in _dirichlet_blocks(alpha, reps, rng):
+        limit = np.zeros(len(d))
+        for mu, value in kernel.items():
+            limit += float(value) * multiplicity(mu) * np.prod(d ** np.array(mu), axis=1)
+        counts, filled = np.zeros(d.shape), 0
+        for i, window in enumerate(windows):
+            counts, filled = counts + rng.multinomial(window - filled, d), window
+            u_stat = np.zeros(len(d))
+            for mu, value in kernel.items():
+                ways = np.ones(len(d))
+                for j, m in enumerate(mu):
+                    for t in range(m):
+                        ways *= counts[:, j] - t
+                    ways /= math.factorial(m)
+                u_stat += float(value) * ways
+            out[start : start + len(d), i] = (u_stat / math.comb(window, kernel.order) - limit) ** 2
+        start += len(d)
+    return out
+
+
 def test_criterion_09_mse_halves_with_window():
     started = time.monotonic()
     alpha = measure(1, 1)
     h = degenerate_basis(alpha, 2)[0]
-    rng = np.random.default_rng(20260825)
-    curve = ustat_mse_curve(h, alpha, [200, 400], 10_000, rng)
-    (w_small, mse_small), (w_large, mse_large) = curve
-    assert (w_small, w_large) == (200, 400)
-    ratio = mse_small / mse_large
-    assert 1.5 <= ratio <= 3.0
+    exact = [ustat_mse(h, alpha, window) for window in (200, 400)]
+    assert exact[0] / exact[1] == Fraction(160398, 79799)
+    assert 1.5 <= exact[0] / exact[1] <= 3.0
+    # the Monte Carlo reference: each window's mean within 5 standard errors
+    reps = 10_000
+    draws = mc_squared_distances(h, alpha, [200, 400], reps, np.random.default_rng(20260825))
+    means = draws.mean(axis=0)
+    for mean, stderr, value in zip(means, draws.std(axis=0, ddof=1) / math.sqrt(reps), exact):
+        assert abs(mean - float(value)) <= 5 * stderr
+    assert 1.5 <= means[0] / means[1] <= 3.0
     assert time.monotonic() - started < 120.0
 
 

@@ -13,7 +13,6 @@ from dfchaos.measures import (
     MC_BLOCK,
     DiscreteBaseMeasure,
     _dirichlet_blocks,
-    as_simplex_point,
     dirichlet_moment,
     measure,
     sample_dirichlet,
@@ -113,14 +112,6 @@ def test_posterior_updates():
     assert with_counts(alpha, (2, 1)).weights == (Fraction(3), Fraction(2))
     with pytest.raises(DomainError):
         with_observations(alpha, (3,))
-
-
-def test_as_simplex_point_validation():
-    assert as_simplex_point(("1/2", "1/2")) == (Fraction(1, 2), Fraction(1, 2))
-    with pytest.raises(DomainError):
-        as_simplex_point((Fraction(1, 2), Fraction(1, 4)))
-    with pytest.raises(DomainError):
-        as_simplex_point((Fraction(3, 2), Fraction(-1, 2)))
 
 
 def test_sample_dirichlet_moments():

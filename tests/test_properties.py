@@ -9,7 +9,8 @@ The kernel polynomials Q_n of Griffiths' closed form are compared with the
 Gram-Schmidt oracle (``TransitionModel.band``) at rational interior points,
 and with the chaos kernels through the spectral identity
 I_n(h_n)(x) = E[F(Y) Q_n(x, Y)].
-The batched Monte Carlo loss is held to the enumerated loss it confirms.
+The batched Monte Carlo loss is held to the enumerated loss it confirms,
+and the closed-form U-statistic rate to urn enumeration.
 The Bernstein kernels of the exponential functional are held to their
 three exact identities.  The moment ladder (Dirichlet moments, posterior
 means, kernel assembly and the exact Gram-Schmidt basis on integers) is
@@ -47,6 +48,8 @@ from dfchaos.chaos import (
     variance_functional,
 )
 from dfchaos.coeffs import (
+    c_iso,
+    c_overlap,
     limit_coefficient,
     limit_coefficients,
     psi,
@@ -55,7 +58,12 @@ from dfchaos.coeffs import (
     validate_limit_values,
 )
 from dfchaos.errors import DEFAULT_ENUMERATION_CAP, CoefficientValidationError, DomainError
-from dfchaos.hoeffding import _conditional_layers, degenerate_check, hoeffding_decompose
+from dfchaos.hoeffding import (
+    _conditional_layers,
+    degenerate_basis,
+    degenerate_check,
+    hoeffding_decompose,
+)
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
 from dfchaos.measures import DiscreteBaseMeasure, dirichlet_moment, with_counts
 from dfchaos.numeric import binom, occupation_vectors, sub_occupations, tuple_counts
@@ -63,9 +71,11 @@ from dfchaos.polya import cond_exp_statistic_counts, occupation_prob, polya_join
 from dfchaos.ustat import (
     best_symmetric_approx_oracle,
     direct_loss,
+    eval_ustat_counts,
     mc_loss,
     scaled_kernel_candidate,
     statistic_from_kernels,
+    ustat_mse,
 )
 from dfchaos.validation import mass_kernel_identities, oracle_limit_row, tabulated_limit_values
 from dfchaos.wright_fisher import (
@@ -791,3 +801,39 @@ def test_chaos_components_are_kernel_polynomial_projections(alpha, data):
         component = decomposition.mean if n == 0 else multiple_integral(decomposition.kernel(n), full)
         projection = F.mul(q_polynomial(model, n, x).pad_to(alpha.atoms))
         assert component == poly_posterior_mean(projection, alpha, prior)
+
+
+def urn_mse(h, alpha, window):
+    """E[(U_N - I_n(h))^2] = E[U_N^2] - E[I_n(h)^2] by enumeration of label
+    sequences under the urn law: E[U_N I_n(h)] = E[I_n(h)^2], since
+    E[U_N | D] = I_n(h)(D), and E[I_n(h)^2] is the urn mean of h at two
+    disjoint windows of n draws."""
+    n, atoms = h.order, h.atoms
+
+    def urn_mean(length, f):
+        sequences = itertools.product(range(1, atoms + 1), repeat=length)
+        return sum(polya_joint_prob(alpha, seq) * f(seq) for seq in sequences)
+
+    def at(labels):
+        return h.value(tuple_counts(labels, atoms))
+
+    square = urn_mean(window, lambda seq: eval_ustat_counts(h, window, tuple_counts(seq, atoms)) ** 2)
+    return square - urn_mean(2 * n, lambda seq: at(seq[:n]) * at(seq[n:]))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(atoms=st.integers(1, 3), data=st.data())
+def test_ustat_mse_equals_urn_enumeration(atoms, data):
+    alpha = DiscreteBaseMeasure(tuple(data.draw(st.lists(MASSES, min_size=atoms, max_size=atoms))))
+    h = data.draw(statistics(atoms, max_order=3))
+    n = h.order
+    window = data.draw(st.integers(n, n + 2))
+    assert atoms**window <= 3000
+    assert ustat_mse(h, alpha, window) == urn_mse(h, alpha, window)
+    # a degenerate kernel's overlap moments are c_overlap(n, r) E[h^2]
+    mass = alpha.total_mass
+    weights = [binom(n, r) * binom(window - n, n - r) for r in range(n + 1)]
+    shares = sum(w * (c_overlap(n, r, mass) - c_iso(n, mass)) for r, w in enumerate(weights))
+    for g in degenerate_basis(alpha, n):
+        expected = statistic_product_mean(g, g, alpha) * shares / binom(window, n)
+        assert ustat_mse(g, alpha, window) == expected

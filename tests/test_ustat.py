@@ -11,18 +11,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dfchaos import ustat
 from dfchaos.chaos import chaos_kernels, functional_mean, multiple_integral
-from dfchaos.errors import DomainError
+from dfchaos.errors import DomainError, ResourceCapError
 from dfchaos.hoeffding import degenerate_basis
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel
 from dfchaos.measures import measure
-from dfchaos.numeric import occupation_vectors
+from dfchaos.numeric import binom, occupation_vectors
 from dfchaos.ustat import (
     MC_BLOCK,
     UStatistic,
     _evaluate_floats,
     _occupation_rank,
-    _ustat_vectorized,
     approximation_report,
     best_symmetric_approx_oracle,
     candidate_error_formula,
@@ -32,7 +32,7 @@ from dfchaos.ustat import (
     mc_loss,
     scaled_kernel_candidate,
     statistic_from_kernels,
-    ustat_mse_curve,
+    ustat_mse,
 )
 
 UNIFORM = measure(1, 1)
@@ -47,6 +47,21 @@ def test_eval_ustat_counts_hand_value():
     assert eval_ustat_counts(h, 3, (2, 1)) == Fraction(1 * 1 + 2 * (-2), 3)
     with pytest.raises(DomainError):
         eval_ustat_counts(h, 3, (1, 1))
+
+
+def test_eval_ustat_counts_refuses_a_window_shorter_than_the_kernel():
+    # C(window, 2) = 0 was a ZeroDivisionError
+    h2 = degenerate_basis(UNIFORM, 2)[0]
+    for window, counts in ((1, (1, 0)), (0, (0, 0))):
+        with pytest.raises(DomainError, match="shorter than kernel order"):
+            eval_ustat_counts(h2, window, counts)
+
+
+def test_eval_ustat_counts_refuses_negative_counts():
+    # (-1, 3) fills a window of 2 but is no occupation; it read as 0
+    h2 = degenerate_basis(UNIFORM, 2)[0]
+    with pytest.raises(DomainError, match="non-negative"):
+        eval_ustat_counts(h2, 2, (-1, 3))
 
 
 def test_eval_ustat_counts_keeps_an_all_zero_exact_sum_exact():
@@ -221,30 +236,51 @@ def test_report_optimality_and_discrepancy_records():
 
 
 def test_mse_curve_halves_with_window_doubling():
-    rng = np.random.default_rng(20260825)
     h = degenerate_basis(UNIFORM, 2)[0]
-    curve = ustat_mse_curve(h, UNIFORM, [100, 200], 4000, rng)
-    ratio = curve[0][1] / curve[1][1]
+    ratio = ustat_mse(h, UNIFORM, 100) / ustat_mse(h, UNIFORM, 200)
+    assert ratio == Fraction(40198, 19899)
     assert 1.4 <= ratio <= 3.0
 
 
-@pytest.mark.parametrize("reps", [1, 700, MC_BLOCK])
-def test_mse_curve_within_one_block_equals_the_one_shot_draw(reps):
-    # one dirichlet(size=reps) draw, then each window's multinomial increment
+def test_mse_is_the_enumerated_loss_of_the_scaled_kernel():
+    # U_N = the subset sum of h / C(N, n), and a degenerate h integrates to mean 0
     alpha = measure("1/2", 1, "3/2")
-    h = degenerate_basis(alpha, 2)[0]
-    windows = [12, 3, 6]
-    curve = ustat_mse_curve(h, alpha, windows, reps, np.random.default_rng(17))
+    for n in (1, 2, 3):
+        for h in degenerate_basis(alpha, n):
+            for window in (n, n + 1, 7):
+                scaled = {n: h.scale(Fraction(1, binom(window, n)))}
+                assert ustat_mse(h, alpha, window) == direct_loss(
+                    scaled, h.to_polynomial(), alpha, window
+                )
 
-    rng = np.random.default_rng(17)
-    d = rng.dirichlet(alpha.as_floats(), size=reps)
-    limit = _evaluate_floats(h.to_polynomial(), d)
-    counts, filled, want = np.zeros((reps, alpha.atoms), dtype=np.int64), 0, []
-    for w in sorted(windows):
-        counts, filled = counts + rng.multinomial(w - filled, d), w
-        u_vals = _ustat_vectorized(h, w, counts.astype(np.float64))
-        want.append((w, float(np.mean((u_vals - limit) ** 2))))
-    assert curve == want
+
+def test_mse_of_a_float_kernel_is_its_exact_image_rounded_once():
+    alpha = measure("1/2", 1, "3/2")
+    h = degenerate_basis(alpha, 2)[1]
+    floats = SymmetricKernel(2, 3, {mu: float(v) for mu, v in h.items()})
+    image = SymmetricKernel(2, 3, {mu: Fraction(float(v)) for mu, v in h.items()})
+    value = ustat_mse(floats, alpha, 5)
+    assert type(value) is float
+    assert value == float(ustat_mse(image, alpha, 5))
+
+
+def test_mse_refuses_a_short_window_and_a_foreign_measure():
+    h = degenerate_basis(UNIFORM, 2)[0]
+    with pytest.raises(DomainError, match="shorter than kernel order"):
+        ustat_mse(h, UNIFORM, 1)
+    with pytest.raises(DomainError, match="atom count"):
+        ustat_mse(h, measure(1, 1, 1), 4)
+
+
+def test_mse_cap_refuses_before_any_term(monkeypatch):
+    # order 5 on 12 atoms: the r = 0 term alone pairs C(16, 11)^2 = 19,079,424 triples
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a term was built past the cap gate")
+
+    monkeypatch.setattr(ustat, "_product_sum", not_reached)
+    h = SymmetricKernel(5, 12, {(5,) + (0,) * 11: 1})
+    with pytest.raises(ResourceCapError):
+        ustat_mse(h, measure(*[1] * 12), 5)
 
 
 def test_ustat_converges_to_multiple_integral():
