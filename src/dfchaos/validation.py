@@ -688,12 +688,21 @@ def _check_wright_fisher(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool,
     for n in (1, 2):
         gap = kernel_Q(model, n, g, gp) - q_via_multiple_integrals(model, n, g, gp)
         worst = max(worst, abs(float(gap)))
-    # Griffiths' closed form against the Gram-Schmidt oracle, exactly
+    # Griffiths' closed form against the stick-breaking bands, exactly
     closed_ok = all(
         kernel_Q(model, n, g, gp)
         == sum(poly.evaluate(g) * poly.evaluate(gp) / norm_sq for poly, norm_sq in model.band(n))
         for n in range(model.M + 1)
     )
+    # at K = 2 each band is the monic Beta polynomial of ``beta_bernstein``
+    beta_ok = True
+    for n in range(model.M + 2) if theta.atoms == 2 else ():
+        psi, norm_sq = beta_bernstein(n, *theta.weights)
+        kernel = SymmetricKernel(n, 2, {(j, n - j): c for j, c in enumerate(psi)})
+        [(poly, band_norm)] = model.band(n)
+        coefficients = tuple(poly.terms.get((a,), 0) for a in range(n + 1))
+        expected = (kernel_to_univariate(kernel).coefficients, norm_sq)
+        beta_ok = beta_ok and (coefficients, band_norm) == expected
     # spectral identity, exactly: the order-n chaos component of F at g is
     # E[F(Y) Q_n(g, Y)] under the stationary law
     F = R.pad_to(theta.atoms)
@@ -708,13 +717,14 @@ def _check_wright_fisher(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool,
     # stationary limit
     td = transition_density(model, 60.0, g, gp)
     worst = max(worst, abs(td.value - td.stationary))
-    ok = worst <= 1e-8 and closed_ok and spectral_ok
+    ok = worst <= 1e-8 and closed_ok and beta_ok and spectral_ok
     verdict = "equals" if closed_ok else "differs from"
     spectral = "equal" if spectral_ok else "differ from"
+    beta = f"; each band {'is' if beta_ok else 'is not'} the monic Beta polynomial"
     return ok, (
         f"worst transition-expansion residual {worst:.3e}; closed-form Q_n "
-        f"{verdict} the Gram-Schmidt oracle, and the chaos components of "
-        f"F = gamma_1^2 {spectral} E[F Q_n] for n <= {model.M}"
+        f"{verdict} the stick-breaking band sums, and the chaos components of "
+        f"F = gamma_1^2 {spectral} E[F Q_n] for n <= {model.M}{beta if theta.atoms == 2 else ''}"
     )
 
 

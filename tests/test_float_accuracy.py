@@ -20,3 +20,18 @@ def test_float_route_kernels_within_contract():
             scale = max(abs(c[2]) for c in exact)
             worst = max(worst, max(abs(a[2] - b[2]) for a, b in zip(floats, exact)) / scale)
     assert worst <= 5e-8
+
+
+def test_three_atom_float_route_kernels_within_contract():
+    # the stick-breaking bands at K = 3: 2.3e-13 measured on this grid
+    model = TransitionModel((Fraction(1), Fraction(1, 2), Fraction(1, 2)), 5)
+    grid = [(i / 8, j / 8) for i in range(1, 8) for j in range(1, 8 - i)]
+    worst = 0.0
+    for x in grid:
+        for y in grid:
+            floats = transition_density(model, 0.5, x, y).contributions
+            image_x, image_y = tuple(map(Fraction, x)), tuple(map(Fraction, y))
+            exact = transition_density(model, 0.5, image_x, image_y).contributions
+            scale = max(abs(c[2]) for c in exact)
+            worst = max(worst, max(abs(a[2] - b[2]) for a, b in zip(floats, exact)) / scale)
+    assert worst <= 1e-12

@@ -6,16 +6,16 @@ The closed-form finite tables are held to the term-by-term ``psi`` sum of
 their diagonal, the cumulative sum that once built their closing row, and
 the defining system.
 The kernel polynomials Q_n of Griffiths' closed form are compared with the
-Gram-Schmidt oracle (``TransitionModel.band``) at rational interior points,
-and with the chaos kernels through the spectral identity
-I_n(h_n)(x) = E[F(Y) Q_n(x, Y)].
+stick-breaking bands (``TransitionModel.band``) at rational interior points,
+both with the Gram-Schmidt oracle ``product_gram_schmidt``, and Q_n with the
+chaos kernels through the spectral identity I_n(h_n)(x) = E[F(Y) Q_n(x, Y)].
 The batched Monte Carlo loss is held to the enumerated loss it confirms,
 and the closed-form U-statistic rate to urn enumeration.
 The Bernstein kernels of the exponential functional are held to their
 three exact identities.  The moment ladder (Dirichlet moments, posterior
-means, kernel assembly and the exact Gram-Schmidt basis on integers) is
-held to Fraction references built the way the code used to build them,
-and a float measure to the exact measure of its floats' rational images.
+means and kernel assembly) is held to Fraction references built the way
+the code used to build them, and a float measure to the exact measure of
+its floats' rational images.
 The finite split (components, projections, degeneracy, reconstruction),
 the degeneracy residual and window subset sums are held to per-term
 Fraction references and brute force, and the chaos kernels to exact
@@ -80,7 +80,6 @@ from dfchaos.ustat import (
 from dfchaos.validation import mass_kernel_identities, oracle_limit_row, tabulated_limit_values
 from dfchaos.wright_fisher import (
     TransitionModel,
-    _orthogonal_basis,
     kernel_Q,
     multi_indices,
     q_polynomial,
@@ -175,17 +174,17 @@ def models(draw):
     return TransitionModel(weights, draw(st.integers(0, MAX_M[atoms])))
 
 
-def oracle_q(model, n, g, gp):
-    return sum(poly.evaluate(g) * poly.evaluate(gp) / norm_sq for poly, norm_sq in model.band(n))
+def band_sum(band, g, gp):
+    return sum(poly.evaluate(g) * poly.evaluate(gp) / norm_sq for poly, norm_sq in band)
 
 
 def assert_kernels_match_the_oracle(model, g, gp):
     for n in range(model.M + 1):
-        assert kernel_Q(model, n, g, gp) == oracle_q(model, n, g, gp)
+        assert kernel_Q(model, n, g, gp) == band_sum(model.band(n), g, gp)
     # the diagonal of the first neglected band, which feeds the tail bound
     top = model.M + 1
     for x in (g, gp):
-        assert model._tail_diagonal(x) == oracle_q(model, top, x, x)
+        assert model._tail_diagonal(x) == band_sum(model.band(top), x, x)
 
 
 @settings(max_examples=8, deadline=None, database=None)
@@ -202,6 +201,68 @@ def test_closed_form_kernels_equal_the_oracle_at_four_atoms():
     assert_kernels_match_the_oracle(model, g, (Fraction(1, 7),) * 3)
 
 
+def product_gram_schmidt(weights, max_degree):
+    """Gram-Schmidt as the basis was first built: each projection and norm
+    is the expectation of a polynomial product."""
+    theta = DiscreteBaseMeasure(weights)
+    dim = len(weights) - 1
+
+    def expectation(poly):
+        return sum(
+            (c * dirichlet_moment(theta, e + (0,)) for e, c in poly.terms.items()), Fraction(0)
+        )
+
+    basis, norms = [], []
+    for index in multi_indices(dim, max_degree):
+        candidate = SimplexPolynomial.monomial(dim, index)
+        for prior, norm_sq in zip(basis, norms):
+            cross = expectation(candidate.mul(prior))
+            if cross != 0:
+                candidate = candidate.sub(prior.scale(cross / norm_sq))
+        basis.append(candidate)
+        norms.append(expectation(candidate.mul(candidate)))
+    return tuple(basis), tuple(norms)
+
+
+def gram_schmidt_bands(weights, top):
+    """The oracle's polynomials and squared norms per degree, in
+    ``multi_indices`` order."""
+    basis, norms = product_gram_schmidt(weights, top)
+    bands = {}
+    for index, poly, norm_sq in zip(multi_indices(len(weights) - 1, top), basis, norms):
+        bands.setdefault(sum(index), []).append((poly, norm_sq))
+    return bands
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_stick_breaking_bands_equal_gram_schmidt_and_the_closed_form(data):
+    atoms = data.draw(st.integers(2, 4))
+    weights = tuple(data.draw(MASSES) for _ in range(atoms))
+    model = TransitionModel(weights, {2: 7, 3: 3, 4: 2}[atoms])
+    g, gp = data.draw(points(atoms)), data.draw(points(atoms))
+    oracle = gram_schmidt_bands(model.theta.weights, model.M + 1)
+    for n in range(model.M + 2):
+        assert band_sum(model.band(n), g, gp) == band_sum(oracle[n], g, gp)
+        if n <= model.M:
+            assert band_sum(model.band(n), g, gp) == kernel_Q(model, n, g, gp)
+
+
+@pytest.mark.parametrize(
+    "weights, M", [((Fraction(1), Fraction(1, 2)), 12), ((Fraction(12), Fraction(1, 12)), 8)]
+)
+def test_two_atom_bands_are_the_gram_schmidt_polynomials_term_for_term(weights, M):
+    # the float route sums the terms in order, so equal terms in equal order
+    # give bit-identical float band sums
+    model = TransitionModel(weights, M)
+    oracle = gram_schmidt_bands(model.theta.weights, M + 1)
+    for n in range(M + 2):
+        [(poly, norm_sq)] = model.band(n)
+        [(expected, expected_norm)] = oracle[n]
+        assert list(poly.terms.items()) == list(expected.terms.items())
+        assert norm_sq == expected_norm
+
+
 @settings(max_examples=8, deadline=None, database=None)
 @given(data=st.data())
 def test_closed_form_q_polynomial_equals_the_oracle(data):
@@ -209,19 +270,17 @@ def test_closed_form_q_polynomial_equals_the_oracle(data):
     g = data.draw(points(model.theta.atoms))
     n = data.draw(st.integers(0, model.M))
     oracle = SimplexPolynomial.constant(model.dim, 0)
-    for poly, norm_sq in model.band(n):
+    for poly, norm_sq in gram_schmidt_bands(model.theta.weights, n)[n]:
         oracle = oracle.add(poly.scale(poly.evaluate(g) / norm_sq))
     assert q_polynomial(model, n, g) == oracle
 
 
-def test_exact_density_builds_no_gram_schmidt_basis():
-    before = _orthogonal_basis.cache_info()
+def test_exact_density_builds_no_bands():
     model = TransitionModel((Fraction(1, 2), Fraction(3, 4), Fraction(1), Fraction(2)), 8)
     g = (Fraction(1, 5), Fraction(1, 10), Fraction(3, 10))
     result = transition_density(model, Fraction(1, 2), g, (Fraction(1, 7),) * 3)
     assert result.tail_bound > 0
-    after = _orthogonal_basis.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert "_orthogonal_bands" not in vars(model)
 
 
 @st.composite
@@ -366,37 +425,6 @@ def test_completion_weights_equal_the_posterior_urn(alpha, data):
                 merged = tuple(f + c for f, c in zip(counts, completion))
                 expected += sum(polya_joint_prob(posterior, o) for o in orderings) * statistic.value(merged)
             assert cond_exp_statistic_counts(statistic, alpha, counts) == expected
-
-
-def product_gram_schmidt(weights, max_degree):
-    """Gram-Schmidt as the basis was first built: each projection and norm
-    is the expectation of a polynomial product."""
-    theta = DiscreteBaseMeasure(weights)
-    dim = len(weights) - 1
-
-    def expectation(poly):
-        return sum(
-            (c * dirichlet_moment(theta, e + (0,)) for e, c in poly.terms.items()), Fraction(0)
-        )
-
-    basis, norms = [], []
-    for index in multi_indices(dim, max_degree):
-        candidate = SimplexPolynomial.monomial(dim, index)
-        for prior, norm_sq in zip(basis, norms):
-            cross = expectation(candidate.mul(prior))
-            if cross != 0:
-                candidate = candidate.sub(prior.scale(cross / norm_sq))
-        basis.append(candidate)
-        norms.append(expectation(candidate.mul(candidate)))
-    return tuple(basis), tuple(norms)
-
-
-@settings(max_examples=6, deadline=None, database=None)
-@given(alpha=rational_measures(), data=st.data())
-def test_moment_gram_schmidt_equals_the_product_loop(alpha, data):
-    max_degree = data.draw(st.integers(1, {2: 5, 3: 3, 4: 2}[alpha.atoms]))
-    _, basis, norms = _orthogonal_basis(alpha.weights, max_degree)
-    assert (basis, norms) == product_gram_schmidt(alpha.weights, max_degree)
 
 
 def assert_close(value, exact, rel=1e-13):
