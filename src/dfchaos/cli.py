@@ -210,7 +210,7 @@ def _cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     if args.finite is not None:
         from .hoeffding import _posterior_mean_split
 
-        split, _ = _posterior_mean_split(F, alpha, args.finite, DEFAULT_ENUMERATION_CAP)
+        split = _posterior_mean_split(F, alpha, args.finite, DEFAULT_ENUMERATION_CAP)
         _emit_json(
             {
                 "N": split.N,

@@ -21,9 +21,9 @@ with the weights p_i / q over their common denominator and P = sum_i p_i,
 so layer k is an integer vector over d · prod_{j=k}^{N-1} (P + j q), d the
 denominator of T's values; lifted by prod_{j<k} (P + j q), every layer is
 over one denominator and the assembly forms no Fraction in between.  The
-split of a posterior-mean statistic T(mu) = E[F(D) | mu] needs no pass at
-all: by the tower property E[T | mu] = E[F | mu] for |mu| <= N, one
-``MomentLadder.posterior_table``.
+split of T(mu) = E[F(D) | mu] (``decompose --finite``, and the oracle of
+``ustat.best_symmetric_approx_oracle``) needs no pass: by the tower property
+E[T | mu] = E[F | mu] for |mu| <= N, one ``MomentLadder.posterior_table``.
 
 One cap rule: a path caps what it holds.  The split holds its lattice, the
 C(N + K, K) occupation vectors of size <= N, and refuses a larger one
@@ -246,9 +246,9 @@ def hoeffding_decompose(
 
 def _posterior_mean_split(
     F: SimplexPolynomial, alpha: DiscreteBaseMeasure, N: int, cap: int
-) -> tuple[HoeffdingDecomposition, SymmetricKernel]:
-    """(split, T): the split of the N-draw statistic T(mu) = E[F(D) | mu], the
-    projection of F on the first N draws, and T itself.
+) -> HoeffdingDecomposition:
+    """The split of the N-draw statistic T(mu) = E[F(D) | mu], the projection
+    of F on the first N draws.
 
     By the tower property E[T | mu] = E[F | mu] for |mu| <= N, so every
     layer is one ``MomentLadder.posterior_table`` of F's integer terms, and
@@ -261,6 +261,4 @@ def _posterior_mean_split(
     _check_lattice(N, alpha.atoms, cap)
     terms, lead, rounded = F.scaled_terms
     layers, den = alpha.moment_ladder.posterior_table(terms, N)
-    den *= lead
-    statistic = SymmetricKernel._from_numerators(N, alpha.atoms, layers[N], den, rounded)
-    return _assemble(layers, den, rounded, alpha), statistic
+    return _assemble(layers, den * lead, rounded, alpha)

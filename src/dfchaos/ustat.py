@@ -20,23 +20,13 @@ large N to be the route.
 
 The second half of the module compares two ways of approximating a
 functional F of the random measure by symmetric statistics of the first N
-draws:
+draws, both read off F's chaos kernels:
 
 * the exact projection E[F | X_1..X_N] — the unique loss minimizer over all
-  symmetric statistics of the window — with its per-order components, all
-  from one table of posterior means E[F | mu], |mu| <= N (the tower
-  property: E[E[F | window] | mu] = E[F | mu]), under the finite split's
-  one cap of C(N + K, K) lattice vectors; and
+  symmetric statistics of the window — each order-s kernel shrunk by
+  s!/(|alpha|+N)^(s) (``best_symmetric_approx_oracle``); and
 * the scaled-kernel candidate that reuses the decomposition kernels of F,
   dividing the order-i kernel by C(N, i) and summing over i-subsets.
-
-For the candidate, a closed-form error expression exists with an ambiguous
-overlap constant (two readings of a product's upper bound); both readings
-are evaluated and reported next to the directly enumerated loss of each
-kernel set.  The report never declares a winner beyond what the exact
-numbers show: the oracle's loss is asserted to be minimal (a projection
-property), and any disagreement between closed forms and enumeration is
-recorded verbatim.
 """
 
 from __future__ import annotations
@@ -58,7 +48,7 @@ from .chaos import (
 )
 from .coeffs import c_iso, c_overlap
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, NumericError, ResourceCapError
-from .hoeffding import HoeffdingDecomposition, _posterior_mean_split
+from .hoeffding import _check_lattice
 from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
 from .measures import MC_BLOCK, DiscreteBaseMeasure, _dirichlet_blocks, check_counts
 from .numeric import (
@@ -325,48 +315,22 @@ def ustat_mse(kernel: SymmetricKernel, alpha: DiscreteBaseMeasure, window: int) 
 
 
 class OracleApproximation(Record):
-    """The exact projection E[F | window] with its per-order split and loss."""
+    """E[F | window]: its components of orders 1..min(N, d), and its loss."""
 
-    decomposition: HoeffdingDecomposition
+    components: tuple[SymmetricKernel, ...]
     loss: Scalar
 
     def kernels(self) -> dict[int, SymmetricKernel]:
-        return {
-            s: self.decomposition.component(s)
-            for s in range(1, self.decomposition.N + 1)
-        }
-
-
-def best_symmetric_approx_oracle(
-    F: SimplexPolynomial,
-    alpha: DiscreteBaseMeasure,
-    window: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> OracleApproximation:
-    """The unique loss-minimizing symmetric statistic of the first N draws.
-
-    The minimizer over all square-integrable symmetric statistics of the
-    window is the conditional expectation T(mu) = E[F | occupation mu].  By
-    the tower property E[T | mu] = E[F | mu] for |mu| <= N, so T and its
-    per-order components come from one table of posterior means
-    (``hoeffding._posterior_mean_split``), under the split's cap of
-    C(N + K, K) lattice vectors.  The achieved loss is Var F - Var T,
-    cross-checkable against direct enumeration of E[(F - T)^2].
-    """
-    decomposition, projection = _posterior_mean_split(F, alpha, window, cap)
-    var_f = variance_functional(F, alpha)
-    var_t = statistic_product_mean(projection, projection, alpha) - decomposition.mean**2
-    return OracleApproximation(decomposition=decomposition, loss=var_f - var_t)
+        return dict(enumerate(self.components, start=1))
 
 
 class ScaledKernelCandidate(Record):
     """Decomposition kernels of F scaled by 1/C(N, i), with closed-form errors.
 
-    ``error_reduced`` uses the overlap constant whose product stops at
-    n - r (the reading matching the exact enumeration oracle);
-    ``error_full`` keeps the printed upper bound n, which zeroes every
-    positive-overlap term.  Neither is asserted to equal the true loss —
-    compare against ``direct_loss``.
+    ``error_reduced`` and ``error_full`` are ``candidate_error_formula`` in its
+    two overlap readings; neither is the enumerated loss.  When d <= N the
+    reduced one is its negative: ``approx --alpha 1/3,4/3 --N 4`` (CI's F)
+    prints ``error_formula_reduced: -497/89760``, ``loss_enumerated: 497/89760``.
     """
 
     kernels: dict[int, SymmetricKernel]
@@ -406,26 +370,62 @@ def candidate_error_formula(
     return total
 
 
+def _approximations(F: SimplexPolynomial, alpha: DiscreteBaseMeasure, window: int) -> tuple:
+    """(oracle, candidate) from one build of F's chaos kernels and their second
+    moments; a float coefficient is read as its exact image, each result rounded once."""
+    if window < 1:
+        raise DomainError("the statistic must depend on at least one draw")
+    pairs, lead, rounded = F.scaled_terms
+    if rounded:
+        F = SimplexPolynomial(F.nvars, {e: Fraction(c, lead) for e, c in pairs})
+
+    def scaled_by(h: SymmetricKernel, factor: Fraction) -> SymmetricKernel:
+        nums, den, _ = h.scale(factor).numerators
+        return SymmetricKernel._from_numerators(h.order, h.atoms, nums, den, rounded)
+
+    mass, loss, components, scaled, seconds = alpha.total_mass, Fraction(0), [], {}, {}
+    for s, h in enumerate(chaos_kernels(F, alpha, max(F.degree, 1)).kernels, start=1):
+        seconds[s] = statistic_product_mean(h, h, alpha)
+        energy = c_iso(s, mass) * seconds[s]  # E[I_s(h_s)^2]
+        if s <= window:
+            shrink = c_overlap(window, window - s, mass)  # s!/(|alpha|+N)^(s)
+            components.append(scaled_by(h, shrink))
+            energy *= 1 - binom(window, s) * shrink
+            if not h.is_zero():
+                scaled[s] = scaled_by(h, Fraction(1, binom(window, s)))
+        loss += energy
+    errors = (candidate_error_formula(seconds, mass, window, b) for b in ("reduced", "full"))
+    return (
+        OracleApproximation(tuple(components), ratio(loss.numerator, loss.denominator, rounded)),
+        ScaledKernelCandidate(scaled, *(float(e) if rounded else e for e in errors)),
+    )
+
+
+def best_symmetric_approx_oracle(
+    F: SimplexPolynomial, alpha: DiscreteBaseMeasure, window: int
+) -> OracleApproximation:
+    """The loss minimizer T = E[F | X_1..X_N] over symmetric statistics of
+    the first N draws, in closed form from F's chaos kernels h_s: no lattice.
+
+    Given the window, D is Dirichlet(alpha + sum_i delta_X_i), so I_s(h)(D)
+    has the mean of h at s further urn draws; for a degenerate h only terms
+    with s distinct window draws survive, N!/(N-s)! of probability
+    1/(|alpha|+N)^(s) each: E[I_s(h) | X_1..X_N] = c_s U_N(h) for s <= N,
+    c_s = N!/(N-s)!/(|alpha|+N)^(s) (Hoeffding 1948; Blackwell & MacQueen
+    1973), at s = 1 the posterior mean's shrinkage N/(|alpha|+N).  So T's
+    order-s component is h_s times s!/(|alpha|+N)^(s), and its loss is
+    sum_{s<=N} (1 - c_s) E[I_s^2] + sum_{s>N} E[I_s^2], E[I_s^2] = c_iso(s) E[h_s^2].
+    """
+    return _approximations(F, alpha, window)[0]
+
+
 def scaled_kernel_candidate(
     F: SimplexPolynomial,
     alpha: DiscreteBaseMeasure,
     window: int,
 ) -> ScaledKernelCandidate:
     """The candidate family h_i / C(N, i) built from the kernels of F."""
-    max_order = max(F.degree, 1)
-    decomposition = chaos_kernels(F, alpha, max_order)
-    kernels: dict[int, SymmetricKernel] = {}
-    moments: dict[int, Scalar] = {}
-    for n in range(1, max_order + 1):
-        h = decomposition.kernel(n)
-        moments[n] = statistic_product_mean(h, h, alpha)
-        if n <= window and not h.is_zero():
-            kernels[n] = h.scale(Fraction(1, binom(window, n)))
-    return ScaledKernelCandidate(
-        kernels=kernels,
-        error_reduced=candidate_error_formula(moments, alpha.total_mass, window, "reduced"),
-        error_full=candidate_error_formula(moments, alpha.total_mass, window, "full"),
-    )
+    return _approximations(F, alpha, window)[1]
 
 
 class ApproximationReport(Record):
@@ -452,27 +452,26 @@ class ApproximationReport(Record):
         def kernel_map(kernels: Mapping[int, SymmetricKernel]) -> dict:
             return {str(n): k.to_json() for n, k in sorted(kernels.items())}
 
+        def mc_json(estimate: MCEstimate) -> dict:
+            return {"value": estimate.value, "stderr": estimate.stderr, "draws": estimate.draws}
+
+        oracle_kernels = self.oracle.kernels()  # and the zero orders up to the window
+        zero = 0.0 if isinstance(self.oracle.loss, float) else Fraction(0)
+        for s in range(len(oracle_kernels) + 1, self.window + 1):
+            oracle_kernels[s] = SymmetricKernel.from_function(s, self.alpha.atoms, lambda c: zero)
         return {
             "alpha": self.alpha.to_json(),
             "window": self.window,
             "oracle": {
-                "kernels": kernel_map(self.oracle.kernels()),
+                "kernels": kernel_map(oracle_kernels),
                 "loss": scalar_to_json(self.oracle.loss),
                 "loss_enumerated": scalar_to_json(self.oracle_loss_enumerated),
-                "loss_mc": {
-                    "value": self.oracle_loss_mc.value,
-                    "stderr": self.oracle_loss_mc.stderr,
-                    "draws": self.oracle_loss_mc.draws,
-                },
+                "loss_mc": mc_json(self.oracle_loss_mc),
             },
             "candidate": {
                 "kernels": kernel_map(self.candidate.kernels),
                 "loss_enumerated": scalar_to_json(self.candidate_loss_enumerated),
-                "loss_mc": {
-                    "value": self.candidate_loss_mc.value,
-                    "stderr": self.candidate_loss_mc.stderr,
-                    "draws": self.candidate_loss_mc.draws,
-                },
+                "loss_mc": mc_json(self.candidate_loss_mc),
                 "error_formula_reduced": scalar_to_json(self.candidate.error_reduced),
                 "error_formula_full": scalar_to_json(self.candidate.error_full),
             },
@@ -494,30 +493,27 @@ def approximation_report(
     Raises a numeric error if the enumerated losses contradict projection
     optimality (they cannot, mathematically; a violation means a bug).
     MC confirmations are skipped (zero-draw placeholders) when ``rng`` is
-    None.
+    None.  The JSON's oracle kernels of orders <= N hold the split's
+    C(N + K, K) lattice: a larger one is refused first.
     """
-    oracle = best_symmetric_approx_oracle(F, alpha, window, cap=cap)
+    _check_lattice(window, alpha.atoms, cap)
+    oracle, candidate = _approximations(F, alpha, window)
     oracle_kernels = {
         s: k for s, k in oracle.kernels().items() if not k.is_zero()
     }
     oracle_enumerated = direct_loss(oracle_kernels, F, alpha, window, cap=cap)
-
-    candidate = scaled_kernel_candidate(F, alpha, window)
     candidate_enumerated = direct_loss(candidate.kernels, F, alpha, window, cap=cap)
 
+    oracle_mc = candidate_mc = MCEstimate(value=float("nan"), stderr=float("inf"), draws=0)
     if rng is not None:
         oracle_mc = mc_loss(oracle_kernels, F, alpha, window, reps, rng)
         candidate_mc = mc_loss(candidate.kernels, F, alpha, window, reps, rng)
-    else:
-        oracle_mc = MCEstimate(value=float("nan"), stderr=float("inf"), draws=0)
-        candidate_mc = MCEstimate(value=float("nan"), stderr=float("inf"), draws=0)
 
     notes: list[str] = []
     if abs(float(oracle.loss - oracle_enumerated)) > tolerance:
         notes.append(
-            "oracle loss from variance difference "
-            f"({float(oracle.loss):.12g}) disagrees with direct enumeration "
-            f"({float(oracle_enumerated):.12g})"
+            f"closed-form oracle loss ({float(oracle.loss):.12g}) disagrees with "
+            f"direct enumeration ({float(oracle_enumerated):.12g})"
         )
     for label, value in (
         ("reduced-product", candidate.error_reduced),

@@ -31,10 +31,10 @@ its closed form.
 machine-readable results for the command-line ``verify`` subcommand.  Its
 urn-law check holds the finite split's backward lattice pass to one
 completion enumeration per conditional mean (``polya``), exactly.  Its
-window-approximation check holds the closed-form U-statistic rate
-``ustat.ustat_mse`` to the enumerated loss ``ustat.direct_loss``, exactly,
-and checks the Monte Carlo losses of ``approximation_report``; it alone
-imports numpy and ``ustat``, so the erratum report loads neither.
+window-approximation check holds ``ustat_mse`` to ``direct_loss`` and the
+closed-form window optimum to the lattice split, exactly, and checks the
+Monte Carlo losses of ``approximation_report``; it alone imports numpy and
+``ustat``, so the erratum report loads neither.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from .errors import (
     ResourceCapError,
     SingularSystemError,
 )
-from .hoeffding import _conditional_layers, degenerate_basis, degenerate_check
+from .hoeffding import _conditional_layers, _posterior_mean_split, degenerate_basis, degenerate_check
 from .jacobi import (
     BetaParams,
     beta_bernstein,
@@ -892,10 +892,16 @@ def _check_ustat(alpha: DiscreteBaseMeasure, seed: int) -> tuple[bool, str]:
     scaled = {2: h.scale(Fraction(1, binom(6, 2)))}
     equal = ustat_mse(h, alpha, 6) == direct_loss(scaled, h.to_polynomial(), alpha, 6)
     halving = ustat_mse(h, alpha, 200) / ustat_mse(h, alpha, 400)
-    ok = ok and equal and 1.5 <= halving <= 3.0
+    # the closed-form optimum against the lattice split of T = E[F | X_1, X_2]
+    split = _posterior_mean_split(F, alpha, 2, DEFAULT_ENUMERATION_CAP)
+    T = split.reconstruct()
+    loss = variance_functional(F, alpha) - statistic_product_mean(T, T, alpha) + split.mean**2
+    same = report.oracle.components == split.components and report.oracle.loss == loss
+    ok = ok and equal and 1.5 <= halving <= 3.0 and same
     detail += (
         f"; U-statistic mse {'equals' if equal else 'differs from'} enumeration at window 6"
         f"; window-halving mse ratio {float(halving):.6g} (exact)"
+        f"; closed-form optimum {'equals' if same else 'differs from'} the lattice split"
     )
     return ok, detail
 

@@ -22,7 +22,6 @@ from dfchaos.kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assem
 from dfchaos.measures import MomentLadder, measure
 from dfchaos.numeric import occupation_vectors
 from dfchaos.polya import polya_joint_prob
-from dfchaos.ustat import best_symmetric_approx_oracle
 from dfchaos.validation import _rref
 
 
@@ -156,14 +155,14 @@ def test_split_requires_matching_atoms():
 
 
 @pytest.mark.parametrize(
-    "decompose", [hoeffding_decompose, martingale_decomposition, best_symmetric_approx_oracle]
+    "decompose", [hoeffding_decompose, martingale_decomposition, hoeffding._posterior_mean_split]
 )
 def test_cap_stops_the_first_and_largest_enumeration(decompose, monkeypatch):
     # one cap rule: a split holds its lattice, the C(N + K, K) = C(6, 3) = 20
     # occupation vectors of size <= 3 on three atoms, and a cap below that
     # refuses before any lattice layer, table or component is built
     alpha = measure(1, "1/2", 2)
-    if decompose is best_symmetric_approx_oracle:
+    if decompose is hoeffding._posterior_mean_split:
         F = SimplexPolynomial(3, {(1, 1, 0): Fraction(2), (0, 0, 2): Fraction(-1, 3)})
         args = (F, alpha, 3)
     else:
@@ -196,5 +195,5 @@ def test_cap_stops_the_first_and_largest_enumeration(decompose, monkeypatch):
     assert built == {
         hoeffding_decompose: ["layer"] * 3 + ["assembly"] * 4,
         martingale_decomposition: ["layer"] * 3,
-        best_symmetric_approx_oracle: ["table"] + ["assembly"] * 4,
+        hoeffding._posterior_mean_split: ["table"] + ["assembly"] * 4,
     }[decompose]

@@ -26,7 +26,7 @@ import dfchaos.chaos as chaos_module
 from dfchaos.bayes import ObservedSample, estimate_conditional_variance, mass_kernel
 from dfchaos.chaos import _product_sum, chaos_kernels, variance_functional
 from dfchaos.errors import DomainError, ResourceCapError
-from dfchaos.hoeffding import _posterior_mean_split, hoeffding_decompose
+from dfchaos.hoeffding import hoeffding_decompose
 from dfchaos.jacobi import BetaParams, solve_phi_system
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel
 from dfchaos.measures import DiscreteBaseMeasure
@@ -108,7 +108,6 @@ def test_every_exact_route_builds_the_kernel_of_its_values(alpha, data):
     statistic = data.draw(kernels(atoms, data.draw(st.integers(1, 3)), values))
     split = hoeffding_decompose(statistic, alpha)
     built += [*split.components, *split.projections]
-    built.append(_posterior_mean_split(F, alpha, data.draw(st.integers(1, 2)), 10_000)[1])
     orders = data.draw(st.sets(st.integers(1, 3), min_size=1))
     parts = {n: data.draw(kernels(atoms, n, values)) for n in orders}
     built.append(statistic_from_kernels(parts, data.draw(st.integers(1, 4)), atoms))

@@ -60,6 +60,7 @@ from dfchaos.coeffs import (
 from dfchaos.errors import DEFAULT_ENUMERATION_CAP, CoefficientValidationError, DomainError
 from dfchaos.hoeffding import (
     _conditional_layers,
+    _posterior_mean_split,
     degenerate_basis,
     degenerate_check,
     hoeffding_decompose,
@@ -611,21 +612,72 @@ def test_martingale_components_equal_the_per_mean_enumeration(alpha, data):
     assert all(type(v) is Fraction for g in components for v in g.table.values())
 
 
+@st.composite
+def windowed_functionals(draw, atoms):
+    """(F, N): F of degree <= 4, and a window N <= 6 below F's degree d
+    or at least d, each half the time when d > 1."""
+    F = draw(polynomials(atoms, max_degree=4))
+    d = max(F.degree, 1)
+    below = d > 1 and draw(st.booleans())
+    return F, draw(st.integers(1, d - 1) if below else st.integers(d, 6))
+
+
 @SPLIT_EXAMPLES
 @given(alpha=rational_measures(), data=st.data())
 def test_oracle_split_is_the_split_of_the_window_statistic(alpha, data):
-    # the tower property: the oracle's one posterior table is the split of
-    # T(mu) = E[F | mu] over the window, mean, components and projections
-    F = data.draw(polynomials(alpha.atoms))
-    window = data.draw(st.integers(1, 5))
+    # the closed-form optimum is the split of T(mu) = E[F | mu] over the
+    # window: its components up to min(N, d), zero above, and its loss
+    # equals the window's enumeration and Var F - Var T
+    F, window = data.draw(windowed_functionals(alpha.atoms))
     domain = occupation_vectors(window, alpha.atoms)
     values = {mu: poly_posterior_mean(F, alpha, mu) for mu in domain}
     statistic = SymmetricKernel(window, alpha.atoms, values)
     oracle = best_symmetric_approx_oracle(F, alpha, window)
     split = hoeffding_decompose(statistic, alpha)
-    assert oracle.decomposition == split
+    m = len(oracle.components)
+    assert m == min(window, max(F.degree, 1))
+    assert oracle.components == split.components[:m]
+    assert all(h.is_zero() for h in split.components[m:])
+    assert split.mean == poly_posterior_mean(F, alpha, (0,) * alpha.atoms)
+    assert oracle.loss == direct_loss(oracle.kernels(), F, alpha, window)
     variance = statistic_product_mean(statistic, statistic, alpha) - split.mean**2
     assert oracle.loss == variance_functional(F, alpha) - variance
+
+
+def test_a_float_functional_optimum_is_the_split_rounded_once():
+    # a float coefficient is read as its exact image: each component entry
+    # is the lattice split's once-rounded float, bit for bit, and so is the loss
+    alpha = DiscreteBaseMeasure((Fraction(1, 3), Fraction(4, 3), Fraction(1, 2)))
+    F = SimplexPolynomial(3, {(2, 1, 0): -0.3, (1, 0, 1): 0.1, (0, 0, 1): 0.7, (0, 1, 0): Fraction(1, 3)})
+    image = SimplexPolynomial(3, {e: Fraction(c) for e, c in F.terms.items()})
+    for window in (1, 2, 5):
+        oracle = best_symmetric_approx_oracle(F, alpha, window)
+        split = _posterior_mean_split(F, alpha, window, DEFAULT_ENUMERATION_CAP)
+        m = len(oracle.components)
+        assert all(type(v) is float for h in oracle.components for v in h.values.values())
+        assert [h.values for h in oracle.components] == [h.values for h in split.components[:m]]
+        assert all(v == 0 for h in split.components[m:] for v in h.values.values())
+        assert oracle.loss == float(best_symmetric_approx_oracle(image, alpha, window).loss)
+
+
+@SPLIT_EXAMPLES
+@given(alpha=rational_measures(), data=st.data())
+def test_the_window_shrinkage_is_the_ustat_rate(alpha, data):
+    # E[I_s | window] = c_s U_N(h_s), c_s = N!/(N-s)!/(|alpha|+N)^(s), gives
+    # E[(U_N(h_s) - I_s)^2] = E[I_s^2] (1/c_s - 1) for s <= N, and so the
+    # scaled-kernel candidate's enumerated loss order by order
+    F, window = data.draw(windowed_functionals(alpha.atoms))
+    mass = alpha.total_mass
+    expected = Fraction(0)
+    for s, h in enumerate(chaos_kernels(F, alpha, max(F.degree, 1)).kernels, start=1):
+        energy = c_iso(s, mass) * statistic_product_mean(h, h, alpha)
+        if s <= window:
+            c = math.perm(window, s) / math.prod(mass + window + j for j in range(s))
+            energy *= 1 / c - 1
+            assert ustat_mse(h, alpha, window) == energy
+        expected += energy
+    kernels = scaled_kernel_candidate(F, alpha, window).kernels
+    assert direct_loss(kernels, F, alpha, window) == expected
 
 
 @SPLIT_EXAMPLES

@@ -34,7 +34,6 @@ from dfchaos.wright_fisher import TransitionDensity, TransitionModel
 HALF = Fraction(1, 2)
 ALPHA = measure(1, HALF)
 KERNEL = SymmetricKernel(1, 2, {(1, 0): HALF, (0, 1): Fraction(-1, 2)})
-SPLIT = HoeffdingDecomposition(ALPHA, 1, Fraction(1, 3), (KERNEL,), (KERNEL,))
 ESTIMATE = MCEstimate(0.25, 0.01, 1000)
 COMPARISON = ThetaComparison(2, 1, 0.5, HALF, HALF)
 CHECK = CheckResult("closed form", True, "exact")
@@ -69,7 +68,7 @@ CASES = {
     PolynomialCoeffs: (("coefficients",), ((Fraction(1), Fraction(2)),), {}, ((),)),
     PolyaSample: (("alpha", "labels"), (ALPHA, (1, 2, 1)), {}, (ALPHA, (3,))),
     UStatistic: (("kernel", "window"), (KERNEL, 2), {}, (KERNEL, 0)),
-    OracleApproximation: (("decomposition", "loss"), (SPLIT, Fraction(1, 9)), {}, None),
+    OracleApproximation: (("components", "loss"), ((KERNEL,), Fraction(1, 9)), {}, None),
     ScaledKernelCandidate: (
         ("kernels", "error_reduced", "error_full"),
         ({1: KERNEL}, Fraction(1, 9), Fraction(1, 8)),
@@ -82,7 +81,7 @@ CASES = {
             "candidate", "candidate_loss_enumerated", "candidate_loss_mc", "discrepancies",
         ),
         (
-            ALPHA, 1, OracleApproximation(SPLIT, HALF), HALF, ESTIMATE,
+            ALPHA, 1, OracleApproximation((KERNEL,), HALF), HALF, ESTIMATE,
             ScaledKernelCandidate({1: KERNEL}, HALF, HALF), HALF, ESTIMATE, (),
         ),
         {},

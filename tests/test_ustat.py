@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,14 @@ import numpy as np
 import pytest
 
 from dfchaos import ustat
-from dfchaos.chaos import chaos_kernels, functional_mean, multiple_integral
+from dfchaos.chaos import (
+    chaos_kernels,
+    functional_mean,
+    multiple_integral,
+    statistic_product_mean,
+    variance_functional,
+)
+from dfchaos.coeffs import c_iso
 from dfchaos.errors import DomainError, ResourceCapError
 from dfchaos.hoeffding import degenerate_basis
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel
@@ -100,6 +108,37 @@ def test_frozen_losses_window_one_and_two():
             direct_loss(candidate.kernels, SQUARED_MASS, UNIFORM, window)
             == candidate_loss
         )
+
+
+def test_oracle_at_eight_atoms_and_window_forty_builds_no_lattice():
+    # the split would hold C(48, 8) ~ 3.8e8 lattice vectors; the closed form
+    # shrinks F's kernels by s!/(|alpha|+N)^(s), and its loss is Var F less
+    # Var T = sum_s c_s^2 E[U_N(h_s)^2], E[U_N^2] = E[I_s^2] + ustat_mse
+    atoms, window = 8, 40
+    alpha = measure(*([1, "1/2"] * 4))
+    F = SimplexPolynomial(
+        atoms,
+        {
+            (1, 1) + (0,) * 6: Fraction(2),
+            (0,) * 7 + (3,): Fraction(-1, 3),
+            (0, 0, 1) + (0,) * 5: Fraction(1, 5),
+        },
+    )
+    started = time.perf_counter()
+    oracle = best_symmetric_approx_oracle(F, alpha, window)
+    assert time.perf_counter() - started < 1.0
+    mass = alpha.total_mass
+    kernels = chaos_kernels(F, alpha, 3).kernels
+    assert len(oracle.components) == len(kernels) == 3
+    variance_t = Fraction(0)
+    for s, (h, component) in enumerate(zip(kernels, oracle.components), start=1):
+        rising = math.prod(mass + window + j for j in range(s))
+        assert component == h.scale(math.factorial(s) / rising)
+        c = math.perm(window, s) / rising
+        energy = c_iso(s, mass) * statistic_product_mean(h, h, alpha)
+        variance_t += c * c * (energy + ustat_mse(h, alpha, window))
+    assert oracle.loss == variance_functional(F, alpha) - variance_t
+    assert 0 < oracle.loss < variance_functional(F, alpha)
 
 
 def test_candidate_error_formula_frozen_values():
