@@ -48,7 +48,6 @@ _EXPORTS = {
         "ConvergenceError",
         "ResourceCapError",
         "SingularSystemError",
-        "CoefficientValidationError",
     ),
     "measures": (
         "DiscreteBaseMeasure",

@@ -153,7 +153,6 @@ def _occupation_integers(
 def estimate_conditional_variance(
     h: SymmetricKernel | Mapping[tuple[int, ...], Scalar],
     sample: ObservedSample,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Scalar:
     """Optimal squared-loss estimate of Var(h(X_{n+1..n+m}) | D) given data.
 
@@ -172,7 +171,8 @@ def estimate_conditional_variance(
     as the oracle of the tests and of ``verify``.
 
     A block of m future draws on K atoms whose lattice of C(m + K, K)
-    occupation vectors of at most m points exceeds ``cap`` raises
+    occupation vectors of at most m points exceeds
+    ``DEFAULT_ENUMERATION_CAP`` raises
     ResourceCapError before any moment is taken: the lattice bounds the
     terms of M (at most C(m + K - 1, K - 1)) and so the pairs that
     E[M(D)^2 | obs] multiplies.  Because everything is phrased through the
@@ -187,9 +187,10 @@ def estimate_conditional_variance(
     if m == 0 or not sums:
         return ratio(0, 1, rounded)
     lattice = binom(m + atoms, atoms)
-    if lattice > cap:
+    if lattice > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(
-            f"future block lattice of C(m + K, K) = {lattice} vectors exceeds cap {cap}"
+            f"future block lattice of C(m + K, K) = {lattice} vectors exceeds cap "
+            f"{DEFAULT_ENUMERATION_CAP}"
         )
     posterior = sample.posterior()
     # E[h^2 | obs] = second / (q1 d^2)

@@ -25,16 +25,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from operator import add
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .coeffs import _limit_row, c_iso, validate_limit_values
-from .errors import DEFAULT_ENUMERATION_CAP, DomainError
+from .coeffs import _limit_row, c_iso
+from .errors import DomainError
 from .hoeffding import _conditional_layers, degenerate_check, hoeffding_decompose
 from .kernels import (
     PredictableComponent,
     SimplexPolynomial,
     SymmetricKernel,
-    integer_rows,
     subset_sum_assembly,
 )
 from .measures import DiscreteBaseMeasure, _dirichlet_blocks, with_counts
@@ -279,17 +278,13 @@ def chaos_kernels(
     F: Functional,
     alpha: DiscreteBaseMeasure,
     max_order: int,
-    theta: Mapping[tuple[int, int], Scalar] | None = None,
     rng: np.random.Generator | None = None,
-    validate: bool = True,
 ) -> ChaosDecomposition:
     """Extract the decomposition kernels of F up to the given order.
 
-    With ``theta=None`` the exact oracle coefficients for |alpha| are used.
-    A caller-supplied coefficient set is first checked against the
-    projection conditions and refused (CoefficientValidationError) if it
-    fails; ``validate=False`` skips that gate and exists only so diagnostic
-    reports can show what known-bad coefficient sets would produce.
+    The weights are the closed-form limit coefficients theta(n, k) for
+    |alpha|, read as cached integer rows (``coeffs._limit_row``): the
+    projection conditions pin each row, so no other row is taken.
 
     For polynomial F of degree d, max_order >= d makes the decomposition
     exact: kernels beyond d come out identically zero.
@@ -301,8 +296,7 @@ def chaos_kernels(
     E[F | mu] = N(mu) / (D L) over one denominator for all mu, and the
     centred numerators N(mu) - N(0) feed the integer assembly
     ``subset_sum_assembly``, whose kernels keep their numerators: no
-    Fraction is formed until a value is read.  The limit rows are read as
-    cached integer rows (``coeffs._limit_row``).  A float coefficient
+    Fraction is formed until a value is read.  A float coefficient
     is read as its exact image, and the mean and every kernel entry are
     rounded once, to floats.  A black box takes one conditional mean per
     vector, by size (the order in which it draws from ``rng``), and the
@@ -314,16 +308,7 @@ def chaos_kernels(
     if atoms != alpha.atoms:
         raise DomainError("functional and measure disagree on the atom count")
     mass = alpha.total_mass
-    orders = range(1, max_order + 1)
-    if theta is None:
-        rows = {n: _limit_row(mass.numerator, mass.denominator, n) for n in orders}
-        rows_rounded = False
-    else:
-        if validate:
-            validate_limit_values(theta, mass, max_order)
-        rows, rows_rounded = integer_rows(
-            {n: {k: theta[(n, k)] for k in range(1, n + 1)} for n in orders}
-        )
+    rows = {n: _limit_row(mass.numerator, mass.denominator, n) for n in range(1, max_order + 1)}
 
     if isinstance(F, SimplexPolynomial):
         terms, lead, rounded = F.scaled_terms
@@ -339,7 +324,7 @@ def chaos_kernels(
         nums, den, rounded = exact_numerators([c - mean for c in conds])
         column = iter(nums)
         layers = [list(islice(column, len(layer))) for layer in vectors]
-    kernels = subset_sum_assembly(layers.__getitem__, den, rounded or rows_rounded, rows, atoms)
+    kernels = subset_sum_assembly(layers.__getitem__, den, rounded, rows, atoms)
     return ChaosDecomposition(alpha, mean, tuple(kernels.values()))
 
 
@@ -381,7 +366,6 @@ def covariance_integrals(
     h: SymmetricKernel,
     f: SymmetricKernel,
     alpha: DiscreteBaseMeasure,
-    degeneracy_tol: float = 1e-12,
 ) -> CovarianceResult:
     """E[(integral of h dD^n)(integral of f dD^m)] two ways.
 
@@ -389,16 +373,16 @@ def covariance_integrals(
     integrals, on the kernels' integer numerators (a float value is read
     as its exact image and ``exact`` rounded once, to a float).  The
     prediction is the isometry form delta_{nm}·c(n)·E[h·f] when both
-    kernels are degenerate; otherwise both are routed through their
-    finite-sample orthogonal components:
+    kernels are degenerate (``degenerate_check`` at most 1e-12); otherwise
+    both are routed through their finite-sample orthogonal components:
     E[h]E[f] + sum_s C(n,s)C(m,s)·c(s)·E[phi_h^(s)·phi_f^(s)].
     """
     if h.atoms != alpha.atoms or f.atoms != alpha.atoms:
         raise DomainError("kernels and measure disagree on the atom count")
     exact_val = ratio(*_product_sum(_integral_terms(h), _integral_terms(f), alpha))
     mass = alpha.total_mass
-    h_degen = degenerate_check(h, alpha) <= degeneracy_tol
-    f_degen = degenerate_check(f, alpha) <= degeneracy_tol
+    h_degen = degenerate_check(h, alpha) <= 1e-12
+    f_degen = degenerate_check(f, alpha) <= 1e-12
     if h_degen and f_degen:
         if h.order != f.order:
             predicted: Scalar = Fraction(0)
@@ -423,9 +407,7 @@ def covariance_integrals(
 
 
 def martingale_decomposition(
-    H: SymmetricKernel,
-    alpha: DiscreteBaseMeasure,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    H: SymmetricKernel, alpha: DiscreteBaseMeasure
 ) -> list[PredictableComponent]:
     """Telescoping components g_n(x_1..x_n) = E[H|x_1..x_n] - E[H|x_1..x_{n-1}].
 
@@ -438,12 +420,13 @@ def martingale_decomposition(
     The conditional means are the finite split's backward lattice pass
     (``hoeffding._conditional_layers``), all over one denominator, so each
     entry is one ratio of an integer difference: exact for rational values,
-    and for a float value rounded once.  More than ``cap`` lattice vectors,
-    C(N + K, K), raise ResourceCapError before any layer is built.
+    and for a float value rounded once.  More than
+    ``DEFAULT_ENUMERATION_CAP`` lattice vectors, C(N + K, K), raise
+    ResourceCapError before any layer is built.
     """
     if H.atoms != alpha.atoms:
         raise DomainError("statistic and measure disagree on the atom count")
-    layers, den, rounded = _conditional_layers(H, alpha, cap)
+    layers, den, rounded = _conditional_layers(H, alpha)
     components = []
     for n in range(1, H.order + 1):
         lower, upper = layers[n - 1], layers[n]

@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DEFAULT_ENUMERATION_CAP, DFChaosError, NumericError, ResourceCapError
+from .errors import DFChaosError, NumericError, ResourceCapError
 from .numeric import Scalar, as_scalar, scalar_to_json
 
 if TYPE_CHECKING:
@@ -193,9 +193,7 @@ def _cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         parser.error("coeffs needs --N for a finite table (or --limits / --erratum)")
     table = theta_table(args.N, mass, max_k=args.max_k)
     rows = []
-    for k in range(1, (args.max_k or args.N) + 1):
-        if k > args.N:
-            break
+    for k in range(1, table.max_k + 1):
         for a in range(1, k + 1):
             rows.append((k, a, table.theta(k, a), table.theta_star(k, a)))
     _emit_csv(("k", "a", "theta", "theta_star"), rows)
@@ -210,7 +208,7 @@ def _cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     if args.finite is not None:
         from .hoeffding import _posterior_mean_split
 
-        split = _posterior_mean_split(F, alpha, args.finite, DEFAULT_ENUMERATION_CAP)
+        split = _posterior_mean_split(F, alpha, args.finite)
         _emit_json(
             {
                 "N": split.N,
@@ -347,7 +345,7 @@ def _cmd_bayes(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         table = _load_value_table(parser, "--h", args.h)
         labels = _parse_labels(parser, "--obs", args.obs) if args.obs else ()
         sample = ObservedSample(alpha, labels)
-        estimate = estimate_conditional_variance(table, sample, cap=args.cap)
+        estimate = estimate_conditional_variance(table, sample)
         _emit_json(
             {
                 "alpha": alpha.to_json(),
@@ -390,7 +388,7 @@ def _cmd_approx(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     alpha = _parse_weights(parser, "--alpha", args.alpha)
     F = _load_functional(parser, "--F", args.F)
     rng = np.random.default_rng(args.seed)
-    report = approximation_report(F, alpha, args.N, reps=args.reps, rng=rng, cap=args.cap)
+    report = approximation_report(F, alpha, args.N, reps=args.reps, rng=rng)
     _emit_json(report.to_json())
     return 0
 
@@ -454,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--alpha", required=True, help="comma-separated prior weights")
     pv.add_argument("--obs", default="", help="comma-separated observed atom labels")
     pv.add_argument("--h", required=False, help="statistic JSON file (kernel or value table)")
-    pv.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     pe = bayes_sub.add_parser("exp", help="exponential-functional decomposition")
     pe.add_argument("--alpha", required=True, help="comma-separated base-measure weights")
     pe.add_argument("--set", dest="subset", required=True, help="comma-separated atom labels of C")
@@ -467,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, help="window size")
     p.add_argument("--reps", type=int, default=20_000, help="Monte Carlo replications")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (required)")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
 
     p = sub.add_parser("verify", help="run the named invariant checks")
     p.add_argument("--alpha", default=None, help="comma-separated weights (optional)")

@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .errors import CoefficientValidationError, DomainError
+from .errors import DomainError
 from .numeric import Scalar, binom, integer_ladder, ratio
 
 # ---------------------------------------------------------------------------
@@ -286,41 +286,6 @@ def limit_coefficients(total_mass: Scalar, max_order: int) -> dict[tuple[int, in
         for k in range(1, n + 1):
             out[(n, k)] = limit_coefficient(n, k, total_mass)
     return out
-
-
-def validate_limit_values(
-    values: Mapping[tuple[int, int], Scalar],
-    total_mass: Scalar,
-    max_order: int,
-    tol: float = 1e-9,
-) -> None:
-    """Check supplied limit coefficients against the closed form.
-
-    For each order n <= max_order, compares the supplied theta^(n,·) with
-    the closed-form row and raises CoefficientValidationError naming the
-    first order whose worst deviation exceeds ``tol`` relative to the row's
-    largest coefficient.  The projection conditions pin the row uniquely,
-    so this is the same gate as re-checking those conditions.  Used to
-    refuse decompositions driven by unvalidated coefficient sets.
-    """
-    mass = _exact_mass(total_mass)
-    for n in range(1, max_order + 1):
-        row_values = []
-        for k in range(1, n + 1):
-            if (n, k) not in values:
-                raise CoefficientValidationError(
-                    f"missing limit coefficient ({n},{k}) in supplied set"
-                )
-            row_values.append(values[(n, k)])
-        row, den = _limit_row(mass.numerator, mass.denominator, n)
-        exact = [Fraction(x, den) for x in row.values()]
-        scale = max(abs(float(t)) for t in exact)
-        worst = max(abs(float(v - t)) for v, t in zip(row_values, exact)) / scale
-        if worst > tol:
-            raise CoefficientValidationError(
-                f"supplied theta({n},*) fail the projection conditions "
-                f"(worst relative deviation {worst:.3e} > {tol:.1e})"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by every dfchaos module.
+"""Exception taxonomy shared by every dfchaos module, and the enumeration cap.
 
 The CLI maps these onto process exit codes: usage problems exit 2 (argparse),
 numeric/convergence/domain failures exit 1 with a structured JSON diagnostic
@@ -7,8 +7,9 @@ on stderr, and resource-cap breaches exit 3.
 
 from __future__ import annotations
 
-#: Default bound on the terms of an exact enumeration; a path whose nominal
-#: size exceeds its ``cap`` raises ``ResourceCapError`` (CLI exit code 3).
+#: The bound on the terms of an exact enumeration, read where each path
+#: checks what it holds: a larger nominal size raises ``ResourceCapError``
+#: (CLI exit code 3) before any work.
 DEFAULT_ENUMERATION_CAP = 10_000_000
 
 
@@ -37,12 +38,8 @@ class ConvergenceError(NumericError):
 
 
 class ResourceCapError(DFChaosError):
-    """An exact enumeration would exceed the configured term cap."""
+    """An exact enumeration would exceed ``DEFAULT_ENUMERATION_CAP`` terms."""
 
 
 class SingularSystemError(DFChaosError):
     """A linear system that should be uniquely solvable lost its pivot."""
-
-
-class CoefficientValidationError(DFChaosError):
-    """Supplied limit coefficients failed the projection cross-check."""

@@ -26,8 +26,9 @@ split of T(mu) = E[F(D) | mu] (``decompose --finite``, and the oracle of
 E[T | mu] = E[F | mu] for |mu| <= N, one ``MomentLadder.posterior_table``.
 
 One cap rule: a path caps what it holds.  The split holds its lattice, the
-C(N + K, K) occupation vectors of size <= N, and refuses a larger one
-(``ResourceCapError``) before any layer is built.
+C(N + K, K) occupation vectors of size <= N, and refuses one larger than
+``DEFAULT_ENUMERATION_CAP`` (``ResourceCapError``) before any layer is
+built.
 """
 
 from __future__ import annotations
@@ -156,18 +157,18 @@ class HoeffdingDecomposition(Record):
         return total
 
 
-def _check_lattice(N: int, atoms: int, cap: int) -> None:
+def _check_lattice(N: int, atoms: int) -> None:
     """The split's one cap: its C(N + K, K) lattice vectors, every occupation
     vector of size <= N, checked before any layer is built."""
     size = binom(N + atoms, atoms)
-    if size > cap:
+    if size > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(
-            f"the split's lattice of {size} occupation vectors exceeds cap {cap}"
+            f"the split's lattice of {size} occupation vectors exceeds cap {DEFAULT_ENUMERATION_CAP}"
         )
 
 
 def _conditional_layers(
-    statistic: SymmetricKernel, alpha: DiscreteBaseMeasure, cap: int
+    statistic: SymmetricKernel, alpha: DiscreteBaseMeasure
 ) -> tuple[list[list[int]], int, bool]:
     """(layers, D, rounded) with E[T | mu] = layers[k][i] / D for every mu of
     size k <= N, i its rank in ``occupation_lattice(k, K)``.
@@ -180,7 +181,7 @@ def _conditional_layers(
     says to round each mean once, at the end.
     """
     N = statistic.order
-    _check_lattice(N, alpha.atoms, cap)
+    _check_lattice(N, alpha.atoms)
     nums, scale, rounded = statistic.numerators
     layers = [list(nums)]
     for k in range(N - 1, -1, -1):
@@ -225,27 +226,26 @@ def _assemble(
 
 
 def hoeffding_decompose(
-    statistic: SymmetricKernel,
-    alpha: DiscreteBaseMeasure,
-    cap: int = DEFAULT_ENUMERATION_CAP,
+    statistic: SymmetricKernel, alpha: DiscreteBaseMeasure
 ) -> HoeffdingDecomposition:
     """Full orthogonal decomposition of a symmetric statistic of N draws.
 
     Every conditional mean comes from one backward lattice pass
-    (``_conditional_layers``); more than ``cap`` lattice vectors raise
-    ResourceCapError before any is built.  For rational values the result
-    is exact; a float value is read as its exact image and the mean and
-    every component and projection entry are rounded once, to floats.
+    (``_conditional_layers``); more than ``DEFAULT_ENUMERATION_CAP``
+    lattice vectors raise ResourceCapError before any is built.  For
+    rational values the result is exact; a float value is read as its
+    exact image and the mean and every component and projection entry are
+    rounded once, to floats.
     """
     if statistic.atoms != alpha.atoms:
         raise DomainError("statistic and measure disagree on the atom count")
     if statistic.order < 1:
         raise DomainError("the statistic must depend on at least one draw")
-    return _assemble(*_conditional_layers(statistic, alpha, cap), alpha)
+    return _assemble(*_conditional_layers(statistic, alpha), alpha)
 
 
 def _posterior_mean_split(
-    F: SimplexPolynomial, alpha: DiscreteBaseMeasure, N: int, cap: int
+    F: SimplexPolynomial, alpha: DiscreteBaseMeasure, N: int
 ) -> HoeffdingDecomposition:
     """The split of the N-draw statistic T(mu) = E[F(D) | mu], the projection
     of F on the first N draws.
@@ -258,7 +258,7 @@ def _posterior_mean_split(
         raise DomainError("functional and measure disagree on the atom count")
     if N < 1:
         raise DomainError("the statistic must depend on at least one draw")
-    _check_lattice(N, alpha.atoms, cap)
+    _check_lattice(N, alpha.atoms)
     terms, lead, rounded = F.scaled_terms
     layers, den = alpha.moment_ladder.posterior_table(terms, N)
     return _assemble(layers, den * lead, rounded, alpha)

@@ -93,8 +93,8 @@ class SymmetricKernel(Record):
         for counts in occupation_vectors(self.order, self.atoms):
             yield counts, self.value(counts)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(v) <= tol for v in self.values.values())
+    def is_zero(self) -> bool:
+        return not any(self.values.values())
 
     def max_abs(self) -> Scalar:
         vals = [abs(v) for _, v in self.items()]
@@ -254,8 +254,8 @@ class _ExactKernel(SymmetricKernel):
             return tuple(nums), den, False
         return tuple(x // common for x in nums), den // common, False
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return not any(self.nums) if not tol else super().is_zero(tol)
+    def is_zero(self) -> bool:
+        return not any(self.nums)
 
     def scale(self, factor: Scalar) -> SymmetricKernel:
         if not isinstance(factor, (int, Fraction)):
@@ -296,19 +296,6 @@ def _fraction_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def integer_rows(rows: Mapping[int, Mapping[int, Scalar]]) -> tuple[dict, bool]:
-    """(rows, rounded): each weight row {k: w} as ({k: numerator}, d) over
-    the row's least common denominator (``exact_numerators``: a float
-    weight is read as its exact image and ``rounded`` says one was seen),
-    the form ``subset_sum_assembly`` reads."""
-    out, rounded = {}, False
-    for n, row in rows.items():
-        weights, den, row_rounded = exact_numerators(row.values())
-        out[n] = dict(zip(row, weights)), den
-        rounded = rounded or row_rounded
-    return out, rounded
-
-
 def subset_sum_kernels(
     values: Mapping[tuple[int, ...], Scalar],
     rows: Mapping[int, Mapping[int, Scalar]],
@@ -325,19 +312,23 @@ def subset_sum_kernels(
     unit row {N: {s: 1}} the order-N subset sum of an order-s kernel.
     Weights at k < 0 or k > n add nothing.
 
-    The values and each row go over one common denominator and the
-    integer layers run through ``subset_sum_assembly``.  A float value or
-    weight is read as its exact image and every entry is rounded once, to
-    a float.
+    The values go over one common denominator, each row over its own
+    (``exact_numerators``), and the integer layers run through
+    ``subset_sum_assembly``.  A float value or weight is read as its exact
+    image and every entry is rounded once, to a float.
     """
     nums, den, rounded = exact_numerators(values.values())
     table = dict(zip(values, nums))
-    weights, rows_rounded = integer_rows(rows)
+    weights = {}
+    for n, row in rows.items():
+        row_nums, row_den, row_rounded = exact_numerators(row.values())
+        weights[n] = dict(zip(row, row_nums)), row_den
+        rounded = rounded or row_rounded
 
     def layer(k: int) -> list[int]:
         return [table.get(mu, 0) for mu in occupation_lattice(k, atoms).vectors]
 
-    return subset_sum_assembly(layer, den, rounded or rows_rounded, weights, atoms)
+    return subset_sum_assembly(layer, den, rounded, weights, atoms)
 
 
 def subset_sum_assembly(
@@ -350,7 +341,7 @@ def subset_sum_assembly(
     """``subset_sum_kernels`` on integers: ``layer(k)`` lists by rank in
     ``occupation_lattice(k, atoms)`` the numerators of v on layer k, all
     over ``den``, and ``rows[n]`` is the weight row of order n as
-    ({k: numerator}, d), over its own denominator (``integer_rows``);
+    ({k: numerator}, d), over its own denominator;
     ``rounded`` rounds every entry once, to a float.  Each layer is read
     at most once, and only if a row weights it.
 

@@ -9,11 +9,12 @@ of the directing measure given observations is the conjugate update.
 A single conditional expectation of a symmetric statistic,
 ``cond_exp_statistic_counts``, sums over the completions of the fixed block,
 collapsed to occupation vectors; the number of completions,
-C(N - #fixed + K - 1, K - 1), is checked against a configurable cap.  It
-answers single queries and is the independent oracle of the tests and of
-``verify``: the finite split (``hoeffding``) takes every conditional mean
-at once, in one backward pass over the occupation lattice, and caps the
-C(N + K, K) lattice vectors it holds.
+C(N - #fixed + K - 1, K - 1), is checked against the one fixed cap,
+``DEFAULT_ENUMERATION_CAP``.  It answers single queries and is the
+independent oracle of the tests and of ``verify``: the finite split
+(``hoeffding``) takes every conditional mean at once, in one backward
+pass over the occupation lattice, and caps the C(N + K, K) lattice
+vectors it holds.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ def cond_exp_statistic(
     statistic: SymmetricKernel,
     alpha: DiscreteBaseMeasure,
     fixed: Sequence[int],
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Scalar:
     """E[T(X_1..X_N) | X_1..X_a = fixed], exactly.
 
@@ -140,16 +140,13 @@ def cond_exp_statistic(
     remaining N-a coordinates are integrated out under the posterior urn
     law.
     """
-    return cond_exp_statistic_counts(
-        statistic, alpha, tuple_counts(fixed, alpha.atoms), cap=cap
-    )
+    return cond_exp_statistic_counts(statistic, alpha, tuple_counts(fixed, alpha.atoms))
 
 
 def cond_exp_statistic_counts(
     statistic: SymmetricKernel,
     alpha: DiscreteBaseMeasure,
     fixed_counts: Sequence[int],
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Scalar:
     """Same as cond_exp_statistic but with the fixed block given as counts.
 
@@ -158,7 +155,7 @@ def cond_exp_statistic_counts(
     statistic's values go over one common denominator, so the weighted sum
     runs on ints and one Fraction is formed at the end.  A float value is
     read as its exact image and the mean rounded once, to a float.  More
-    than ``cap`` completions raise ResourceCapError.
+    than ``DEFAULT_ENUMERATION_CAP`` completions raise ResourceCapError.
     """
     if statistic.atoms != alpha.atoms:
         raise DomainError("statistic and measure disagree on the atom count")
@@ -169,8 +166,10 @@ def cond_exp_statistic_counts(
             f"cannot fix {sum(fixed_counts)} of {statistic.order} coordinates"
         )
     size = binom(n_free + alpha.atoms - 1, alpha.atoms - 1)
-    if size > cap:
-        raise ResourceCapError(f"enumeration of {size} completions exceeds cap {cap}")
+    if size > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"enumeration of {size} completions exceeds cap {DEFAULT_ENUMERATION_CAP}"
+        )
     completions = list(occupation_vectors(n_free, alpha.atoms))
     values, scale, rounded = exact_numerators(
         statistic.value(tuple(f + c for f, c in zip(fixed_counts, completion)))
@@ -185,10 +184,6 @@ def cond_exp_statistic_counts(
     return ratio(num, den * scale, rounded)
 
 
-def expectation_statistic(
-    statistic: SymmetricKernel,
-    alpha: DiscreteBaseMeasure,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Scalar:
+def expectation_statistic(statistic: SymmetricKernel, alpha: DiscreteBaseMeasure) -> Scalar:
     """E[T(X_1..X_N)] under the urn law."""
-    return cond_exp_statistic(statistic, alpha, (), cap=cap)
+    return cond_exp_statistic(statistic, alpha, ())

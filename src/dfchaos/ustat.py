@@ -167,7 +167,6 @@ def direct_loss(
     F: SimplexPolynomial,
     alpha: DiscreteBaseMeasure,
     window: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Scalar:
     """Exact loss E[(F - E F - S)^2] of the subset-sum statistic S of a window.
 
@@ -179,11 +178,11 @@ def direct_loss(
     the enumerated part is one integer dot product over the window's
     vectors, over the common denominator of S, D and E F.  A float value
     or coefficient is read as its exact image and the loss rounded once.
-    More than ``cap`` window occupation vectors, C(window + K - 1, K - 1),
-    raise ResourceCapError.
+    More than ``DEFAULT_ENUMERATION_CAP`` window occupation vectors,
+    C(window + K - 1, K - 1), raise ResourceCapError.
     """
-    if binom(window + alpha.atoms - 1, alpha.atoms - 1) > cap:
-        raise ResourceCapError(f"window enumeration exceeds cap {cap}")
+    if binom(window + alpha.atoms - 1, alpha.atoms - 1) > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(f"window enumeration exceeds cap {DEFAULT_ENUMERATION_CAP}")
     statistic = statistic_from_kernels(kernels, window, alpha.atoms)
     s_nums, s_den, rounded = statistic.numerators
     pairs, c_den, f_rounded = F.scaled_terms
@@ -434,7 +433,7 @@ class ApproximationReport(Record):
     Every loss figure is produced twice (exact enumeration + Monte Carlo);
     closed-form error values are reported next to the enumerated loss they
     claim to equal, and ``discrepancies`` lists every mismatch beyond
-    tolerance.  The projection's optimality (oracle loss <= every other
+    1e-10.  The projection's optimality (oracle loss <= every other
     enumerated loss) is enforced, not just reported.
     """
 
@@ -485,8 +484,6 @@ def approximation_report(
     window: int,
     reps: int = 20_000,
     rng: np.random.Generator | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    tolerance: float = 1e-10,
 ) -> ApproximationReport:
     """Build the full oracle-vs-candidate comparison for one functional.
 
@@ -496,13 +493,13 @@ def approximation_report(
     None.  The JSON's oracle kernels of orders <= N hold the split's
     C(N + K, K) lattice: a larger one is refused first.
     """
-    _check_lattice(window, alpha.atoms, cap)
+    _check_lattice(window, alpha.atoms)
     oracle, candidate = _approximations(F, alpha, window)
     oracle_kernels = {
         s: k for s, k in oracle.kernels().items() if not k.is_zero()
     }
-    oracle_enumerated = direct_loss(oracle_kernels, F, alpha, window, cap=cap)
-    candidate_enumerated = direct_loss(candidate.kernels, F, alpha, window, cap=cap)
+    oracle_enumerated = direct_loss(oracle_kernels, F, alpha, window)
+    candidate_enumerated = direct_loss(candidate.kernels, F, alpha, window)
 
     oracle_mc = candidate_mc = MCEstimate(value=float("nan"), stderr=float("inf"), draws=0)
     if rng is not None:
@@ -510,7 +507,7 @@ def approximation_report(
         candidate_mc = mc_loss(candidate.kernels, F, alpha, window, reps, rng)
 
     notes: list[str] = []
-    if abs(float(oracle.loss - oracle_enumerated)) > tolerance:
+    if abs(float(oracle.loss - oracle_enumerated)) > 1e-10:
         notes.append(
             f"closed-form oracle loss ({float(oracle.loss):.12g}) disagrees with "
             f"direct enumeration ({float(oracle_enumerated):.12g})"
@@ -519,7 +516,7 @@ def approximation_report(
         ("reduced-product", candidate.error_reduced),
         ("full-product", candidate.error_full),
     ):
-        if abs(float(value - candidate_enumerated)) > tolerance:
+        if abs(float(value - candidate_enumerated)) > 1e-10:
             notes.append(
                 f"closed-form candidate error [{label}] = {float(value):.12g} "
                 f"differs from the enumerated candidate loss "
@@ -527,7 +524,7 @@ def approximation_report(
             )
     if candidate_enumerated < oracle_enumerated and abs(
         float(candidate_enumerated - oracle_enumerated)
-    ) > tolerance:
+    ) > 1e-10:
         raise NumericError(
             "projection optimality violated: candidate loss "
             f"{float(candidate_enumerated)} below oracle loss "

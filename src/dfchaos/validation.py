@@ -16,6 +16,9 @@ disagreements with an arbiter that neither route controls: rebuild a known
 functional from kernels extracted with each coefficient set and measure the
 pointwise reconstruction error.  A coefficient set that cannot reproduce
 the functional it claims to decompose is wrong, whatever its provenance.
+The arbiter weights the centred posterior means with the row it is given
+(``kernels.subset_sum_kernels``); ``chaos_kernels`` reads only the
+closed-form rows.
 
 ``mass_kernel_identities`` checks the closed-form kernels of a functional
 of one Beta-distributed mass D(C), built by the same ``bayes.mass_kernel``
@@ -51,6 +54,7 @@ from .bayes import (
     mass_kernel,
 )
 from .chaos import (
+    ChaosDecomposition,
     chaos_kernels,
     covariance_integrals,
     multiple_integral,
@@ -86,7 +90,7 @@ from .jacobi import (
     jacobi_modified,
     solve_phi_system,
 )
-from .kernels import SimplexPolynomial, SymmetricKernel
+from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
 from .measures import DiscreteBaseMeasure, dirichlet_moment, measure
 from .numeric import (
     Record,
@@ -259,18 +263,15 @@ def theta_limit(
     a: int,
     total_mass: Scalar,
     tol: float = 1e-8,
-    max_N: int = 2**14,
-    cross_validate: bool = True,
 ) -> ThetaLimit:
     """lim_N C(N,k)·theta*_N(k,a) by exact Neville extrapolation in 1/N.
 
-    Sample sizes double (N = k, 2k, 4k, ...); the target is a rational
-    function of N, so the interpolating-polynomial diagonal converges
-    quickly. The value is reported only once two successive diagonal
-    entries agree within ``tol``; otherwise ConvergenceError carries the
-    best partial value. With ``cross_validate`` the converged value is
-    compared against the closed-form ``limit_coefficient`` and both are
-    attached.
+    Sample sizes double (N = k, 2k, 4k, ..., up to 2^14); the target is a
+    rational function of N, so the interpolating-polynomial diagonal
+    converges quickly. The value is reported only once two successive
+    diagonal entries agree within ``tol``; otherwise ConvergenceError
+    carries the best partial value. The converged value is compared
+    against the closed-form ``limit_coefficient`` and both are attached.
     """
     if not 1 <= a <= k:
         raise DomainError(f"need 1 <= a <= k, got (k={k}, a={a})")
@@ -279,7 +280,7 @@ def theta_limit(
     sizes: list[int] = []
     previous_diag: Fraction | None = None
     N = k
-    while N <= max_N:
+    while N <= 2**14:
         tab = theta_table(N, total_mass, max_k=min(k, N))
         value = Fraction(binom(N, k)) * Fraction(tab.theta_star(k, a))
         x = Fraction(1, N)
@@ -295,12 +296,9 @@ def theta_limit(
         if previous_diag is not None:
             delta = abs(float(current - previous_diag))
             if delta < tol:
-                oracle_val = None
-                matches = None
-                if cross_validate:
-                    oracle_val = limit_coefficient(k, a, total_mass)
-                    scale = max(1.0, abs(float(oracle_val)))
-                    matches = abs(float(current) - float(oracle_val)) <= 10 * tol * scale
+                oracle_val = limit_coefficient(k, a, total_mass)
+                scale = max(1.0, abs(float(oracle_val)))
+                matches = abs(float(current) - float(oracle_val)) <= 10 * tol * scale
                 return ThetaLimit(
                     k, a, total_mass, float(current), tuple(sizes), delta, tol,
                     oracle_val, matches,
@@ -308,7 +306,7 @@ def theta_limit(
         previous_diag = current
         N *= 2
     raise ConvergenceError(
-        f"theta limit ({k},{a}) did not stabilise below {tol} with N <= {max_N}",
+        f"theta limit ({k},{a}) did not stabilise below {tol} with N <= {2**14}",
         partial=float(previous_diag) if previous_diag is not None else None,
     )
 
@@ -336,13 +334,13 @@ def c_overlap_oracle(
     f: SymmetricKernel,
     r: int,
     alpha: DiscreteBaseMeasure,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Scalar:
     """E[h(X_1..X_n)·f(X_{n-r+1}..X_{2n-r})], exactly, by enumeration.
 
     The two order-n windows share their last/first r coordinates. The
-    nominal enumeration size K^(2n-r) is checked against ``cap``.  It
-    arbitrates between the two readings of ``coeffs.c_overlap``.
+    nominal enumeration size K^(2n-r) is checked against
+    ``DEFAULT_ENUMERATION_CAP``.  It arbitrates between the two readings
+    of ``coeffs.c_overlap``.
     """
     if h.order != f.order:
         raise DomainError("overlap oracle requires kernels of equal order")
@@ -352,9 +350,9 @@ def c_overlap_oracle(
     if h.atoms != alpha.atoms or f.atoms != alpha.atoms:
         raise DomainError("kernels and measure disagree on the atom count")
     span = 2 * n - r
-    if alpha.atoms**span > cap:
+    if alpha.atoms**span > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(
-            f"enumeration of {alpha.atoms}^{span} tuples exceeds cap {cap}"
+            f"enumeration of {alpha.atoms}^{span} tuples exceeds cap {DEFAULT_ENUMERATION_CAP}"
         )
     total: Scalar = Fraction(0)
     for labels in itertools.product(range(1, alpha.atoms + 1), repeat=span):
@@ -433,12 +431,18 @@ def _reconstruction_residual(
 ) -> float:
     """Worst interior-grid reconstruction error for eta^2 under a theta set.
 
-    Kernels are extracted with the supplied coefficients (validation off:
-    measuring a wrong set is the whole point) and the resulting mean-plus-
-    integrals sum is compared with the functional itself.
+    The kernels weight the centred posterior means of eta^2 on layers 1-2
+    with the supplied rows (``subset_sum_kernels``; measuring a wrong set
+    is the whole point), and the resulting mean-plus-integrals sum is
+    compared with the functional itself.
     """
     F = SimplexPolynomial.monomial(2, (2, 0))
-    decomposition = chaos_kernels(F, alpha, 2, theta=theta, validate=False)
+    mean = poly_posterior_mean(F, alpha, (0, 0))
+    vectors = [mu for n in (1, 2) for mu in occupation_vectors(n, 2)]
+    centred = {mu: poly_posterior_mean(F, alpha, mu) - mean for mu in vectors}
+    rows = {n: {k: theta[(n, k)] for k in range(1, n + 1)} for n in (1, 2)}
+    kernels = subset_sum_kernels(centred, rows, 2).values()
+    decomposition = ChaosDecomposition(alpha, mean, tuple(kernels))
     worst = 0.0
     for i in range(1, 10):
         x = Fraction(i, 10)
@@ -450,7 +454,6 @@ def _reconstruction_residual(
 
 def theta_erratum_report(
     total_masses: Sequence[Scalar] = (Fraction(1, 2), 1, 2, 5),
-    limit_tolerance: float = 1e-6,
 ) -> ThetaErratumReport:
     """Compare recursion limits, the projection oracle, and tabulated values.
 
@@ -470,7 +473,7 @@ def theta_erratum_report(
         }
         comparisons = []
         for order, slot in ((1, 1), (2, 1), (2, 2)):
-            limit = theta_limit(order, slot, mass, tol=limit_tolerance)
+            limit = theta_limit(order, slot, mass, tol=1e-6)
             comparisons.append(
                 ThetaComparison(
                     order=order,
@@ -489,8 +492,8 @@ def theta_erratum_report(
         residual_oracle = _reconstruction_residual(alpha, oracle_theta)
         residual_published = _reconstruction_residual(alpha, published_theta)
 
-        recursion_ok = all(c.recursion_vs_oracle <= 10 * limit_tolerance for c in comparisons)
-        published_ok = all(c.published_vs_oracle <= 10 * limit_tolerance for c in comparisons)
+        recursion_ok = all(c.recursion_vs_oracle <= 10 * 1e-6 for c in comparisons)
+        published_ok = all(c.published_vs_oracle <= 10 * 1e-6 for c in comparisons)
         if recursion_ok and not published_ok and residual_published > 1e3 * max(residual_oracle, 1e-15):
             verdict = (
                 "recursion limits and projection oracle agree; tabulated "
@@ -854,7 +857,7 @@ def _check_polya(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
     statistic = SymmetricKernel.from_function(
         order, K, lambda c: Fraction(sum(j * j * cj for j, cj in enumerate(c)) - 3, 1 + c[0])
     )
-    layers, den, _ = _conditional_layers(statistic, alpha, DEFAULT_ENUMERATION_CAP)
+    layers, den, _ = _conditional_layers(statistic, alpha)
     for k, layer in enumerate(layers):
         for mu, num in zip(occupation_vectors(k, K), layer):
             if Fraction(num, den) != cond_exp_statistic_counts(statistic, alpha, mu):
@@ -893,7 +896,7 @@ def _check_ustat(alpha: DiscreteBaseMeasure, seed: int) -> tuple[bool, str]:
     equal = ustat_mse(h, alpha, 6) == direct_loss(scaled, h.to_polynomial(), alpha, 6)
     halving = ustat_mse(h, alpha, 200) / ustat_mse(h, alpha, 400)
     # the closed-form optimum against the lattice split of T = E[F | X_1, X_2]
-    split = _posterior_mean_split(F, alpha, 2, DEFAULT_ENUMERATION_CAP)
+    split = _posterior_mean_split(F, alpha, 2)
     T = split.reconstruct()
     loss = variance_functional(F, alpha) - statistic_product_mean(T, T, alpha) + split.mean**2
     same = report.oracle.components == split.components and report.oracle.loss == loss

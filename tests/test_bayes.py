@@ -95,10 +95,10 @@ def test_conditional_variance_cap_refuses_before_any_kernel(monkeypatch):
 
     monkeypatch.setattr(bayes, "with_observations", not_reached)
     monkeypatch.setattr(bayes, "_product_sum", not_reached)
-    with pytest.raises(ResourceCapError):
-        estimate_conditional_variance(
-            ARITY_8_TABLE, TEN_ATOMS_SEEN_TWICE, cap=math.comb(18, 10) - 1
-        )
+    # a one-entry arity-22 table on ten atoms: C(32, 10) = 64,512,240 vectors
+    arity_22_table = {(1,) * 22: Fraction(1)}
+    with pytest.raises(ResourceCapError, match="64512240 vectors exceeds cap 10000000"):
+        estimate_conditional_variance(arity_22_table, TEN_ATOMS_SEEN_TWICE)
 
 
 def test_conditional_variance_takes_no_decomposition(monkeypatch):

@@ -23,8 +23,7 @@ from dfchaos.chaos import (
     variance_from_decomposition,
     variance_functional,
 )
-from dfchaos.coeffs import limit_coefficients
-from dfchaos.errors import CoefficientValidationError, DomainError
+from dfchaos.errors import DomainError
 from dfchaos.hoeffding import degenerate_basis, degenerate_check
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel
 from dfchaos.measures import measure
@@ -102,17 +101,6 @@ def test_covariance_identities():
     mixed = covariance_integrals(g, g, alpha)
     assert mixed.exact == mixed.predicted
     assert mixed.route != "degenerate-isometry"
-
-
-def test_supplied_coefficients_are_validated():
-    bad = dict(limit_coefficients(2, 2))
-    bad[(2, 1)] = bad[(2, 1)] + 1
-    with pytest.raises(CoefficientValidationError):
-        chaos_kernels(ETA_SQ, UNIFORM, 2, theta=bad)
-    # validate=False is an explicit diagnostic escape hatch
-    decomposition = chaos_kernels(ETA_SQ, UNIFORM, 2, theta=bad, validate=False)
-    point = (Fraction(1, 4), Fraction(3, 4))
-    assert reconstruct(decomposition, point) != ETA_SQ.evaluate(point)
 
 
 def test_json_round_trip():

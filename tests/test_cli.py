@@ -127,19 +127,34 @@ def test_decompose_finite_checks_its_cap_before_building(capsys, tmp_path, monke
     assert "64512240 occupation vectors" in diagnostic["message"]
 
 
-def test_approx_cap_counts_the_split_lattice(capsys, eta2_file, monkeypatch):
-    # window 4 on two atoms: the oracle's split holds C(6, 2) = 15 lattice
-    # vectors, more than the window's C(5, 1) = 5 occupation vectors
+def test_approx_cap_counts_the_split_lattice(capsys, tmp_path, monkeypatch):
+    # window 24 on eight atoms: the report's oracle kernels hold the split's
+    # C(32, 8) = 10,518,300 lattice vectors, over the cap, although the
+    # window's C(31, 7) = 2,629,575 occupation vectors are under it
+    functional = tmp_path / "F.json"
+    first_mass = {"exponents": [1] + [0] * 7, "coeff": 1}
+    functional.write_text(json.dumps({"nvars": 8, "terms": [first_mass]}))
     _refuse_posterior_table(monkeypatch)
     code, out, err = run_cli(
-        capsys, "approx", "--alpha", "1,1", "--F", eta2_file, "--N", "4",
-        "--seed", "11", "--reps", "2000", "--cap", "14",
+        capsys, "approx", "--alpha", ",".join(["1"] * 8), "--F", str(functional), "--N", "24",
+        "--seed", "11", "--reps", "2000",
     )
     assert code == 3
     assert out == ""
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "ResourceCapError"
-    assert "15 occupation vectors exceeds cap 14" in diagnostic["message"]
+    assert "10518300 occupation vectors exceeds cap 10000000" in diagnostic["message"]
+
+
+def test_the_enumeration_cap_is_not_an_option(capsys, eta2_file, indicator_file):
+    for argv in (
+        ["approx", "--alpha", "1,1", "--F", eta2_file, "--N", "4", "--seed", "11", "--cap", "14"],
+        ["bayes", "var", "--alpha", "1,1", "--obs", "1", "--h", indicator_file, "--cap", "1"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--cap" in capsys.readouterr().err
 
 
 def test_decompose_missing_functional_is_usage_error(capsys):
@@ -258,13 +273,19 @@ def test_bayes_var_posterior_update(capsys, indicator_file):
     assert payload["estimate"] == "1/5"
 
 
-def test_bayes_var_cap_exit_code(capsys, indicator_file):
-    code, _, err = run_cli(
-        capsys, "bayes", "var", "--alpha", "1,1", "--obs", "1", "--h", indicator_file,
-        "--cap", "1",
+def test_bayes_var_cap_exit_code(capsys, tmp_path):
+    # a one-entry arity-22 table on ten atoms: the future block's lattice of
+    # C(32, 10) = 64,512,240 vectors exceeds the cap
+    table = tmp_path / "h.json"
+    table.write_text(json.dumps({"entries": [{"labels": [1] * 22, "value": 1}]}))
+    code, out, err = run_cli(
+        capsys, "bayes", "var", "--alpha", ",".join(["1"] * 10), "--obs", "1", "--h", str(table),
     )
     assert code == 3
-    assert json.loads(err)["error"] == "ResourceCapError"
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "ResourceCapError"
+    assert "64512240 vectors exceeds cap 10000000" in diagnostic["message"]
 
 
 def test_bayes_exp_payload(capsys):

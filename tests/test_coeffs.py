@@ -18,14 +18,9 @@ from dfchaos.coeffs import (
     psi,
     system_residuals,
     theta_table,
-    validate_limit_values,
 )
 from dfchaos.chaos import statistic_product_mean
-from dfchaos.errors import (
-    CoefficientValidationError,
-    ConvergenceError,
-    DomainError,
-)
+from dfchaos.errors import ConvergenceError, DomainError
 from dfchaos.kernels import SymmetricKernel
 from dfchaos.measures import measure
 from dfchaos.numeric import binom
@@ -84,7 +79,7 @@ def test_theta_limit_matches_oracle():
 
 def test_theta_limit_reports_divergence_budget():
     with pytest.raises(ConvergenceError) as excinfo:
-        theta_limit(1, 1, 2, tol=1e-30, max_N=8)
+        theta_limit(1, 1, 2, tol=1e-30)
     assert excinfo.value.partial is not None
 
 
@@ -116,16 +111,6 @@ def test_tabulated_values_second_row_disagrees():
     assert published[(1, 1)] == limit_coefficient(1, 1, mass)
     assert published[(2, 1)] != limit_coefficient(2, 1, mass)
     assert published[(2, 2)] != limit_coefficient(2, 2, mass)
-    # the tabulated row even fails the defining projection conditions
-    bad = dict(limit_coefficients(mass, 2))
-    bad[(2, 1)] = Fraction(published[(2, 1)])
-    bad[(2, 2)] = Fraction(published[(2, 2)])
-    with pytest.raises(CoefficientValidationError):
-        validate_limit_values(bad, mass, 2)
-
-
-def test_validate_accepts_oracle_values():
-    validate_limit_values(limit_coefficients(3, 3), 3, 3)
 
 
 def test_c_iso_values():

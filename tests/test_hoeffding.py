@@ -158,14 +158,18 @@ def test_split_requires_matching_atoms():
     "decompose", [hoeffding_decompose, martingale_decomposition, hoeffding._posterior_mean_split]
 )
 def test_cap_stops_the_first_and_largest_enumeration(decompose, monkeypatch):
-    # one cap rule: a split holds its lattice, the C(N + K, K) = C(6, 3) = 20
-    # occupation vectors of size <= 3 on three atoms, and a cap below that
-    # refuses before any lattice layer, table or component is built
+    # one cap rule: a split holds its lattice, the C(N + K, K) occupation
+    # vectors of size <= N.  On ten unit atoms at N = 22 that is C(32, 10) =
+    # 64,512,240 vectors, over the cap, refused before any lattice layer,
+    # table or component is built; C(6, 3) = 20 on three atoms at N = 3 builds
+    ten_atoms = measure(*[1] * 10)
     alpha = measure(1, "1/2", 2)
     if decompose is hoeffding._posterior_mean_split:
         F = SimplexPolynomial(3, {(1, 1, 0): Fraction(2), (0, 0, 2): Fraction(-1, 3)})
+        oversized = (SimplexPolynomial(10, {(1,) + (0,) * 9: Fraction(1)}), ten_atoms, 22)
         args = (F, alpha, 3)
     else:
+        oversized = (SymmetricKernel(22, 10, {(22,) + (0,) * 9: Fraction(1)}), ten_atoms)
         args = (
             SymmetricKernel.from_function(
                 3, 3, lambda counts: Fraction(counts[0] - counts[2], 1 + counts[1])
@@ -186,10 +190,10 @@ def test_cap_stops_the_first_and_largest_enumeration(decompose, monkeypatch):
     monkeypatch.setattr(
         MomentLadder, "posterior_table", spy("table", MomentLadder.posterior_table)
     )
-    with pytest.raises(ResourceCapError, match="20 occupation vectors exceeds cap 19"):
-        decompose(*args, cap=19)
+    with pytest.raises(ResourceCapError, match="64512240 occupation vectors exceeds cap 10000000"):
+        decompose(*oversized)
     assert built == []
-    decompose(*args, cap=20)
+    decompose(*args)
     # the means are one pass (three predictive steps, or one posterior
     # table), then the components and the three projections are assembled
     assert built == {

@@ -84,10 +84,12 @@ def test_expectation_and_conditional_expectation():
 
 
 def test_conditional_expectation_respects_cap():
-    alpha = measure(1, 1)
-    h = SymmetricKernel(3, 2, {(3, 0): Fraction(1)})
-    with pytest.raises(ResourceCapError):
-        cond_exp_statistic(h, alpha, (), cap=1)
+    # a sparse order-22 statistic on ten unit atoms has C(31, 9) = 20,160,075
+    # completions of the empty block, over the cap
+    alpha = measure(*[1] * 10)
+    h = SymmetricKernel(22, 10, {(22,) + (0,) * 9: Fraction(1)})
+    with pytest.raises(ResourceCapError, match="20160075 completions exceeds cap 10000000"):
+        cond_exp_statistic(h, alpha, ())
 
 
 def test_empirical_measure():

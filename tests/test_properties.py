@@ -51,13 +51,11 @@ from dfchaos.coeffs import (
     c_iso,
     c_overlap,
     limit_coefficient,
-    limit_coefficients,
     psi,
     system_residuals,
     theta_table,
-    validate_limit_values,
 )
-from dfchaos.errors import DEFAULT_ENUMERATION_CAP, CoefficientValidationError, DomainError
+from dfchaos.errors import DomainError
 from dfchaos.hoeffding import (
     _conditional_layers,
     _posterior_mean_split,
@@ -78,7 +76,7 @@ from dfchaos.ustat import (
     statistic_from_kernels,
     ustat_mse,
 )
-from dfchaos.validation import mass_kernel_identities, oracle_limit_row, tabulated_limit_values
+from dfchaos.validation import mass_kernel_identities, oracle_limit_row
 from dfchaos.wright_fisher import (
     TransitionModel,
     kernel_Q,
@@ -142,18 +140,6 @@ def test_theta_table_solves_the_defining_system(mass, N):
 def test_closed_form_limits_equal_the_oracle(mass, n):
     closed = tuple(limit_coefficient(n, k, mass) for k in range(1, n + 1))
     assert closed == oracle_limit_row(mass, n)
-
-
-@settings(max_examples=25, deadline=None, database=None)
-@given(mass=MASSES)
-def test_tabulated_row_is_rejected(mass):
-    theta = limit_coefficients(mass, 2)
-    validate_limit_values(theta, mass, 2)
-    published = tabulated_limit_values(mass)
-    theta[(2, 1)] = published[(2, 1)]
-    theta[(2, 2)] = published[(2, 2)]
-    with pytest.raises(CoefficientValidationError):
-        validate_limit_values(theta, mass, 2)
 
 
 # highest truncation M drawn per atom count K; K = 4, M = 3 is also pinned
@@ -474,18 +460,23 @@ def test_float_inputs_on_exact_weights_of_high_degree():
     statistic_image = SymmetricKernel(40, 2, {mu: Fraction(v) for mu, v in statistic.items()})
     for fixed in [(0, 0), (2, 1)]:
         assert_close(
-            cond_exp_statistic_counts(statistic, alpha, fixed, cap=2**41),
-            cond_exp_statistic_counts(statistic_image, alpha, fixed, cap=2**41),
+            cond_exp_statistic_counts(statistic, alpha, fixed),
+            cond_exp_statistic_counts(statistic_image, alpha, fixed),
         )
     mass = sum(alpha.weights)
-    theta = {(n, k): float(limit_coefficient(n, k, mass)) for n in range(1, 4) for k in range(1, n + 1)}
-    theta_image = {key: Fraction(v) for key, v in theta.items()}
-    approx = chaos_kernels(exact, alpha, 3, theta=theta, validate=False)
-    reference = chaos_kernels(exact, alpha, 3, theta=theta_image, validate=False)
-    for h_float, h_exact in zip(approx.kernels, reference.kernels):
-        scale = max(abs(v) for _, v in h_exact.items())
+    theta = {n: {k: float(limit_coefficient(n, k, mass)) for k in range(1, n + 1)} for n in range(1, 4)}
+    theta_image = {n: {k: Fraction(v) for k, v in row.items()} for n, row in theta.items()}
+    mean = poly_posterior_mean(exact, alpha, (0, 0))
+    centred = {
+        mu: poly_posterior_mean(exact, alpha, mu) - mean
+        for n in range(1, 4)
+        for mu in occupation_vectors(n, 2)
+    }
+    approx = subset_sum_kernels(centred, theta, 2)
+    for n, h_exact in subset_sum_kernels(centred, theta_image, 2).items():
         for counts, value in h_exact.items():
-            assert abs(h_float.value(counts) - value) <= 1e-12 * scale
+            got = approx[n].value(counts)
+            assert type(got) is float and got == float(value)
 
 
 def test_a_grown_ladder_leaves_equality_hash_and_json_alone():
@@ -593,7 +584,7 @@ def reference_martingale(H, alpha):
 @given(alpha=rational_measures(), data=st.data())
 def test_backward_means_equal_the_per_mean_enumeration(alpha, data):
     statistic = data.draw(statistics(alpha.atoms, 0, 5))
-    layers, den, rounded = _conditional_layers(statistic, alpha, DEFAULT_ENUMERATION_CAP)
+    layers, den, rounded = _conditional_layers(statistic, alpha)
     assert not rounded
     backward = {
         mu: Fraction(x, den)
@@ -652,7 +643,7 @@ def test_a_float_functional_optimum_is_the_split_rounded_once():
     image = SimplexPolynomial(3, {e: Fraction(c) for e, c in F.terms.items()})
     for window in (1, 2, 5):
         oracle = best_symmetric_approx_oracle(F, alpha, window)
-        split = _posterior_mean_split(F, alpha, window, DEFAULT_ENUMERATION_CAP)
+        split = _posterior_mean_split(F, alpha, window)
         m = len(oracle.components)
         assert all(type(v) is float for h in oracle.components for v in h.values.values())
         assert [h.values for h in oracle.components] == [h.values for h in split.components[:m]]
