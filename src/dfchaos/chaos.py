@@ -27,9 +27,10 @@ from itertools import islice
 from operator import add
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .coeffs import _limit_row, c_iso
+from .coeffs import _limit_row, c_iso, c_overlap
 from .errors import DomainError
-from .hoeffding import _conditional_layers, degenerate_check, hoeffding_decompose
+from .hoeffding import HoeffdingDecomposition, _check_lattice, _conditional_layers, _from_components
+from .hoeffding import degenerate_check, hoeffding_decompose
 from .kernels import (
     PredictableComponent,
     SimplexPolynomial,
@@ -326,6 +327,35 @@ def chaos_kernels(
         layers = [list(islice(column, len(layer))) for layer in vectors]
     kernels = subset_sum_assembly(layers.__getitem__, den, rounded, rows, atoms)
     return ChaosDecomposition(alpha, mean, tuple(kernels.values()))
+
+
+def _window_kernels(
+    F: SimplexPolynomial, alpha: DiscreteBaseMeasure, N: int
+) -> tuple[ChaosDecomposition, list[SymmetricKernel], bool]:
+    """(chaos, shrunk, rounded): the chaos kernels h_s, up to d = max(deg F, 1),
+    of F's exact image (``rounded``: a float coefficient was read), and the
+    components of T = E[F | X_1..X_N], h_s·s!/(|alpha|+N)^(s) for s <= min(N, d),
+    zero above (``ustat.best_symmetric_approx_oracle``): exact, rounded by the caller."""
+    pairs, lead, rounded = F.scaled_terms
+    if rounded:
+        F = SimplexPolynomial(F.nvars, {e: Fraction(c, lead) for e, c in pairs})
+    chaos, mass = chaos_kernels(F, alpha, max(F.degree, 1)), alpha.total_mass
+    shrunk = [h.scale(c_overlap(N, N - s, mass)) for s, h in enumerate(chaos.kernels[:N], 1)]
+    return chaos, shrunk, rounded
+
+
+def _window_split(
+    F: SimplexPolynomial, alpha: DiscreteBaseMeasure, N: int
+) -> HoeffdingDecomposition:
+    """The split of T(mu) = E[F(D) | mu] on N draws (``decompose --finite``): E F
+    and the shrunk kernels.  It lists orders up to N, so the lattice cap comes first."""
+    if F.nvars != alpha.atoms:
+        raise DomainError("functional and measure disagree on the atom count")
+    if N < 1:
+        raise DomainError("the statistic must depend on at least one draw")
+    _check_lattice(N, alpha.atoms)
+    decomposition, shrunk, rounded = _window_kernels(F, alpha, N)
+    return _from_components(alpha, N, decomposition.mean.as_integer_ratio(), shrunk, rounded)
 
 
 def reconstruct(decomposition: ChaosDecomposition, point: Sequence[Scalar]) -> Scalar:

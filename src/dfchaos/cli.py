@@ -203,12 +203,14 @@ def _cmd_coeffs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 def _cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.F is None:
         parser.error("decompose needs --F (functional JSON file)")
+    if args.finite is not None and args.order is not None:
+        parser.error("decompose takes --order or --finite, not both")
     alpha = _parse_weights(parser, "--alpha", args.alpha)
     F = _load_functional(parser, "--F", args.F)
     if args.finite is not None:
-        from .hoeffding import _posterior_mean_split
+        from .chaos import _window_split
 
-        split = _posterior_mean_split(F, alpha, args.finite)
+        split = _window_split(F, alpha, args.finite)
         _emit_json(
             {
                 "N": split.N,

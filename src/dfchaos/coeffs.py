@@ -153,8 +153,9 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
                      = 2F1(-k, k-N; m+k; 1) = rising(m+N, k) / rising(m+k, k),
 
     and rho(k,a)·rising(m+k, k) telescopes to (m+2k-1)·rising(m+a, k-1).
-    The ratios within a row do not depend on N; C(N,k)·theta*_N(k,a) tends
-    to the limit ``limit_coefficient``.  The tests keep every residual
+    So theta*_N(k,a) = k!/rising(m+N, k) · theta(k,a): the limit row
+    (``limit_coefficient``) shrunk, as the window split shrinks the chaos
+    kernels (``chaos._window_kernels``).  The tests keep every residual
     exactly zero, the closing row k = N equal to the cumulative sum
     theta^(N,a) = -sum_{s=a..N-1} theta^(s,a), and the diagonal equal to
     ``psi``, on random rational masses for N <= 24.

@@ -6,11 +6,10 @@ over s-subsets of a *degenerate* symmetric function of s arguments, obtained
 by weighting partial conditional expectations with the starred coefficient
 table. It is the chaos kernels' subset-sum formula with theta*_N(s, k) in
 place of theta(n, k), run by the same ``kernels.subset_sum_assembly``; the
-order-N projection of phi_s is the same sum with the weights
-theta*_N(s, k) C(N - k, s - k), since a k-subset lies in C(N - k, s - k)
-of the s-subsets. Degeneracy here means: averaging the function over its
-last argument under the one-step predictive law gives zero at every
-history.
+order-s projection is then the order-N subset sum of phi_s, the same
+assembly with a unit row.  Degeneracy here means: averaging the function
+over its last argument under the one-step predictive law gives zero at
+every history.
 
 Every conditional mean comes from one backward pass over the occupation
 lattice.  One draw of the urn gives, for |mu| = k < N,
@@ -21,9 +20,9 @@ with the weights p_i / q over their common denominator and P = sum_i p_i,
 so layer k is an integer vector over d · prod_{j=k}^{N-1} (P + j q), d the
 denominator of T's values; lifted by prod_{j<k} (P + j q), every layer is
 over one denominator and the assembly forms no Fraction in between.  The
-split of T(mu) = E[F(D) | mu] (``decompose --finite``, and the oracle of
-``ustat.best_symmetric_approx_oracle``) needs no pass: by the tower property
-E[T | mu] = E[F | mu] for |mu| <= N, one ``MomentLadder.posterior_table``.
+split of T(mu) = E[F(D) | mu] (``decompose --finite``) needs no pass: its
+components are F's chaos kernels shrunk by s!/(|alpha|+N)^(s)
+(``chaos._window_split``), and ``hoeffding_decompose`` of T is its oracle.
 
 One cap rule: a path caps what it holds.  The split holds its lattice, the
 C(N + K, K) occupation vectors of size <= N, and refuses one larger than
@@ -37,7 +36,7 @@ from typing import Iterator, Sequence
 
 from .coeffs import _theta_star_rows
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
-from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
+from .kernels import SymmetricKernel, subset_sum_assembly
 from .measures import DiscreteBaseMeasure
 from .numeric import (
     Record,
@@ -194,35 +193,22 @@ def _conditional_layers(
     return lifted, scale * totals[N], rounded
 
 
-def _assemble(
-    layers: list[list[int]], den: int, rounded: bool, alpha: DiscreteBaseMeasure
+def _from_components(
+    alpha: DiscreteBaseMeasure, N: int, mean: tuple[int, int], components: list, rounded: bool
 ) -> HoeffdingDecomposition:
-    """The split of the N-draw statistic whose conditional means are
-    E[T | mu] = layers[k][i] / den, N = len(layers) - 1: the centred layers
-    through ``subset_sum_assembly``, with the cached integer theta*_N rows
-    (``coeffs._theta_star_rows``) for the components and one order-N row
-    per projection (module docstring).  Every component and projection
-    keeps its integer numerators; a Fraction is built only when a value is
-    read."""
-    N = len(layers) - 1
-    mass = alpha.total_mass
-    rows = _theta_star_rows(mass.numerator, mass.denominator, N, N)
-    centre = layers[0][0]
-    centred = [[x - centre for x in layer] for layer in layers]
-    components = subset_sum_assembly(centred.__getitem__, den, rounded, rows, alpha.atoms)
-    projections = [
-        subset_sum_assembly(
-            centred.__getitem__,
-            den,
-            rounded,
-            {N: ({k: w * binom(N - k, s - k) for k, w in row.items()}, row_den)},
-            alpha.atoms,
-        )[N]
-        for s, (row, row_den) in rows.items()
-    ]
-    return HoeffdingDecomposition(
-        alpha, N, ratio(centre, den, rounded), tuple(components.values()), tuple(projections)
-    )
+    """The split of N draws with the mean num / den and these exact components
+    of orders 1, 2, ... (zero above the last).  Projection s is the order-N
+    subset sum of component s: ``subset_sum_assembly`` with the unit row
+    {N: ({s: 1}, 1)}, or no weight and no up-step for a zero component.
+    With ``rounded`` every entry is rounded once, at the end, to a float."""
+    atoms, phis, projections = alpha.atoms, [], []
+    for s in range(1, N + 1):
+        h = components[s - 1] if s <= len(components) else SymmetricKernel(s, atoms, {})
+        nums, den, _ = h.numerators
+        phis.append(SymmetricKernel._from_numerators(s, atoms, nums, den, rounded))
+        row = {N: ({s: 1} if any(nums) else {}, 1)}
+        projections.append(subset_sum_assembly({s: nums}.__getitem__, den, rounded, row, atoms)[N])
+    return HoeffdingDecomposition(alpha, N, ratio(*mean, rounded), tuple(phis), tuple(projections))
 
 
 def hoeffding_decompose(
@@ -232,33 +218,19 @@ def hoeffding_decompose(
 
     Every conditional mean comes from one backward lattice pass
     (``_conditional_layers``); more than ``DEFAULT_ENUMERATION_CAP``
-    lattice vectors raise ResourceCapError before any is built.  For
+    lattice vectors raise ResourceCapError before any is built; the theta*_N
+    rows (``coeffs._theta_star_rows``) weight the centred layers.  For
     rational values the result is exact; a float value is read as its
     exact image and the mean and every component and projection entry are
-    rounded once, to floats.
+    rounded once, to floats (``_from_components``).
     """
     if statistic.atoms != alpha.atoms:
         raise DomainError("statistic and measure disagree on the atom count")
     if statistic.order < 1:
         raise DomainError("the statistic must depend on at least one draw")
-    return _assemble(*_conditional_layers(statistic, alpha), alpha)
-
-
-def _posterior_mean_split(
-    F: SimplexPolynomial, alpha: DiscreteBaseMeasure, N: int
-) -> HoeffdingDecomposition:
-    """The split of the N-draw statistic T(mu) = E[F(D) | mu], the projection
-    of F on the first N draws.
-
-    By the tower property E[T | mu] = E[F | mu] for |mu| <= N, so every
-    layer is one ``MomentLadder.posterior_table`` of F's integer terms, and
-    its top layer is T.  The cap is the split's, checked before the table.
-    """
-    if F.nvars != alpha.atoms:
-        raise DomainError("functional and measure disagree on the atom count")
-    if N < 1:
-        raise DomainError("the statistic must depend on at least one draw")
-    _check_lattice(N, alpha.atoms)
-    terms, lead, rounded = F.scaled_terms
-    layers, den = alpha.moment_ladder.posterior_table(terms, N)
-    return _assemble(layers, den * lead, rounded, alpha)
+    layers, den, rounded = _conditional_layers(statistic, alpha)
+    N, mass = statistic.order, alpha.total_mass
+    rows = _theta_star_rows(mass.numerator, mass.denominator, N, N)
+    centred = [[x - layers[0][0] for x in layer] for layer in layers]
+    components = subset_sum_assembly(centred.__getitem__, den, False, rows, alpha.atoms)
+    return _from_components(alpha, N, (layers[0][0], den), [*components.values()], rounded)

@@ -41,7 +41,7 @@ import numpy as np
 from .chaos import (
     MCEstimate,
     _product_sum,
-    chaos_kernels,
+    _window_kernels,
     functional_mean,
     statistic_product_mean,
     variance_functional,
@@ -370,32 +370,28 @@ def candidate_error_formula(
 
 
 def _approximations(F: SimplexPolynomial, alpha: DiscreteBaseMeasure, window: int) -> tuple:
-    """(oracle, candidate) from one build of F's chaos kernels and their second
-    moments; a float coefficient is read as its exact image, each result rounded once."""
+    """(oracle, candidate) from one ``chaos._window_kernels`` build and the
+    kernels' second moments; a float coefficient is read as its exact image,
+    each result rounded once."""
     if window < 1:
         raise DomainError("the statistic must depend on at least one draw")
-    pairs, lead, rounded = F.scaled_terms
-    if rounded:
-        F = SimplexPolynomial(F.nvars, {e: Fraction(c, lead) for e, c in pairs})
+    decomposition, shrunk, rounded = _window_kernels(F, alpha, window)
 
-    def scaled_by(h: SymmetricKernel, factor: Fraction) -> SymmetricKernel:
-        nums, den, _ = h.scale(factor).numerators
-        return SymmetricKernel._from_numerators(h.order, h.atoms, nums, den, rounded)
+    def once(h: SymmetricKernel) -> SymmetricKernel:
+        return SymmetricKernel._from_numerators(h.order, h.atoms, *h.numerators[:2], rounded)
 
-    mass, loss, components, scaled, seconds = alpha.total_mass, Fraction(0), [], {}, {}
-    for s, h in enumerate(chaos_kernels(F, alpha, max(F.degree, 1)).kernels, start=1):
+    mass, loss, scaled, seconds = alpha.total_mass, Fraction(0), {}, {}
+    for s, h in enumerate(decomposition.kernels, start=1):
         seconds[s] = statistic_product_mean(h, h, alpha)
-        energy = c_iso(s, mass) * seconds[s]  # E[I_s(h_s)^2]
+        c = c_iso(s, mass)
+        loss += c * seconds[s]  # E[I_s(h_s)^2], less E[E[I_s(h_s) | window]^2] for s <= N
         if s <= window:
-            shrink = c_overlap(window, window - s, mass)  # s!/(|alpha|+N)^(s)
-            components.append(scaled_by(h, shrink))
-            energy *= 1 - binom(window, s) * shrink
+            loss -= c * binom(window, s) * statistic_product_mean(h, shrunk[s - 1], alpha)
             if not h.is_zero():
-                scaled[s] = scaled_by(h, Fraction(1, binom(window, s)))
-        loss += energy
+                scaled[s] = once(h.scale(Fraction(1, binom(window, s))))
     errors = (candidate_error_formula(seconds, mass, window, b) for b in ("reduced", "full"))
     return (
-        OracleApproximation(tuple(components), ratio(loss.numerator, loss.denominator, rounded)),
+        OracleApproximation(tuple(map(once, shrunk)), ratio(*loss.as_integer_ratio(), rounded)),
         ScaledKernelCandidate(scaled, *(float(e) if rounded else e for e in errors)),
     )
 
@@ -406,14 +402,12 @@ def best_symmetric_approx_oracle(
     """The loss minimizer T = E[F | X_1..X_N] over symmetric statistics of
     the first N draws, in closed form from F's chaos kernels h_s: no lattice.
 
-    Given the window, D is Dirichlet(alpha + sum_i delta_X_i), so I_s(h)(D)
-    has the mean of h at s further urn draws; for a degenerate h only terms
-    with s distinct window draws survive, N!/(N-s)! of probability
-    1/(|alpha|+N)^(s) each: E[I_s(h) | X_1..X_N] = c_s U_N(h) for s <= N,
-    c_s = N!/(N-s)!/(|alpha|+N)^(s) (Hoeffding 1948; Blackwell & MacQueen
-    1973), at s = 1 the posterior mean's shrinkage N/(|alpha|+N).  So T's
-    order-s component is h_s times s!/(|alpha|+N)^(s), and its loss is
-    sum_{s<=N} (1 - c_s) E[I_s^2] + sum_{s>N} E[I_s^2], E[I_s^2] = c_iso(s) E[h_s^2].
+    T's order-s component is h_s shrunk by s!/(|alpha|+N)^(s)
+    (``chaos._window_kernels``): E[I_s(h_s) | X_1..X_N] = c_s U_N(h_s) with
+    c_s = N!/(N-s)!/(|alpha|+N)^(s) for s <= N (Hoeffding 1948; Blackwell &
+    MacQueen 1973), at s = 1 the posterior mean's shrinkage N/(|alpha|+N).
+    Its loss is sum_{s<=N} (1 - c_s) E[I_s^2] + sum_{s>N} E[I_s^2], E[I_s^2] = c_iso(s) E[h_s^2];
+    its oracle, ``hoeffding_decompose`` of T, stays in the tests and ``verify``.
     """
     return _approximations(F, alpha, window)[0]
 

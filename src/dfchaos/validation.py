@@ -35,8 +35,8 @@ machine-readable results for the command-line ``verify`` subcommand.  Its
 urn-law check holds the finite split's backward lattice pass to one
 completion enumeration per conditional mean (``polya``), exactly.  Its
 window-approximation check holds ``ustat_mse`` to ``direct_loss`` and the
-closed-form window optimum to the lattice split, exactly, and checks the
-Monte Carlo losses of ``approximation_report``; it alone imports numpy and
+closed-form window optimum to the backward-pass split, exactly, and checks
+the Monte Carlo losses of ``approximation_report``; it alone imports numpy and
 ``ustat``, so the erratum report loads neither.
 """
 
@@ -79,7 +79,7 @@ from .errors import (
     ResourceCapError,
     SingularSystemError,
 )
-from .hoeffding import _conditional_layers, _posterior_mean_split, degenerate_basis, degenerate_check
+from .hoeffding import _conditional_layers, degenerate_basis, degenerate_check, hoeffding_decompose
 from .jacobi import (
     BetaParams,
     beta_bernstein,
@@ -254,8 +254,8 @@ class ThetaLimit(Record):
     sample_sizes: tuple[int, ...]
     last_delta: float
     tolerance: float
-    oracle_value: Fraction | None = None
-    matches_oracle: bool | None = None
+    oracle_value: Fraction
+    matches_oracle: bool
 
 
 def theta_limit(
@@ -895,9 +895,9 @@ def _check_ustat(alpha: DiscreteBaseMeasure, seed: int) -> tuple[bool, str]:
     scaled = {2: h.scale(Fraction(1, binom(6, 2)))}
     equal = ustat_mse(h, alpha, 6) == direct_loss(scaled, h.to_polynomial(), alpha, 6)
     halving = ustat_mse(h, alpha, 200) / ustat_mse(h, alpha, 400)
-    # the closed-form optimum against the lattice split of T = E[F | X_1, X_2]
-    split = _posterior_mean_split(F, alpha, 2)
-    T = split.reconstruct()
+    # the closed-form optimum against the backward-pass split of T = E[F | X_1, X_2]
+    T = SymmetricKernel.from_function(2, K, lambda mu: poly_posterior_mean(F, alpha, mu))
+    split = hoeffding_decompose(T, alpha)
     loss = variance_functional(F, alpha) - statistic_product_mean(T, T, alpha) + split.mean**2
     same = report.oracle.components == split.components and report.oracle.loss == loss
     ok = ok and equal and 1.5 <= halving <= 3.0 and same

@@ -100,6 +100,17 @@ def test_decompose_finite_split(capsys, eta2_file):
     assert first == {(1, 0): "1/8", (0, 1): "-1/8"}
 
 
+def test_decompose_finite_refuses_an_order(capsys, eta2_file):
+    # --order selects the kernels of the limit decomposition; the finite
+    # split has every order up to N, so the two together are a usage error
+    with pytest.raises(SystemExit) as excinfo:
+        main(["decompose", "--alpha", "1,1", "--F", eta2_file, "--finite", "5", "--order", "2"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--order or --finite" in captured.err
+
+
 def _refuse_posterior_table(monkeypatch):
     from dfchaos.measures import MomentLadder
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfchaos import hoeffding
+from dfchaos import chaos, hoeffding
 from dfchaos.chaos import martingale_decomposition
 from dfchaos.errors import DomainError, ResourceCapError
 from dfchaos.hoeffding import (
@@ -155,7 +155,7 @@ def test_split_requires_matching_atoms():
 
 
 @pytest.mark.parametrize(
-    "decompose", [hoeffding_decompose, martingale_decomposition, hoeffding._posterior_mean_split]
+    "decompose", [hoeffding_decompose, martingale_decomposition, chaos._window_split]
 )
 def test_cap_stops_the_first_and_largest_enumeration(decompose, monkeypatch):
     # one cap rule: a split holds its lattice, the C(N + K, K) occupation
@@ -164,7 +164,7 @@ def test_cap_stops_the_first_and_largest_enumeration(decompose, monkeypatch):
     # table or component is built; C(6, 3) = 20 on three atoms at N = 3 builds
     ten_atoms = measure(*[1] * 10)
     alpha = measure(1, "1/2", 2)
-    if decompose is hoeffding._posterior_mean_split:
+    if decompose is chaos._window_split:
         F = SimplexPolynomial(3, {(1, 1, 0): Fraction(2), (0, 0, 2): Fraction(-1, 3)})
         oversized = (SimplexPolynomial(10, {(1,) + (0,) * 9: Fraction(1)}), ten_atoms, 22)
         args = (F, alpha, 3)
@@ -187,6 +187,7 @@ def test_cap_stops_the_first_and_largest_enumeration(decompose, monkeypatch):
 
     monkeypatch.setattr(hoeffding, "_predictive_rows", spy("layer", hoeffding._predictive_rows))
     monkeypatch.setattr(hoeffding, "subset_sum_assembly", spy("assembly", subset_sum_assembly))
+    monkeypatch.setattr(chaos, "subset_sum_assembly", spy("kernels", subset_sum_assembly))
     monkeypatch.setattr(
         MomentLadder, "posterior_table", spy("table", MomentLadder.posterior_table)
     )
@@ -194,10 +195,11 @@ def test_cap_stops_the_first_and_largest_enumeration(decompose, monkeypatch):
         decompose(*oversized)
     assert built == []
     decompose(*args)
-    # the means are one pass (three predictive steps, or one posterior
-    # table), then the components and the three projections are assembled
+    # the means are one pass (three predictive steps), then the components
+    # and the three projections are assembled; the window split takes F's
+    # chaos kernels from one posterior table of order deg F = 2 instead
     assert built == {
         hoeffding_decompose: ["layer"] * 3 + ["assembly"] * 4,
         martingale_decomposition: ["layer"] * 3,
-        hoeffding._posterior_mean_split: ["table"] + ["assembly"] * 4,
+        chaos._window_split: ["table", "kernels"] + ["assembly"] * 3,
     }[decompose]

@@ -153,9 +153,9 @@ def test_exact_subcommands_run_without_heavy_modules(argv, tmp_path):
     assert _loaded_after(code) == set()
 
 
-def test_finite_split_loads_neither_the_urn_module_nor_the_chaos_kernels(tmp_path):
-    # every conditional mean of the split is one posterior table: no
-    # per-mean completion enumeration (``polya``), no ``chaos`` module
+def test_finite_split_loads_neither_the_urn_module_nor_the_window_report(tmp_path):
+    # the split is F's chaos kernels shrunk (``chaos``): no per-mean
+    # completion enumeration (``polya``), no window report (``ustat``), no numpy
     functional = tmp_path / "F.json"
     functional.write_text(json.dumps(
         {"nvars": 2, "terms": [{"coeff": "-1", "exponents": [2, 0]},
@@ -168,8 +168,8 @@ def test_finite_split_loads_neither_the_urn_module_nor_the_chaos_kernels(tmp_pat
         f"    assert dfchaos.cli.main({argv!r}) == 0"
     )
     added = _modules_added_by(code)
-    assert "dfchaos.hoeffding" in added
-    assert not added & {"dfchaos.polya", "dfchaos.chaos"}
+    assert {"dfchaos.hoeffding", "dfchaos.chaos"} <= added
+    assert not added & {"dfchaos.polya", "dfchaos.ustat", "numpy"}
 
 
 def test_package_import_is_lazy_and_erratum_loads_validation():

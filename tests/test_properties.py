@@ -37,6 +37,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfchaos.chaos import (
+    _window_split,
     chaos_kernels,
     expectation_of_integral,
     martingale_decomposition,
@@ -48,6 +49,8 @@ from dfchaos.chaos import (
     variance_functional,
 )
 from dfchaos.coeffs import (
+    _limit_row,
+    _theta_star_rows,
     c_iso,
     c_overlap,
     limit_coefficient,
@@ -58,7 +61,6 @@ from dfchaos.coeffs import (
 from dfchaos.errors import DomainError
 from dfchaos.hoeffding import (
     _conditional_layers,
-    _posterior_mean_split,
     degenerate_basis,
     degenerate_check,
     hoeffding_decompose,
@@ -127,6 +129,21 @@ def test_theta_table_solves_the_defining_system(mass, N):
     assert closing == closing_row_by_cumulative_sum(table)
     residuals = system_residuals(table)
     assert all(value == 0 for value in residuals.values())
+
+
+@BOUNDED
+@given(mass=MASSES, N=st.integers(1, 24))
+def test_starred_rows_are_the_limit_rows_shrunk_by_the_window(mass, N):
+    # theta*_N(s, k) = s!/(|alpha|+N)^(s) theta(s, k): the split of N draws
+    # weights its conditional means as the chaos kernels do, shrunk by c_s
+    p, q = mass.numerator, mass.denominator
+    for s, (row, den) in _theta_star_rows(p, q, N, N).items():
+        limit, limit_den = _limit_row(p, q, s)
+        shrink = c_overlap(N, N - s, mass)
+        assert shrink == math.factorial(s) / rising(mass + N, s)
+        assert {k: Fraction(x, den) for k, x in row.items()} == {
+            k: shrink * Fraction(x, limit_den) for k, x in limit.items()
+        }
 
 
 @BOUNDED
@@ -613,6 +630,13 @@ def windowed_functionals(draw, atoms):
     return F, draw(st.integers(1, d - 1) if below else st.integers(d, 6))
 
 
+def window_statistic(F, alpha, window):
+    """T(mu) = E[F | mu] on the window's layer, one posterior mean per vector."""
+    return SymmetricKernel.from_function(
+        window, alpha.atoms, lambda mu: poly_posterior_mean(F, alpha, mu)
+    )
+
+
 @SPLIT_EXAMPLES
 @given(alpha=rational_measures(), data=st.data())
 def test_oracle_split_is_the_split_of_the_window_statistic(alpha, data):
@@ -637,18 +661,56 @@ def test_oracle_split_is_the_split_of_the_window_statistic(alpha, data):
 
 def test_a_float_functional_optimum_is_the_split_rounded_once():
     # a float coefficient is read as its exact image: each component entry
-    # is the lattice split's once-rounded float, bit for bit, and so is the loss
+    # is the backward split's exact value rounded once, bit for bit, and so
+    # is the loss
     alpha = DiscreteBaseMeasure((Fraction(1, 3), Fraction(4, 3), Fraction(1, 2)))
     F = SimplexPolynomial(3, {(2, 1, 0): -0.3, (1, 0, 1): 0.1, (0, 0, 1): 0.7, (0, 1, 0): Fraction(1, 3)})
     image = SimplexPolynomial(3, {e: Fraction(c) for e, c in F.terms.items()})
     for window in (1, 2, 5):
         oracle = best_symmetric_approx_oracle(F, alpha, window)
-        split = _posterior_mean_split(F, alpha, window)
+        split = hoeffding_decompose(window_statistic(image, alpha, window), alpha)
         m = len(oracle.components)
         assert all(type(v) is float for h in oracle.components for v in h.values.values())
-        assert [h.values for h in oracle.components] == [h.values for h in split.components[:m]]
-        assert all(v == 0 for h in split.components[m:] for v in h.values.values())
+        assert [h.values for h in oracle.components] == [
+            {mu: float(v) for mu, v in h.values.items()} for h in split.components[:m]
+        ]
+        assert all(h.is_zero() for h in split.components[m:])
         assert oracle.loss == float(best_symmetric_approx_oracle(image, alpha, window).loss)
+
+
+@SPLIT_EXAMPLES
+@given(alpha=rational_measures(), data=st.data())
+def test_the_window_split_is_the_backward_split_of_its_statistic(alpha, data):
+    # decompose --finite's closed form (F's chaos kernels shrunk) against
+    # hoeffding_decompose of T(mu) = E[F | mu], the backward pass over the
+    # whole lattice: equal in mean, components and projections; a float F
+    # gives each entry as the exact split's value rounded once; and the
+    # components up to min(N, d) are the projection oracle's, zero above
+    F, window = data.draw(windowed_functionals(alpha.atoms))
+    rounded = bool(F.terms) and data.draw(st.booleans())
+    if rounded:
+        F = SimplexPolynomial(F.nvars, {e: float(c) / 3 for e, c in F.terms.items()})
+    image = SimplexPolynomial(F.nvars, {e: Fraction(c) for e, c in F.terms.items()})
+    split = _window_split(F, alpha, window)
+    reference = hoeffding_decompose(window_statistic(image, alpha, window), alpha)
+
+    def once(value):
+        return float(value) if rounded else value
+
+    assert (split.N, type(split.mean)) == (window, type(once(reference.mean)))
+    assert split.mean == once(reference.mean)
+    for got, want in zip(
+        split.components + split.projections, reference.components + reference.projections,
+        strict=True,
+    ):
+        assert [(mu, type(v), v) for mu, v in got.items()] == [
+            (mu, type(once(v)), once(v)) for mu, v in want.items()
+        ]
+    oracle = best_symmetric_approx_oracle(F, alpha, window)
+    m = len(oracle.components)
+    assert m == min(window, max(F.degree, 1))
+    assert [h.values for h in oracle.components] == [h.values for h in split.components[:m]]
+    assert all(h.is_zero() for h in split.components[m:])
 
 
 @SPLIT_EXAMPLES

@@ -103,7 +103,7 @@ CASES = {
             "oracle_value", "matches_oracle",
         ),
         (2, 1, HALF, 0.75, (2, 4), 1e-9, 1e-8, Fraction(3, 4), True),
-        {"oracle_value": None, "matches_oracle": None},
+        {},
         None,
     ),
     ThetaComparison: (
