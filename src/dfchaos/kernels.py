@@ -538,21 +538,23 @@ class SimplexPolynomial(Record):
 
     @classmethod
     def from_json(cls, payload: dict) -> "SimplexPolynomial":
-        try:
-            entries = payload["terms"]
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed polynomial JSON: {exc}") from exc
         terms: dict[tuple[int, ...], Scalar] = {}
-        nvars = payload.get("nvars")
-        for entry in entries:
-            exps = tuple(int(e) for e in entry["exponents"])
+        try:
+            entries, nvars = payload["terms"], payload.get("nvars")
+            for entry in entries:
+                exps = tuple(int(e) for e in entry["exponents"])
+                if nvars is None:
+                    nvars = len(exps)
+                coeff = as_scalar(entry["coeff"])
+                terms[exps] = terms[exps] + coeff if exps in terms else coeff
             if nvars is None:
-                nvars = len(exps)
-            coeff = as_scalar(entry["coeff"])
-            terms[exps] = terms[exps] + coeff if exps in terms else coeff
-        if nvars is None:
-            raise DomainError("polynomial JSON has no terms and no 'nvars'")
-        return cls(int(nvars), terms)
+                raise DomainError("polynomial JSON has no terms and no 'nvars'")
+            nvars = int(nvars)
+        except DomainError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"malformed polynomial JSON: {exc}") from exc
+        return cls(nvars, terms)
 
     @classmethod
     def monomial(cls, nvars: int, exponents: Sequence[int], coeff: Scalar = Fraction(1)):

@@ -13,10 +13,12 @@ rate exactly (``ustat_mse``):
     E[(U_N - I_n(h))^2] = sum_{r=1..n} C(n,r) C(N-n,n-r) / C(N,n) (O(r) - O(0)),
 
 with O(r) = E_urn[h(X_1..X_n) h(X_{n-r+1}..X_{2n-r})], which depends on h
-and alpha only.  For a degenerate h, ``direct_loss`` of h / C(N, n) against
-F = I_n(h) enumerates the same loss over the window's C(N + K - 1, K - 1)
-occupation vectors: the oracle in ``verify`` and the tests, too slow at
-large N to be the route.
+and alpha only.  For a chaos kernel h_s it is e_s (r_s/f_s - 1), with
+e_s = c_iso(s) E[h_s^2], f_s = N!/(N-s)! and r_s = (|alpha|+N)^(s), and both
+exact losses of ``approximation_report`` are sums of such terms.
+``direct_loss`` of h / C(N, n) against F = I_n(h) enumerates the same loss
+over the window's C(N + K - 1, K - 1) occupation vectors: the oracle in
+``verify`` and the tests, too slow at large N to be the route.
 
 The second half of the module compares two ways of approximating a
 functional F of the random measure by symmetric statistics of the first N
@@ -209,7 +211,7 @@ def mc_loss(
     reps: int,
     rng: np.random.Generator,
 ) -> MCEstimate:
-    """Monte Carlo confirmation of ``direct_loss``.
+    """Monte Carlo confirmation of the exact loss (``direct_loss``).
 
     Each replication draws the random measure d ~ Dirichlet(alpha), then a
     conditionally i.i.d. window from it, and scores (F(d) - E F - S)^2 with
@@ -370,9 +372,10 @@ def candidate_error_formula(
 
 
 def _approximations(F: SimplexPolynomial, alpha: DiscreteBaseMeasure, window: int) -> tuple:
-    """(oracle, candidate) from one ``chaos._window_kernels`` build and the
-    kernels' second moments; a float coefficient is read as its exact image,
-    each result rounded once."""
+    """(oracle, candidate, candidate loss) from one ``chaos._window_kernels``
+    build: with c_s = C(N, s) c_overlap(N, N - s) = f_s/r_s, the optimum loses
+    e_s (1 - c_s) and the candidate e_s (1/c_s - 1) at s <= N, both e_s above;
+    a float coefficient is read as its exact image, each result rounded once."""
     if window < 1:
         raise DomainError("the statistic must depend on at least one draw")
     decomposition, shrunk, rounded = _window_kernels(F, alpha, window)
@@ -380,19 +383,23 @@ def _approximations(F: SimplexPolynomial, alpha: DiscreteBaseMeasure, window: in
     def once(h: SymmetricKernel) -> SymmetricKernel:
         return SymmetricKernel._from_numerators(h.order, h.atoms, *h.numerators[:2], rounded)
 
-    mass, loss, scaled, seconds = alpha.total_mass, Fraction(0), {}, {}
+    mass, scaled, seconds, losses = alpha.total_mass, {}, {}, [Fraction(0), Fraction(0)]
     for s, h in enumerate(decomposition.kernels, start=1):
         seconds[s] = statistic_product_mean(h, h, alpha)
-        c = c_iso(s, mass)
-        loss += c * seconds[s]  # E[I_s(h_s)^2], less E[E[I_s(h_s) | window]^2] for s <= N
-        if s <= window:
-            loss -= c * binom(window, s) * statistic_product_mean(h, shrunk[s - 1], alpha)
-            if not h.is_zero():
-                scaled[s] = once(h.scale(Fraction(1, binom(window, s))))
+        energy = c_iso(s, mass) * seconds[s]  # E[I_s(h_s)^2]
+        if s > window:
+            losses = [x + energy for x in losses]
+            continue
+        c = binom(window, s) * c_overlap(window, window - s, mass)
+        losses = [losses[0] + energy * (1 - c), losses[1] + energy * (1 / c - 1)]
+        if not h.is_zero():
+            scaled[s] = once(h.scale(Fraction(1, binom(window, s))))
     errors = (candidate_error_formula(seconds, mass, window, b) for b in ("reduced", "full"))
+    oracle_loss, candidate_loss = (ratio(*x.as_integer_ratio(), rounded) for x in losses)
     return (
-        OracleApproximation(tuple(map(once, shrunk)), ratio(*loss.as_integer_ratio(), rounded)),
+        OracleApproximation(tuple(map(once, shrunk)), oracle_loss),
         ScaledKernelCandidate(scaled, *(float(e) if rounded else e for e in errors)),
+        candidate_loss,
     )
 
 
@@ -406,8 +413,7 @@ def best_symmetric_approx_oracle(
     (``chaos._window_kernels``): E[I_s(h_s) | X_1..X_N] = c_s U_N(h_s) with
     c_s = N!/(N-s)!/(|alpha|+N)^(s) for s <= N (Hoeffding 1948; Blackwell &
     MacQueen 1973), at s = 1 the posterior mean's shrinkage N/(|alpha|+N).
-    Its loss is sum_{s<=N} (1 - c_s) E[I_s^2] + sum_{s>N} E[I_s^2], E[I_s^2] = c_iso(s) E[h_s^2];
-    its oracle, ``hoeffding_decompose`` of T, stays in the tests and ``verify``.
+    Its oracle, ``hoeffding_decompose`` of T, stays in the tests and ``verify``.
     """
     return _approximations(F, alpha, window)[0]
 
@@ -424,11 +430,11 @@ def scaled_kernel_candidate(
 class ApproximationReport(Record):
     """Side-by-side record of the projection oracle and the scaled candidate.
 
-    Every loss figure is produced twice (exact enumeration + Monte Carlo);
-    closed-form error values are reported next to the enumerated loss they
-    claim to equal, and ``discrepancies`` lists every mismatch beyond
-    1e-10.  The projection's optimality (oracle loss <= every other
-    enumerated loss) is enforced, not just reported.
+    Every loss figure is produced twice (closed form + Monte Carlo); the
+    closed forms keep the JSON key ``loss_enumerated`` (``direct_loss`` is
+    their oracle).  The printed candidate-error values are reported next to
+    the loss they claim to equal, ``discrepancies`` lists every mismatch
+    beyond 1e-10, and the projection's optimality is enforced.
     """
 
     alpha: DiscreteBaseMeasure
@@ -481,58 +487,46 @@ def approximation_report(
 ) -> ApproximationReport:
     """Build the full oracle-vs-candidate comparison for one functional.
 
-    Raises a numeric error if the enumerated losses contradict projection
-    optimality (they cannot, mathematically; a violation means a bug).
-    MC confirmations are skipped (zero-draw placeholders) when ``rng`` is
-    None.  The JSON's oracle kernels of orders <= N hold the split's
-    C(N + K, K) lattice: a larger one is refused first.
+    Raises a numeric error if the closed-form losses contradict projection
+    optimality (they cannot; a violation means a bug).  With ``rng`` None the
+    MC confirmations are zero-draw placeholders and no statistic is built.
+    The JSON's oracle kernels of orders <= N hold the split's C(N + K, K)
+    lattice: a larger one is refused first.
     """
     _check_lattice(window, alpha.atoms)
-    oracle, candidate = _approximations(F, alpha, window)
-    oracle_kernels = {
-        s: k for s, k in oracle.kernels().items() if not k.is_zero()
-    }
-    oracle_enumerated = direct_loss(oracle_kernels, F, alpha, window)
-    candidate_enumerated = direct_loss(candidate.kernels, F, alpha, window)
-
+    oracle, candidate, candidate_loss = _approximations(F, alpha, window)
     oracle_mc = candidate_mc = MCEstimate(value=float("nan"), stderr=float("inf"), draws=0)
     if rng is not None:
+        oracle_kernels = {s: k for s, k in oracle.kernels().items() if not k.is_zero()}
         oracle_mc = mc_loss(oracle_kernels, F, alpha, window, reps, rng)
         candidate_mc = mc_loss(candidate.kernels, F, alpha, window, reps, rng)
 
     notes: list[str] = []
-    if abs(float(oracle.loss - oracle_enumerated)) > 1e-10:
-        notes.append(
-            f"closed-form oracle loss ({float(oracle.loss):.12g}) disagrees with "
-            f"direct enumeration ({float(oracle_enumerated):.12g})"
-        )
     for label, value in (
         ("reduced-product", candidate.error_reduced),
         ("full-product", candidate.error_full),
     ):
-        if abs(float(value - candidate_enumerated)) > 1e-10:
+        if abs(float(value - candidate_loss)) > 1e-10:
             notes.append(
                 f"closed-form candidate error [{label}] = {float(value):.12g} "
                 f"differs from the enumerated candidate loss "
-                f"{float(candidate_enumerated):.12g}"
+                f"{float(candidate_loss):.12g}"
             )
-    if candidate_enumerated < oracle_enumerated and abs(
-        float(candidate_enumerated - oracle_enumerated)
-    ) > 1e-10:
+    if candidate_loss < oracle.loss and abs(float(candidate_loss - oracle.loss)) > 1e-10:
         raise NumericError(
             "projection optimality violated: candidate loss "
-            f"{float(candidate_enumerated)} below oracle loss "
-            f"{float(oracle_enumerated)}"
+            f"{float(candidate_loss)} below oracle loss "
+            f"{float(oracle.loss)}"
         )
 
     return ApproximationReport(
         alpha=alpha,
         window=window,
         oracle=oracle,
-        oracle_loss_enumerated=oracle_enumerated,
+        oracle_loss_enumerated=oracle.loss,
         oracle_loss_mc=oracle_mc,
         candidate=candidate,
-        candidate_loss_enumerated=candidate_enumerated,
+        candidate_loss_enumerated=candidate_loss,
         candidate_loss_mc=candidate_mc,
         discrepancies=tuple(notes),
     )

@@ -34,8 +34,9 @@ its closed form.
 machine-readable results for the command-line ``verify`` subcommand.  Its
 urn-law check holds the finite split's backward lattice pass to one
 completion enumeration per conditional mean (``polya``), exactly.  Its
-window-approximation check holds ``ustat_mse`` to ``direct_loss`` and the
-closed-form window optimum to the backward-pass split, exactly, and checks
+window-approximation check holds ``ustat_mse`` and both closed-form losses
+of ``approximation_report`` to ``direct_loss``, and the closed-form window
+optimum to the backward-pass split, exactly, and checks
 the Monte Carlo losses of ``approximation_report``; it alone imports numpy and
 ``ustat``, so the erratum report loads neither.
 """
@@ -876,16 +877,18 @@ def _check_ustat(alpha: DiscreteBaseMeasure, seed: int) -> tuple[bool, str]:
     K = alpha.atoms
     F = SimplexPolynomial.monomial(K, (2,) + (0,) * (K - 1))
     report = approximation_report(F, alpha, 2, rng=np.random.default_rng(seed))
-    ok = report.oracle_loss_enumerated <= report.candidate_loss_enumerated
+    # the closed-form losses against the window enumeration of the report's kernels
+    losses = (report.oracle_loss_enumerated, report.candidate_loss_enumerated)
+    kernels = (report.oracle.kernels(), report.candidate.kernels)
+    enumerated = all(direct_loss(k, F, alpha, 2) == x for k, x in zip(kernels, losses))
+    ok = losses[0] <= losses[1] and enumerated
     detail = (
-        f"oracle loss {float(report.oracle_loss_enumerated):.6g} <= "
-        f"candidate loss {float(report.candidate_loss_enumerated):.6g}"
+        f"oracle loss {float(losses[0]):.6g} <= candidate loss {float(losses[1]):.6g}, "
+        f"both {'equal to' if enumerated else 'differing from'} the window enumeration"
     )
-    # each Monte Carlo loss within 5 standard errors of its enumerated loss
-    for label, exact, estimate in (
-        ("oracle", report.oracle_loss_enumerated, report.oracle_loss_mc),
-        ("candidate", report.candidate_loss_enumerated, report.candidate_loss_mc),
-    ):
+    # each Monte Carlo loss within 5 standard errors of its exact loss
+    estimates = (report.oracle_loss_mc, report.candidate_loss_mc)
+    for label, exact, estimate in zip(("oracle", "candidate"), losses, estimates):
         z = abs(estimate.value - float(exact)) / estimate.stderr
         ok = ok and z <= 5.0
         detail += f"; {label} MC {estimate.value:.6g} ({z:.2f} s.e.)"

@@ -168,6 +168,31 @@ def test_the_enumeration_cap_is_not_an_option(capsys, eta2_file, indicator_file)
         assert "--cap" in capsys.readouterr().err
 
 
+MALFORMED_TERMS = {
+    "list-term": {"nvars": 2, "terms": [[[1, 0], "2"]]},
+    "bad-exponent": {"nvars": 2, "terms": [{"exponents": ["x", 0], "coeff": 1}]},
+    "no-coeff": {"nvars": 2, "terms": [{"exponents": [1, 0]}]},
+    "scalar-terms": {"nvars": 2, "terms": 5},
+    "bad-nvars": {"nvars": "x", "terms": [{"exponents": [1, 0], "coeff": 1}]},
+    "infinite-exponent": {"nvars": 2, "terms": [{"exponents": [1e999, 0], "coeff": 1}]},
+}
+
+
+@pytest.mark.parametrize("command", ["decompose", "approx"])
+@pytest.mark.parametrize("payload", MALFORMED_TERMS.values(), ids=MALFORMED_TERMS.keys())
+def test_a_malformed_functional_is_a_usage_error(capsys, tmp_path, command, payload):
+    # every shape error inside the terms is a usage error, not a traceback
+    functional = tmp_path / "F.json"
+    functional.write_text(json.dumps(payload))
+    argv = [command, "--alpha", "1,1", "--F", str(functional)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + (["--N", "2", "--seed", "1"] if command == "approx" else []))
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--F: malformed polynomial JSON" in captured.err
+
+
 def test_decompose_missing_functional_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["decompose", "--alpha", "1,1"])

@@ -10,7 +10,8 @@ stick-breaking bands (``TransitionModel.band``) at rational interior points,
 both with the Gram-Schmidt oracle ``product_gram_schmidt``, and Q_n with the
 chaos kernels through the spectral identity I_n(h_n)(x) = E[F(Y) Q_n(x, Y)].
 The batched Monte Carlo loss is held to the enumerated loss it confirms,
-and the closed-form U-statistic rate to urn enumeration.
+and the closed-form U-statistic rate and the report's closed-form losses
+to urn enumeration.
 The Bernstein kernels of the exponential functional are held to their
 three exact identities.  The moment ladder (Dirichlet moments, posterior
 means and kernel assembly) is held to Fraction references built the way
@@ -70,6 +71,7 @@ from dfchaos.measures import DiscreteBaseMeasure, dirichlet_moment, with_counts
 from dfchaos.numeric import binom, occupation_vectors, sub_occupations, tuple_counts
 from dfchaos.polya import cond_exp_statistic_counts, occupation_prob, polya_joint_prob
 from dfchaos.ustat import (
+    approximation_report,
     best_symmetric_approx_oracle,
     direct_loss,
     eval_ustat_counts,
@@ -718,7 +720,8 @@ def test_the_window_split_is_the_backward_split_of_its_statistic(alpha, data):
 def test_the_window_shrinkage_is_the_ustat_rate(alpha, data):
     # E[I_s | window] = c_s U_N(h_s), c_s = N!/(N-s)!/(|alpha|+N)^(s), gives
     # E[(U_N(h_s) - I_s)^2] = E[I_s^2] (1/c_s - 1) for s <= N, and so the
-    # scaled-kernel candidate's enumerated loss order by order
+    # scaled-kernel candidate's enumerated loss order by order, which the
+    # report reads in closed form beside the optimum's
     F, window = data.draw(windowed_functionals(alpha.atoms))
     mass = alpha.total_mass
     expected = Fraction(0)
@@ -731,6 +734,27 @@ def test_the_window_shrinkage_is_the_ustat_rate(alpha, data):
         expected += energy
     kernels = scaled_kernel_candidate(F, alpha, window).kernels
     assert direct_loss(kernels, F, alpha, window) == expected
+    report = approximation_report(F, alpha, window)
+    assert report.candidate_loss_enumerated == expected
+    assert report.oracle_loss_enumerated == report.oracle.loss
+
+
+@SPLIT_EXAMPLES
+@given(alpha=rational_measures(), data=st.data())
+def test_a_float_functional_report_reads_its_losses_from_the_exact_image(alpha, data):
+    # a float coefficient is read as its exact image: the optimum's loss is
+    # the enumerated loss of the printed (rounded) oracle kernels, bit for
+    # bit, and the candidate's is the exact-image candidate's rounded once
+    F, window = data.draw(windowed_functionals(alpha.atoms))
+    F = SimplexPolynomial(F.nvars, {e: float(c) / 3 for e, c in F.terms.items()})
+    image = SimplexPolynomial(F.nvars, {e: Fraction(c) for e, c in F.terms.items()})
+    report = approximation_report(F, alpha, window)
+    oracle_loss, candidate_loss = report.oracle_loss_enumerated, report.candidate_loss_enumerated
+    assert oracle_loss == direct_loss(report.oracle.kernels(), F, alpha, window)
+    exact = scaled_kernel_candidate(image, alpha, window).kernels
+    assert candidate_loss == float(direct_loss(exact, image, alpha, window))
+    if F.terms:
+        assert type(oracle_loss) is type(candidate_loss) is float
 
 
 @SPLIT_EXAMPLES

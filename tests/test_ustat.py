@@ -261,6 +261,23 @@ def test_report_for_a_constant_functional():
     assert report.candidate_loss_mc.value == 0.0
 
 
+def test_report_without_monte_carlo_builds_no_window_statistic(monkeypatch):
+    # both exact losses are closed forms in F's chaos energies: with rng None
+    # the report enumerates no window and builds no order-N statistic
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact route built a window statistic")
+
+    monkeypatch.setattr(ustat, "direct_loss", refuse)
+    monkeypatch.setattr(ustat, "statistic_from_kernels", refuse)
+    for window, losses in (
+        (1, (Fraction(11, 180), Fraction(31, 180))),
+        (2, (Fraction(7, 150), Fraction(2, 15))),
+    ):
+        report = approximation_report(SQUARED_MASS, UNIFORM, window)
+        assert (report.oracle_loss_enumerated, report.candidate_loss_enumerated) == losses
+        assert report.oracle_loss_mc.draws == report.candidate_loss_mc.draws == 0
+
+
 def test_report_optimality_and_discrepancy_records():
     rng = np.random.default_rng(7)
     report = approximation_report(SQUARED_MASS, UNIFORM, 2, reps=4000, rng=rng)
