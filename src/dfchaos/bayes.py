@@ -34,7 +34,6 @@ Bernstein/Jacobi structure of Griffiths (Adv. Appl. Probab. 11, 1979) that
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from typing import Mapping, Sequence
 
@@ -46,6 +45,7 @@ from .measures import DiscreteBaseMeasure, with_observations
 from .numeric import (
     Record,
     Scalar,
+    as_integer,
     as_scalar,
     binom,
     common_denominator,
@@ -72,17 +72,6 @@ __all__ = [
 DEFAULT_EXPONENTIAL_ORDER = 12
 
 
-def _label(x) -> int:
-    """An atom label as an int; ``DomainError`` for a bool or a value that is
-    not an integer (1.7 and 2.0 included), which ``int`` would truncate."""
-    if isinstance(x, bool):
-        raise DomainError(f"label {x!r} is not an integer")
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise DomainError(f"label {x!r} is not an integer") from None
-
-
 class ObservedSample(Record):
     """A prior base measure together with observed atom labels (1-based)."""
 
@@ -90,7 +79,7 @@ class ObservedSample(Record):
     labels: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        labels = tuple(_label(x) for x in self.labels)
+        labels = tuple(as_integer(x) for x in self.labels)
         tuple_counts(labels, self.alpha.atoms)  # refuses a label outside 1..K
         object.__setattr__(self, "labels", labels)
 
@@ -140,7 +129,7 @@ def _occupation_integers(
         if len(arities) != 1:
             raise DomainError(f"value table mixes arities {sorted(arities) if arities else '(empty)'}")
         (m,) = arities
-        keys = [tuple_counts(tuple(map(_label, raw)), atoms) for raw in h]
+        keys = [tuple_counts(tuple(map(as_integer, raw)), atoms) for raw in h]
         nums, d, rounded = exact_numerators(as_scalar(v) for v in h.values())
         entries = [(c, 1, a) for c, a in zip(keys, nums)]
     sums: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -232,7 +221,7 @@ class ExponentialDecomposition(Record):
 def _atom_subset(subset: Sequence[int], atoms: int) -> tuple[int, ...]:
     """The distinct atoms of ``subset``, sorted; ``DomainError`` for an atom
     outside 1..atoms."""
-    C = tuple(sorted(set(map(_label, subset))))
+    C = tuple(sorted(set(map(as_integer, subset))))
     for x in C:
         if not 1 <= x <= atoms:
             raise DomainError(f"atom {x} outside support 1..{atoms}")

@@ -9,7 +9,10 @@ occupation vectors m, and the kernels are extracted by weighting posterior
 conditional expectations with the limit projection coefficients:
 
     h_(F,n)(a_1..a_n) = sum_k theta^(n,k) · sum over k-subsets j of
-                        E[F - E F | X_{j_1} = a_{j_1}, ...].
+                        E[F - E F | X_{j_1} = a_{j_1}, ...],
+
+theta^(n,k), k >= 1, read from the one cached row ``numeric.limit_row``;
+the split of E[F | X_1..X_N] shrinks these kernels (``hoeffding._shrunk``).
 
 Distinct orders are orthogonal, covariances collapse through the isometry
 constants, and the variance obeys the Parseval-type identity
@@ -27,10 +30,10 @@ from itertools import islice
 from operator import add
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .coeffs import _limit_row, c_iso, c_overlap
+from .coeffs import _kernel_weights, c_iso
 from .errors import DomainError
 from .hoeffding import HoeffdingDecomposition, _check_lattice, _conditional_layers, _from_components
-from .hoeffding import degenerate_check, hoeffding_decompose
+from .hoeffding import _shrunk, degenerate_check, hoeffding_decompose
 from .kernels import (
     PredictableComponent,
     SimplexPolynomial,
@@ -284,7 +287,7 @@ def chaos_kernels(
     """Extract the decomposition kernels of F up to the given order.
 
     The weights are the closed-form limit coefficients theta(n, k) for
-    |alpha|, read as cached integer rows (``coeffs._limit_row``): the
+    |alpha|, read as cached integer rows (``coeffs._kernel_weights``): the
     projection conditions pin each row, so no other row is taken.
 
     For polynomial F of degree d, max_order >= d makes the decomposition
@@ -308,8 +311,7 @@ def chaos_kernels(
     atoms = _functional_atoms(F)
     if atoms != alpha.atoms:
         raise DomainError("functional and measure disagree on the atom count")
-    mass = alpha.total_mass
-    rows = {n: _limit_row(mass.numerator, mass.denominator, n) for n in range(1, max_order + 1)}
+    rows = _kernel_weights(alpha.total_mass, max_order)
 
     if isinstance(F, SimplexPolynomial):
         terms, lead, rounded = F.scaled_terms
@@ -339,9 +341,8 @@ def _window_kernels(
     pairs, lead, rounded = F.scaled_terms
     if rounded:
         F = SimplexPolynomial(F.nvars, {e: Fraction(c, lead) for e, c in pairs})
-    chaos, mass = chaos_kernels(F, alpha, max(F.degree, 1)), alpha.total_mass
-    shrunk = [h.scale(c_overlap(N, N - s, mass)) for s, h in enumerate(chaos.kernels[:N], 1)]
-    return chaos, shrunk, rounded
+    chaos = chaos_kernels(F, alpha, max(F.degree, 1))
+    return chaos, _shrunk(chaos.kernels, N, alpha.total_mass), rounded
 
 
 def _window_split(

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DFChaosError, NumericError, ResourceCapError
-from .numeric import Scalar, as_scalar, scalar_to_json
+from .numeric import Scalar, as_integer, as_scalar, scalar_to_json
 
 if TYPE_CHECKING:
     from .kernels import SimplexPolynomial
@@ -112,7 +112,7 @@ def _load_value_table(parser: argparse.ArgumentParser, flag: str, path: str):
     try:
         if "entries" in payload:
             return {
-                tuple(int(x) for x in entry["labels"]): as_scalar(entry["value"])
+                tuple(map(as_integer, entry["labels"])): as_scalar(entry["value"])
                 for entry in payload["entries"]
             }
         return SymmetricKernel.from_json(payload)

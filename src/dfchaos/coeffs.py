@@ -1,39 +1,42 @@
 """Projection coefficients for symmetric statistics of urn sequences.
 
-Three layers live here:
+Three layers live here, all read from one coefficient row:
 
-* the finite-sample coefficient engine: the rational functions ``phi`` and
-  ``psi``, and the table of projection weights theta_N^(k,a) (and their
-  binomially rescaled "starred" form) used by the finite decomposition.
-  With m the total mass and rising(x, j) = x(x+1)...(x+j-1), every row,
-  the closing row k = N included, is one product
-
-      theta*_N(k,a) = (-1)^(k-a) · (m+2k-1) · rising(m+a, k-1) / rising(m+N, k),
-
-  the closed-form solution of a triangular system whose diagonal
-  psi_N(k,k,k) sums by Chu–Vandermonde; ``system_residuals`` re-substitutes
-  a table into that defining system, with ``psi`` summed term by term;
 * the infinite-sample limits theta^(n,k) = lim_N C(N,n)·theta*_N(n,k),
 
       theta(n,k) = (m+2n-1) · (-1)^(n-k) · rising(m+k, n-1) / n!,
 
-  whose products C(n,k)·theta(n,k), k = 0 included, are the coefficients
-  of Griffiths' kernel polynomials (``wright_fisher`` builds those on
-  integer ladders of its own, and the tests check them against this form);
+  with m the total mass and rising(x, j) = x(x+1)...(x+j-1), cached as one
+  integer row theta(n, 0..n) (``numeric.limit_row``, here ``_limit_row``).
+  Its entries k >= 1 weight the chaos kernels, and its products
+  C(n,k)·theta(n,k), k = 0 included, are the coefficients of Griffiths'
+  kernel polynomials, which ``wright_fisher`` reads from the same row;
+* the finite-sample coefficient engine: the rational functions ``phi`` and
+  ``psi``, and the table of projection weights theta_N^(k,a) (and their
+  binomially rescaled "starred" form).  Every starred row, the closing row
+  k = N included, is the limit row shrunk by the window,
+
+      theta*_N(k,a) = k!/rising(m+N, k) · theta(k,a)
+                    = (-1)^(k-a) · (m+2k-1) · rising(m+a, k-1) / rising(m+N, k),
+
+  the closed-form solution of a triangular system whose diagonal
+  psi_N(k,k,k) sums by Chu–Vandermonde; ``system_residuals`` re-substitutes
+  a table into that defining system, with ``psi`` summed term by term.  The
+  finite split shrinks its order-s component by the same factor,
+  ``c_overlap(N, N - s)``;
 * the isometry constants c(n, |alpha|) and the overlapping-window covariance
   factors c(r, n, |alpha|), the latter in both circulating closed-form
   readings.
 
 With m = p/q, every product above is a quotient of integers on one ladder
-L[x] = prod_{i<x} (p+iq), over a power of q (and n! for a limit row): the
-theta* rows and the limit rows are cached as integer numerators over one
-denominator per row, and c(n), c(r, n) are each one such quotient.  The
-independent routes that only check these forms (the extrapolation of the
-finite tables, the tabulated alternative row, the two-point projection
-oracle and the overlap enumeration) live in ``validation``.  All of it is
-exact over ``fractions.Fraction`` for rational total mass; a float mass is
-read as its exact image ``Fraction(x)``, and the isometry and overlap
-factors of a float mass are rounded once, to floats.
+L[x] = prod_{i<x} (p+iq), over a power of q (and n! for a limit row), and
+c(n), c(r, n) are each one such quotient.  The independent routes that
+only check these forms (the extrapolation of the finite tables, the
+tabulated alternative row, the two-point projection oracle and the overlap
+enumeration) live in ``validation``.  All of it is exact over
+``fractions.Fraction`` for rational total mass; a float mass is read as its
+exact image ``Fraction(x)``, and the isometry and overlap factors of a
+float mass are rounded once, to floats.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple
 
 from .errors import DomainError
-from .numeric import Scalar, binom, integer_ladder, ratio
+from .numeric import Scalar, binom, integer_ladder, ratio, rising_product
+from .numeric import limit_row as _limit_row
 
 # ---------------------------------------------------------------------------
 # the rational building blocks
@@ -155,16 +159,15 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
     and rho(k,a)·rising(m+k, k) telescopes to (m+2k-1)·rising(m+a, k-1).
     So theta*_N(k,a) = k!/rising(m+N, k) · theta(k,a): the limit row
     (``limit_coefficient``) shrunk, as the window split shrinks the chaos
-    kernels (``chaos._window_kernels``).  The tests keep every residual
+    kernels (``hoeffding._shrunk``).  The tests keep every residual
     exactly zero, the closing row k = N equal to the cumulative sum
     theta^(N,a) = -sum_{s=a..N-1} theta^(s,a), and the diagonal equal to
     ``psi``, on random rational masses for N <= 24.
 
-    With m = p/q every factor is an integer over a power of q, and the
-    powers cancel: theta*_N(k,a) = ±(p+(2k-1)q)·L[a+k-1]/L[a] / (L[N+k]/L[N])
-    on the ladder L[x] = prod_{i<x} (p+iq): cached integer rows, which the
-    finite split reads directly (``_theta_star_rows``), wrapped one Fraction
-    per entry.  A float mass is read as its exact image, as in the limits.
+    With m = p/q, k!/rising(m+N, k) = k! q^k / (L[N+k]/L[N]) on the ladder
+    L[x] = prod_{i<x} (p+iq), read from N on one ladder for all rows, and
+    each entry is one Fraction of integers.  A float mass is read as its
+    exact image, as in the limits.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
@@ -174,29 +177,17 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
     if not 1 <= max_k <= N:
         raise DomainError(f"max_k must lie in 1..N, got {max_k}")
 
+    p, q = mass.numerator, mass.denominator
+    window = integer_ladder(p + N * q, q, max_k)  # window[k] = q^k rising(m+N, k)
     entries: dict[tuple[int, int], Fraction] = {}
     starred: dict[tuple[int, int], Fraction] = {}
-    for k, (row, den) in _theta_star_rows(mass.numerator, mass.denominator, N, max_k).items():
+    for k in range(1, max_k + 1):
+        row, den = _limit_row(p, q, k)
+        shrink = math.factorial(k) * q**k // den  # den divides q^k k!, the row's lcd
         for a in range(k, 0, -1):
-            star = starred[(k, a)] = Fraction(row[a], den)
+            star = starred[(k, a)] = Fraction(shrink * row[a], window[k])
             entries[(k, a)] = star * binom(N - a, k - a)
     return CoefficientTable(N, mass, max_k, entries, starred)
-
-
-@lru_cache(maxsize=1 << 10)
-def _theta_star_rows(p: int, q: int, N: int, max_k: int) -> dict[int, tuple[dict[int, int], int]]:
-    """The rows theta*_N(k, 1..k), k <= max_k, of the mass p/q as {k: ({a:
-    numerator}, d)}: the integers of ``theta_table`` over L[N+k]/L[N], less
-    the row's common factor.  Shared; the maps must not be changed."""
-    ladder = integer_ladder(p, q, N + max_k)
-    rows = {}
-    for k in range(1, max_k + 1):
-        lead = p + (2 * k - 1) * q
-        nums = [(-1) ** (k - a) * lead * (ladder[a + k - 1] // ladder[a]) for a in range(1, k + 1)]
-        den = ladder[N + k] // ladder[N]
-        common = math.gcd(den, *nums)
-        rows[k] = {a: x // common for a, x in enumerate(nums, start=1)}, den // common
-    return rows
 
 
 def system_residuals(table: CoefficientTable) -> dict[tuple[int, int], Scalar]:
@@ -228,19 +219,11 @@ def system_residuals(table: CoefficientTable) -> dict[tuple[int, int], Scalar]:
 # limits in closed form
 
 
-@lru_cache(maxsize=1 << 10)
-def _limit_row(p: int, q: int, n: int) -> tuple[dict[int, int], int]:
-    """The row theta^(n, 1..n) of the mass p/q as ({k: numerator}, d): the
-    integers ±(p+(2n-1)q)·L[k+n-1]/L[k] of ``limit_coefficient`` over
-    q^n·n!, less the row's common factor, so d is the row's least common
-    denominator.  ``chaos_kernels`` hands these rows to
-    ``kernels.subset_sum_assembly``.  Shared; the maps must not be changed."""
-    ladder = integer_ladder(p, q, 2 * n - 1)
-    lead = p + (2 * n - 1) * q
-    nums = [(-1) ** (n - k) * lead * (ladder[k + n - 1] // ladder[k]) for k in range(1, n + 1)]
-    den = q**n * math.factorial(n)
-    common = math.gcd(den, *nums)
-    return {k: x // common for k, x in enumerate(nums, start=1)}, den // common
+def _kernel_weights(mass: Fraction, top: int) -> dict[int, tuple[dict[int, int], int]]:
+    """The limit rows theta(n, 1..n), n <= top, as ``kernels.subset_sum_assembly``
+    weights: theta(n, 0) never reaches a kernel (the centred empty mean is 0)."""
+    rows = {n: _limit_row(mass.numerator, mass.denominator, n) for n in range(1, top + 1)}
+    return {n: (dict(zip(range(1, n + 1), row[1:])), den) for n, (row, den) in rows.items()}
 
 
 def limit_coefficient(n: int, k: int, total_mass: Scalar) -> Fraction:
@@ -250,7 +233,7 @@ def limit_coefficient(n: int, k: int, total_mass: Scalar) -> Fraction:
 
     so theta(n,n) = 1/c_iso(n); C(n,k)·theta(n,k) is Griffiths' coefficient
     of the kernel polynomial Q_n (Adv. Appl. Probab. 11, 1979;
-    ``wright_fisher`` builds those products on integer ladders, k = 0
+    ``wright_fisher`` reads those products from the same row, k = 0
     included).  The k = 0 entry never reaches a chaos kernel (the centred
     mean of the empty vector is 0), so here k >= 1.  The
     coefficients are pinned by the extraction conditions: the formula
@@ -267,9 +250,9 @@ def limit_coefficient(n: int, k: int, total_mass: Scalar) -> Fraction:
     for n <= 10 on eight masses from 1/10 to 7.
 
     With m = p/q, m+2n-1 = (p+(2n-1)q)/q and rising(m+k, n-1) =
-    L[k+n-1]/L[k] / q^(n-1) on the ladder L[x] = prod_{i<x} (p+iq) of
-    ``theta_table``, so a row is integers over q^n·n! (``_limit_row``,
-    cached).  A float mass is read as its exact image.
+    L[k+n-1]/L[k] / q^(n-1) on the ladder L[x] = prod_{i<x} (p+iq), so a
+    row is integers over q^n·n! (``_limit_row``, cached).  A float mass is
+    read as its exact image.
     """
     if not 1 <= k <= n:
         raise DomainError(f"need 1 <= k <= n, got (n={n}, k={k})")
@@ -337,5 +320,5 @@ def c_overlap(n: int, r: int, total_mass: Scalar, bound: str = "reduced") -> Sca
     mass = _exact_mass(total_mass)
     a, b = mass.numerator, mass.denominator
     upper = (n - r) if bound == "reduced" else n
-    den = math.prod(range(a + n * b, a + (n + upper) * b, b))
+    den = rising_product(a + n * b, b, upper)
     return ratio(math.perm(n - r, upper) * b**upper, den, isinstance(total_mass, float))

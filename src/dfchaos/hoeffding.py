@@ -3,13 +3,12 @@
 Any symmetric statistic of N exchangeable urn draws splits uniquely into its
 mean plus N mutually orthogonal projections; the order-s projection is a sum
 over s-subsets of a *degenerate* symmetric function of s arguments, obtained
-by weighting partial conditional expectations with the starred coefficient
-table. It is the chaos kernels' subset-sum formula with theta*_N(s, k) in
-place of theta(n, k), run by the same ``kernels.subset_sum_assembly``; the
-order-s projection is then the order-N subset sum of phi_s, the same
-assembly with a unit row.  Degeneracy here means: averaging the function
-over its last argument under the one-step predictive law gives zero at
-every history.
+by weighting partial conditional expectations as the chaos kernels are, with
+theta(s, k) in ``kernels.subset_sum_assembly``, then shrinking order s by
+s!/(|alpha|+N)^(s) (``_shrunk``): theta*_N(s, k) is that shrunk row.  The
+order-s projection is the order-N subset sum of phi_s, the same assembly
+with a unit row.  Degeneracy here means: averaging the function over its
+last argument under the one-step predictive law gives zero at every history.
 
 Every conditional mean comes from one backward pass over the occupation
 lattice.  One draw of the urn gives, for |mu| = k < N,
@@ -21,7 +20,7 @@ so layer k is an integer vector over d · prod_{j=k}^{N-1} (P + j q), d the
 denominator of T's values; lifted by prod_{j<k} (P + j q), every layer is
 over one denominator and the assembly forms no Fraction in between.  The
 split of T(mu) = E[F(D) | mu] (``decompose --finite``) needs no pass: its
-components are F's chaos kernels shrunk by s!/(|alpha|+N)^(s)
+components are F's chaos kernels shrunk the same way
 (``chaos._window_split``), and ``hoeffding_decompose`` of T is its oracle.
 
 One cap rule: a path caps what it holds.  The split holds its lattice, the
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .coeffs import _theta_star_rows
+from .coeffs import _kernel_weights, c_overlap
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
 from .kernels import SymmetricKernel, subset_sum_assembly
 from .measures import DiscreteBaseMeasure
@@ -193,6 +192,12 @@ def _conditional_layers(
     return lifted, scale * totals[N], rounded
 
 
+def _shrunk(kernels: Sequence[SymmetricKernel], N: int, mass: Scalar) -> list[SymmetricKernel]:
+    """The split of N draws from limit-weighted kernels: kernel s <= N times
+    c_overlap(N, N - s) = s!/(|alpha|+N)^(s); the kernels above N drop."""
+    return [h.scale(c_overlap(N, N - s, mass)) for s, h in enumerate(kernels[:N], 1)]
+
+
 def _from_components(
     alpha: DiscreteBaseMeasure, N: int, mean: tuple[int, int], components: list, rounded: bool
 ) -> HoeffdingDecomposition:
@@ -218,8 +223,8 @@ def hoeffding_decompose(
 
     Every conditional mean comes from one backward lattice pass
     (``_conditional_layers``); more than ``DEFAULT_ENUMERATION_CAP``
-    lattice vectors raise ResourceCapError before any is built; the theta*_N
-    rows (``coeffs._theta_star_rows``) weight the centred layers.  For
+    lattice vectors raise ResourceCapError before any is built; the limit
+    rows weight the centred layers, shrunk by the window (``_shrunk``).  For
     rational values the result is exact; a float value is read as its
     exact image and the mean and every component and projection entry are
     rounded once, to floats (``_from_components``).
@@ -230,7 +235,8 @@ def hoeffding_decompose(
         raise DomainError("the statistic must depend on at least one draw")
     layers, den, rounded = _conditional_layers(statistic, alpha)
     N, mass = statistic.order, alpha.total_mass
-    rows = _theta_star_rows(mass.numerator, mass.denominator, N, N)
     centred = [[x - layers[0][0] for x in layer] for layer in layers]
-    components = subset_sum_assembly(centred.__getitem__, den, False, rows, alpha.atoms)
-    return _from_components(alpha, N, (layers[0][0], den), [*components.values()], rounded)
+    rows = _kernel_weights(mass, N)
+    kernels = subset_sum_assembly(centred.__getitem__, den, False, rows, alpha.atoms)
+    components = _shrunk([*kernels.values()], N, mass)
+    return _from_components(alpha, N, (layers[0][0], den), components, rounded)

@@ -38,6 +38,7 @@ from .errors import DomainError, NumericError
 from .kernels import SimplexPolynomial, SymmetricKernel
 from .measures import DiscreteBaseMeasure, dirichlet_moment
 from .numeric import Record, Scalar, as_scalar, binom, exact_numerators, integer_ladder, ratio
+from .numeric import rising_product
 
 __all__ = [
     "BetaParams",
@@ -157,11 +158,6 @@ def _root(k: Fraction) -> float:
     return math.sqrt(ratio(k.numerator, k.denominator, True))
 
 
-def _rising(first: int, u: int, count: int) -> int:
-    """u^count rising(first / u, count): the product of the ladder first + i u."""
-    return math.prod(range(first, first + count * u, u))
-
-
 def _over_one_unit(a: Fraction, b: Fraction) -> tuple[int, int, int]:
     """(A, B, u) with a = A / u and b = B / u, u the least common denominator."""
     u = math.lcm(a.denominator, b.denominator)
@@ -172,8 +168,8 @@ def _squared_norm(n: int, A: int, B: int, u: int, lead: int) -> tuple[int, int]:
     """||P_n||^2 = N / Q of the monic Beta(A/u, B/u) polynomial (= 1/k_n), from
     n! rising(a, n) rising(b, n) / (rising(a+b, 2n) rising(n+a+b-1, n)) with
     lead = u^n rising(n+a+b-1, n)."""
-    num = math.factorial(n) * _rising(A, u, n) * _rising(B, u, n) * u**n
-    return num, _rising(A + B, u, 2 * n) * lead
+    num = math.factorial(n) * rising_product(A, u, n) * rising_product(B, u, n) * u**n
+    return num, rising_product(A + B, u, 2 * n) * lead
 
 
 def _bernstein_integers(n: int, a: Fraction, b: Fraction) -> tuple[list[int], int, int, int]:
@@ -187,7 +183,7 @@ def _bernstein_integers(n: int, a: Fraction, b: Fraction) -> tuple[list[int], in
     A, B, u = _over_one_unit(a, b)
     suffix = integer_ladder(-A - (n - 1) * u, u, n)  # suffix[n - j] = prod_{j<=i<n} -(A + i u)
     prefix = integer_ladder(B + (n - 1) * u, -u, n)
-    lead = _rising(A + B + (n - 1) * u, u, n)
+    lead = rising_product(A + B + (n - 1) * u, u, n)
     psi = [suffix[n - j] * prefix[j] for j in range(n + 1)]
     return psi, lead, *_squared_norm(n, A, B, u, lead)
 

@@ -17,6 +17,7 @@ from .errors import DomainError
 from .numeric import (
     Record,
     Scalar,
+    as_integer,
     as_scalar,
     cached_attribute,
     common_denominator,
@@ -213,15 +214,14 @@ class SymmetricKernel(Record):
         and kept as numerators over their common denominator.  Any other
         payload goes through the public constructor, so reading it never
         enumerates a layer larger than the payload."""
-        try:
-            order = int(payload["order"])
-            atoms = int(payload["K"])
-            entries = payload["values"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed kernel JSON: {exc}") from exc
         values = {}
-        for entry in entries:
-            values[tuple(int(c) for c in entry["counts"])] = as_scalar(entry["value"])
+        try:
+            order = as_integer(payload["order"])
+            atoms = as_integer(payload["K"])
+            for entry in payload["values"]:
+                values[tuple(map(as_integer, entry["counts"]))] = as_scalar(entry["value"])
+        except (KeyError, TypeError, DomainError) as exc:
+            raise DomainError(f"malformed kernel JSON: {exc}") from exc
         dense = order >= 0 and atoms >= 1 and len(values) >= math.comb(order + atoms - 1, order)
         if dense and is_exact(values.values()):
             lattice = occupation_lattice(order, atoms)
@@ -307,9 +307,10 @@ def subset_sum_kernels(
 
     v = ``values`` (a missing vector means 0) and ways(mu) = prod_j
     C(a_j, mu_j), the number of k-subsets of the n points realising mu.
-    The limit coefficients theta(n, k) as weights give the chaos kernels,
-    the starred table theta*_N(s, k) the finite-sample components, and a
-    unit row {N: {s: 1}} the order-N subset sum of an order-s kernel.
+    The limit coefficients theta(n, k) as weights give the chaos kernels
+    and, each order s shrunk by s!/(|alpha|+N)^(s), the finite-sample
+    components, and a unit row {N: {s: 1}} the order-N subset sum of an
+    order-s kernel.
     Weights at k < 0 or k > n add nothing.
 
     The values go over one common denominator, each row over its own
@@ -542,17 +543,15 @@ class SimplexPolynomial(Record):
         try:
             entries, nvars = payload["terms"], payload.get("nvars")
             for entry in entries:
-                exps = tuple(int(e) for e in entry["exponents"])
+                exps = tuple(map(as_integer, entry["exponents"]))
                 if nvars is None:
                     nvars = len(exps)
                 coeff = as_scalar(entry["coeff"])
                 terms[exps] = terms[exps] + coeff if exps in terms else coeff
             if nvars is None:
-                raise DomainError("polynomial JSON has no terms and no 'nvars'")
-            nvars = int(nvars)
-        except DomainError:
-            raise
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise DomainError("no terms and no 'nvars'")
+            nvars = as_integer(nvars)
+        except (KeyError, TypeError, DomainError) as exc:
             raise DomainError(f"malformed polynomial JSON: {exc}") from exc
         return cls(nvars, terms)
 

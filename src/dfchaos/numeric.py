@@ -24,6 +24,7 @@ dataclass, and ``cached_attribute`` their values computed on first read.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -67,6 +68,18 @@ def as_scalar(value) -> Scalar:
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse scalar {value!r}") from exc
     raise DomainError(f"unsupported scalar type {type(value).__name__}")
+
+
+def as_integer(value) -> int:
+    """An integer field of a payload (an atom label, an exponent, an order)
+    as an int: ``DomainError`` for a bool or a value that is not an integer
+    (1.7, 2.0 and "2" included), which ``int`` would truncate or parse."""
+    if isinstance(value, bool):
+        raise DomainError(f"{value!r} is not an integer")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{value!r} is not an integer") from None
 
 
 def scalar_to_json(value: Scalar):
@@ -188,6 +201,30 @@ def integer_ladder(first: int, step: int, count: int) -> list[int]:
     """The count + 1 partial products [1, f_0, f_0 f_1, ...] of the integer
     ladder f_i = first + i step."""
     return list(accumulate(range(first, first + count * step, step), mul, initial=1))
+
+
+def rising_product(first: int, step: int, count: int) -> int:
+    """The product first (first + step) ... (first + (count - 1) step): the
+    last partial product of ``integer_ladder``, as one product."""
+    return math.prod(range(first, first + count * step, step))
+
+
+@lru_cache(maxsize=1 << 10)
+def limit_row(p: int, q: int, n: int) -> tuple[tuple[int, ...], int]:
+    """The limit coefficients theta(n, k), k = 0..n, n >= 1, of the mass
+    m = p/q (closed form in ``coeffs.limit_coefficient``) as (numerators, d):
+    ±(p+(2n-1)q)·L[k+n-1]/L[k] over q^n·n! on the ladder L[x] = prod_{i<x}
+    (p+iq), less the row's common factor; L[k+n-1]/L[k] slides one ladder
+    step per k.  The package's one coefficient row: ``coeffs`` (as
+    ``_limit_row``) and ``wright_fisher`` read it.  Cached and shared."""
+    lead = p + (2 * n - 1) * q
+    span, nums = rising_product(p, q, n - 1), []
+    for k in range(n + 1):
+        nums.append(-lead * span if (n - k) % 2 else lead * span)
+        span = span * (p + (k + n - 1) * q) // (p + k * q)
+    den = q**n * math.factorial(n)
+    common = math.gcd(den, *nums)
+    return tuple(x // common for x in nums), den // common
 
 
 def is_exact(values) -> bool:

@@ -24,13 +24,14 @@ Adv. Appl. Probab. 11, 1979) reads, for full simplex points x, y and n >= 1,
 
 with Q_0 = 1.  Griffiths' coefficient is C(n, m) theta(n,m), with theta the
 limit projection coefficient of ``coeffs`` at total mass |theta| (its m = 0
-entry included).  Folded with the factor m! rising(|theta|, m) of xi_m it
-is c[n][m] = (-1)^(n-m) (|theta|+2n-1) rising(|theta|, n+m-1) / (n-m)!.
+entry included), read from the one cached integer row
+``numeric.limit_row``.  Folded with the factor m! rising(|theta|, m) of
+xi_m it is c[n][m] = (-1)^(n-m) (|theta|+2n-1) rising(|theta|, n+m-1) / (n-m)!.
 With |theta| = p/q every rising factorial is a ladder of integer products
 (p + i q), and so is each atom's series 1/(k! rising(theta_i, k)) at
 theta_i = p_i/q_i.  ``TransitionModel`` builds both tables up to order
-M + 1 on those ladders, each row as integers over its denominator, with no
-Fraction arithmetic and no call into ``coeffs``.  The inner sums of all
+M + 1, each row as integers over its denominator, with no Fraction
+arithmetic and without loading ``coeffs``.  The inner sums of all
 orders at once are the coefficients of one truncated product of K power
 series in z_i = x_i y_i (O(K n^2) integer operations, no sum over
 compositions), and each Q_n is one integer dot product and one Fraction.
@@ -81,8 +82,10 @@ from .numeric import (
     common_denominator,
     integer_ladder,
     is_exact,
+    limit_row,
     occupation_lattice,
     ratio,
+    rising_product,
 )
 
 if TYPE_CHECKING:  # kernels loads only with the bands and in the oracles
@@ -218,7 +221,7 @@ def _stick_breaking_bands(
     ``multi_indices`` order: at K = 2, exact Gram-Schmidt's polynomial and
     term order.
     """
-    from .jacobi import _bernstein_integers, _over_one_unit, _rising
+    from .jacobi import _bernstein_integers, _over_one_unit
     from .kernels import SimplexPolynomial
 
     dim = len(weights) - 1
@@ -240,7 +243,9 @@ def _stick_breaking_bands(
                         e = a[:j] + (a[j] + i,) + (0,) * (dim - j - 1)
                         terms[e] = terms.get(e, 0) + scale * mult
             A, B, u = _over_one_unit(tails[j], weights[j] + tails[j])
-            beta = Fraction(_rising(A, u, 2 * count) * num, _rising(B, u, 2 * count) * den)
+            beta = Fraction(
+                rising_product(A, u, 2 * count) * num, rising_product(B, u, 2 * count) * den
+            )
             factors[(j, m, count)] = terms, lead, beta
         return factors[(j, m, count)]
 
@@ -317,33 +322,6 @@ def _atom_series(
     return tuple(rows), tuple(dens)
 
 
-def _kernel_coefficients(total: Fraction, top: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Row n holds c[n][m], m = 0..n, with Q_n = sum_m c[n][m] e_m, as
-    integer numerators over the row's denominator.
-
-    c[n][m] = (-1)^(n-m) (|theta|+2n-1) rising(|theta|, n+m-1) / (n-m)! is
-    Griffiths' coefficient C(n, m) theta(n,m) times the factor
-    m! rising(|theta|, m) that turns e_m into xi_m; row 0 is Q_0 = 1.  With
-    |theta| = p/q and L[j] = prod_{i<j} (p + i q), row n is the integers
-    (-1)^(n-m) (p + (2n-1) q) L[n+m-1] q^(n-m) n!/(n-m)! over q^(2n) n!,
-    divided by their common factor.
-    """
-    p, q = total.numerator, total.denominator
-    ladder = integer_ladder(p, q, 2 * top - 1)
-    rows = [((1,), 1)]
-    for n in range(1, top + 1):
-        lead = p + (2 * n - 1) * q
-        nums, falling = [], 1  # falling = n!/(n-m)!
-        for m in range(n + 1):
-            c = lead * ladder[n + m - 1] * q ** (n - m) * falling
-            nums.append(c if (n - m) % 2 == 0 else -c)
-            falling *= n - m
-        den = q ** (2 * n) * math.factorial(n)
-        common = math.gcd(den, *nums)
-        rows.append((tuple(c // common for c in nums), den // common))
-    return tuple(rows)
-
-
 def _product_coefficients(
     series: tuple[tuple[int, ...], ...], z: Sequence[int], top: int
 ) -> list[int]:
@@ -398,7 +376,16 @@ class TransitionModel(Record):
         bands = {n: range(binom(n + atoms - 2, atoms - 2)) for n in range(top + 1)}
         object.__setattr__(self, "_bands", bands)
         object.__setattr__(self, "_series", _atom_series(measure.weights, top))
-        object.__setattr__(self, "_coeffs", _kernel_coefficients(measure.total_mass, top))
+        # c[n][m]: the limit row times n!/(n-m)! L[m] q^(n-m) over d q^n, with
+        # L[m] = q^m rising(|theta|, m), less the row's common factor; Q_0 = 1
+        p, q = measure.total_mass.numerator, measure.total_mass.denominator
+        ladder, rows = integer_ladder(p, q, top), [((1,), 1)]
+        for n in range(1, top + 1):
+            row, den = limit_row(p, q, n)
+            nums = [c * math.perm(n, m) * ladder[m] * q ** (n - m) for m, c in enumerate(row)]
+            common = math.gcd(den * q**n, *nums)
+            rows.append((tuple(x // common for x in nums), den * q**n // common))
+        object.__setattr__(self, "_coeffs", tuple(rows))
         object.__setattr__(self, "_diagonal", {})
 
     @property

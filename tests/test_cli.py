@@ -193,6 +193,37 @@ def test_a_malformed_functional_is_a_usage_error(capsys, tmp_path, command, payl
     assert "--F: malformed polynomial JSON" in captured.err
 
 
+# a JSON number that is not an integer where one is read: int() would read
+# 2.7 as 2, 1.9 and true as 1 and the label 1.7 as 1
+def _terms(exponents):
+    return [{"exponents": exponents, "coeff": 1}]
+
+
+NON_INTEGER_FIELDS = {
+    "float-nvars": ("decompose", "--F", {"nvars": 2.7, "terms": _terms([1, 0])}),
+    "float-exponent": ("decompose", "--F", {"nvars": 2, "terms": _terms([1.9, 0])}),
+    "bool-exponent": ("decompose", "--F", {"nvars": 2, "terms": _terms([True, 0])}),
+    "float-label": ("bayes var", "--h", {"entries": [{"labels": [1.7, 2], "value": "1/2"}]}),
+    "float-counts": (
+        "bayes var", "--h", {"order": 1, "K": 2, "values": [{"counts": [1.0, 0], "value": 1}]}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, payload", NON_INTEGER_FIELDS.values(), ids=NON_INTEGER_FIELDS.keys()
+)
+def test_a_non_integer_field_is_a_usage_error(capsys, tmp_path, command, flag, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command.split(), "--alpha", "1,1", flag, str(path)])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not an integer" in captured.err
+
+
 def test_decompose_missing_functional_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["decompose", "--alpha", "1,1"])

@@ -50,8 +50,6 @@ from dfchaos.chaos import (
     variance_functional,
 )
 from dfchaos.coeffs import (
-    _limit_row,
-    _theta_star_rows,
     c_iso,
     c_overlap,
     limit_coefficient,
@@ -137,15 +135,18 @@ def test_theta_table_solves_the_defining_system(mass, N):
 @given(mass=MASSES, N=st.integers(1, 24))
 def test_starred_rows_are_the_limit_rows_shrunk_by_the_window(mass, N):
     # theta*_N(s, k) = s!/(|alpha|+N)^(s) theta(s, k): the split of N draws
-    # weights its conditional means as the chaos kernels do, shrunk by c_s
-    p, q = mass.numerator, mass.denominator
-    for s, (row, den) in _theta_star_rows(p, q, N, N).items():
-        limit, limit_den = _limit_row(p, q, s)
+    # weights its conditional means as the chaos kernels do, shrunk by c_s;
+    # the table is also held to its product form, in Fractions term by term
+    table = theta_table(N, mass)
+    for s in range(1, N + 1):
         shrink = c_overlap(N, N - s, mass)
         assert shrink == math.factorial(s) / rising(mass + N, s)
-        assert {k: Fraction(x, den) for k, x in row.items()} == {
-            k: shrink * Fraction(x, limit_den) for k, x in limit.items()
-        }
+        for k in range(1, s + 1):
+            star = table.theta_star(s, k)
+            assert star == shrink * limit_coefficient(s, k, mass)
+            assert star == (
+                (-1) ** (s - k) * (mass + 2 * s - 1) * rising(mass + k, s - 1) / rising(mass + N, s)
+            )
 
 
 @BOUNDED

@@ -13,11 +13,11 @@ from dfchaos.errors import DomainError
 from dfchaos.jacobi import BetaParams, jacobi_modified
 from dfchaos.kernels import SimplexPolynomial
 from dfchaos.measures import measure
+from dfchaos.numeric import limit_row
 from dfchaos.wright_fisher import (
     TransitionDensity,
     TransitionModel,
     _atom_series,
-    _kernel_coefficients,
     dirichlet_density,
     gram_schmidt_P,
     kernel_Q,
@@ -179,23 +179,24 @@ def test_transition_density_refuses_a_non_finite_coordinate(point):
      Fraction(7, 3), Fraction(5), Fraction(12)],
 )
 def test_integer_tables_equal_their_fraction_forms(mass):
-    # the kernel rows against C(n,m) theta(n,m) m! rising(|theta|, m), with
-    # theta(n,m) = (m+2n-1) (-1)^(n-m) rising(|theta|+m, n-1) / n! the limit
-    # coefficients' closed form (k = 0 included), and the atom series
+    # the shared limit row against theta(n,m) = (m+2n-1) (-1)^(n-m)
+    # rising(|theta|+m, n-1) / n!, m = 0 included, the model's kernel rows
+    # against C(n,m) theta(n,m) m! rising(|theta|, m), and the atom series
     # against 1/(k! rising(theta_i, k)), all in Fractions term by term
     def rising(x, k):
         return math.prod((x + i for i in range(k)), start=Fraction(1))
 
     top = 21
-    rows = _kernel_coefficients(mass, top)
+    rows = TransitionModel((mass / 2, mass / 2), top - 1)._coeffs
     assert rows[0] == ((1,), 1)
     for n in range(1, top + 1):
-        nums, den = rows[n]
         lead = (mass + 2 * n - 1) / math.factorial(n)
+        theta = [(-1) ** (n - m) * lead * rising(mass + m, n - 1) for m in range(n + 1)]
+        nums, den = limit_row(mass.numerator, mass.denominator, n)
+        assert [Fraction(c, den) for c in nums] == theta
+        nums, den = rows[n]
         assert [Fraction(c, den) for c in nums] == [
-            math.comb(n, m) * (-1) ** (n - m) * lead * rising(mass + m, n - 1)
-            * math.factorial(m) * rising(mass, m)
-            for m in range(n + 1)
+            math.comb(n, m) * theta[m] * math.factorial(m) * rising(mass, m) for m in range(n + 1)
         ]
     weights = (mass, mass / 3, 1 / mass)
     series, dens = _atom_series(weights, top)
