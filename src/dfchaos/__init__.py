@@ -6,8 +6,8 @@ multiple integrals of degenerate symmetric kernels, with exact rational
 arithmetic wherever the inputs are rational.  Highlights:
 
 - ``measures`` / ``polya``: base measures, Dirichlet moments, and the
-  exchangeable urn view of sampling (joint laws, predictive rules,
-  conditional expectations by exact enumeration).
+  exchangeable urn view of sampling (joint laws, predictive rules, urn
+  and empirical samples).
 - ``coeffs``: the finite-sample projection coefficient tables and their
   limits, and the isometry/overlap constants, all in closed form.
 - ``chaos``: kernel extraction, multiple integrals, reconstruction,
@@ -22,10 +22,13 @@ arithmetic wherever the inputs are rational.  Highlights:
   the exponential worked example.
 - ``ustat``: windowed U-statistics and their exact L² rate, the projection
   oracle, the scaled-kernel candidate, and their loss comparison.
-- ``validation``: the oracles that check those closed forms (the
-  extrapolated limits ``theta_limit``, the two-point projection oracle,
-  the overlap enumeration), the coefficient erratum report and a named
-  invariant suite; ``cli``: the ``dfchaos`` command.
+- ``validation``: every oracle that checks those closed forms and that no
+  command's route calls (the defining-system residuals, the extrapolated
+  limits ``theta_limit``, the two-point projection oracle, the overlap
+  enumeration, conditional means by completion enumeration, Q_n through
+  the decomposition engine, the window loss by enumeration), the
+  coefficient erratum report and a named invariant suite; ``cli``: the
+  ``dfchaos`` command.
 
 The package namespace is lazy (PEP 562): ``import dfchaos`` loads no
 submodule, and each public name in ``__all__`` imports its defining module
@@ -69,14 +72,10 @@ _EXPORTS = {
         "predictive",
         "sample_polya",
         "empirical_measure",
-        "cond_exp_statistic",
-        "cond_exp_statistic_counts",
-        "expectation_statistic",
     ),
     "coeffs": (
         "CoefficientTable",
         "theta_table",
-        "system_residuals",
         "limit_coefficient",
         "limit_coefficients",
         "c_iso",
@@ -135,7 +134,6 @@ _EXPORTS = {
         "UStatistic",
         "eval_ustat",
         "statistic_from_kernels",
-        "direct_loss",
         "mc_loss",
         "ustat_mse",
         "OracleApproximation",
@@ -146,6 +144,11 @@ _EXPORTS = {
         "approximation_report",
     ),
     "validation": (
+        "system_residuals",
+        "cond_exp_statistic",
+        "cond_exp_statistic_counts",
+        "expectation_statistic",
+        "direct_loss",
         "ThetaLimit",
         "theta_limit",
         "ThetaErratumReport",

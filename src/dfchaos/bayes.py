@@ -271,9 +271,10 @@ def decompose_exponential(
     denominator per order.  One 1F1 per order times exact rationals, each
     rounded once, so the kernels carry float rounding only, at any order.
     The subset must have 0 < alpha(C) < |alpha|: D(C) is a nondegenerate
-    Beta mass.  ``max_order`` must be an int >= 1.  More than
-    ``DEFAULT_ENUMERATION_CAP`` kernel values in all, C(max_order + K, K) - 1
-    on K atoms, raise ResourceCapError.
+    Beta mass.  ``max_order`` must be an int >= 1, and lambda, the weights
+    and the total mass must have float images (DomainError otherwise).
+    More than ``DEFAULT_ENUMERATION_CAP`` kernel values in all,
+    C(max_order + K, K) - 1 on K atoms, raise ResourceCapError.
     """
     C = _atom_subset(subset, alpha.atoms)
     if not C or len(C) == alpha.atoms:
@@ -287,7 +288,11 @@ def decompose_exponential(
         raise ResourceCapError(
             f"order-{max_order} kernels on {alpha.atoms} atoms exceed cap {DEFAULT_ENUMERATION_CAP}"
         )
-    lam_f = float(lam)
+    try:
+        lam_f = float(lam)
+    except OverflowError:
+        raise DomainError("lambda leaves the float range") from None
+    alpha.float_weights  # read for its check: weights beyond the float range raise
     a = alpha.mass_of(C)
     b = alpha.total_mass - a
     total_f = float(a + b)

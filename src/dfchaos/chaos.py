@@ -305,12 +305,15 @@ def chaos_kernels(
     rounded once, to floats.  A black box takes one conditional mean per
     vector, by size (the order in which it draws from ``rng``), and the
     centred means, over their common denominator, feed the same assembly.
+    More than ``DEFAULT_ENUMERATION_CAP`` vectors, C(max_order + K, K),
+    raise ResourceCapError before any mean is taken.
     """
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order}")
     atoms = _functional_atoms(F)
     if atoms != alpha.atoms:
         raise DomainError("functional and measure disagree on the atom count")
+    _check_lattice(max_order, atoms)
     rows = _kernel_weights(alpha.total_mass, max_order)
 
     if isinstance(F, SimplexPolynomial):

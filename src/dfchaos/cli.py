@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -46,8 +47,8 @@ __all__ = ["main", "build_parser"]
 
 def _parse_scalar(parser: argparse.ArgumentParser, flag: str, text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return as_scalar(text)
+    except DFChaosError:
         parser.error(f"{flag} expects a rational like 2, 1/2 or 0.25, got {text!r}")
         raise AssertionError  # parser.error always exits
 
@@ -387,6 +388,8 @@ def _cmd_approx(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         parser.error("approx needs --F (functional JSON file)")
     if args.seed is None:
         parser.error("approx runs Monte Carlo confirmation and needs --seed")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     alpha = _parse_weights(parser, "--alpha", args.alpha)
     F = _load_functional(parser, "--F", args.F)
     rng = np.random.default_rng(args.seed)
@@ -497,7 +500,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except NumericError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        if exc.partial is not None:
+        if exc.partial is not None and math.isfinite(exc.partial):  # JSON has no inf or nan
             payload["partial"] = exc.partial
         json.dump(payload, sys.stderr, default=_json_default)
         sys.stderr.write("\n")

@@ -11,19 +11,16 @@ Three layers live here, all read from one coefficient row:
   Its entries k >= 1 weight the chaos kernels, and its products
   C(n,k)·theta(n,k), k = 0 included, are the coefficients of Griffiths'
   kernel polynomials, which ``wright_fisher`` reads from the same row;
-* the finite-sample coefficient engine: the rational functions ``phi`` and
-  ``psi``, and the table of projection weights theta_N^(k,a) (and their
+* the finite-sample table of projection weights theta_N^(k,a) (and their
   binomially rescaled "starred" form).  Every starred row, the closing row
   k = N included, is the limit row shrunk by the window,
 
       theta*_N(k,a) = k!/rising(m+N, k) · theta(k,a)
                     = (-1)^(k-a) · (m+2k-1) · rising(m+a, k-1) / rising(m+N, k),
 
-  the closed-form solution of a triangular system whose diagonal
-  psi_N(k,k,k) sums by Chu–Vandermonde; ``system_residuals`` re-substitutes
-  a table into that defining system, with ``psi`` summed term by term.  The
-  finite split shrinks its order-s component by the same factor,
-  ``c_overlap(N, N - s)``;
+  the closed-form solution of a triangular system whose diagonal sums by
+  Chu–Vandermonde (``theta_table``).  The finite split shrinks its order-s
+  component by the same factor, ``c_overlap(N, N - s)``;
 * the isometry constants c(n, |alpha|) and the overlapping-window covariance
   factors c(r, n, |alpha|), the latter in both circulating closed-form
   readings.
@@ -31,9 +28,10 @@ Three layers live here, all read from one coefficient row:
 With m = p/q, every product above is a quotient of integers on one ladder
 L[x] = prod_{i<x} (p+iq), over a power of q (and n! for a limit row), and
 c(n), c(r, n) are each one such quotient.  The independent routes that
-only check these forms (the extrapolation of the finite tables, the
-tabulated alternative row, the two-point projection oracle and the overlap
-enumeration) live in ``validation``.  All of it is exact over
+only check these forms (the defining system summed term by term, the
+extrapolation of the finite tables, the tabulated alternative row, the
+two-point projection oracle and the overlap enumeration) live in
+``validation``.  All of it is exact over
 ``fractions.Fraction`` for rational total mass; a float mass is read as its
 exact image ``Fraction(x)``, and the isometry and overlap factors of a
 float mass are rounded once, to floats.
@@ -63,43 +61,6 @@ def _check_mass(total_mass: Scalar) -> None:
 def _exact_mass(total_mass: Scalar) -> Fraction:
     _check_mass(total_mass)
     return Fraction(total_mass)
-
-
-def phi(n: int, m: int, r: int, p: int, total_mass: Scalar) -> Scalar:
-    """The elementary overlap factor.
-
-    phi(n,m,r,p) = (m-r)!/(m-r-p)! · prod_{s=1..m-r-p} (|alpha|+r+p+s-1)
-                   / prod_{s=1..m-r} (|alpha|+n+s-1)
-
-    Preconditions: 0 <= r <= m <= n, 0 <= p <= m-r, 0 < total mass < inf.
-    """
-    if not (0 <= r <= m <= n):
-        raise DomainError(f"phi requires 0 <= r <= m <= n, got (n={n}, m={m}, r={r})")
-    if not (0 <= p <= m - r):
-        raise DomainError(f"phi requires 0 <= p <= m-r, got p={p}, m-r={m - r}")
-    _check_mass(total_mass)
-    value: Scalar = Fraction(math.perm(m - r, p))
-    for s in range(1, m - r - p + 1):
-        value = value * (total_mass + r + p + s - 1)
-    for s in range(1, m - r + 1):
-        value = value / (total_mass + n + s - 1)
-    return value
-
-
-def psi(N: int, q: int, n: int, m: int, total_mass: Scalar) -> Scalar:
-    """The window-counting sum sum_r C(q,r)·C(N-n, m-r)_*·phi(n,m,r,q-r).
-
-    Preconditions: 1 <= q <= m <= n <= N, 0 < total mass < inf.
-    """
-    if not (1 <= q <= m <= n <= N):
-        raise DomainError(f"psi requires 1 <= q <= m <= n <= N, got ({q}, {n}, {m}, N={N})")
-    _check_mass(total_mass)
-    total: Scalar = Fraction(0)
-    for r in range(q + 1):
-        weight = binom(q, r) * binom(N - n, m - r)
-        if weight:
-            total = total + weight * phi(n, m, r, q - r, total_mass)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +110,13 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
 
     and theta_N(k,a) = C(N-a, k-a)·theta*_N(k,a).  The rows solve the
     defining triangular system theta^(k,k)·psi(k,k,k) = 1 and, for q < k,
-    sum_{i=q..k} sum_{j=q..i} theta^(i,j)·psi(q,k,j) = 0, which
-    ``system_residuals`` re-substitutes.  Its diagonal is a terminating
-    2F1 at 1, summed by Chu–Vandermonde (DLMF 15.4.24):
+    sum_{i=q..k} sum_{j=q..i} theta^(i,j)·psi(q,k,j) = 0, with the sums
+
+        psi_N(q,n,j) = sum_r C(q,r) · C(N-n, j-r) · phi(n,j,r,q-r),
+        phi(n,j,r,p) = (j-r)!/(j-r-p)! · rising(m+r+p, j-r-p) / rising(m+n, j-r),
+
+    C(x, y) zero outside 0 <= y <= x.  The diagonal is a terminating 2F1
+    at 1, summed by Chu–Vandermonde (DLMF 15.4.24):
 
         psi_N(k,k,k) = sum_j C(k,j) (N-k)!/(N-k-j)! / rising(m+k, j)
                      = 2F1(-k, k-N; m+k; 1) = rising(m+N, k) / rising(m+k, k),
@@ -159,10 +124,11 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
     and rho(k,a)·rising(m+k, k) telescopes to (m+2k-1)·rising(m+a, k-1).
     So theta*_N(k,a) = k!/rising(m+N, k) · theta(k,a): the limit row
     (``limit_coefficient``) shrunk, as the window split shrinks the chaos
-    kernels (``hoeffding._shrunk``).  The tests keep every residual
-    exactly zero, the closing row k = N equal to the cumulative sum
-    theta^(N,a) = -sum_{s=a..N-1} theta^(s,a), and the diagonal equal to
-    ``psi``, on random rational masses for N <= 24.
+    kernels (``hoeffding._shrunk``).  The tests and ``verify`` re-substitute
+    the table into the defining system, with psi summed term by term, and
+    keep every residual exactly zero, the closing row k = N equal to the
+    cumulative sum theta^(N,a) = -sum_{s=a..N-1} theta^(s,a), and the
+    diagonal equal to psi_N(k,k,k), on random rational masses for N <= 24.
 
     With m = p/q, k!/rising(m+N, k) = k! q^k / (L[N+k]/L[N]) on the ladder
     L[x] = prod_{i<x} (p+iq), read from N on one ladder for all rows, and
@@ -188,31 +154,6 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
             star = starred[(k, a)] = Fraction(shrink * row[a], window[k])
             entries[(k, a)] = star * binom(N - a, k - a)
     return CoefficientTable(N, mass, max_k, entries, starred)
-
-
-def system_residuals(table: CoefficientTable) -> dict[tuple[int, int], Scalar]:
-    """Re-substitute the table into every defining equation.
-
-    Returns a map (k, q) -> residual: for q = k the normalisation
-    theta^(k,k)·psi(k,k,k) - 1, for q < k the homogeneous sum
-    sum_{i=q..k} sum_{j=q..i} theta^(i,j)·psi(q,k,j), summed as
-    sum_{j=q..k} psi(q,k,j) · sum_{i=j..k} theta^(i,j). Every residual is
-    exactly zero for a correctly built rational table.
-    """
-    out: dict[tuple[int, int], Scalar] = {}
-    N, mass = table.N, table.total_mass
-    for k in range(1, min(table.max_k, N - 1) + 1):
-        out[(k, k)] = table.theta(k, k) * psi(N, k, k, k, mass) - 1
-        column = {
-            j: sum((table.theta(i, j) for i in range(j, k + 1)), Fraction(0))
-            for j in range(1, k + 1)
-        }
-        for q in range(1, k):
-            acc: Scalar = Fraction(0)
-            for j in range(q, k + 1):
-                acc = acc + column[j] * psi(N, q, k, j, mass)
-            out[(k, q)] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------

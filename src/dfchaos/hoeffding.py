@@ -156,12 +156,13 @@ class HoeffdingDecomposition(Record):
 
 
 def _check_lattice(N: int, atoms: int) -> None:
-    """The split's one cap: its C(N + K, K) lattice vectors, every occupation
-    vector of size <= N, checked before any layer is built."""
+    """The one cap of the split and of ``chaos_kernels``: the C(N + K, K)
+    lattice vectors, every occupation vector of size <= N, checked before
+    any layer is built."""
     size = binom(N + atoms, atoms)
     if size > DEFAULT_ENUMERATION_CAP:
         raise ResourceCapError(
-            f"the split's lattice of {size} occupation vectors exceeds cap {DEFAULT_ENUMERATION_CAP}"
+            f"the lattice of {size} occupation vectors exceeds cap {DEFAULT_ENUMERATION_CAP}"
         )
 
 

@@ -296,42 +296,6 @@ def _fraction_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def subset_sum_kernels(
-    values: Mapping[tuple[int, ...], Scalar],
-    rows: Mapping[int, Mapping[int, Scalar]],
-    atoms: int,
-) -> dict[int, SymmetricKernel]:
-    """For each order n of ``rows``, the order-n kernel
-
-        a -> sum_k w[n][k] · sum_{mu <= a, |mu| = k} ways(mu) · v(mu),
-
-    v = ``values`` (a missing vector means 0) and ways(mu) = prod_j
-    C(a_j, mu_j), the number of k-subsets of the n points realising mu.
-    The limit coefficients theta(n, k) as weights give the chaos kernels
-    and, each order s shrunk by s!/(|alpha|+N)^(s), the finite-sample
-    components, and a unit row {N: {s: 1}} the order-N subset sum of an
-    order-s kernel.
-    Weights at k < 0 or k > n add nothing.
-
-    The values go over one common denominator, each row over its own
-    (``exact_numerators``), and the integer layers run through
-    ``subset_sum_assembly``.  A float value or weight is read as its exact
-    image and every entry is rounded once, to a float.
-    """
-    nums, den, rounded = exact_numerators(values.values())
-    table = dict(zip(values, nums))
-    weights = {}
-    for n, row in rows.items():
-        row_nums, row_den, row_rounded = exact_numerators(row.values())
-        weights[n] = dict(zip(row, row_nums)), row_den
-        rounded = rounded or row_rounded
-
-    def layer(k: int) -> list[int]:
-        return [table.get(mu, 0) for mu in occupation_lattice(k, atoms).vectors]
-
-    return subset_sum_assembly(layer, den, rounded, weights, atoms)
-
-
 def subset_sum_assembly(
     layer: Callable[[int], Sequence[int]],
     den: int,
@@ -339,9 +303,14 @@ def subset_sum_assembly(
     rows: Mapping[int, tuple[Mapping[int, int], int]],
     atoms: int,
 ) -> dict[int, SymmetricKernel]:
-    """``subset_sum_kernels`` on integers: ``layer(k)`` lists by rank in
-    ``occupation_lattice(k, atoms)`` the numerators of v on layer k, all
-    over ``den``, and ``rows[n]`` is the weight row of order n as
+    """For each order n of ``rows``, the order-n kernel
+
+        a -> sum_k w[n][k] · sum_{mu <= a, |mu| = k} ways(mu) · v(mu),
+
+    ways(mu) = prod_j C(a_j, mu_j), the k-subsets of the n points realising
+    mu; weights at k < 0 or k > n add nothing.  ``layer(k)`` lists by rank
+    in ``occupation_lattice(k, atoms)`` the numerators of v on layer k,
+    all over ``den``, and ``rows[n]`` is the weight row of order n as
     ({k: numerator}, d), over its own denominator;
     ``rounded`` rounds every entry once, to a float.  Each layer is read
     at most once, and only if a row weights it.
@@ -551,7 +520,7 @@ class SimplexPolynomial(Record):
             if nvars is None:
                 raise DomainError("no terms and no 'nvars'")
             nvars = as_integer(nvars)
-        except (KeyError, TypeError, DomainError) as exc:
+        except (KeyError, TypeError, OverflowError, DomainError) as exc:
             raise DomainError(f"malformed polynomial JSON: {exc}") from exc
         return cls(nvars, terms)
 

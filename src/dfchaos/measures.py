@@ -99,10 +99,23 @@ class DiscreteBaseMeasure(Record):
                 raise DomainError(f"atom {a} outside 1..{self.atoms}")
         return sum(self.weights[a - 1] for a in sorted(labels))
 
+    @cached_attribute
+    def float_weights(self) -> tuple[float, ...]:
+        """The weights as floats, for the float routes, built on first use;
+        DomainError when a weight or the total mass has no positive finite
+        float image."""
+        try:
+            floats = tuple(float(w) for w in (*self.weights, self.total_mass))
+        except OverflowError:
+            floats = (math.inf,)
+        if not all(0.0 < x < math.inf for x in floats):
+            raise DomainError("a float route needs every weight and the total mass in the float range")
+        return floats[:-1]
+
     def as_floats(self) -> np.ndarray:
         import numpy as np
 
-        return np.array([float(w) for w in self.weights])
+        return np.array(self.float_weights)
 
     def to_json(self) -> dict:
         return {"weights": [scalar_to_json(w) for w in self.weights]}

@@ -47,7 +47,9 @@ def as_scalar(value) -> Scalar:
     reads one as its exact image (``exact_numerators``) knows to round its
     result once.  A plain 'p/q' or 'p' string of decimal digits (as
     ``scalar_to_json`` writes one) is read by ``int``; any other string by
-    ``Fraction``'s own parser, which accepts and refuses the same strings.
+    ``Fraction``'s own parser, which accepts and refuses the same strings,
+    except a decimal exponent of more than four digits: 1e999999999 would
+    build a ten-billion-digit integer.
     """
     if isinstance(value, Fraction):
         return value
@@ -64,6 +66,8 @@ def as_scalar(value) -> Scalar:
                 den.isdecimal() or not slash
             ):
                 return Fraction(int(num), int(den) if slash else 1)
+            if sum(c.isdigit() for c in value.lower().partition("e")[2]) > 4:
+                raise DomainError(f"scalar {value!r} has an exponent of more than four digits")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse scalar {value!r}") from exc

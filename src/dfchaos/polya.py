@@ -6,15 +6,11 @@ mass + #previous draws). The sequence is exchangeable; conditionally on the
 directing Dirichlet measure the draws are i.i.d. from it, and the posterior
 of the directing measure given observations is the conjugate update.
 
-A single conditional expectation of a symmetric statistic,
-``cond_exp_statistic_counts``, sums over the completions of the fixed block,
-collapsed to occupation vectors; the number of completions,
-C(N - #fixed + K - 1, K - 1), is checked against the one fixed cap,
-``DEFAULT_ENUMERATION_CAP``.  It answers single queries and is the
-independent oracle of the tests and of ``verify``: the finite split
-(``hoeffding``) takes every conditional mean at once, in one backward
-pass over the occupation lattice, and caps the C(N + K, K) lattice
-vectors it holds.
+Conditional expectations of a symmetric statistic are not taken here: the
+finite split (``hoeffding``) takes every conditional mean at once, in one
+backward pass over the occupation lattice, and caps the C(N + K, K) lattice
+vectors it holds.  Its independent oracle, one completion enumeration per
+conditional mean, lives in ``validation``.
 """
 
 from __future__ import annotations
@@ -22,19 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
-from .kernels import SymmetricKernel
-from .measures import DiscreteBaseMeasure, check_counts, dirichlet_moment, with_counts
-from .numeric import (
-    Record,
-    Scalar,
-    binom,
-    exact_numerators,
-    multiplicity,
-    occupation_vectors,
-    ratio,
-    tuple_counts,
-)
+from .errors import DomainError
+from .measures import DiscreteBaseMeasure, dirichlet_moment, with_counts
+from .numeric import Record, Scalar, multiplicity, tuple_counts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -94,7 +80,7 @@ def sample_polya(
     """Draw an urn sequence of length n (sequential inverse-CDF sampling)."""
     if n < 0:
         raise DomainError(f"sequence length must be >= 0, got {n}")
-    weights = [float(w) for w in alpha.weights]
+    weights = list(alpha.float_weights)
     total = float(alpha.total_mass)
     labels = []
     for i in range(n):
@@ -124,66 +110,3 @@ def empirical_measure(sample: PolyaSample | Sequence[int], atoms: int | None = N
     counts = tuple_counts(labels, atoms)
     n = len(labels)
     return tuple(Fraction(c, n) for c in counts)
-
-
-def cond_exp_statistic(
-    statistic: SymmetricKernel,
-    alpha: DiscreteBaseMeasure,
-    fixed: Sequence[int],
-) -> Scalar:
-    """E[T(X_1..X_N) | X_1..X_a = fixed], exactly.
-
-    `statistic` is a symmetric function of N = statistic.order points given
-    by its occupation-vector table; `fixed` pins the first a coordinates
-    (by exchangeability only its occupation vector matters, so the labels
-    are counted once and handed to ``cond_exp_statistic_counts``). The
-    remaining N-a coordinates are integrated out under the posterior urn
-    law.
-    """
-    return cond_exp_statistic_counts(statistic, alpha, tuple_counts(fixed, alpha.atoms))
-
-
-def cond_exp_statistic_counts(
-    statistic: SymmetricKernel,
-    alpha: DiscreteBaseMeasure,
-    fixed_counts: Sequence[int],
-) -> Scalar:
-    """Same as cond_exp_statistic but with the fixed block given as counts.
-
-    A completion's weight is its multiplicity times the posterior moment
-    E[D^completion | fixed], a shift on the prior's moment ladder; the
-    statistic's values go over one common denominator, so the weighted sum
-    runs on ints and one Fraction is formed at the end.  A float value is
-    read as its exact image and the mean rounded once, to a float.  More
-    than ``DEFAULT_ENUMERATION_CAP`` completions raise ResourceCapError.
-    """
-    if statistic.atoms != alpha.atoms:
-        raise DomainError("statistic and measure disagree on the atom count")
-    check_counts(alpha.atoms, fixed_counts)
-    n_free = statistic.order - sum(fixed_counts)
-    if n_free < 0:
-        raise DomainError(
-            f"cannot fix {sum(fixed_counts)} of {statistic.order} coordinates"
-        )
-    size = binom(n_free + alpha.atoms - 1, alpha.atoms - 1)
-    if size > DEFAULT_ENUMERATION_CAP:
-        raise ResourceCapError(
-            f"enumeration of {size} completions exceeds cap {DEFAULT_ENUMERATION_CAP}"
-        )
-    completions = list(occupation_vectors(n_free, alpha.atoms))
-    values, scale, rounded = exact_numerators(
-        statistic.value(tuple(f + c for f, c in zip(fixed_counts, completion)))
-        for completion in completions
-    )
-    terms = [
-        (completion, multiplicity(completion) * value)
-        for completion, value in zip(completions, values)
-        if value
-    ]
-    num, den = alpha.moment_ladder.posterior_sum(terms, fixed_counts)
-    return ratio(num, den * scale, rounded)
-
-
-def expectation_statistic(statistic: SymmetricKernel, alpha: DiscreteBaseMeasure) -> Scalar:
-    """E[T(X_1..X_N)] under the urn law."""
-    return cond_exp_statistic(statistic, alpha, ())

@@ -15,10 +15,10 @@ rate exactly (``ustat_mse``):
 with O(r) = E_urn[h(X_1..X_n) h(X_{n-r+1}..X_{2n-r})], which depends on h
 and alpha only.  For a chaos kernel h_s it is e_s (r_s/f_s - 1), with
 e_s = c_iso(s) E[h_s^2], f_s = N!/(N-s)! and r_s = (|alpha|+N)^(s), and both
-exact losses of ``approximation_report`` are sums of such terms.
-``direct_loss`` of h / C(N, n) against F = I_n(h) enumerates the same loss
-over the window's C(N + K - 1, K - 1) occupation vectors: the oracle in
-``verify`` and the tests, too slow at large N to be the route.
+exact losses of ``approximation_report`` are sums of such terms.  The
+tests and ``verify`` hold them to an enumeration of the same losses over
+the window's C(N + K - 1, K - 1) occupation vectors, too slow at large N
+to be the route.
 
 The second half of the module compares two ways of approximating a
 functional F of the random measure by symmetric statistics of the first N
@@ -46,7 +46,6 @@ from .chaos import (
     _window_kernels,
     functional_mean,
     statistic_product_mean,
-    variance_functional,
 )
 from .coeffs import c_iso, c_overlap
 from .errors import DEFAULT_ENUMERATION_CAP, DomainError, NumericError, ResourceCapError
@@ -71,7 +70,6 @@ __all__ = [
     "eval_ustat",
     "eval_ustat_counts",
     "statistic_from_kernels",
-    "direct_loss",
     "mc_loss",
     "ustat_mse",
     "OracleApproximation",
@@ -164,45 +162,6 @@ def statistic_from_kernels(
     return subset_sum_assembly(layer, den, rounded, rows, atoms)[window]
 
 
-def direct_loss(
-    kernels: Mapping[int, SymmetricKernel],
-    F: SimplexPolynomial,
-    alpha: DiscreteBaseMeasure,
-    window: int,
-) -> Scalar:
-    """Exact loss E[(F - E F - S)^2] of the subset-sum statistic S of a window.
-
-    Expanded as  Var F - 2 sum_mu P(mu) S(mu) (E[F | mu] - E F)
-    + sum_mu P(mu) S(mu)^2  over window occupation vectors mu, all terms
-    exact under the urn law.  The posterior means E[F | mu] = N(mu) / D of
-    the window's layer are one ``MomentLadder.posterior_table`` layer, and
-    P(mu) = W(mu) / S(N) is the measure's cached ``urn_weights`` row, so
-    the enumerated part is one integer dot product over the window's
-    vectors, over the common denominator of S, D and E F.  A float value
-    or coefficient is read as its exact image and the loss rounded once.
-    More than ``DEFAULT_ENUMERATION_CAP`` window occupation vectors,
-    C(window + K - 1, K - 1), raise ResourceCapError.
-    """
-    if binom(window + alpha.atoms - 1, alpha.atoms - 1) > DEFAULT_ENUMERATION_CAP:
-        raise ResourceCapError(f"window enumeration exceeds cap {DEFAULT_ENUMERATION_CAP}")
-    statistic = statistic_from_kernels(kernels, window, alpha.atoms)
-    s_nums, s_den, rounded = statistic.numerators
-    pairs, c_den, f_rounded = F.scaled_terms
-    if f_rounded:
-        F = SimplexPolynomial(F.nvars, {e: Fraction(c, c_den) for e, c in pairs})
-    mean = functional_mean(F, alpha)
-    var_f = variance_functional(F, alpha)
-    m, m_den = mean.numerator, mean.denominator
-    (conds,), f_den = alpha.moment_ladder.posterior_table(pairs, window, start=window)
-    f_den *= c_den  # E[F | mu] = conds[i] / f_den
-    weights, total = alpha.moment_ladder.urn_weights(window)
-    # P(mu) S(mu) (S(mu) + 2 E F - 2 E[F | mu]) = W s (s a + b - c N(mu)) / (S(N) s_den^2 a)
-    a, b, c = m_den * f_den, 2 * m * s_den * f_den, 2 * s_den * m_den
-    num = sum(w * s * (s * a + b - c * n) for w, s, n in zip(weights, s_nums, conds) if s)
-    loss = var_f + Fraction(num, total * s_den * s_den * a)
-    return ratio(loss.numerator, loss.denominator, rounded or f_rounded)
-
-
 def mc_loss(
     kernels: Mapping[int, SymmetricKernel],
     F: SimplexPolynomial,
@@ -211,13 +170,14 @@ def mc_loss(
     reps: int,
     rng: np.random.Generator,
 ) -> MCEstimate:
-    """Monte Carlo confirmation of the exact loss (``direct_loss``).
+    """Monte Carlo confirmation of an exact window loss.
 
     Each replication draws the random measure d ~ Dirichlet(alpha), then a
     conditionally i.i.d. window from it, and scores (F(d) - E F - S)^2 with
     S the subset-sum statistic of the window; the estimate is the mean of
     the ``reps`` scores with its standard error (sample deviation with
-    ddof=1 over sqrt(reps)), so ``reps`` must be at least 2.
+    ddof=1 over sqrt(reps)), so ``reps`` must be at least 2.  A non-finite
+    estimate or error raises NumericError.
 
     Replications run in the blocks of ``measures._dirichlet_blocks``, of
     ``MC_BLOCK`` rows: each block's one ``rng.dirichlet`` call is followed
@@ -235,12 +195,17 @@ def mc_loss(
     s_table = np.array([float(value) for _, value in statistic.items()])
     mean = float(functional_mean(F, alpha))
     draws = np.empty(reps)
-    for start, d in zip(range(0, reps, MC_BLOCK), _dirichlet_blocks(alpha, reps, rng)):
-        counts = rng.multinomial(window, d)
-        s_vals = s_table[_occupation_rank(counts, window)]
-        draws[start : start + len(d)] = (_evaluate_floats(F, d) - mean - s_vals) ** 2
-    value = float(np.mean(draws))
-    stderr = float(np.std(draws, ddof=1) / math.sqrt(reps))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        for start, d in zip(range(0, reps, MC_BLOCK), _dirichlet_blocks(alpha, reps, rng)):
+            counts = rng.multinomial(window, d)
+            s_vals = s_table[_occupation_rank(counts, window)]
+            draws[start : start + len(d)] = (_evaluate_floats(F, d) - mean - s_vals) ** 2
+        value = float(np.mean(draws))
+        stderr = float(np.std(draws, ddof=1) / math.sqrt(reps))
+    if not (math.isfinite(value) and math.isfinite(stderr)):
+        raise NumericError(
+            f"the Monte Carlo loss leaves the float range (value {value}, stderr {stderr})"
+        )
     return MCEstimate(value=value, stderr=stderr, draws=reps)
 
 
@@ -431,8 +396,8 @@ class ApproximationReport(Record):
     """Side-by-side record of the projection oracle and the scaled candidate.
 
     Every loss figure is produced twice (closed form + Monte Carlo); the
-    closed forms keep the JSON key ``loss_enumerated`` (``direct_loss`` is
-    their oracle).  The printed candidate-error values are reported next to
+    closed forms keep the JSON key ``loss_enumerated`` (the window
+    enumeration is their oracle).  The printed candidate-error values are reported next to
     the loss they claim to equal, ``discrepancies`` lists every mismatch
     beyond 1e-10, and the projection's optimality is enforced.
     """

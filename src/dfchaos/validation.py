@@ -1,12 +1,15 @@
 """Cross-checking suites: the projection oracle, coefficient-table errata
 and the named verify run.
 
-The library computes its coefficients in closed form (``coeffs``); the
+The library computes each result in closed form on one route; the
 independent routes here only check them, in ``verify`` and in the tests.
-``oracle_limit_row`` solves the defining projection conditions for the
-limit coefficients on a balanced two-point space exactly (``solve_exact``);
-``theta_limit`` pushes the finite tables through an exact extrapolation in
-1/N; ``c_overlap_oracle`` enumerates the overlapping-window covariance.
+``system_residuals`` re-substitutes a finite table into its defining
+system, summed term by term (``psi``, ``phi``); ``oracle_limit_row`` solves
+the projection conditions for the limits on a two-point space exactly;
+``theta_limit`` extrapolates the finite tables in 1/N; ``c_overlap_oracle``,
+``cond_exp_statistic_counts`` and ``direct_loss`` enumerate the overlap
+covariance, one conditional mean and a window loss;
+``q_via_multiple_integrals`` re-derives Q_n through the decomposition engine.
 
 Two independent routes produce the limit coefficients (the extrapolation
 and the two-point projection oracle), and a third set of closed forms has
@@ -17,8 +20,8 @@ functional from kernels extracted with each coefficient set and measure the
 pointwise reconstruction error.  A coefficient set that cannot reproduce
 the functional it claims to decompose is wrong, whatever its provenance.
 The arbiter weights the centred posterior means with the row it is given
-(``kernels.subset_sum_kernels``); ``chaos_kernels`` reads only the
-closed-form rows.
+(``subset_sum_kernels``); ``chaos_kernels`` reads only the closed-form
+rows.
 
 ``mass_kernel_identities`` checks the closed-form kernels of a functional
 of one Beta-distributed mass D(C), built by the same ``bayes.mass_kernel``
@@ -33,12 +36,13 @@ its closed form.
 ``run_verification`` drives the library's invariant checks as named,
 machine-readable results for the command-line ``verify`` subcommand.  Its
 urn-law check holds the finite split's backward lattice pass to one
-completion enumeration per conditional mean (``polya``), exactly.  Its
-window-approximation check holds ``ustat_mse`` and both closed-form losses
-of ``approximation_report`` to ``direct_loss``, and the closed-form window
-optimum to the backward-pass split, exactly, and checks
-the Monte Carlo losses of ``approximation_report``; it alone imports numpy and
-``ustat``, so the erratum report loads neither.
+completion enumeration per conditional mean (``cond_exp_statistic_counts``),
+exactly.  Its window-approximation check holds ``ustat_mse`` and both
+closed-form losses of ``approximation_report`` to ``direct_loss``, and the
+closed-form window optimum to the backward-pass split, exactly, and checks
+the Monte Carlo losses of ``approximation_report``.  Only that check and
+``direct_loss`` import ``ustat``, and with it numpy, inside the function,
+so the erratum report loads neither.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .chaos import (
     ChaosDecomposition,
     chaos_kernels,
     covariance_integrals,
+    functional_mean,
     multiple_integral,
     poly_posterior_mean,
     reconstruct,
@@ -66,10 +71,11 @@ from .chaos import (
     variance_functional,
 )
 from .coeffs import (
+    CoefficientTable,
+    _check_mass,
     c_iso,
     limit_coefficient,
     limit_coefficients,
-    system_residuals,
     theta_table,
 )
 from .errors import (
@@ -91,28 +97,42 @@ from .jacobi import (
     jacobi_modified,
     solve_phi_system,
 )
-from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
-from .measures import DiscreteBaseMeasure, dirichlet_moment, measure
+from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
+from .measures import DiscreteBaseMeasure, check_counts, dirichlet_moment, measure
 from .numeric import (
     Record,
     Scalar,
     binom,
+    exact_numerators,
+    multiplicity,
+    occupation_lattice,
     occupation_vectors,
+    ratio,
     scalar_to_json,
     sub_occupations,
     tuple_counts,
 )
-from .polya import cond_exp_statistic_counts, occupation_prob, polya_joint_prob
+from .polya import occupation_prob, polya_joint_prob
 from .wright_fisher import (
     TransitionModel,
+    _full_point,
+    _validated_point,
     q_polynomial,
-    q_via_multiple_integrals,
     kernel_Q,
     simplex_expectation,
     transition_density,
 )
 
 __all__ = [
+    "phi",
+    "psi",
+    "system_residuals",
+    "cond_exp_statistic",
+    "cond_exp_statistic_counts",
+    "expectation_statistic",
+    "subset_sum_kernels",
+    "q_via_multiple_integrals",
+    "direct_loss",
     "two_point_measure",
     "degenerate_chain_kernel",
     "oracle_limit_row",
@@ -128,6 +148,226 @@ __all__ = [
     "VerificationResult",
     "run_verification",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the oracles of the production closed forms, which no command runs
+
+
+def phi(n: int, m: int, r: int, p: int, total_mass: Scalar) -> Scalar:
+    """The elementary overlap factor.
+
+    phi(n,m,r,p) = (m-r)!/(m-r-p)! · prod_{s=1..m-r-p} (|alpha|+r+p+s-1)
+                   / prod_{s=1..m-r} (|alpha|+n+s-1)
+
+    Preconditions: 0 <= r <= m <= n, 0 <= p <= m-r, 0 < total mass < inf.
+    """
+    if not (0 <= r <= m <= n):
+        raise DomainError(f"phi requires 0 <= r <= m <= n, got (n={n}, m={m}, r={r})")
+    if not (0 <= p <= m - r):
+        raise DomainError(f"phi requires 0 <= p <= m-r, got p={p}, m-r={m - r}")
+    _check_mass(total_mass)
+    value: Scalar = Fraction(math.perm(m - r, p))
+    for s in range(1, m - r - p + 1):
+        value = value * (total_mass + r + p + s - 1)
+    for s in range(1, m - r + 1):
+        value = value / (total_mass + n + s - 1)
+    return value
+
+
+def psi(N: int, q: int, n: int, m: int, total_mass: Scalar) -> Scalar:
+    """The window-counting sum sum_r C(q,r)·C(N-n, m-r)_*·phi(n,m,r,q-r).
+
+    Preconditions: 1 <= q <= m <= n <= N, 0 < total mass < inf.
+    """
+    if not (1 <= q <= m <= n <= N):
+        raise DomainError(f"psi requires 1 <= q <= m <= n <= N, got ({q}, {n}, {m}, N={N})")
+    _check_mass(total_mass)
+    total: Scalar = Fraction(0)
+    for r in range(q + 1):
+        weight = binom(q, r) * binom(N - n, m - r)
+        if weight:
+            total = total + weight * phi(n, m, r, q - r, total_mass)
+    return total
+
+
+def system_residuals(table: CoefficientTable) -> dict[tuple[int, int], Scalar]:
+    """Re-substitute the table into every defining equation.
+
+    Returns a map (k, q) -> residual: for q = k the normalisation
+    theta^(k,k)·psi(k,k,k) - 1, for q < k the homogeneous sum
+    sum_{i=q..k} sum_{j=q..i} theta^(i,j)·psi(q,k,j), summed as
+    sum_{j=q..k} psi(q,k,j) · sum_{i=j..k} theta^(i,j). Every residual is
+    exactly zero for a correctly built rational table.
+    """
+    out: dict[tuple[int, int], Scalar] = {}
+    N, mass = table.N, table.total_mass
+    for k in range(1, min(table.max_k, N - 1) + 1):
+        out[(k, k)] = table.theta(k, k) * psi(N, k, k, k, mass) - 1
+        column = {
+            j: sum((table.theta(i, j) for i in range(j, k + 1)), Fraction(0))
+            for j in range(1, k + 1)
+        }
+        for q in range(1, k):
+            acc: Scalar = Fraction(0)
+            for j in range(q, k + 1):
+                acc = acc + column[j] * psi(N, q, k, j, mass)
+            out[(k, q)] = acc
+    return out
+
+
+def cond_exp_statistic(
+    statistic: SymmetricKernel,
+    alpha: DiscreteBaseMeasure,
+    fixed: Sequence[int],
+) -> Scalar:
+    """E[T(X_1..X_N) | X_1..X_a = fixed], exactly: by exchangeability only
+    the occupation vector of ``fixed`` matters (``cond_exp_statistic_counts``)."""
+    return cond_exp_statistic_counts(statistic, alpha, tuple_counts(fixed, alpha.atoms))
+
+
+def cond_exp_statistic_counts(
+    statistic: SymmetricKernel,
+    alpha: DiscreteBaseMeasure,
+    fixed_counts: Sequence[int],
+) -> Scalar:
+    """E[T | fixed block] with the block given as counts, summed over its
+    completions, collapsed to occupation vectors.
+
+    A completion's weight is its multiplicity times the posterior moment
+    E[D^completion | fixed], a shift on the prior's moment ladder; the
+    statistic's values go over one common denominator, so the sum runs on
+    ints.  A float value is read as its exact image and the mean rounded
+    once.  More than ``DEFAULT_ENUMERATION_CAP`` completions,
+    C(N - #fixed + K - 1, K - 1), raise ResourceCapError.
+    """
+    if statistic.atoms != alpha.atoms:
+        raise DomainError("statistic and measure disagree on the atom count")
+    check_counts(alpha.atoms, fixed_counts)
+    n_free = statistic.order - sum(fixed_counts)
+    if n_free < 0:
+        raise DomainError(
+            f"cannot fix {sum(fixed_counts)} of {statistic.order} coordinates"
+        )
+    size = binom(n_free + alpha.atoms - 1, alpha.atoms - 1)
+    if size > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"enumeration of {size} completions exceeds cap {DEFAULT_ENUMERATION_CAP}"
+        )
+    completions = list(occupation_vectors(n_free, alpha.atoms))
+    values, scale, rounded = exact_numerators(
+        statistic.value(tuple(f + c for f, c in zip(fixed_counts, completion)))
+        for completion in completions
+    )
+    terms = [
+        (completion, multiplicity(completion) * value)
+        for completion, value in zip(completions, values)
+        if value
+    ]
+    num, den = alpha.moment_ladder.posterior_sum(terms, fixed_counts)
+    return ratio(num, den * scale, rounded)
+
+
+def expectation_statistic(statistic: SymmetricKernel, alpha: DiscreteBaseMeasure) -> Scalar:
+    """E[T(X_1..X_N)] under the urn law."""
+    return cond_exp_statistic(statistic, alpha, ())
+
+
+def subset_sum_kernels(
+    values: Mapping[tuple[int, ...], Scalar],
+    rows: Mapping[int, Mapping[int, Scalar]],
+    atoms: int,
+) -> dict[int, SymmetricKernel]:
+    """``kernels.subset_sum_assembly`` in mapping form, with any rows:
+    ``values`` maps occupation vectors to v (a missing vector means 0) and
+    ``rows[n]`` maps k to w[n][k].  A float value or weight is read as its
+    exact image and every entry is rounded once, to a float."""
+    nums, den, rounded = exact_numerators(values.values())
+    table = dict(zip(values, nums))
+    weights = {}
+    for n, row in rows.items():
+        row_nums, row_den, row_rounded = exact_numerators(row.values())
+        weights[n] = dict(zip(row, row_nums)), row_den
+        rounded = rounded or row_rounded
+
+    def layer(k: int) -> list[int]:
+        return [table.get(mu, 0) for mu in occupation_lattice(k, atoms).vectors]
+
+    return subset_sum_assembly(layer, den, rounded, weights, atoms)
+
+
+def q_via_multiple_integrals(
+    model: TransitionModel, n: int, gamma: Sequence[Scalar], gamma_prime: Sequence[Scalar]
+) -> Scalar:
+    """Q_n recomputed through the decomposition engine.
+
+    Each unnormalized basis polynomial e of exact degree n, viewed as a
+    functional of the random measure, has zero mean and a single order-n
+    component: e(D) = integral of a degenerate kernel h against D^(x)n.
+    That polynomial identity can be evaluated at the deterministic measure
+    concentrated on a simplex point, so
+
+        Q_n(g, g') = sum_e [int h dmu_g] [int h dmu_g'] / norm^2(e).
+
+    Agreement with ``kernel_Q`` checks the decomposition engine against
+    Griffiths' closed form.
+    """
+    if n < 0 or n > model.M:
+        raise DomainError(f"kernel order {n} outside model truncation 0..{model.M}")
+    g = _full_point(_validated_point(gamma, model.dim))
+    gp = _full_point(_validated_point(gamma_prime, model.dim))
+    if n == 0:
+        return 1
+    total: Scalar = 0
+    for poly, norm_sq in model.band(n):
+        functional = poly.pad_to(model.theta.atoms)
+        decomposition = chaos_kernels(functional, model.theta, n)
+        h = decomposition.kernel(n)
+        left = multiple_integral(h, g)
+        right = multiple_integral(h, gp)
+        total = total + left * right / norm_sq
+    return total
+
+
+def direct_loss(
+    kernels: Mapping[int, SymmetricKernel],
+    F: SimplexPolynomial,
+    alpha: DiscreteBaseMeasure,
+    window: int,
+) -> Scalar:
+    """Exact loss E[(F - E F - S)^2] of the subset-sum statistic S of a window.
+
+    Expanded as  Var F - 2 sum_mu P(mu) S(mu) (E[F | mu] - E F)
+    + sum_mu P(mu) S(mu)^2  over window occupation vectors mu, all terms
+    exact under the urn law.  The posterior means E[F | mu] = N(mu) / D of
+    the window's layer are one ``MomentLadder.posterior_table`` layer, and
+    P(mu) = W(mu) / S(N) is the measure's cached ``urn_weights`` row, so
+    the enumerated part is one integer dot product over the window's
+    vectors, over the common denominator of S, D and E F.  A float value
+    or coefficient is read as its exact image and the loss rounded once.
+    More than ``DEFAULT_ENUMERATION_CAP`` window occupation vectors,
+    C(window + K - 1, K - 1), raise ResourceCapError.
+    """
+    from .ustat import statistic_from_kernels  # loads numpy, so only here
+
+    if binom(window + alpha.atoms - 1, alpha.atoms - 1) > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(f"window enumeration exceeds cap {DEFAULT_ENUMERATION_CAP}")
+    statistic = statistic_from_kernels(kernels, window, alpha.atoms)
+    s_nums, s_den, rounded = statistic.numerators
+    pairs, c_den, f_rounded = F.scaled_terms
+    if f_rounded:
+        F = SimplexPolynomial(F.nvars, {e: Fraction(c, c_den) for e, c in pairs})
+    mean = functional_mean(F, alpha)
+    var_f = variance_functional(F, alpha)
+    m, m_den = mean.numerator, mean.denominator
+    (conds,), f_den = alpha.moment_ladder.posterior_table(pairs, window, start=window)
+    f_den *= c_den  # E[F | mu] = conds[i] / f_den
+    weights, total = alpha.moment_ladder.urn_weights(window)
+    # P(mu) S(mu) (S(mu) + 2 E F - 2 E[F | mu]) = W s (s a + b - c N(mu)) / (S(N) s_den^2 a)
+    a, b, c = m_den * f_den, 2 * m * s_den * f_den, 2 * s_den * m_den
+    num = sum(w * s * (s * a + b - c * n) for w, s, n in zip(weights, s_nums, conds) if s)
+    loss = var_f + Fraction(num, total * s_den * s_den * a)
+    return ratio(loss.numerator, loss.denominator, rounded or f_rounded)
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +1112,7 @@ def _check_polya(alpha: DiscreteBaseMeasure, quick: bool) -> tuple[bool, str]:
 def _check_ustat(alpha: DiscreteBaseMeasure, seed: int) -> tuple[bool, str]:
     import numpy as np
 
-    from .ustat import approximation_report, direct_loss, ustat_mse
+    from .ustat import approximation_report, ustat_mse
 
     K = alpha.atoms
     F = SimplexPolynomial.monomial(K, (2,) + (0,) * (K - 1))

@@ -50,18 +50,15 @@ monic Beta polynomial per free coordinate, in closed form on ``jacobi``'s
 integer ladders, with a closed-form squared norm.  At K = 2 it is the
 monic Beta polynomial itself.  ``gram_schmidt_P`` and
 ``TransitionModel.band`` read the same bands, so Griffiths' closed form and
-the bands are two independent closed forms of Q_n.  ``q_via_multiple_integrals``
-re-derives Q_n through the decomposition engine — each basis polynomial of
-exact degree n equals a single order-n integral of a degenerate kernel, and
-evaluating that integral against the deterministic measure sitting at a
-simplex point recovers the polynomial.  Points on the simplex are passed as
-their K-1 free coordinates; the last coordinate is implied.
+the bands are two independent closed forms of Q_n; the tests and
+``verify`` also re-derive Q_n through the decomposition engine.  Points on
+the simplex are passed as their K-1 free coordinates; the last coordinate
+is implied.
 
 Imports.  The closed form needs only ``measures`` and ``numeric``:
-``kernels`` and ``jacobi`` are imported inside the band builder,
-``q_polynomial`` and the oracles, so a cold process that evaluates
-densities at rational points loads neither ``kernels``, ``jacobi`` nor
-``coeffs``.
+``kernels`` and ``jacobi`` are imported inside the band builder and
+``q_polynomial``, so a cold process that evaluates densities at rational
+points loads neither ``kernels``, ``jacobi`` nor ``coeffs``.
 """
 
 from __future__ import annotations
@@ -102,7 +99,6 @@ __all__ = [
     "q_polynomial",
     "rho",
     "transition_density",
-    "q_via_multiple_integrals",
 ]
 
 
@@ -195,7 +191,7 @@ def dirichlet_density(theta: DiscreteBaseMeasure | Sequence[Scalar], gamma: Sequ
     """
     measure = _validated_theta(theta)
     point = _validated_point(gamma, measure.atoms - 1)
-    weights = [float(w) for w in measure.weights]
+    weights = measure.float_weights
     log_norm = math.lgamma(float(measure.total_mass)) - sum(math.lgamma(w) for w in weights)
     full = [float(g) for g in _full_point(point)]
     log_density = log_norm + sum((w - 1.0) * math.log(g) for w, g in zip(weights, full))
@@ -562,38 +558,3 @@ def transition_density(
     tail = stationary * decay_next * math.sqrt(max(diag, 0.0))
 
     return TransitionDensity(value, stationary, tuple(contributions), tail, value < 0.0)
-
-
-def q_via_multiple_integrals(
-    model: TransitionModel, n: int, gamma: Sequence[Scalar], gamma_prime: Sequence[Scalar]
-) -> Scalar:
-    """Q_n recomputed through the decomposition engine.
-
-    Each unnormalized basis polynomial e of exact degree n, viewed as a
-    functional of the random measure, has zero mean and a single order-n
-    component: e(D) = integral of a degenerate kernel h against D^(x)n.
-    That polynomial identity can be evaluated at the deterministic measure
-    concentrated on a simplex point, so
-
-        Q_n(g, g') = sum_e [int h dmu_g] [int h dmu_g'] / norm^2(e).
-
-    Agreement with ``kernel_Q`` checks the decomposition engine against
-    Griffiths' closed form.
-    """
-    if n < 0 or n > model.M:
-        raise DomainError(f"kernel order {n} outside model truncation 0..{model.M}")
-    g = _full_point(_validated_point(gamma, model.dim))
-    gp = _full_point(_validated_point(gamma_prime, model.dim))
-    if n == 0:
-        return 1
-    from .chaos import chaos_kernels, multiple_integral  # the oracle's route only
-
-    total: Scalar = 0
-    for poly, norm_sq in model.band(n):
-        functional = poly.pad_to(model.theta.atoms)
-        decomposition = chaos_kernels(functional, model.theta, n)
-        h = decomposition.kernel(n)
-        left = multiple_integral(h, g)
-        right = multiple_integral(h, gp)
-        total = total + left * right / norm_sq
-    return total

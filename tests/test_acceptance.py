@@ -26,7 +26,7 @@ from dfchaos.chaos import (
     variance_from_decomposition,
     variance_functional,
 )
-from dfchaos.coeffs import c_iso, system_residuals, theta_table
+from dfchaos.coeffs import c_iso, theta_table
 from dfchaos.hoeffding import degenerate_basis, degenerate_check
 from dfchaos.jacobi import (
     BetaParams,
@@ -45,15 +45,20 @@ from dfchaos.polya import (
     predictive,
     sample_polya,
 )
-from dfchaos.ustat import approximation_report, direct_loss, mc_loss, ustat_mse
-from dfchaos.validation import theta_erratum_report, theta_limit
+from dfchaos.ustat import approximation_report, mc_loss, ustat_mse
+from dfchaos.validation import (
+    direct_loss,
+    q_via_multiple_integrals,
+    system_residuals,
+    theta_erratum_report,
+    theta_limit,
+)
 from dfchaos.wright_fisher import (
     TransitionModel,
     dirichlet_density,
     kernel_Q,
     multi_indices,
     q_polynomial,
-    q_via_multiple_integrals,
     simplex_expectation,
     transition_density,
 )

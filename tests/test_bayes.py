@@ -20,7 +20,7 @@ from dfchaos.errors import DomainError, ResourceCapError
 from dfchaos.kernels import SymmetricKernel
 from dfchaos.measures import measure
 from dfchaos.numeric import hyp1f1, occupation_vectors, sub_occupations
-from dfchaos.polya import expectation_statistic
+from dfchaos.validation import expectation_statistic
 
 
 def _closed_form_single_draw(alpha, labels, atom=1):

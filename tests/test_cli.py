@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,26 @@ def test_decompose_finite_checks_its_cap_before_building(capsys, tmp_path, monke
     diagnostic = json.loads(err)
     assert diagnostic["error"] == "ResourceCapError"
     assert "64512240 occupation vectors" in diagnostic["message"]
+
+
+def test_chaos_kernels_check_their_cap_before_building(capsys, tmp_path, monkeypatch):
+    # ten atoms and --order 22: the chaos kernels need E[F | mu] at every one
+    # of the C(32, 10) = 64,512,240 vectors of size <= 22, refused at once
+    functional = tmp_path / "F.json"
+    first_mass = {"exponents": [1] + [0] * 9, "coeff": 1}
+    functional.write_text(json.dumps({"nvars": 10, "terms": [first_mass]}))
+    _refuse_posterior_table(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "decompose", "--alpha", ",".join(["1"] * 10), "--F", str(functional),
+        "--order", "22",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "ResourceCapError"
+    assert "64512240 occupation vectors exceeds cap 10000000" in diagnostic["message"]
 
 
 def test_approx_cap_counts_the_split_lattice(capsys, tmp_path, monkeypatch):
@@ -379,6 +400,16 @@ def test_bayes_exp_negative_lambda_matches_mpmath(capsys):
     assert payload["variance"] == pytest.approx(0.011875, rel=1e-10)
 
 
+def test_bayes_exp_lambda_beyond_the_float_range_is_a_domain_error(capsys):
+    # float(10**400) overflowed inside decompose_exponential, a traceback
+    code, out, err = run_cli(
+        capsys, "bayes", "exp", "--alpha", "1,1", "--set", "1", "--lambda", "1e400",
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "DomainError", "message": "lambda leaves the float range"}
+
+
 def test_bayes_exp_high_order_and_residual_bound(capsys):
     # order 40 used to exceed the K^n enumeration cap (exit 3)
     code, out, _ = run_cli(
@@ -422,6 +453,23 @@ def test_approx_rejects_too_few_reps(capsys, eta2_file, reps):
     assert code == 1
     assert json.loads(err)["error"] == "DomainError"
     assert out == ""
+
+
+def test_approx_refuses_a_non_finite_monte_carlo_loss(capsys, tmp_path):
+    # the squared errors of F = 1e308 (x1 + x2) overflow: the report printed
+    # "value": Infinity, "stderr": NaN and exited 0
+    functional = tmp_path / "F.json"
+    terms = [{"exponents": [1, 0], "coeff": 1e308}, {"exponents": [0, 1], "coeff": 1e308}]
+    functional.write_text(json.dumps({"nvars": 2, "terms": terms}))
+    code, out, err = run_cli(
+        capsys, "approx", "--alpha", "1,1", "--F", str(functional), "--N", "2",
+        "--seed", "1", "--reps", "10",
+    )
+    assert code == 1
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "NumericError"
+    assert "Monte Carlo loss leaves the float range" in diagnostic["message"]
 
 
 def test_approx_requires_seed(capsys, eta2_file):

@@ -14,9 +14,6 @@ from dfchaos.coeffs import (
     c_overlap,
     limit_coefficient,
     limit_coefficients,
-    phi,
-    psi,
-    system_residuals,
     theta_table,
 )
 from dfchaos.chaos import statistic_product_mean
@@ -24,7 +21,14 @@ from dfchaos.errors import ConvergenceError, DomainError
 from dfchaos.kernels import SymmetricKernel
 from dfchaos.measures import measure
 from dfchaos.numeric import binom
-from dfchaos.validation import c_overlap_oracle, tabulated_limit_values, theta_limit
+from dfchaos.validation import (
+    c_overlap_oracle,
+    phi,
+    psi,
+    system_residuals,
+    tabulated_limit_values,
+    theta_limit,
+)
 
 
 def test_theta_first_order_closed_form():

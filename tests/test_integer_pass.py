@@ -49,7 +49,7 @@ from dfchaos.jacobi import (
     jacobi_inner,
     solve_phi_system,
 )
-from dfchaos.kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
+from dfchaos.kernels import SimplexPolynomial, SymmetricKernel
 from dfchaos.measures import DiscreteBaseMeasure, dirichlet_moment
 from dfchaos.numeric import (
     exact_numerators,
@@ -57,7 +57,7 @@ from dfchaos.numeric import (
     occupation_vectors,
     tuple_counts,
 )
-from dfchaos.polya import cond_exp_statistic, cond_exp_statistic_counts
+from dfchaos.validation import cond_exp_statistic, cond_exp_statistic_counts, subset_sum_kernels
 
 MASSES = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
 COEFFICIENTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))

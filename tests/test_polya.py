@@ -13,14 +13,16 @@ from dfchaos.kernels import SymmetricKernel
 from dfchaos.measures import measure
 from dfchaos.numeric import occupation_vectors
 from dfchaos.polya import (
-    cond_exp_statistic,
-    cond_exp_statistic_counts,
     empirical_measure,
-    expectation_statistic,
     occupation_prob,
     polya_joint_prob,
     predictive,
     sample_polya,
+)
+from dfchaos.validation import (
+    cond_exp_statistic,
+    cond_exp_statistic_counts,
+    expectation_statistic,
 )
 
 

@@ -53,8 +53,6 @@ from dfchaos.coeffs import (
     c_iso,
     c_overlap,
     limit_coefficient,
-    psi,
-    system_residuals,
     theta_table,
 )
 from dfchaos.errors import DomainError
@@ -64,21 +62,28 @@ from dfchaos.hoeffding import (
     degenerate_check,
     hoeffding_decompose,
 )
-from dfchaos.kernels import SimplexPolynomial, SymmetricKernel, subset_sum_kernels
+from dfchaos.kernels import SimplexPolynomial, SymmetricKernel
 from dfchaos.measures import DiscreteBaseMeasure, dirichlet_moment, with_counts
 from dfchaos.numeric import binom, occupation_vectors, sub_occupations, tuple_counts
-from dfchaos.polya import cond_exp_statistic_counts, occupation_prob, polya_joint_prob
+from dfchaos.polya import occupation_prob, polya_joint_prob
 from dfchaos.ustat import (
     approximation_report,
     best_symmetric_approx_oracle,
-    direct_loss,
     eval_ustat_counts,
     mc_loss,
     scaled_kernel_candidate,
     statistic_from_kernels,
     ustat_mse,
 )
-from dfchaos.validation import mass_kernel_identities, oracle_limit_row
+from dfchaos.validation import (
+    cond_exp_statistic_counts,
+    direct_loss,
+    mass_kernel_identities,
+    oracle_limit_row,
+    psi,
+    subset_sum_kernels,
+    system_residuals,
+)
 from dfchaos.wright_fisher import (
     TransitionModel,
     kernel_Q,

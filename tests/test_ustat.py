@@ -34,7 +34,6 @@ from dfchaos.ustat import (
     approximation_report,
     best_symmetric_approx_oracle,
     candidate_error_formula,
-    direct_loss,
     eval_ustat,
     eval_ustat_counts,
     mc_loss,
@@ -42,6 +41,7 @@ from dfchaos.ustat import (
     statistic_from_kernels,
     ustat_mse,
 )
+from dfchaos.validation import direct_loss
 
 UNIFORM = measure(1, 1)
 SQUARED_MASS = SimplexPolynomial.monomial(2, (2, 0))
@@ -267,7 +267,6 @@ def test_report_without_monte_carlo_builds_no_window_statistic(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the exact route built a window statistic")
 
-    monkeypatch.setattr(ustat, "direct_loss", refuse)
     monkeypatch.setattr(ustat, "statistic_from_kernels", refuse)
     for window, losses in (
         (1, (Fraction(11, 180), Fraction(31, 180))),

@@ -23,11 +23,11 @@ from dfchaos.wright_fisher import (
     kernel_Q,
     multi_indices,
     q_polynomial,
-    q_via_multiple_integrals,
     rho,
     simplex_expectation,
     transition_density,
 )
+from dfchaos.validation import q_via_multiple_integrals
 
 
 def test_multi_indices_graded_lexicographic():
