@@ -143,12 +143,10 @@ def functional_mean(F: Functional, alpha: DiscreteBaseMeasure, rng=None):
     return cond_exp_functional(F, alpha, (), rng)
 
 
-def _product_sum(
-    first: tuple, second: tuple, alpha: DiscreteBaseMeasure, counts: Sequence[int] | None = None
-) -> tuple[int, int, bool]:
-    """(N, Q, rounded) with E[F(D) G(D) | counts] = N / Q, for F and G given
-    by their integer terms over one denominator (``SimplexPolynomial.scaled_terms``,
-    ``_integral_terms``); ``counts`` defaults to none observed (the prior).
+def _product_sum(first: tuple, second: tuple, alpha: DiscreteBaseMeasure) -> tuple[int, int, bool]:
+    """(N, Q, rounded) with E[F(D) G(D)] = N / Q, for F and G given by their
+    integer terms over one denominator (``SimplexPolynomial.scaled_terms``,
+    ``_integral_terms``).
 
     The numerators multiply on ints, and one ladder sum at the counts takes
     the moments of the product's terms; no product polynomial is built.
@@ -172,7 +170,7 @@ def _product_sum(
             for e2, c2 in g_terms:
                 key = tuple(map(add, e1, e2))
                 product[key] = product.get(key, 0) + c1 * c2
-    num, den = alpha.moment_ladder.posterior_sum(product.items(), counts or (0,) * alpha.atoms)
+    num, den = alpha.moment_ladder.posterior_sum(product.items(), (0,) * alpha.atoms)
     return num, den * f_lead * g_lead, f_rounded or g_rounded
 
 
@@ -270,12 +268,16 @@ class ChaosDecomposition(Record):
 
     @classmethod
     def from_json(cls, payload: dict) -> "ChaosDecomposition":
-        alpha = DiscreteBaseMeasure.from_json(payload["alpha"])
-        kernels = tuple(SymmetricKernel.from_json(k) for k in payload["kernels"])
+        try:
+            alpha = DiscreteBaseMeasure.from_json(payload["alpha"])
+            kernels = tuple(SymmetricKernel.from_json(k) for k in payload["kernels"])
+            mean = as_scalar(payload["mean"])
+        except (KeyError, TypeError, DomainError) as exc:
+            raise DomainError(f"malformed decomposition JSON: {exc}") from exc
         for i, k in enumerate(kernels, start=1):
             if k.order != i:
                 raise DomainError("kernel orders must run 1..M without gaps")
-        return cls(alpha, as_scalar(payload["mean"]), kernels)
+        return cls(alpha, mean, kernels)
 
 
 def chaos_kernels(
@@ -370,14 +372,23 @@ def reconstruct(decomposition: ChaosDecomposition, point: Sequence[Scalar]) -> S
     return total
 
 
+def _energies(
+    kernels: Sequence[SymmetricKernel], alpha: DiscreteBaseMeasure
+) -> list[tuple[Scalar, Scalar]]:
+    """(c_iso(s), E[h_s(X_1..X_s)^2]) for the kernels h_1, h_2, ... of orders
+    1, 2, ...: their product is the energy E[I_s(h_s)^2] of a degenerate h_s,
+    its share of the Parseval sum and of every window loss."""
+    mass = alpha.total_mass
+    return [
+        (c_iso(s, mass), statistic_product_mean(h, h, alpha))
+        for s, h in enumerate(kernels, start=1)
+    ]
+
+
 def variance_from_decomposition(decomposition: ChaosDecomposition) -> Scalar:
     """Parseval sum  sum_n c(n,|alpha|)·E[h_n(X_1..X_n)^2]."""
-    alpha = decomposition.alpha
-    mass = alpha.total_mass
-    total: Scalar = Fraction(0)
-    for n, kernel in enumerate(decomposition.kernels, start=1):
-        total = total + c_iso(n, mass) * statistic_product_mean(kernel, kernel, alpha)
-    return total
+    pairs = _energies(decomposition.kernels, decomposition.alpha)
+    return sum((c * second for c, second in pairs), Fraction(0))
 
 
 class CovarianceResult(Record):

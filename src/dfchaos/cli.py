@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DFChaosError, NumericError, ResourceCapError
+from .errors import DFChaosError, NumericError, ResourceCapError, check_cap
 from .numeric import Scalar, as_integer, as_scalar, scalar_to_json
 
 if TYPE_CHECKING:
@@ -222,18 +222,14 @@ def _cmd_decompose(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             }
         )
         return 0
-    from .chaos import chaos_kernels, statistic_product_mean, variance_functional
-    from .coeffs import c_iso
+    from .chaos import _energies, chaos_kernels, variance_functional
 
     order = args.order if args.order is not None else max(F.degree, 1)
     decomposition = chaos_kernels(F, alpha, order)
     variance = variance_functional(F, alpha)
     contributions = []
     running: Scalar = Fraction(0)
-    for n in range(1, order + 1):
-        h = decomposition.kernel(n)
-        c = c_iso(n, alpha.total_mass)
-        second = statistic_product_mean(h, h, alpha)
+    for n, (c, second) in enumerate(_energies(decomposition.kernels, alpha), start=1):
         term = c * second
         running = running + term
         contributions.append(
@@ -305,6 +301,7 @@ def _cmd_wf(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.grid < 1:
             parser.error(f"--grid must be >= 1, got {args.grid}")
         G = args.grid
+        check_cap(G * G, f"a grid of {G * G} density rows")
         rows = []
         for i in range(1, G + 1):
             for j in range(1, G + 1):

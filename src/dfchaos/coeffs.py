@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, check_cap
 from .numeric import Scalar, binom, integer_ladder, ratio, rising_product
 from .numeric import limit_row as _limit_row
 
@@ -133,7 +133,8 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
     With m = p/q, k!/rising(m+N, k) = k! q^k / (L[N+k]/L[N]) on the ladder
     L[x] = prod_{i<x} (p+iq), read from N on one ladder for all rows, and
     each entry is one Fraction of integers.  A float mass is read as its
-    exact image, as in the limits.
+    exact image, as in the limits.  More than ``DEFAULT_ENUMERATION_CAP``
+    entries, max_k(max_k+1)/2, raise ResourceCapError before any is built.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
@@ -142,6 +143,8 @@ def theta_table(N: int, total_mass: Scalar, max_k: int | None = None) -> Coeffic
         max_k = N
     if not 1 <= max_k <= N:
         raise DomainError(f"max_k must lie in 1..N, got {max_k}")
+    size = max_k * (max_k + 1) // 2
+    check_cap(size, f"a table of {size} coefficients")
 
     p, q = mass.numerator, mass.denominator
     window = integer_ladder(p + N * q, q, max_k)  # window[k] = q^k rising(m+N, k)
@@ -203,9 +206,12 @@ def limit_coefficient(n: int, k: int, total_mass: Scalar) -> Fraction:
 
 
 def limit_coefficients(total_mass: Scalar, max_order: int) -> dict[tuple[int, int], Fraction]:
-    """All theta^(n,k) for n <= max_order, keyed by (n, k)."""
+    """All theta^(n,k) for n <= max_order, keyed by (n, k): more than
+    ``DEFAULT_ENUMERATION_CAP`` of them raise ResourceCapError."""
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order}")
+    size = max_order * (max_order + 1) // 2
+    check_cap(size, f"a table of {size} limit coefficients")
     out: dict[tuple[int, int], Fraction] = {}
     for n in range(1, max_order + 1):
         for k in range(1, n + 1):

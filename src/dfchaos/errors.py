@@ -43,3 +43,11 @@ class ResourceCapError(DFChaosError):
 
 class SingularSystemError(DFChaosError):
     """A linear system that should be uniquely solvable lost its pivot."""
+
+
+def check_cap(size: int, what: str) -> None:
+    """Refuse ``what``, a path's output or enumeration of ``size`` terms,
+    when it exceeds ``DEFAULT_ENUMERATION_CAP``: ResourceCapError, raised
+    before the path does any work."""
+    if size > DEFAULT_ENUMERATION_CAP:
+        raise ResourceCapError(f"{what} exceeds cap {DEFAULT_ENUMERATION_CAP}")

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .coeffs import _kernel_weights, c_overlap
-from .errors import DEFAULT_ENUMERATION_CAP, DomainError, ResourceCapError
+from .errors import DomainError, check_cap
 from .kernels import SymmetricKernel, subset_sum_assembly
 from .measures import DiscreteBaseMeasure
 from .numeric import (
@@ -160,10 +160,7 @@ def _check_lattice(N: int, atoms: int) -> None:
     lattice vectors, every occupation vector of size <= N, checked before
     any layer is built."""
     size = binom(N + atoms, atoms)
-    if size > DEFAULT_ENUMERATION_CAP:
-        raise ResourceCapError(
-            f"the lattice of {size} occupation vectors exceeds cap {DEFAULT_ENUMERATION_CAP}"
-        )
+    check_cap(size, f"the lattice of {size} occupation vectors")
 
 
 def _conditional_layers(

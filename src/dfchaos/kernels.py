@@ -210,10 +210,11 @@ class SymmetricKernel(Record):
     def from_json(cls, payload: dict) -> "SymmetricKernel":
         """The kernel of a ``to_json`` payload.  A payload that lists every
         vector of its layer with exact values (as ``to_json`` writes one)
-        is checked by one lookup per vector in the order's lattice layer
-        and kept as numerators over their common denominator.  Any other
-        payload goes through the public constructor, so reading it never
-        enumerates a layer larger than the payload."""
+        is kept as numerators over their common denominator: its vectors
+        all lie in the layer, and there are as many as the layer holds,
+        counted up to the payload's size only.  Any other payload goes
+        through the public constructor, so reading it never enumerates a
+        layer larger than the payload."""
         values = {}
         try:
             order = as_integer(payload["order"])
@@ -222,11 +223,18 @@ class SymmetricKernel(Record):
                 values[tuple(map(as_integer, entry["counts"]))] = as_scalar(entry["value"])
         except (KeyError, TypeError, DomainError) as exc:
             raise DomainError(f"malformed kernel JSON: {exc}") from exc
-        dense = order >= 0 and atoms >= 1 and len(values) >= math.comb(order + atoms - 1, order)
-        if dense and is_exact(values.values()):
-            lattice = occupation_lattice(order, atoms)
-            if all(counts in lattice.rank for counts in values):
-                nums, den = common_denominator([values[a] for a in lattice.vectors])
+        in_layer = atoms >= 1 and values and all(
+            len(a) == atoms and min(a) >= 0 and sum(a) == order for a in values
+        )
+        if in_layer and is_exact(values.values()):
+            size = 1  # C(order + i, i), i < K: the layer's size, unless the payload is smaller
+            for i in range(1, atoms):
+                size = size * (order + i) // i
+                if size > len(values):
+                    break
+            if size == len(values):
+                vectors = occupation_lattice(order, atoms).vectors
+                nums, den = common_denominator([values[a] for a in vectors])
                 return cls._from_numerators(order, atoms, nums, den)
         return cls(order, atoms, values)
 

@@ -122,9 +122,11 @@ class DiscreteBaseMeasure(Record):
 
     @classmethod
     def from_json(cls, payload: dict) -> "DiscreteBaseMeasure":
-        if "weights" not in payload:
-            raise DomainError("measure JSON needs a 'weights' field")
-        return cls(tuple(as_scalar(w) for w in payload["weights"]))
+        try:
+            weights = tuple(as_scalar(w) for w in payload["weights"])
+        except (KeyError, TypeError, DomainError) as exc:
+            raise DomainError(f"malformed measure JSON: {exc}") from exc
+        return cls(weights)
 
 
 def measure(*weights) -> DiscreteBaseMeasure:

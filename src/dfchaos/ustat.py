@@ -7,18 +7,28 @@ to exact sums over occupation vectors ("occupation algebra").
 
 By the paper's Blackwell–MacQueen result each multiple integral I_n(h)(D)
 is the L² limit of the U-statistics U_N of its kernel.  Given D the draws
-are i.i.d. D and E[U_N | D] = I_n(h)(D), so Hoeffding (1948) gives the
-rate exactly (``ustat_mse``):
+are i.i.d. D, so E[U_N(h) | D] = I_n(h)(D).  For a degenerate kernel h_s
+the window also gives E[I_s(h_s) | X_1..X_N] = c_s U_N(h_s), c_s = f_s/r_s,
+f_s = N!/(N-s)!, r_s = (|alpha|+N)^(s) (Hoeffding 1948; Blackwell &
+MacQueen 1973).  So e_s = c_iso(s) E[h_s^2] = E[I_s^2] = E[U_N I_s] =
+c_s E[U_N^2], and the rate E[U_N^2] - E[I_s^2] is e_s (r_s/f_s - 1).
 
-    E[(U_N - I_n(h))^2] = sum_{r=1..n} C(n,r) C(N-n,n-r) / C(N,n) (O(r) - O(0)),
+Any order-n kernel splits under the urn (Hoeffding's split,
+``hoeffding_decompose``) as h = E h + sum_s sum_{|A|=s} phi_s(x_A), each
+phi_s degenerate of order s, so
 
-with O(r) = E_urn[h(X_1..X_n) h(X_{n-r+1}..X_{2n-r})], which depends on h
-and alpha only.  For a chaos kernel h_s it is e_s (r_s/f_s - 1), with
-e_s = c_iso(s) E[h_s^2], f_s = N!/(N-s)! and r_s = (|alpha|+N)^(s), and both
-exact losses of ``approximation_report`` are sums of such terms.  The
-tests and ``verify`` hold them to an enumeration of the same losses over
-the window's C(N + K - 1, K - 1) occupation vectors, too slow at large N
-to be the route.
+    U_N(h) - I_n(h)(D) = sum_{s=1..n} C(n,s) [U_N(phi_s) - I_s(phi_s)(D)].
+
+The terms are orthogonal: for s != s', E[U_N(phi_s) I_s'] = E[I_s I_s']
+by the first identity, and both E[I_s I_s'] (distinct chaos orders) and
+E[U_N(phi_s) U_N(phi_s')] (distinct orders of the split) vanish.  Hence
+
+    E[(U_N - I_n(h))^2] = sum_s C(n,s)^2 e_s(phi_s) (r_s/f_s - 1)
+
+(``ustat_mse``), and both exact losses of ``approximation_report`` are
+sums of such terms.  The tests and ``verify`` hold them to an enumeration
+of the same losses over the window's C(N + K - 1, K - 1) occupation
+vectors, too slow at large N to be the route.
 
 The second half of the module compares two ways of approximating a
 functional F of the random measure by symmetric statistics of the first N
@@ -35,21 +45,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chaos import (
-    MCEstimate,
-    _product_sum,
-    _window_kernels,
-    functional_mean,
-    statistic_product_mean,
-)
+from .chaos import MCEstimate, _energies, _window_kernels, functional_mean
 from .coeffs import c_iso, c_overlap
-from .errors import DEFAULT_ENUMERATION_CAP, DomainError, NumericError, ResourceCapError
-from .hoeffding import _check_lattice
+from .errors import DomainError, NumericError, check_cap
+from .hoeffding import _check_lattice, hoeffding_decompose
 from .kernels import SimplexPolynomial, SymmetricKernel, subset_sum_assembly
 from .measures import MC_BLOCK, DiscreteBaseMeasure, _dirichlet_blocks, check_counts
 from .numeric import (
@@ -57,7 +60,6 @@ from .numeric import (
     Scalar,
     binom,
     is_exact,
-    occupation_lattice,
     ratio,
     scalar_to_json,
     sub_occupations,
@@ -176,8 +178,9 @@ def mc_loss(
     conditionally i.i.d. window from it, and scores (F(d) - E F - S)^2 with
     S the subset-sum statistic of the window; the estimate is the mean of
     the ``reps`` scores with its standard error (sample deviation with
-    ddof=1 over sqrt(reps)), so ``reps`` must be at least 2.  A non-finite
-    estimate or error raises NumericError.
+    ddof=1 over sqrt(reps)), so ``reps`` must be at least 2, and more than
+    ``DEFAULT_ENUMERATION_CAP`` raise ResourceCapError before any draw.  A
+    non-finite estimate or error raises NumericError.
 
     Replications run in the blocks of ``measures._dirichlet_blocks``, of
     ``MC_BLOCK`` rows: each block's one ``rng.dirichlet`` call is followed
@@ -191,6 +194,7 @@ def mc_loss(
     """
     if reps < 2:
         raise DomainError(f"mc_loss needs at least 2 replications, got {reps}")
+    check_cap(reps, f"a run of {reps} Monte Carlo replications")
     statistic = statistic_from_kernels(kernels, window, alpha.atoms)
     s_table = np.array([float(value) for _, value in statistic.items()])
     mean = float(functional_mean(F, alpha))
@@ -240,44 +244,33 @@ def _evaluate_floats(poly: SimplexPolynomial, points: np.ndarray) -> np.ndarray:
 
 
 def ustat_mse(kernel: SymmetricKernel, alpha: DiscreteBaseMeasure, window: int) -> Scalar:
-    """E[(U_N - I_n(h)(D))^2], exactly, by Hoeffding's formula of the module
-    docstring: O(r) = sum over the order-r lattice layer of
-    P(a) E[g_a(D)^2 | counts a], g_a(D) = sum_b mult(b) h(a + b) D^b over the
-    layer n - r, is the urn law ``urn_weights(r)`` times one ladder sum at
-    counts a (``chaos._product_sum``) on h's cached ``numerators``.  A float
-    value is read as its exact image and the result rounded once.  More than
-    ``DEFAULT_ENUMERATION_CAP`` triples (a, b, b'), sum_r |L_r| |L_{n-r}|^2,
-    raise ResourceCapError before any term is built.
+    """E[(U_N - I_n(h)(D))^2], exactly: sum_s C(n,s)^2 e_s(phi_s) (1/c_s - 1)
+    over the split of h's exact image (module docstring), with
+    e_s = c_iso(s) E[phi_s^2] (``chaos._energies``) and c_s the window
+    factor (``_window_factor``).  A float value is read as its exact image
+    and the result rounded once; an order-0 kernel gives 0.  More than
+    ``DEFAULT_ENUMERATION_CAP`` vectors in the split's lattice, C(n + K, K),
+    raise ResourceCapError before any layer is built.
     """
     n, atoms = kernel.order, alpha.atoms
     if kernel.atoms != atoms:
         raise DomainError("kernel and measure disagree on the atom count")
     if window < n:
         raise DomainError(f"window {window} shorter than kernel order {n}")
-    sizes = [binom(r + atoms - 1, atoms - 1) for r in range(n + 1)]
-    triples = sum(sizes[r] * sizes[n - r] ** 2 for r in range(n + 1))
-    if triples > DEFAULT_ENUMERATION_CAP:
-        raise ResourceCapError(
-            f"order-{n} overlap moments on {atoms} atoms ({triples} terms) exceed cap "
-            f"{DEFAULT_ENUMERATION_CAP}"
-        )
+    _check_lattice(n, atoms)
     nums, den, rounded = kernel.numerators
-    rank = occupation_lattice(n, atoms).rank
-    overlap = []  # O(0), ..., O(n)
-    for r in range(n + 1):
-        rest = occupation_lattice(n - r, atoms)
-        weights, total = alpha.moment_ladder.urn_weights(r)
-        moment = Fraction(0)
-        for a, w in zip(occupation_lattice(r, atoms).vectors, weights):
-            values = (nums[rank[tuple(map(add, a, b))]] for b in rest.vectors)
-            terms = [(b, m * x) for b, m, x in zip(rest.vectors, rest.multiplicities, values) if x]
-            g = (terms, den, rounded)
-            square, q, _ = _product_sum(g, g, alpha, a)
-            moment += Fraction(w * square, q)
-        overlap.append(moment / total)
-    shares = (binom(n, r) * binom(window - n, n - r) for r in range(n + 1))
-    mse = sum((w * (o - overlap[0]) for w, o in zip(shares, overlap)), Fraction(0)) / binom(window, n)
+    mse = Fraction(0)
+    if n:
+        split = hoeffding_decompose(SymmetricKernel._from_numerators(n, atoms, nums, den), alpha)
+        for s, (iso, second) in enumerate(_energies(split.components, alpha), start=1):
+            c = _window_factor(window, s, alpha.total_mass)
+            mse += binom(n, s) ** 2 * iso * second * (1 / c - 1)
     return ratio(mse.numerator, mse.denominator, rounded)
+
+
+def _window_factor(window: int, s: int, mass: Fraction) -> Fraction:
+    """c_s = C(N, s) c_overlap(N, N - s) = f_s/r_s of the module docstring, s <= N."""
+    return binom(window, s) * c_overlap(window, window - s, mass)
 
 
 class OracleApproximation(Record):
@@ -338,7 +331,7 @@ def candidate_error_formula(
 
 def _approximations(F: SimplexPolynomial, alpha: DiscreteBaseMeasure, window: int) -> tuple:
     """(oracle, candidate, candidate loss) from one ``chaos._window_kernels``
-    build: with c_s = C(N, s) c_overlap(N, N - s) = f_s/r_s, the optimum loses
+    build: with c_s = f_s/r_s (``_window_factor``), the optimum loses
     e_s (1 - c_s) and the candidate e_s (1/c_s - 1) at s <= N, both e_s above;
     a float coefficient is read as its exact image, each result rounded once."""
     if window < 1:
@@ -349,13 +342,13 @@ def _approximations(F: SimplexPolynomial, alpha: DiscreteBaseMeasure, window: in
         return SymmetricKernel._from_numerators(h.order, h.atoms, *h.numerators[:2], rounded)
 
     mass, scaled, seconds, losses = alpha.total_mass, {}, {}, [Fraction(0), Fraction(0)]
-    for s, h in enumerate(decomposition.kernels, start=1):
-        seconds[s] = statistic_product_mean(h, h, alpha)
-        energy = c_iso(s, mass) * seconds[s]  # E[I_s(h_s)^2]
+    pairs = _energies(decomposition.kernels, alpha)
+    for s, (h, (iso, seconds[s])) in enumerate(zip(decomposition.kernels, pairs), start=1):
+        energy = iso * seconds[s]  # E[I_s(h_s)^2]
         if s > window:
             losses = [x + energy for x in losses]
             continue
-        c = binom(window, s) * c_overlap(window, window - s, mass)
+        c = _window_factor(window, s, mass)
         losses = [losses[0] + energy * (1 - c), losses[1] + energy * (1 / c - 1)]
         if not h.is_zero():
             scaled[s] = once(h.scale(Fraction(1, binom(window, s))))

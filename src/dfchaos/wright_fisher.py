@@ -68,7 +68,7 @@ from fractions import Fraction
 from operator import add
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, check_cap
 from .measures import DiscreteBaseMeasure
 from .numeric import (
     Record,
@@ -354,7 +354,9 @@ class TransitionModel(Record):
     bands are built only on first use by the float-point route,
     ``q_polynomial`` or an oracle (``band``).  The instance is immutable,
     and equal to another with the same ``theta`` and ``M``; evaluations are
-    pure apart from the memo of diagonal tail kernels Q_{M+1}(x, x).
+    pure apart from the memo of diagonal tail kernels Q_{M+1}(x, x).  More
+    than ``DEFAULT_ENUMERATION_CAP`` coefficients, (M+2)(M+3)/2, raise
+    ResourceCapError before any table is built.
     """
 
     theta: DiscreteBaseMeasure | Sequence[Scalar]
@@ -364,6 +366,8 @@ class TransitionModel(Record):
         measure = _validated_theta(self.theta)
         if self.M < 0:
             raise DomainError(f"truncation order must be >= 0, got {self.M}")
+        size = (self.M + 2) * (self.M + 3) // 2
+        check_cap(size, f"a table of {size} kernel-polynomial coefficients")
         top = self.M + 1
         atoms = measure.atoms
         object.__setattr__(self, "theta", measure)

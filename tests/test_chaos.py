@@ -111,6 +111,17 @@ def test_json_round_trip():
         assert clone.kernel(n).values == decomposition.kernel(n).values
 
 
+@pytest.mark.parametrize("field", [None, "alpha", "kernels", "mean"])
+def test_a_malformed_decomposition_payload_is_a_domain_error(field):
+    payload = chaos_kernels(ETA_SQ, UNIFORM, 2).to_json()
+    if field is None:
+        payload = {}
+    else:
+        payload[field] = 5 if field != "mean" else "x"
+    with pytest.raises(DomainError, match="malformed decomposition JSON: "):
+        ChaosDecomposition.from_json(payload)
+
+
 def test_martingale_identity_but_not_orthogonal():
     alpha = measure(1, 1)
     # indicator that both draws hit atom 1

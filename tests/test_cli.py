@@ -189,6 +189,43 @@ def test_the_enumeration_cap_is_not_an_option(capsys, eta2_file, indicator_file)
         assert "--cap" in capsys.readouterr().err
 
 
+# integer sizes read from the command line: each ran past a 5 s timeout, or
+# died in numpy's allocation, before its path counted what it would hold
+OVERSIZED = {
+    "limits": ["coeffs", "--alpha", "2", "--limits", "--max-order", "99999999999999999999"],
+    "table": ["coeffs", "--alpha", "2", "--N", "99999999999"],
+    "truncation": ["wf", "--theta", "1,1/2", "--t", "0.5", "--truncation", "99999999",
+                   "--gamma", "1/3", "--gamma-prime", "1/2"],
+    "grid": ["wf", "--theta", "1,1/2", "--t", "0.5", "--table", "--grid", "99999999999"],
+    "reps": ["approx", "--alpha", "1,1", "--N", "2", "--seed", "1", "--reps", "99999999999999"],
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_an_oversized_integer_option_is_refused_at_once(capsys, eta2_file, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, *(["--F", eta2_file] if argv[0] == "approx" else []))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "ResourceCapError"
+    assert "exceeds cap 10000000" in diagnostic["message"]
+
+
+def test_a_huge_kernel_payload_is_a_usage_error_at_once(capsys, tmp_path):
+    # the density test formed C(2 * 10**9 - 1, 10**9) from the payload's own numbers
+    path = tmp_path / "h.json"
+    huge = {"order": 10**9, "K": 10**9, "values": [{"counts": [1], "value": 1}]}
+    path.write_text(json.dumps(huge))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bayes", "var", "--alpha", "1,1", "--h", str(path)])
+    assert time.perf_counter() - start < 1
+    assert excinfo.value.code == 2
+    assert "--h: occupation vector (1,) has wrong length" in capsys.readouterr().err
+
+
 MALFORMED_TERMS = {
     "list-term": {"nvars": 2, "terms": [[[1, 0], "2"]]},
     "bad-exponent": {"nvars": 2, "terms": [{"exponents": ["x", 0], "coeff": 1}]},

@@ -6,8 +6,9 @@ label lists and points.  Every run must end with exit 0, 1, 2 or 3.  A
 failure's last stderr line is either the JSON diagnostic of exits 1 and 3
 or argparse's usage error of exit 2, and a JSON diagnostic holds no
 Infinity or NaN.  The one exception is ``verify``, which exits 1 with its
-failed checks on stdout.  The sizes (orders, windows, replications) are
-drawn small, so every run is quick.
+failed checks on stdout.  The sizes (orders, windows, replications, grids)
+are drawn small or far beyond every cap, 10**20, where each path must
+refuse before any work, so every run is quick.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ weights = st.lists(st.sampled_from(EXTREME + PLAIN * 3), min_size=1, max_size=3)
 labels = st.lists(st.sampled_from(["1", "2", "3", "0", "-1", "9", "1.5", "a", ""]), max_size=3).map(
     ",".join
 )
-small_ints = st.sampled_from(["0", "1", "2", "3", "-1", "2.5", "1e400", "x"])
+BEYOND_CAP = str(10**20)
+small_ints = st.sampled_from(["0", "1", "2", "3", "-1", "2.5", "1e400", "x", BEYOND_CAP])
 
 # JSON values where a number, an integer or a list is read
 numbers = st.sampled_from(
@@ -67,8 +69,8 @@ values = _record(_maybe("counts", int_lists), _maybe("value", numbers))
 statistics = st.one_of(
     _record(_maybe("entries", st.one_of(st.lists(entries, max_size=3), st.sampled_from([5, None])))),
     _record(
-        _maybe("order", st.sampled_from([1, 2, 0, -1, "x", None, 1.5])),
-        _maybe("K", st.sampled_from([2, 1, 0, -1, "x", None])),
+        _maybe("order", st.sampled_from([1, 2, 0, -1, "x", None, 1.5, 10**20])),
+        _maybe("K", st.sampled_from([2, 1, 0, -1, "x", None, 10**20])),
         _maybe("values", st.one_of(st.lists(values, max_size=3), st.sampled_from([5, None]))),
     ),
     st.sampled_from([[], 5, None]),
@@ -103,8 +105,10 @@ commands = st.one_of(
     _command(["bayes", "var", "--h", PAYLOAD], ("--alpha", weights), ("--obs", labels)),
     _command(["bayes", "exp"], ("--alpha", weights), ("--set", labels), ("--lambda", scalars),
              ("--order", small_ints)),
-    _command(["approx", "--F", PAYLOAD, "--reps", "4"], ("--alpha", weights),
-             ("--N", small_ints), ("--seed", small_ints)),
+    st.sampled_from(["4", "1", BEYOND_CAP]).flatmap(
+        lambda reps: _command(["approx", "--F", PAYLOAD, "--reps", reps], ("--alpha", weights),
+                              ("--N", small_ints), ("--seed", small_ints))
+    ),
     st.sampled_from(EXTREME).map(lambda a: ["verify", "--quick", "--alpha", a]),
 )
 
@@ -117,6 +121,7 @@ def _strict_json(line):
 
 
 MASS = json.dumps({"nvars": 2, "terms": [{"exponents": [1, 0], "coeff": 1}]})
+HUGE_KERNEL = json.dumps({"order": 10**9, "K": 10**9, "values": [{"counts": [1], "value": 1}]})
 OVERFLOWING_SUM = json.dumps({"nvars": 2, "terms": [{"exponents": [1, 0], "coeff": "1e400"},
                                                    {"exponents": [1, 0], "coeff": 1e308}]})
 
@@ -132,6 +137,15 @@ OVERFLOWING_SUM = json.dumps({"nvars": 2, "terms": [{"exponents": [1, 0], "coeff
 @example(argv=["wf", "--theta", "1/2,1e-400", "--t", "1", "--gamma", "1/2", "--gamma-prime", "1/2"],
          payload="")
 @example(argv=["coeffs", "--alpha", "1e999999999", "--N", "2"], payload="")
+# sizes beyond the cap, each of which ran past a 5 s timeout or died in numpy's allocation
+@example(argv=["coeffs", "--alpha", "2", "--limits", "--max-order", "99999999999999999999"],
+         payload="")
+@example(argv=["coeffs", "--alpha", "2", "--N", "99999999999"], payload="")
+@example(argv=["wf", "--theta", "1,1/2", "--t", "0.5", "--truncation", "99999999", "--gamma", "1/3",
+               "--gamma-prime", "1/2"], payload="")
+@example(argv=["approx", "--F", PAYLOAD, "--alpha", "1,1", "--N", "2", "--seed", "1", "--reps",
+               "99999999999999"], payload=MASS)
+@example(argv=["bayes", "var", "--h", PAYLOAD, "--alpha", "1,1"], payload=HUGE_KERNEL)
 def test_every_subcommand_exits_with_a_code_and_a_diagnostic(tmp_path_factory, argv, payload):
     path = tmp_path_factory.getbasetemp() / "payload.json"
     path.write_text(payload)

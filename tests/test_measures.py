@@ -61,6 +61,12 @@ def test_every_weight_is_a_fraction():
     assert DiscreteBaseMeasure.from_json(floats.to_json()) == floats
 
 
+@pytest.mark.parametrize("payload", [{"weights": 5}, {}, {"weights": ["x"]}, None, [1, 2]])
+def test_a_malformed_measure_payload_is_a_domain_error(payload):
+    with pytest.raises(DomainError, match="malformed measure JSON: "):
+        DiscreteBaseMeasure.from_json(payload)
+
+
 def test_measure_is_an_immutable_value():
     alpha = DiscreteBaseMeasure((1, Fraction(1, 2)))
     assert alpha == DiscreteBaseMeasure(weights=(Fraction(1), 0.5)) == measure(1, "1/2")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -154,6 +155,25 @@ def test_a_sparse_payload_on_a_large_layer_is_read_as_listed():
     with pytest.raises(ResourceCapError):
         estimate_conditional_variance(h, sample)
     assert statistic_from_kernels({30: h}, 2, 10).is_zero()
+
+
+def test_a_payload_is_dense_by_its_own_size_only():
+    # a dense to_json payload is kept as numerators, one short of its layer is
+    # read as listed, and no layer size larger than the payload is formed:
+    # C(2 * 10**9 - 1, 10**9) and C(10**30 + 999, 999) are never computed
+    h = SymmetricKernel(3, 3, {a: Fraction(i + 1, 7) for i, a in enumerate(occupation_vectors(3, 3))})
+    clone = SymmetricKernel.from_json(h.to_json())
+    assert type(clone) is not SymmetricKernel and clone == h
+    short = h.to_json()
+    short["values"].pop()
+    assert type(SymmetricKernel.from_json(short)) is SymmetricKernel
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="wrong length"):
+        SymmetricKernel.from_json({"order": 10**9, "K": 10**9, "values": [{"counts": [1], "value": 1}]})
+    corner = [10**30] + [0] * 999
+    wide = SymmetricKernel.from_json({"order": 10**30, "K": 1000, "values": [{"counts": corner, "value": 1}]})
+    assert wide.values == {tuple(corner): 1}
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dfchaos.chaos import (
 )
 from dfchaos.coeffs import c_iso
 from dfchaos.errors import DomainError, ResourceCapError
-from dfchaos.hoeffding import degenerate_basis
+from dfchaos.hoeffding import degenerate_basis, degenerate_check
 from dfchaos.kernels import SimplexPolynomial, SymmetricKernel
 from dfchaos.measures import measure
 from dfchaos.numeric import binom, occupation_vectors
@@ -328,14 +328,28 @@ def test_mse_refuses_a_short_window_and_a_foreign_measure():
 
 
 def test_mse_cap_refuses_before_any_term(monkeypatch):
-    # order 5 on 12 atoms: the r = 0 term alone pairs C(16, 11)^2 = 19,079,424 triples
+    # order 22 on ten atoms: the split's lattice holds C(32, 10) = 64,512,240 vectors
     def not_reached(*args, **kwargs):
-        raise AssertionError("a term was built past the cap gate")
+        raise AssertionError("a layer was built past the cap gate")
 
-    monkeypatch.setattr(ustat, "_product_sum", not_reached)
-    h = SymmetricKernel(5, 12, {(5,) + (0,) * 11: 1})
-    with pytest.raises(ResourceCapError):
-        ustat_mse(h, measure(*[1] * 12), 5)
+    monkeypatch.setattr(ustat, "hoeffding_decompose", not_reached)
+    monkeypatch.setattr(SymmetricKernel, "numerators", property(not_reached))
+    h = SymmetricKernel(22, 10, {(22,) + (0,) * 9: 1})
+    with pytest.raises(ResourceCapError, match="64512240 occupation vectors exceeds cap 10000000"):
+        ustat_mse(h, measure(*[1] * 10), 22)
+
+
+def test_mse_of_an_order_5_kernel_on_12_atoms_is_its_enumerated_loss():
+    # the overlap moments of this case pair 54,188,316 lattice triples; its
+    # split holds C(17, 12) = 6188 vectors.  On the first and last atoms,
+    # h(j, 0.., 5 - j) = (-1)^j C(5, j) solves the predictive conditions
+    # (1 + j) h(x + e_1) + (5 - j) h(x) = 0, x = (j, 0.., 4 - j) + e_12
+    alpha = measure(*[1] * 12)
+    h = SymmetricKernel(5, 12, {(j,) + (0,) * 10 + (5 - j,): (-1) ** j * binom(5, j) for j in range(6)})
+    assert degenerate_check(h, alpha) == 0
+    for window in (5, 6):
+        scaled = {5: h.scale(Fraction(1, binom(window, 5)))}
+        assert ustat_mse(h, alpha, window) == direct_loss(scaled, h.to_polynomial(), alpha, window)
 
 
 def test_ustat_converges_to_multiple_integral():
